@@ -235,15 +235,11 @@ class ComparisonRow:
     delta: int
 
 
-def table_pub_vs_cheb(
-    seeds: Optional[SeedTable] = None,
-    pub_values: Optional[Mapping[int, tuple[int, str]]] = None,
-) -> list[ComparisonRow]:
+def table_pub_vs_cheb(seeds: Optional[SeedTable] = None) -> list[ComparisonRow]:
     seeds = seeds or builtin_seed_table()
-    pub = pub_values or _PUB_ROWS
     rows = []
-    for N in sorted(pub):
-        l_pub, src = pub[N]
+    for N in COMPARISON_DEGREES:
+        l_pub, src = _PUB_ROWS[N]
         entry = best_cheb_bound(N, seeds)
         rows.append(
             ComparisonRow(

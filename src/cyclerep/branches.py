@@ -46,9 +46,6 @@ class BranchInterval:
     def contains(self, x: float, margin: float = 0.0) -> bool:
         return self.lo + margin < x < self.hi - margin
 
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class BranchSet:
@@ -140,22 +137,6 @@ def _cauchy_bound(p: UniPoly) -> float:
     return 1.0 + float(ratio)
 
 
-def _refine_root(p: UniPoly, lo: float, hi: float, tol: float) -> float:
-    flo = p.evaluate_float(lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fmid = p.evaluate_float(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _roots_by_bisection(p: UniPoly, tol: float, npts: int) -> list[float]:
     """Real roots of p found as sign changes on a uniform grid over the
     Cauchy bound, refined by bisection.  Roots where p does not change
@@ -183,7 +164,7 @@ def _roots_by_bisection(p: UniPoly, tol: float, npts: int) -> list[float]:
     for i in range(npts):
         a, b = vals[i], vals[i + 1]
         if a != 0.0 and b != 0.0 and (a < 0) != (b < 0):
-            roots.append(_refine_root(p, xs[i], xs[i + 1], tol))
+            roots.append(_solve_monotone(p, 0.0, xs[i], xs[i + 1], tol))
     merged: list[float] = []
     for r in sorted(roots):
         if not merged or r - merged[-1] > tol * 10:
@@ -198,7 +179,8 @@ def _range_bound(p: UniPoly) -> float:
 
 
 def _solve_monotone(p: UniPoly, target: float, lo: float, hi: float, tol: float) -> float:
-    """Solve p(x) = target on [lo, hi] where p is monotone across the bracket."""
+    """Solve p(x) = target on [lo, hi] by bisection, where p - target
+    changes sign across the bracket or p is monotone on it."""
     flo = p.evaluate_float(lo) - target
     fhi = p.evaluate_float(hi) - target
     if flo == 0.0:

@@ -16,9 +16,10 @@ identical inputs reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,6 +43,7 @@ from .polynomials import (
     VectorField2,
     chebyshev,
     field_from_json,
+    fmt9,
     unipoly_from_json,
 )
 from .pullback import build_pullback, check_exact_degree, pullback_result_to_json, verify_conjugacy
@@ -58,33 +60,10 @@ class ParseFailure(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Tolerances and output choices shared by the workflow commands."""
-
-    dynamics: DynamicsConfig = DEFAULT_CONFIG
-    rho: Fraction = Fraction(1, 2)
-    out_dir: Path = Path(".")
-    fmt: str = "csv"
-
-    def __post_init__(self) -> None:
-        d = self.dynamics
-        if min(d.tol, d.eps_fix, d.eps_transverse, d.eps_hyp, d.margin) <= 0:
-            raise ValueError("all tolerances must be positive")
-        if not 0 < self.rho < 1:
-            raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.fmt not in ("csv", "json", "svg"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
-
-
-def _fmt9(v: float) -> str:
-    return format(v, ".9g")
-
-
 def _round9(obj):
     """Clamp every float in a JSON-ready structure to 9 significant digits."""
     if isinstance(obj, float):
-        return float(_fmt9(obj))
+        return float(fmt9(obj))
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -161,14 +140,12 @@ def cmd_example(args) -> int:
     m = args.m
     if m < 2:
         raise ValueError(f"cover degree must be >= 2, got {m}")
-    run = RunConfig(
-        dynamics=DynamicsConfig(tol=args.tol),
-        rho=_parse_rho(args.rho),
-        out_dir=Path(args.out_dir),
-    )
-    rho, cfg = run.rho, run.dynamics
+    rho = _parse_rho(args.rho)
+    if not args.tol > 0:
+        raise ValueError(f"tol must be positive, got {args.tol}")
+    cfg = DynamicsConfig(tol=args.tol)
 
-    out_dir = run.out_dir
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     field = radial_cubic_field(rho)
@@ -192,7 +169,7 @@ def cmd_example(args) -> int:
     lines = ["i,j,residual"]
     for r in records:
         resid = curve_poly.evaluate_float(r.anchor[0], r.anchor[1])
-        lines.append(f"{r.rect.i},{r.rect.j},{_fmt9(resid)}")
+        lines.append(f"{r.rect.i},{r.rect.j},{fmt9(resid)}")
     (out_dir / "residuals.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     plot_tol = 1e-8
@@ -211,10 +188,18 @@ def cmd_example(args) -> int:
         encoding="utf-8",
     )
 
+    # the seed cycle's multiplier is exp(-4 pi rho^2); a reversed lift has its reciprocal
+    mu = math.exp(-4.0 * math.pi * float(rho) ** 2)
+    worst = 0.0
+    for r in records:
+        target = 1.0 / mu if r.orientation_reversed else mu
+        worst = max(worst, abs(r.multiplier - target) / target)
+
     print(f"deg_Y={int(pb.field.degree())}")
-    print(f"base: anchor=({_fmt9(base.anchor[0])},{_fmt9(base.anchor[1])}) "
-          f"period={_fmt9(base.period)} multiplier={_fmt9(base.multiplier)}")
+    print(f"base: anchor=({fmt9(base.anchor[0])},{fmt9(base.anchor[1])}) "
+          f"period={fmt9(base.period)} multiplier={fmt9(base.multiplier)}")
     print(f"lifted cycles: {len(records)} (expected {m * m})")
+    print(f"lifted multipliers: max rel error {fmt9(worst)} vs exp(-+4 pi rho^2)")
     print(f"outputs in {out_dir}")
     return EXIT_OK
 
@@ -242,7 +227,7 @@ def cmd_bounds(args) -> int:
         raise ValueError(f"unknown bounds subcommand {args.bounds_cmd}")
 
     if args.fmt == "json":
-        rows = [r.split(",") for r in text.strip().splitlines()]
+        rows = list(csv.reader(text.splitlines()))
         text = _dump_json({"header": rows[0], "rows": rows[1:]})
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -1,7 +1,8 @@
 """Numerical flow, Poincaré sections, and limit-cycle lifting.
 
 Trajectories come from an adaptive Dormand-Prince 5(4) integrator with
-dense output (scipy's RK45); section crossings are located by scanning
+dense output (scipy's RK45), stepped by one loop that both `integrate`
+and `poincare_return` consume; section crossings are located by scanning
 the accepted steps for sign changes of the signed section coordinate and
 root-finding on the dense interpolant.  Cycles are fixed points of the
 return map, found by damped secant iteration, with the multiplier
@@ -21,11 +22,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import RK45, OdeSolution
 from scipy.optimize import brentq
 
 from .branches import BranchInterval, branch_inverse, cheb_branches
-from .polynomials import BiPoly, Scalar, VectorField2, chebyshev, compose_separable, _as_fraction
+from .polynomials import BiPoly, Scalar, VectorField2, chebyshev, compose_separable, fmt9, _as_fraction
 from .pullback import PullbackResult
 
 
@@ -121,20 +122,35 @@ class Trajectory:
 
     ts: np.ndarray
     ys: np.ndarray          # shape (2, len(ts))
-    sol: object             # scipy OdeSolution, callable on [ts[0], ts[-1]]
-    duration: float
+    sol: OdeSolution        # callable on [ts[0], ts[-1]]
 
     @property
     def end_state(self) -> tuple[float, float]:
         return (float(self.ys[0, -1]), float(self.ys[1, -1]))
 
-    def __call__(self, t):
-        return self.sol(t)
-
     def sample(self, n: int) -> np.ndarray:
         """n+1 points equally spaced in time, shape (n+1, 2)."""
         ts = np.linspace(self.ts[0], self.ts[-1], n + 1)
         return self.sol(ts).T
+
+
+def _steps(rhs, z0, t_bound: float, tol: float):
+    """Accepted Dormand-Prince 5(4) steps from z0 at t = 0 toward t_bound.
+
+    Yields the solver after each accepted step.  Raises IntegrationError
+    (carrying the last accepted state) if the step size underflows, which
+    for polynomial fields signals finite-time blowup rather than stiffness.
+    """
+    solver = RK45(rhs, 0.0, np.asarray(z0, dtype=float), t_bound=t_bound, rtol=tol, atol=tol * 1e-2)
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise IntegrationError(
+                message or "step size underflow",
+                last_state=(float(solver.y[0]), float(solver.y[1])),
+                last_time=float(solver.t),
+            )
+        yield solver
 
 
 def integrate(
@@ -146,29 +162,20 @@ def integrate(
 ) -> Trajectory:
     """Flow `start` forward for time t_span with local error control tol.
 
-    Raises IntegrationError (carrying the last valid state) if the step
-    size underflows, which for polynomial fields signals finite-time
-    blowup rather than stiffness.
+    Raises IntegrationError (carrying the last valid state) on finite-time
+    blowup.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     rhs = rhs or field_rhs(field)
-    res = solve_ivp(
-        rhs,
-        (0.0, float(t_span)),
-        [float(start[0]), float(start[1])],
-        method="RK45",
-        rtol=tol,
-        atol=tol * 1e-2,
-        dense_output=True,
-    )
-    if res.status != 0:
-        raise IntegrationError(
-            str(res.message),
-            last_state=(float(res.y[0, -1]), float(res.y[1, -1])),
-            last_time=float(res.t[-1]),
-        )
-    return Trajectory(ts=res.t, ys=res.y, sol=res.sol, duration=float(t_span))
+    z0 = (float(start[0]), float(start[1]))
+    ts, ys, pieces = [0.0], [z0], []
+    for solver in _steps(rhs, z0, float(t_span), tol):
+        ts.append(solver.t)
+        ys.append(solver.y)
+        pieces.append(solver.dense_output())
+    ts = np.array(ts)
+    return Trajectory(ts=ts, ys=np.vstack(ys).T, sol=OdeSolution(ts, pieces))
 
 
 @dataclass(frozen=True)
@@ -241,23 +248,8 @@ def poincare_return(
     def gval(z) -> float:
         return sgn * ((z[0] - section.base[0]) * n[0] + (z[1] - section.base[1]) * n[1])
 
-    solver = RK45(
-        rhs,
-        0.0,
-        np.asarray(z0, dtype=float),
-        t_bound=cfg.t_max,
-        rtol=tol,
-        atol=tol * 1e-2,
-    )
     g_prev, t_prev = gval(z0), 0.0
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise IntegrationError(
-                message or "step size underflow",
-                last_state=(float(solver.y[0]), float(solver.y[1])),
-                last_time=float(solver.t),
-            )
+    for solver in _steps(rhs, z0, cfg.t_max, tol):
         g_new = gval(solver.y)
         if g_prev < 0.0 <= g_new:
             dense = solver.dense_output()
@@ -481,10 +473,6 @@ def radial_cubic_field(rho: Scalar) -> VectorField2:
     return VectorField2(p, q)
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".9g")
-
-
 def records_to_csv(records: list[LimitCycleRecord]) -> str:
     """CSV with columns i, j, anchor_u, anchor_v, period, multiplier,
     orientation_reversed (floats at 9 significant digits)."""
@@ -497,10 +485,10 @@ def records_to_csv(records: list[LimitCycleRecord]) -> str:
                 [
                     str(i),
                     str(j),
-                    _fmt(r.anchor[0]),
-                    _fmt(r.anchor[1]),
-                    _fmt(r.period),
-                    _fmt(r.multiplier),
+                    fmt9(r.anchor[0]),
+                    fmt9(r.anchor[1]),
+                    fmt9(r.period),
+                    fmt9(r.multiplier),
                     "true" if r.orientation_reversed else "false",
                 ]
             )

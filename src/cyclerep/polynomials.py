@@ -34,6 +34,18 @@ def _as_fraction(c: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational coefficient, got {type(c).__name__}")
 
 
+def _powers(base, one):
+    """Lazy table k -> base**k, each new power the previous one times base."""
+    cache = [one]
+
+    def power(k: int):
+        while len(cache) <= k:
+            cache.append(cache[-1] * base)
+        return cache[k]
+
+    return power
+
+
 @dataclass(frozen=True)
 class UniPoly:
     """Dense univariate polynomial; ``coeffs[k]`` multiplies x**k."""
@@ -215,9 +227,6 @@ class BiPoly:
             return cls({(k, 0): c for k, c in enumerate(p.coeffs)})
         return cls({(0, k): c for k, c in enumerate(p.coeffs)})
 
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -227,12 +236,6 @@ class BiPoly:
         if not self.terms:
             return NEG_INF
         return max(du + dv for (du, dv), _ in self.terms)
-
-    def coefficient(self, du: int, dv: int) -> Fraction:
-        for key, c in self.terms:
-            if key == (du, dv):
-                return c
-        return Fraction(0)
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
         acc = dict(self.terms)
@@ -278,18 +281,11 @@ class BiPoly:
         return BiPoly({(du, dv - 1): dv * c for (du, dv), c in self.terms if dv >= 1})
 
     def evaluate(self, xu: Scalar, xv: Scalar) -> Fraction:
-        xu, xv = _as_fraction(xu), _as_fraction(xv)
-        upow: dict[int, Fraction] = {0: Fraction(1)}
-        vpow: dict[int, Fraction] = {0: Fraction(1)}
-
-        def power(cache, base, k):
-            while len(cache) <= k:
-                cache[len(cache)] = cache[len(cache) - 1] * base
-            return cache[k]
-
+        upow = _powers(_as_fraction(xu), Fraction(1))
+        vpow = _powers(_as_fraction(xv), Fraction(1))
         acc = Fraction(0)
         for (du, dv), c in self.terms:
-            acc += c * power(upow, xu, du) * power(vpow, xv, dv)
+            acc += c * upow(du) * vpow(dv)
         return acc
 
     def evaluate_float(self, u: float, v: float) -> float:
@@ -327,13 +323,7 @@ def compose_separable(P: BiPoly, p: UniPoly) -> BiPoly:
     Total degree is at most deg(p) * deg(P), with equality whenever the top
     homogeneous part of P is nonzero.
     """
-    powers: dict[int, UniPoly] = {0: UniPoly.const(1)}
-
-    def ppow(k: int) -> UniPoly:
-        while len(powers) <= k:
-            powers[len(powers)] = powers[len(powers) - 1] * p
-        return powers[k]
-
+    ppow = _powers(p, UniPoly.const(1))
     acc: dict[tuple[int, int], Fraction] = {}
     for (a, b), c in P.terms:
         pa, pb = ppow(a).coeffs, ppow(b).coeffs
@@ -350,17 +340,11 @@ def compose_separable(P: BiPoly, p: UniPoly) -> BiPoly:
 
 def compose_pair(P: BiPoly, p: BiPoly, q: BiPoly) -> BiPoly:
     """Exact substitution P(p(u,v), q(u,v)) for a general polynomial map."""
-    ppowers: dict[int, BiPoly] = {0: BiPoly.const(1)}
-    qpowers: dict[int, BiPoly] = {0: BiPoly.const(1)}
-
-    def power(cache: dict[int, BiPoly], base: BiPoly, k: int) -> BiPoly:
-        while len(cache) <= k:
-            cache[len(cache)] = cache[len(cache) - 1] * base
-        return cache[k]
-
+    ppow = _powers(p, BiPoly.const(1))
+    qpow = _powers(q, BiPoly.const(1))
     acc = BiPoly.zero()
     for (a, b), c in P.terms:
-        acc = acc + power(ppowers, p, a) * power(qpowers, q, b) * c
+        acc = acc + ppow(a) * qpow(b) * c
     return acc
 
 
@@ -378,6 +362,12 @@ class VectorField2:
     @property
     def is_zero(self) -> bool:
         return self.p_comp.is_zero and self.q_comp.is_zero
+
+
+def fmt9(v: float) -> str:
+    """A float at 9 significant digits, the precision of every float the
+    package writes (CSV, SVG and JSON output)."""
+    return format(v, ".9g")
 
 
 # --- JSON encoding: rationals as "num/den" strings, bit-exact round-trip ---

@@ -8,12 +8,10 @@ byte-identical and the files diff cleanly in golden tests.
 
 from __future__ import annotations
 
+from .polynomials import fmt9
+
 WORLD = 1.1
 SIZE = 1000.0
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".9g")
 
 
 def to_px(x: float, y: float) -> tuple[float, float]:
@@ -27,26 +25,26 @@ class SvgCanvas:
 
     def polyline(self, points, stroke: str, width: float = 2.0, closed: bool = False) -> None:
         coords = " ".join(
-            f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(x, y) for x, y in points)
+            f"{fmt9(px)},{fmt9(py)}" for px, py in (to_px(x, y) for x, y in points)
         )
         tag = "polygon" if closed else "polyline"
         self._parts.append(
             f'<{tag} points="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{_fmt(width)}"/>'
+            f'stroke-width="{fmt9(width)}"/>'
         )
 
     def line(self, a, b, stroke: str, width: float = 1.0, dashed: bool = False) -> None:
         (x1, y1), (x2, y2) = to_px(*a), to_px(*b)
         dash = ' stroke-dasharray="8,6"' if dashed else ""
         self._parts.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{stroke}" stroke-width="{_fmt(width)}"{dash}/>'
+            f'<line x1="{fmt9(x1)}" y1="{fmt9(y1)}" x2="{fmt9(x2)}" y2="{fmt9(y2)}" '
+            f'stroke="{stroke}" stroke-width="{fmt9(width)}"{dash}/>'
         )
 
     def circle(self, center, r_px: float, fill: str) -> None:
         cx, cy = to_px(*center)
         self._parts.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r_px)}" fill="{fill}"/>'
+            f'<circle cx="{fmt9(cx)}" cy="{fmt9(cy)}" r="{fmt9(r_px)}" fill="{fill}"/>'
         )
 
     def rect_world(self, x0, y0, x1, y1, stroke: str, width: float = 1.5) -> None:
@@ -55,8 +53,8 @@ class SvgCanvas:
     def render(self) -> str:
         head = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_fmt(SIZE)} {_fmt(SIZE)}">\n'
-            f'<rect width="{_fmt(SIZE)}" height="{_fmt(SIZE)}" fill="white"/>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {fmt9(SIZE)} {fmt9(SIZE)}">\n'
+            f'<rect width="{fmt9(SIZE)}" height="{fmt9(SIZE)}" fill="white"/>\n'
         )
         return head + "\n".join(self._parts) + "\n</svg>\n"
 
@@ -94,8 +92,8 @@ def poly_graph_svg(sample_points, intervals) -> str:
         lo, hi = max(iv.lo, -WORLD), min(iv.hi, WORLD)
         (x0, y0), (x1, y1) = to_px(lo, 1.0), to_px(hi, -1.0)
         canvas._parts.append(
-            f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
-            f'height="{_fmt(y1 - y0)}" fill="#dce8f8"/>'
+            f'<rect x="{fmt9(x0)}" y="{fmt9(y0)}" width="{fmt9(x1 - x0)}" '
+            f'height="{fmt9(y1 - y0)}" fill="#dce8f8"/>'
         )
     canvas.rect_world(-1.0, -1.0, 1.0, 1.0, stroke="#cccccc", width=1.0)
     canvas.line((-WORLD, 0.0), (WORLD, 0.0), stroke="#dddddd", width=1.0)

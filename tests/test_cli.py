@@ -1,4 +1,7 @@
+import csv
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -83,10 +86,15 @@ class TestBoundsCommand:
         assert "160" in out  # 4 * 40 from the override table
 
     def test_json_format(self, capsys):
-        assert main(["bounds", "table1", "--format", "json"]) == 0
-        blob = json.loads(capsys.readouterr().out)
-        assert blob["header"][0] == "N"
-        assert len(blob["rows"]) == 18
+        # quoted cells such as "seed (n,m)" and "(5,2)" stay whole strings
+        for table in ("table1", "table2"):
+            assert main(["bounds", table, "--format", "json"]) == 0
+            blob = json.loads(capsys.readouterr().out)
+            with open(GOLDEN / f"{table}.csv", newline="", encoding="utf-8") as fh:
+                golden = list(csv.reader(fh))
+            assert blob["header"] == golden[0]
+            assert blob["rows"] == golden[1:]
+            assert len(blob["rows"]) == 18
 
 
 class TestBranchesCommand:
@@ -155,6 +163,32 @@ class TestExampleCommand:
         assert len(lines) == 5  # header + 4 cycles
         residuals = (out1 / "residuals.csv").read_text().strip().splitlines()[1:]
         assert all(abs(float(row.split(",")[2])) <= 1e-6 for row in residuals)
+
+    def test_m2_prints_multiplier_error(self, tmp_path, capsys):
+        out = tmp_path / "ex"
+        assert main(["example", "--m", "2", "--out-dir", str(out)]) == 0
+        match = re.search(r"^lifted multipliers: max rel error (\S+) ", capsys.readouterr().out, re.M)
+        assert match is not None
+        worst = float(match.group(1))
+        assert worst <= 1e-3
+        # the error goes to stdout only; cycles.csv keeps its columns and
+        # holds the multipliers the printed error is computed from
+        rows = list(csv.DictReader((out / "cycles.csv").read_text().splitlines()))
+        assert list(rows[0]) == ["i", "j", "anchor_u", "anchor_v", "period", "multiplier",
+                                 "orientation_reversed"]
+        mu = math.exp(-math.pi)
+        from_csv = max(
+            abs(float(r["multiplier"]) * (mu if r["orientation_reversed"] == "true" else 1 / mu) - 1)
+            for r in rows
+        )
+        assert abs(from_csv - worst) <= 1e-8
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-9"])
+    def test_nonpositive_tol_exits_3(self, tmp_path, tol):
+        # "--tol=" form: argparse before Python 3.13 reads a bare -1e-9 as an option
+        out = tmp_path / "ex"
+        assert main(["example", "--m", "2", f"--tol={tol}", "--out-dir", str(out)]) == 3
+        assert not out.exists()
 
     def test_bad_rho_exits_3(self, tmp_path):
         assert main(["example", "--m", "2", "--rho", "2", "--out-dir", str(tmp_path)]) == 3

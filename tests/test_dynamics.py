@@ -105,6 +105,22 @@ class TestPoincareReturn:
         assert abs(s1 - radial_oracle(0.8, 2 * math.pi, 0.5)) <= 1e-6
         assert abs(t1 - 2 * math.pi) <= 1e-6  # angular speed is exactly -1
 
+    def test_flight_time_agrees_with_integrate(self, radial_half, x_axis_section):
+        for s in (0.3, 0.5, 0.8):
+            s_new, t = poincare_return(radial_half, x_axis_section, s)
+            end = integrate(radial_half, x_axis_section.point_at(s), t).end_state
+            assert math.dist(end, x_axis_section.point_at(s_new)) <= 1e-8
+
+    def test_blowup_reports_last_state(self):
+        # du/dt = u^2 from u=1/2 blows up at t = 2, long before t_max
+        field = VectorField2(BiPoly({(2, 0): 1}), BiPoly.zero())
+        section = Section(base=(0.5, -1.0), direction=(0.0, 1.0), s_max=2.0)
+        with pytest.raises(IntegrationError) as exc:
+            poincare_return(field, section, 1.0)
+        assert exc.value.last_state is not None
+        assert exc.value.last_state[0] > 100.0
+        assert 1.9 <= exc.value.last_time <= 2.1
+
     def test_parameter_out_of_range(self, radial_half, x_axis_section):
         with pytest.raises(ValueError):
             poincare_return(radial_half, x_axis_section, 1.5)
