@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .polynomials import UniPoly, chebyshev
@@ -120,10 +121,11 @@ def branch_inverse(m: int, k: int, y: float) -> float:
         theta = (k * math.pi - a) / m
     u = math.cos(theta)
     nodes = cheb_nodes(m)
-    resid = abs(_cheb_cached(m).evaluate_float(u) - y)
+    # exact: float Horner on T_m errs by ~eps*sum|a_i|, over 1e-12 from m=13
+    resid = abs(_cheb_cached(m).evaluate(Fraction(u)) - Fraction(y))
     if resid > 1e-12 or not nodes[k] < u < nodes[k - 1]:
         raise ArithmeticError(
-            f"branch inverse postcondition failed: m={m} k={k} y={y} u={u} resid={resid}"
+            f"branch inverse postcondition failed: m={m} k={k} y={y} u={u} resid={float(resid)}"
         )
     return u
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -44,6 +45,16 @@ def _powers(base, one):
         return cache[k]
 
     return power
+
+
+def _horner(coeffs, x):
+    """Horner's rule over coefficients from the highest power down: the
+    leading one, then ``acc * x + c`` per lower power, zeros included."""
+    it = iter(coeffs)
+    acc = next(it)
+    for c in it:
+        acc = acc * x + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -130,23 +141,18 @@ class UniPoly:
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """Exact composition self(inner(x)) by Horner's scheme."""
-        result = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            result = result * inner + UniPoly.const(c)
-        return result
+        return _horner([UniPoly.const(c) for c in reversed(self.coeffs)] or [UniPoly.zero()], inner)
 
     def evaluate(self, x: Scalar) -> Fraction:
-        x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(reversed(self.coeffs or (Fraction(0),)), _as_fraction(x))
 
-    def evaluate_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
+    @cached_property
+    def _float_coeffs(self) -> tuple[float, ...]:
+        """Float coefficients, highest power first; (0.0,) for zero."""
+        return tuple(float(c) for c in reversed(self.coeffs)) or (0.0,)
+
+    def evaluate_float(self, x):  # x: float or numpy array
+        return _horner(self._float_coeffs, x)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -288,24 +294,21 @@ class BiPoly:
             acc += c * upow(du) * vpow(dv)
         return acc
 
-    def evaluate_float(self, u: float, v: float) -> float:
-        # Horner in v inside each u-row, then Horner in u.
+    @cached_property
+    def _float_rows(self) -> tuple[tuple[float, ...], ...]:
+        """Rows of v-coefficients per power of u, highest powers first; a
+        missing v-power is 0.0 and a missing u-power the row (0.0,)."""
         rows: dict[int, dict[int, float]] = {}
         for (du, dv), c in self.terms:
             rows.setdefault(du, {})[dv] = float(c)
-        if not rows:
-            return 0.0
-        acc = 0.0
-        for du in range(max(rows), -1, -1):
-            row = rows.get(du)
-            if row is None:
-                rowval = 0.0
-            else:
-                rowval = 0.0
-                for dv in range(max(row), -1, -1):
-                    rowval = rowval * v + row.get(dv, 0.0)
-            acc = acc * u + rowval
-        return acc
+        return tuple(
+            tuple(rows[du].get(dv, 0.0) for dv in range(max(rows[du]), -1, -1)) if du in rows else (0.0,)
+            for du in range(max(rows, default=0), -1, -1)
+        )
+
+    def evaluate_float(self, u, v):  # u, v: floats or numpy arrays
+        # Horner in v inside each u-row, then Horner in u.
+        return _horner([_horner(row, v) for row in self._float_rows], u)
 
     def __str__(self) -> str:
         if self.is_zero:

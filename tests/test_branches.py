@@ -106,16 +106,19 @@ class TestBranchInverse:
     def test_t2_branch_root(self):
         assert branch_inverse(2, 1, 0.0) == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
 
-    @pytest.mark.parametrize("m", range(2, 9))
+    @pytest.mark.parametrize("m", range(2, 41))
     def test_round_trip_and_monotonicity(self, m):
+        # the residual is exact: float Horner on T_m alone errs by more
+        # than 1e-12 from m = 13 on
         t = chebyshev(m)
         bs = cheb_branches(m)
         rng = random.Random(100 + m)
+        samples = 200 if m <= 8 else 12
         for k in range(1, m + 1):
-            ys = sorted(rng.uniform(-0.999, 0.999) for _ in range(200))
+            ys = sorted(rng.uniform(-0.999, 0.999) for _ in range(samples))
             us = [branch_inverse(m, k, y) for y in ys]
             for y, u in zip(ys, us):
-                assert abs(t.evaluate_float(u) - y) <= 1e-12
+                assert abs(t.evaluate(Fraction(u)) - Fraction(y)) <= 1e-12
                 assert bs.intervals[k - 1].contains(u)
             diffs = [b - a for a, b in zip(us, us[1:])]
             if bs.intervals[k - 1].direction == INCREASING:

@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cyclerep.branches import branch_inverse
@@ -42,15 +43,45 @@ def radial_oracle(r0: float, t: float, rho: float) -> float:
     return math.sqrt(c * w0 * e / (c + w0 * (e - 1.0)))
 
 
+def abs_term_sum(f: BiPoly, u: float, v: float) -> float:
+    """sum |c u^i v^j|: the scale of the rounding error of a float evaluation."""
+    return sum(abs(float(c)) * abs(u) ** du * abs(v) ** dv for (du, dv), c in f.terms)
+
+
 class TestCompiledEvaluation:
     def test_matches_reference_evaluator(self):
         f = BiPoly({(3, 2): Fraction(7, 3), (0, 5): -2, (1, 0): Fraction(1, 7), (0, 0): 4})
         fast = compile_component(f)
         for u, v in [(0.3, -0.8), (-1.1, 0.25), (0.0, 0.0), (0.99, -0.37)]:
-            assert fast(u, v) == pytest.approx(f.evaluate_float(u, v), rel=1e-14, abs=1e-14)
+            exact = float(f.evaluate(Fraction(u), Fraction(v)))
+            assert abs(fast(u, v) - exact) <= 1e-14 * abs_term_sum(f, u, v)
 
     def test_zero_polynomial(self):
         assert compile_component(BiPoly.zero())(0.4, -0.2) == 0.0
+
+    def test_no_degree_limit(self):
+        # the m = 30 pullback of the cubic seed has total degree 119
+        pb = build_pullback(radial_cubic_field(Fraction(1, 2)), chebyshev(30))
+        points = [(0.31, -0.27), (-0.93, 0.88), (0.999, 0.05), (-0.5, -0.999)]
+        us = np.array([[u for u, _ in points]])
+        vs = np.array([[v for _, v in points]])
+        for comp in (pb.field.p_comp, pb.field.q_comp):
+            assert comp.total_degree() == 119
+            fast = compile_component(comp)
+            grid = fast(us, vs)
+            for c, (u, v) in enumerate(points):
+                exact = float(comp.evaluate(Fraction(u), Fraction(v)))
+                bound = 1e-11 * abs_term_sum(comp, u, v)
+                assert abs(fast(u, v) - exact) <= bound
+                assert abs(grid[0, c] - exact) <= bound
+
+    def test_rhs_state_type_does_not_change_values(self, pullback_m3):
+        rhs = field_rhs(pullback_m3.field)
+        for z in [(0.31, -0.27), (-0.93, 0.88), (0.0, 0.5)]:
+            from_tuple = rhs(0.0, z)
+            from_array = rhs(0.0, np.array(z))
+            assert all(type(x) is float for x in from_tuple + from_array)
+            assert from_tuple == from_array
 
 
 class TestIntegrate:

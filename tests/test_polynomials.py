@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +116,14 @@ class TestUniPoly:
         with pytest.raises(AttributeError):
             p.coeffs = ()
 
+    def test_float_eval_on_array_equals_scalar(self):
+        p = chebyshev(9) + U(Fraction(1, 3))
+        xs = np.linspace(-1.2, 1.2, 41)
+        values = p.evaluate_float(xs)
+        assert isinstance(values, np.ndarray)
+        assert all(values[i] == p.evaluate_float(float(x)) for i, x in enumerate(xs))
+        assert U().evaluate_float(0.7) == 0.0
+
 
 def small_fractions():
     return st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -151,6 +160,26 @@ class TestBiPoly:
         f = BiPoly({(3, 2): Fraction(1, 2), (0, 1): 4})
         assert f.partial_u() == BiPoly({(2, 2): Fraction(3, 2)})
         assert f.partial_v() == BiPoly({(3, 1): 1, (0, 0): 4})
+
+    def test_float_eval_on_array_equals_scalar(self):
+        f = BiPoly({(3, 2): Fraction(7, 3), (0, 5): -2, (1, 0): Fraction(1, 7), (0, 0): 4})
+        us, vs = np.meshgrid(np.linspace(-1.1, 1.1, 9), np.linspace(-0.9, 1.3, 7))
+        values = f.evaluate_float(us, vs)
+        assert values.shape == us.shape
+        for r in range(us.shape[0]):
+            for c in range(us.shape[1]):
+                assert values[r, c] == f.evaluate_float(float(us[r, c]), float(vs[r, c]))
+
+    def test_float_eval_keeps_every_horner_step(self):
+        # 2u^2v + 3: the absent u^1 row and the v^0 slot of the u^2 row are
+        # explicit "+ 0.0" steps, so a non-finite input meets them
+        f = BiPoly({(2, 1): 2, (0, 0): 3})
+        for u, v in [(0.5, -0.25), (math.inf, 0.0), (math.inf, 1.0), (2.0, math.nan), (1e200, 1e200)]:
+            expected = ((2.0 * v + 0.0) * u + 0.0) * u + 3.0
+            got = f.evaluate_float(u, v)
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
+        assert math.isnan(f.evaluate_float(math.inf, 0.0))
+        assert BiPoly.zero().evaluate_float(0.4, -0.2) == 0.0
 
     def test_float_eval_matches_exact(self):
         rng = random.Random(99)
