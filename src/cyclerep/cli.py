@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -182,7 +183,7 @@ def cmd_example(args) -> int:
         phase_portrait_svg(cycle_curve, spirals), encoding="utf-8"
     )
 
-    lifted_curves = [_cycle_curve(pb.field, r, 300, plot_tol) for r in records]
+    lifted_curves = [_cycle_curve(pb, r, 300, plot_tol) for r in records]
     (out_dir / "branch_rectangles.svg").write_text(
         branch_grid_svg(cheb_nodes(m), lifted_curves, [r.anchor for r in records]),
         encoding="utf-8",
@@ -262,8 +263,21 @@ def cmd_branches(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that takes "-1e-9" as a value, not an option.
+
+    Before Python 3.13, argparse treats only "-5" and "-.5"-style tokens as
+    negative numbers, so "--tol -1e-9" failed to parse (exit 2) instead of
+    reaching the parameter check (exit 3).  This is the 3.13 pattern.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cyclerep", description=__doc__)
+    ap = _Parser(prog="cyclerep", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_pb = sub.add_parser("pullback", help="separable Chebyshev pullback of a field file")

@@ -131,13 +131,19 @@ def normalize_into_box(
 
 @dataclass(frozen=True)
 class PullbackResult:
-    """A separable pullback field together with its construction data."""
+    """A separable pullback field together with its construction data.
+
+    `field` is the expanded polynomial Y; `source` and `cover_poly` are
+    its factors, Y = (p'(v) P(p(u), p(v)), p'(u) Q(p(u), p(v))) with
+    X = (P, Q) = source.
+    """
 
     field: VectorField2
     cover_poly: UniPoly
     source_degree: int
     cover_degree: int
     lam: BiPoly  # p'(u) p'(v), the time-change factor
+    source: VectorField2  # the seed field X
 
     def degree(self):
         return self.field.degree()
@@ -167,6 +173,7 @@ def build_pullback(X: VectorField2, p: UniPoly) -> PullbackResult:
         source_degree=int(d),
         cover_degree=int(m),
         lam=dpu * dpv,
+        source=X,
     )
 
 

@@ -185,10 +185,11 @@ class TestExampleCommand:
 
     @pytest.mark.parametrize("tol", ["0", "-1e-9"])
     def test_nonpositive_tol_exits_3(self, tmp_path, tol):
-        # "--tol=" form: argparse before Python 3.13 reads a bare -1e-9 as an option
+        # both spellings: argparse before Python 3.13 read a bare -1e-9 as an option
         out = tmp_path / "ex"
-        assert main(["example", "--m", "2", f"--tol={tol}", "--out-dir", str(out)]) == 3
-        assert not out.exists()
+        for tol_args in ([f"--tol={tol}"], ["--tol", tol]):
+            assert main(["example", "--m", "2", *tol_args, "--out-dir", str(out)]) == 3
+            assert not out.exists()
 
     def test_bad_rho_exits_3(self, tmp_path):
         assert main(["example", "--m", "2", "--rho", "2", "--out-dir", str(tmp_path)]) == 3

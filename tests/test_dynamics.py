@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -48,6 +50,36 @@ def abs_term_sum(f: BiPoly, u: float, v: float) -> float:
     return sum(abs(float(c)) * abs(u) ** du * abs(v) ** dv for (du, dv), c in f.terms)
 
 
+def uni_abs_term_sum(p: UniPoly, x: float) -> float:
+    return sum(abs(float(c)) * abs(x) ** k for k, c in enumerate(p.coeffs))
+
+
+def factored_magnitude(pb, k: int, u: float, v: float) -> float:
+    """Rounding-error scale of RHS component k evaluated through its
+    factors, d * S(x, y) with x = p(u), y = p(v), (d, S) = (p'(v), P) or
+    (p'(u), Q): each factor's sum |term|, the cover's carried through
+    dS/dx and dS/dy (first order)."""
+    p, dp = pb.cover_poly, pb.cover_poly.derivative()
+    src = (pb.source.p_comp, pb.source.q_comp)[k]
+    w = (v, u)[k]
+    x, y = p.evaluate_float(u), p.evaluate_float(v)
+    inner = (
+        abs_term_sum(src, x, y)
+        + abs_term_sum(src.partial_u(), x, y) * uni_abs_term_sum(p, u)
+        + abs_term_sum(src.partial_v(), x, y) * uni_abs_term_sum(p, v)
+    )
+    return abs(dp.evaluate_float(w)) * inner + uni_abs_term_sum(dp, w) * abs(src.evaluate_float(x, y))
+
+
+# every monomial of degree <= 3 in both components
+DENSE_CUBIC = VectorField2(
+    BiPoly({(a, b): Fraction((-1) ** (a + b) * (a + 2 * b + 1), a + b + 2)
+            for a in range(4) for b in range(4 - a)}),
+    BiPoly({(a, b): Fraction((-1) ** a * (2 * a + b + 1), b + 3)
+            for a in range(4) for b in range(4 - a)}),
+)
+
+
 class TestCompiledEvaluation:
     def test_matches_reference_evaluator(self):
         f = BiPoly({(3, 2): Fraction(7, 3), (0, 5): -2, (1, 0): Fraction(1, 7), (0, 0): 4})
@@ -76,12 +108,29 @@ class TestCompiledEvaluation:
                 assert abs(grid[0, c] - exact) <= bound
 
     def test_rhs_state_type_does_not_change_values(self, pullback_m3):
-        rhs = field_rhs(pullback_m3.field)
-        for z in [(0.31, -0.27), (-0.93, 0.88), (0.0, 0.5)]:
-            from_tuple = rhs(0.0, z)
-            from_array = rhs(0.0, np.array(z))
-            assert all(type(x) is float for x in from_tuple + from_array)
-            assert from_tuple == from_array
+        # expanded and factored RHS alike
+        for rhs in (field_rhs(pullback_m3.field), field_rhs(pullback_m3)):
+            for z in [(0.31, -0.27), (-0.93, 0.88), (0.0, 0.5)]:
+                from_tuple = rhs(0.0, z)
+                from_array = rhs(0.0, np.array(z))
+                assert all(type(x) is float for x in from_tuple + from_array)
+                assert from_tuple == from_array
+
+
+class TestFactoredRhs:
+    @pytest.mark.parametrize("seed", ["cubic", "dense"])
+    @pytest.mark.parametrize("m", [2, 3, 6, 8, 10, 30])
+    def test_matches_exact_expanded_field(self, radial_half, seed, m):
+        X = radial_half if seed == "cubic" else DENSE_CUBIC
+        pb = build_pullback(X, chebyshev(m))
+        rhs = field_rhs(pb)
+        rng = random.Random(m)
+        for _ in range(4 if m == 30 else 20):
+            u, v = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+            got = rhs(0.0, (u, v))
+            for k, comp in enumerate((pb.field.p_comp, pb.field.q_comp)):
+                exact = comp.evaluate(Fraction(u), Fraction(v))
+                assert abs(Fraction(got[k]) - exact) <= 1e-12 * factored_magnitude(pb, k, u, v)
 
 
 class TestIntegrate:
@@ -305,6 +354,23 @@ class TestLiftCycles:
         assert all(lo <= rad <= hi for rad in radii)
         assert abs(radii[-1] - 0.5) < abs(radii[0] - 0.5) + 1e-9
 
+    def test_integrate_and_find_cycle_take_a_pullback(self, pullback_m3, lifted_m3):
+        r = next(r for r in lifted_m3 if (r.rect.i, r.rect.j) == (2, 2))
+        traj = integrate(pullback_m3, r.anchor, r.period, tol=1e-10)
+        assert math.dist(traj.end_state, r.anchor) <= 1e-7
+        expanded = integrate(pullback_m3.field, r.anchor, r.period, tol=1e-10)
+        assert math.dist(traj.end_state, expanded.end_state) <= 1e-8
+        fu, fv = field_rhs(pullback_m3)(0.0, r.anchor)
+        d = (-fv / math.hypot(fu, fv), fu / math.hypot(fu, fv))
+        half = 0.01
+        base = (r.anchor[0] - half * d[0], r.anchor[1] - half * d[1])
+        sec = Section(base=base, direction=d, s_max=2 * half)
+        rec = find_cycle(pullback_m3, sec, 1.3 * half)
+        assert rec.certified
+        assert math.dist(rec.anchor, r.anchor) <= 1e-7
+        assert abs(rec.period - r.period) <= 1e-6
+        assert abs(rec.multiplier - r.multiplier) <= 1e-5
+
     def test_four_records_for_m2(self, radial_half, base_cycle):
         pb = build_pullback(radial_half, chebyshev(2))
         recs = lift_cycles(pb, base_cycle, 2)
@@ -330,6 +396,22 @@ class TestLiftCycles:
         pb = build_pullback(radial_half, UniPoly((0, 0, 1)))  # x^2 cover
         with pytest.raises(ValueError):
             lift_cycles(pb, base_cycle, 2)
+
+
+class TestLiftLargeCover:
+    # wall bounds are about 5x the measured lift (2.3, 2.3 and 3.7 s on a
+    # 2-core x86 host): a lift that stalls or wanders is caught, not waited on
+    @pytest.mark.parametrize("m, wall_s", [(7, 12.0), (8, 12.0), (10, 18.0)])
+    def test_every_rectangle_certified(self, radial_half, base_cycle, m, wall_s):
+        pb = build_pullback(radial_half, chebyshev(m))
+        start = time.perf_counter()
+        records = lift_cycles(pb, base_cycle, m)
+        elapsed = time.perf_counter() - start
+        assert len(records) == m * m and all(r.certified for r in records)
+        for r in records:
+            target = EXP_PLUS_PI if r.orientation_reversed else EXP_MINUS_PI
+            assert abs(r.multiplier - target) / target <= 1e-3
+        assert elapsed < wall_s
 
 
 class TestImplicitCurve:
