@@ -1,13 +1,16 @@
 """Numerical flow, Poincaré sections, and limit-cycle lifting.
 
 Trajectories come from an adaptive Dormand-Prince 5(4) integrator with
-dense output (scipy's RK45), stepped by one loop that both `integrate`
-and `poincare_return` consume; section crossings are located by scanning
-the accepted steps for sign changes of the signed section coordinate and
-root-finding on the dense interpolant.  A field is evaluated by Horner on
-Python floats: a VectorField2 as it stands, a PullbackResult through its
-factors p'(v) P(p(u), p(v)) and p'(u) Q(p(u), p(v)), which keeps the
-accuracy of the seed field that the expanded pullback loses as m grows.
+dense output, `RK45`: scipy's algorithm (tableau, first step, step
+controller, error norm) written out on two Python floats, so that a step
+costs its six RHS calls and little else.  One loop steps it for both
+`integrate` and `poincare_return`; section crossings are located by
+scanning the accepted steps for sign changes of the signed section
+coordinate and root-finding on the dense interpolant.  A field is
+evaluated by Horner on Python floats: a VectorField2 as it stands, a
+PullbackResult through its factors p'(v) P(p(u), p(v)) and
+p'(u) Q(p(u), p(v)), which keeps the accuracy of the seed field that the
+expanded pullback loses as m grows.
 Cycles are fixed points of the return map, found by damped secant
 iteration, with the multiplier estimated by a central finite difference
 of the return map.
@@ -23,10 +26,11 @@ deterministic, with no randomness or wall-clock dependence.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import RK45, OdeSolution
+from scipy.integrate import DenseOutput, OdeSolution
 from scipy.optimize import brentq
 
 from .branches import BranchInterval, branch_inverse, cheb_branches
@@ -140,22 +144,173 @@ class Trajectory:
         return self.sol(ts).T
 
 
+# The Dormand & Prince (1980) 5(4) pair with Shampine's (1986) quartic dense
+# output: scipy's RK45 tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.5).  Stage 2 has zero weight in the solution, the error estimate and
+# the interpolant, so it appears only in the later stages.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40
+_P = (  # rows: stages 1 and 3..7; columns: powers 1..4 of the step fraction
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1 / 5
+
+
+def _rms(a: float, b: float) -> float:
+    """RMS norm of (a, b).  Squares are products: a float ** 2 raises
+    OverflowError where a product gives inf."""
+    return math.sqrt(a * a + b * b) / 2**0.5
+
+
+class _DenseStep(DenseOutput):
+    """Quartic interpolant over one accepted step, in the form OdeSolution
+    takes: y_old + h x (q1 + x (q2 + x (q3 + x q4))) at step fraction x."""
+
+    def __init__(self, t_old: float, t: float, y_old, Q):
+        super().__init__(t_old, t)
+        self.h, self.y_old, self.Q = t - t_old, y_old, Q
+
+    def at(self, t):
+        """The state at time t: a pair of floats, or of arrays for an array t."""
+        x = (t - self.t_old) / self.h
+        return tuple(
+            y + self.h * x * (q1 + x * (q2 + x * (q3 + x * q4)))
+            for y, (q1, q2, q3, q4) in zip(self.y_old, self.Q)
+        )
+
+    def _call_impl(self, t):
+        return np.array(self.at(t))
+
+
+class RK45:
+    """Adaptive Dormand-Prince 5(4) stepper for a planar autonomous ODE,
+    on Python floats.
+
+    scipy's RK45, step for step: the same tableau, first step (Hairer,
+    Norsett & Wanner II.4), controller (safety 0.9, factor clamped to
+    [0.2, 10], exponent -1/5, no growth right after a rejection) and RMS
+    error norm against atol + max(|y|, |y_new|) rtol, so it takes the same
+    steps; a step just costs its six RHS calls and little else.  A trial
+    whose stages overflow has a nan or inf error norm and is rejected with
+    the smallest factor.  `step` makes one accepted step; when the step
+    size falls below 10 ulp(t) it raises IntegrationError with the last
+    accepted state, which for a polynomial field means finite-time blowup.
+    """
+
+    def __init__(self, fun, t0: float, y0, t_bound: float, rtol: float, atol: float):
+        if not (rtol > 0 and atol > 0):
+            raise ValueError(f"tolerances must be positive, got rtol={rtol}, atol={atol}")
+        self.fun = fun
+        self.t, self.y, self.t_bound = float(t0), (float(y0[0]), float(y0[1])), float(t_bound)
+        self.rtol, self.atol = max(rtol, 100 * sys.float_info.epsilon), atol  # scipy's floor on rtol
+        self.t_old = self.y_old = self.K = None
+        self.f = fun(self.t, self.y)
+        self.h_abs = self._initial_step()
+
+    def _initial_step(self) -> float:
+        (y0, y1), (f0, f1), span = self.y, self.f, self.t_bound - self.t
+        s0, s1 = self.atol + abs(y0) * self.rtol, self.atol + abs(y1) * self.rtol
+        d0, d1 = _rms(y0 / s0, y1 / s1), _rms(f0 / s0, f1 / s1)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+        g0, g1 = self.fun(self.t + h0, (y0 + h0 * f0, y1 + h0 * f1))
+        # h0 is 0 when |f| overflowed or the span is empty; scipy's division gives inf
+        d2 = _rms((g0 - f0) / s0, (g1 - f1) / s1) / h0 if h0 > 0 else math.inf
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        return min(100 * h0, h1, span)
+
+    def step(self) -> None:
+        """Advance by one accepted step, retrying rejected trials."""
+        fun, t, y, t_bound = self.fun, self.t, self.y, self.t_bound
+        y0, y1 = y
+        k1u, k1v = k1 = self.f
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # a nan step fails here too
+                raise IntegrationError("step size underflow", last_state=y, last_time=t)
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            k2u, k2v = k2 = fun(t + _C2 * h, (y0 + k1u * _A21 * h, y1 + k1v * _A21 * h))
+            k3u, k3v = k3 = fun(
+                t + _C3 * h,
+                (y0 + (k1u * _A31 + k2u * _A32) * h, y1 + (k1v * _A31 + k2v * _A32) * h),
+            )
+            k4u, k4v = k4 = fun(
+                t + _C4 * h,
+                (
+                    y0 + (k1u * _A41 + k2u * _A42 + k3u * _A43) * h,
+                    y1 + (k1v * _A41 + k2v * _A42 + k3v * _A43) * h,
+                ),
+            )
+            k5u, k5v = k5 = fun(
+                t + _C5 * h,
+                (
+                    y0 + (k1u * _A51 + k2u * _A52 + k3u * _A53 + k4u * _A54) * h,
+                    y1 + (k1v * _A51 + k2v * _A52 + k3v * _A53 + k4v * _A54) * h,
+                ),
+            )
+            k6u, k6v = k6 = fun(
+                t + h,
+                (
+                    y0 + (k1u * _A61 + k2u * _A62 + k3u * _A63 + k4u * _A64 + k5u * _A65) * h,
+                    y1 + (k1v * _A61 + k2v * _A62 + k3v * _A63 + k4v * _A64 + k5v * _A65) * h,
+                ),
+            )
+            y_new = (
+                y0 + h * (k1u * _B1 + k3u * _B3 + k4u * _B4 + k5u * _B5 + k6u * _B6),
+                y1 + h * (k1v * _B1 + k3v * _B3 + k4v * _B4 + k5v * _B5 + k6v * _B6),
+            )
+            k7u, k7v = k7 = fun(t + h, y_new)
+            eu = (k1u * _E1 + k3u * _E3 + k4u * _E4 + k5u * _E5 + k6u * _E6 + k7u * _E7) * h
+            ev = (k1v * _E1 + k3v * _E3 + k4v * _E4 + k5v * _E5 + k6v * _E6 + k7v * _E7) * h
+            err = _rms(
+                eu / (self.atol + max(abs(y0), abs(y_new[0])) * self.rtol),
+                ev / (self.atol + max(abs(y1), abs(y_new[1])) * self.rtol),
+            )
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                break
+            # a nan or inf norm comes from trial stages that overflowed
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT) if math.isfinite(err) else _MIN_FACTOR
+            rejected = True
+        self.t_old, self.y_old, self.K = t, y, (k1, k3, k4, k5, k6, k7)
+        self.t, self.y, self.f, self.h_abs = t_new, y_new, k7, h * factor
+
+    def dense_output(self) -> _DenseStep:
+        """The interpolant over the last accepted step."""
+        Q = tuple(
+            tuple(sum(k[i] * row[c] for k, row in zip(self.K, _P)) for c in range(4)) for i in (0, 1)
+        )
+        return _DenseStep(self.t_old, self.t, self.y_old, Q)
+
+
 def _steps(rhs, z0, t_bound: float, tol: float):
     """Accepted Dormand-Prince 5(4) steps from z0 at t = 0 toward t_bound.
 
-    Yields the solver after each accepted step.  Raises IntegrationError
-    (carrying the last accepted state) if the step size underflows, which
-    for polynomial fields signals finite-time blowup rather than stiffness.
+    Yields the stepper after each accepted step.  `RK45` is looked up when
+    the integration starts and `step` runs once per accepted step, so a
+    subclass set on this module (the benchmark tracer's) sees every step.
     """
-    solver = RK45(rhs, 0.0, np.asarray(z0, dtype=float), t_bound=t_bound, rtol=tol, atol=tol * 1e-2)
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise IntegrationError(
-                message or "step size underflow",
-                last_state=(float(solver.y[0]), float(solver.y[1])),
-                last_time=float(solver.t),
-            )
+    solver = RK45(rhs, 0.0, z0, t_bound, rtol=tol, atol=tol * 1e-2)
+    while solver.t < t_bound:
+        solver.step()
         yield solver
 
 
@@ -169,10 +324,10 @@ def integrate(
     """Flow `start` forward for time t_span with local error control tol.
 
     Raises IntegrationError (carrying the last valid state) on finite-time
-    blowup.
+    blowup, and ValueError for a nonpositive tol or t_span.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not t_span > 0:
+        raise ValueError(f"t_span must be positive, got {t_span}")
     rhs = rhs or field_rhs(field)
     z0 = (float(start[0]), float(start[1]))
     ts, ys, pieces = [0.0], [z0], []
@@ -262,11 +417,11 @@ def poincare_return(
             t_star = (
                 solver.t
                 if g_new == 0.0
-                else brentq(lambda t: gval(dense(t)), t_prev, solver.t, xtol=1e-14, rtol=8.9e-16)
+                else brentq(lambda t: gval(dense.at(t)), t_prev, solver.t, xtol=1e-14, rtol=8.9e-16)
             )
             # rounding can put the start point a hair on the wrong side
             if t_star >= 1e-9:
-                z_star = dense(t_star)
+                z_star = dense.at(t_star)
                 s_new = section.param_of(z_star)
                 if 0.0 < s_new < section.s_max:
                     f_star = rhs(t_star, z_star)

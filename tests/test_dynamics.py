@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45 as ScipyRK45
 
+from cyclerep import dynamics
 from cyclerep.branches import branch_inverse
 from cyclerep.dynamics import (
     DEFAULT_CONFIG,
@@ -17,6 +19,7 @@ from cyclerep.dynamics import (
     IntegrationError,
     LimitCycleRecord,
     NoReturnError,
+    RK45,
     Section,
     compile_component,
     field_rhs,
@@ -166,6 +169,185 @@ class TestIntegrate:
     def test_bad_tol_rejected(self, radial_half):
         with pytest.raises(ValueError):
             integrate(radial_half, (0.5, 0.0), 1.0, tol=0.0)
+
+
+RTOL, ATOL = 1e-10, 1e-12
+
+
+def stepper_case(radial_half, case):
+    """(rhs, start) for the seed from its cycle, or for an m = 3 or m = 8
+    pullback, through its factors, from the lifted cycle of an attracting
+    rectangle; rounding differences decay on an attracting cycle, so two
+    step sequences that differ in the last bits stay the same sequence."""
+    if case == "seed":
+        return field_rhs(radial_half), (0.5, 0.0)
+    m, i, j = {"m3": (3, 2, 2), "m8": (8, 3, 5)}[case]
+    pb = build_pullback(radial_half, chebyshev(m))
+    return field_rhs(pb), (branch_inverse(m, i, 0.5), branch_inverse(m, j, 0.0))
+
+
+def copy_state(ours: RK45, theirs) -> None:
+    ours.t, ours.h_abs = float(theirs.t), float(theirs.h_abs)
+    ours.y = (float(theirs.y[0]), float(theirs.y[1]))
+    ours.f = (float(theirs.f[0]), float(theirs.f[1]))
+
+
+class TestStepperAgainstScipy:
+    # scipy's RK45 is the oracle here only; its sums run in BLAS, with fused
+    # multiply-adds on some hosts, so steps agree to rounding, not bit for bit
+    @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
+    def test_first_step_size(self, radial_half, case):
+        rhs, z0 = stepper_case(radial_half, case)
+        ours = RK45(rhs, 0.0, z0, 5.0, RTOL, ATOL)
+        theirs = ScipyRK45(rhs, 0.0, np.array(z0), 5.0, rtol=RTOL, atol=ATOL)
+        assert ours.h_abs == pytest.approx(theirs.h_abs, rel=1e-14)
+
+    @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
+    def test_one_step_from_shared_state(self, radial_half, case):
+        rhs, z0 = stepper_case(radial_half, case)
+        theirs = ScipyRK45(rhs, 0.0, np.array(z0), 20.0, rtol=RTOL, atol=ATOL)
+        ours = RK45(rhs, 0.0, z0, 20.0, RTOL, ATOL)
+        retried = 0
+        for _ in range(150):
+            copy_state(ours, theirs)
+            t, h_abs = ours.t, ours.h_abs
+            ours.step()
+            theirs.step()
+            # the error estimate cancels to 1e-12 of the stages or less (to
+            # rounding noise on the tiny first step), so the next step size,
+            # through its 1/5 power, keeps fewer digits
+            assert ours.h_abs == pytest.approx(theirs.h_abs, rel=1e-3)
+            if theirs.t != t + h_abs:  # a rejected trial: the retry shrinks by that power too
+                retried += 1
+                assert ours.t == pytest.approx(theirs.t, rel=1e-12)
+                continue
+            assert ours.t == theirs.t
+            for k in range(2):
+                assert abs(ours.y[k] - theirs.y[k]) <= 1e-14 * abs(theirs.y[k]) + 1e-300
+        assert retried <= 5
+
+    @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
+    def test_step_after_rejected_trials(self, radial_half, case):
+        rhs, z0 = stepper_case(radial_half, case)
+        theirs = ScipyRK45(rhs, 0.0, np.array(z0), 20.0, rtol=RTOL, atol=ATOL)
+        ours = RK45(rhs, 0.0, z0, 20.0, RTOL, ATOL)
+        for _ in range(20):
+            theirs.step()
+        theirs.h_abs *= 100.0  # far too long: rejected until it fits
+        copy_state(ours, theirs)
+        t = ours.t
+        ours.step()
+        theirs.step()
+        assert ours.t == pytest.approx(theirs.t, rel=1e-12)
+        assert ours.h_abs == pytest.approx(theirs.h_abs, rel=1e-3)
+        assert ours.h_abs <= ours.t - t  # no growth right after a rejection
+
+    @pytest.mark.parametrize("case, t_bound", [("seed", 20.0), ("m3", 5.0), ("m8", 1.5)])
+    def test_whole_run_takes_the_same_steps(self, radial_half, case, t_bound):
+        rhs, z0 = stepper_case(radial_half, case)
+        ours = RK45(rhs, 0.0, z0, t_bound, RTOL, ATOL)
+        theirs = ScipyRK45(rhs, 0.0, np.array(z0), t_bound, rtol=RTOL, atol=ATOL)
+        n_ours = n_theirs = 0
+        while ours.t < t_bound:
+            ours.step()
+            n_ours += 1
+        while theirs.status == "running":
+            theirs.step()
+            n_theirs += 1
+        assert n_ours == n_theirs > 600
+        assert math.dist(ours.y, theirs.y) <= 1e-9
+
+    @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
+    def test_dense_output_at_step_midpoints(self, radial_half, case):
+        rhs, z0 = stepper_case(radial_half, case)
+        theirs = ScipyRK45(rhs, 0.0, np.array(z0), 5.0, rtol=RTOL, atol=ATOL)
+        ours = RK45(rhs, 0.0, z0, 5.0, RTOL, ATOL)
+        for _ in range(50):
+            copy_state(ours, theirs)
+            ours.step()
+            theirs.step()
+            mid = 0.5 * (theirs.t_old + theirs.t)
+            want = theirs.dense_output()(mid)
+            for got in (ours.dense_output().at(mid), ours.dense_output()(mid)):
+                for k in range(2):
+                    assert abs(got[k] - want[k]) <= 1e-13 * abs(want[k]) + 1e-16
+
+    def test_scipy_stepper_is_not_used(self):
+        assert RK45.__module__ == "cyclerep.dynamics"
+        assert not issubclass(RK45, ScipyRK45)
+
+
+class TestStepperOverflow:
+    def test_overflowing_trial_is_retried_smaller(self, radial_half):
+        # a first trial of length 1e60 overflows the cubic field in its
+        # stages; the rejections shrink it until a step is accepted
+        overflows = []
+        rhs = field_rhs(radial_half)
+
+        def watched(t, z):
+            value = rhs(t, z)
+            overflows.append(not all(map(math.isfinite, value)))
+            return value
+
+        solver = RK45(watched, 0.0, (0.5, 0.0), 1e61, RTOL, ATOL)
+        solver.h_abs = 1e60
+        solver.step()
+        assert any(overflows)
+        assert 0.0 < solver.t < 1.0
+        assert abs(math.hypot(*solver.y) - 0.5) <= 1e-9
+
+    def test_overflow_at_blowup_raises_integration_error(self):
+        # du/dt = u^2 from u = 1e150 blows up at t = 1e-150, and the trial
+        # stages near it overflow
+        field = VectorField2(BiPoly({(2, 0): 1}), BiPoly.zero())
+        rhs = field_rhs(field)
+        overflowed = []
+
+        def watched(t, z):
+            value = rhs(t, z)
+            overflowed.append(not math.isfinite(value[0]))
+            return value
+
+        with pytest.raises(IntegrationError) as exc:
+            integrate(field, (1e150, 0.0), 1.0, rhs=watched)
+        assert any(overflowed)
+        assert 1e151 < exc.value.last_state[0] < math.inf
+        assert exc.value.last_time == pytest.approx(1e-150, rel=1e-3)
+
+    def test_nan_field_fails_instead_of_looping(self):
+        # a field that is nan everywhere gives a nan first step
+        with pytest.raises(IntegrationError):
+            integrate(None, (0.5, 0.0), 1.0, rhs=lambda t, z: (math.nan, 0.0))
+
+
+class TestStepperHook:
+    """Each accepted step is one call of `RK45.step`, with RK45 looked up
+    in the module when the integration starts, so a subclass patched onto
+    the module sees every step (this is how the benchmark tracer counts
+    `dynamics.return.rk_steps`)."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        times = []
+
+        class Watching(dynamics.RK45):
+            def step(self):
+                result = super().step()
+                times.append(self.t)
+                return result
+
+        monkeypatch.setattr(dynamics, "RK45", Watching)
+        return times
+
+    def test_integrate_steps_are_seen(self, radial_half, seen):
+        traj = integrate(radial_half, (0.9, 0.0), 3.0)
+        assert seen == list(traj.ts[1:]) and len(seen) > 10
+
+    def test_poincare_return_steps_are_seen(self, radial_half, x_axis_section, seen):
+        _, flight = poincare_return(radial_half, x_axis_section, 0.8)
+        assert len(seen) > 10
+        assert all(a < b for a, b in zip(seen, seen[1:]))
+        assert seen[-2] < flight <= seen[-1]
 
 
 class TestPoincareReturn:
@@ -399,9 +581,13 @@ class TestLiftCycles:
 
 
 class TestLiftLargeCover:
-    # wall bounds are about 5x the measured lift (2.3, 2.3 and 3.7 s on a
-    # 2-core x86 host): a lift that stalls or wanders is caught, not waited on
-    @pytest.mark.parametrize("m, wall_s", [(7, 12.0), (8, 12.0), (10, 18.0)])
+    # wall bounds are about 5x the measured lift (2.3, 2.3 and 3.7 s with
+    # scipy's stepper, 2.5 s at m = 12 with RK45, on a 2-core x86 host): a
+    # lift that stalls or wanders is caught, not waited on.  At m = 12 trial
+    # stages overflow on the degree-47 field; RK45 must reject them without
+    # a numeric warning.
+    @pytest.mark.parametrize("m, wall_s", [(7, 12.0), (8, 12.0), (10, 18.0), (12, 12.0)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_every_rectangle_certified(self, radial_half, base_cycle, m, wall_s):
         pb = build_pullback(radial_half, chebyshev(m))
         start = time.perf_counter()
