@@ -2,18 +2,21 @@
 
 Trajectories come from an adaptive Dormand-Prince 5(4) integrator with
 dense output, `RK45`: scipy's algorithm (tableau, first step, step
-controller, error norm) written out on two Python floats, so that a step
-costs its six RHS calls and little else.  One loop steps it for both
-`integrate` and `poincare_return`; section crossings are located by
-scanning the accepted steps for sign changes of the signed section
-coordinate and root-finding on the dense interpolant.  A field is
-evaluated by Horner on Python floats: a VectorField2 as it stands, a
+controller, error norm) written out on Python floats, so that a step
+costs its six RHS calls and little else.  Beside the state it carries
+w = integral of div f, a quadrature lane that stays out of the error
+norm, so the state takes the steps it would take alone.  One loop steps
+it for both `integrate` and `poincare_return`; section crossings are
+located by scanning the accepted steps for sign changes of the signed
+section coordinate and root-finding on the dense interpolant.  A field
+is evaluated by Horner on Python floats: a VectorField2 as it stands, a
 PullbackResult through its factors p'(v) P(p(u), p(v)) and
 p'(u) Q(p(u), p(v)), which keeps the accuracy of the seed field that the
 expanded pullback loses as m grows.
-Cycles are fixed points of the return map, found by damped secant
-iteration, with the multiplier estimated by a central finite difference
-of the return map.
+Cycles are fixed points of the return map, found by Newton iteration on
+return(s) - s.  The slope of a planar return map is given by Liouville's
+formula, exp(w) times a transversality ratio, so one return yields both
+the Newton step and the multiplier of an accepted cycle.
 
 Lifting: a certified cycle of X inside (-1,1)^2 is carried to each of
 the m^2 branch rectangles of the Chebyshev pullback by inverting the
@@ -78,7 +81,6 @@ class DynamicsConfig:
     eps_transverse: float = 1e-8  # minimum |normal . field| at a crossing
     eps_hyp: float = 1e-3         # |multiplier - 1| needed to certify
     margin: float = 1e-3          # anchor clearance from rectangle boundary
-    fd_scale: float = 1e-6        # multiplier FD step: max(fd_scale, fd_scale*|s|)
     max_iters: int = 40
     t_max: float = 200.0          # return-map time budget
     section_cap: float = 0.05     # half-length cap for auto-built sections
@@ -94,34 +96,37 @@ def compile_component(f: BiPoly):
 
 
 def field_rhs(field: VectorField2 | PullbackResult):
-    """Right-hand side f(t, z) for the ODE solver.
+    """Right-hand side for the ODE solver: f(t, z) = (u', v', div).
 
-    A PullbackResult is evaluated through its factors, as
-    (p'(v) P(x, y), p'(u) Q(x, y)) with x = p(u), y = p(v): Horner on the
-    expanded field, of degree m deg(X) + m - 1, loses digits as m grows
-    (relative error 2.7e-7 at m = 8 and 2.9e-5 at m = 10 on the cubic
-    seed, against at most 3e-13 through the factors), and costs more.
+    The divergence rides along for the integrator's w lane.  A
+    PullbackResult is evaluated through its factors, as
+    (p'(v) P(x, y), p'(u) Q(x, y)) with x = p(u), y = p(v), and divergence
+    p'(u) p'(v) (div X)(x, y): Horner on the expanded field, of degree
+    m deg(X) + m - 1, loses digits as m grows (relative error 2.7e-7 at
+    m = 8 and 2.9e-5 at m = 10 on the cubic seed, against at most 3e-13
+    through the factors), and costs more.  A VectorField2's divergence is
+    Horner on the exact polynomial dP/du + dQ/dv.
     """
+    X = field.source if isinstance(field, PullbackResult) else field
+    fp = compile_component(X.p_comp)
+    fq = compile_component(X.q_comp)
+    fdiv = compile_component(X.p_comp.partial_u() + X.q_comp.partial_v())
     if isinstance(field, PullbackResult):
         p = field.cover_poly.evaluate_float
         dp = field.cover_poly.derivative().evaluate_float
-        fp = compile_component(field.source.p_comp)
-        fq = compile_component(field.source.q_comp)
 
         def rhs(t, z):
             u, v = float(z[0]), float(z[1])
             x, y = p(u), p(v)
-            return (dp(v) * fp(x, y), dp(u) * fq(x, y))
+            du, dv = dp(u), dp(v)
+            return (dv * fp(x, y), du * fq(x, y), du * dv * fdiv(x, y))
 
         return rhs
-
-    fp = compile_component(field.p_comp)
-    fq = compile_component(field.q_comp)
 
     def rhs(t, z):
         # Python floats: Horner on numpy scalars costs about 4x as much
         u, v = float(z[0]), float(z[1])
-        return (fp(u, v), fq(u, v))
+        return (fp(u, v), fq(u, v), fdiv(u, v))
 
     return rhs
 
@@ -175,14 +180,15 @@ def _rms(a: float, b: float) -> float:
 
 class _DenseStep(DenseOutput):
     """Quartic interpolant over one accepted step, in the form OdeSolution
-    takes: y_old + h x (q1 + x (q2 + x (q3 + x q4))) at step fraction x."""
+    takes: y_old + h x (q1 + x (q2 + x (q3 + x q4))) at step fraction x,
+    for each lane of (u, v, w)."""
 
     def __init__(self, t_old: float, t: float, y_old, Q):
         super().__init__(t_old, t)
         self.h, self.y_old, self.Q = t - t_old, y_old, Q
 
     def at(self, t):
-        """The state at time t: a pair of floats, or of arrays for an array t."""
+        """(u, v, w) at time t: floats, or arrays for an array t."""
         x = (t - self.t_old) / self.h
         return tuple(
             y + self.h * x * (q1 + x * (q2 + x * (q3 + x * q4)))
@@ -190,18 +196,21 @@ class _DenseStep(DenseOutput):
         )
 
     def _call_impl(self, t):
-        return np.array(self.at(t))
+        return np.array(self.at(t)[:2])
 
 
 class RK45:
     """Adaptive Dormand-Prince 5(4) stepper for a planar autonomous ODE,
-    on Python floats.
+    on Python floats, with the integral of the divergence alongside.
 
     scipy's RK45, step for step: the same tableau, first step (Hairer,
     Norsett & Wanner II.4), controller (safety 0.9, factor clamped to
     [0.2, 10], exponent -1/5, no growth right after a rejection) and RMS
     error norm against atol + max(|y|, |y_new|) rtol, so it takes the same
-    steps; a step just costs its six RHS calls and little else.  A trial
+    steps; a step just costs its six RHS calls and little else.  `fun`
+    returns (u', v', div); w, the integral of div from t0, is summed from
+    the same stages with the same weights, and stays out of the error norm
+    and the step size, so the state `y` steps as it would alone.  A trial
     whose stages overflow has a nan or inf error norm and is rejected with
     the smallest factor.  `step` makes one accepted step; when the step
     size falls below 10 ulp(t) it raises IntegrationError with the last
@@ -213,17 +222,18 @@ class RK45:
             raise ValueError(f"tolerances must be positive, got rtol={rtol}, atol={atol}")
         self.fun = fun
         self.t, self.y, self.t_bound = float(t0), (float(y0[0]), float(y0[1])), float(t_bound)
+        self.w = 0.0
         self.rtol, self.atol = max(rtol, 100 * sys.float_info.epsilon), atol  # scipy's floor on rtol
-        self.t_old = self.y_old = self.K = None
+        self.t_old = self.y_old = self.w_old = self.K = None
         self.f = fun(self.t, self.y)
         self.h_abs = self._initial_step()
 
     def _initial_step(self) -> float:
-        (y0, y1), (f0, f1), span = self.y, self.f, self.t_bound - self.t
+        (y0, y1), (f0, f1, _), span = self.y, self.f, self.t_bound - self.t
         s0, s1 = self.atol + abs(y0) * self.rtol, self.atol + abs(y1) * self.rtol
         d0, d1 = _rms(y0 / s0, y1 / s1), _rms(f0 / s0, f1 / s1)
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-        g0, g1 = self.fun(self.t + h0, (y0 + h0 * f0, y1 + h0 * f1))
+        g0, g1, _ = self.fun(self.t + h0, (y0 + h0 * f0, y1 + h0 * f1))
         # h0 is 0 when |f| overflowed or the span is empty; scipy's division gives inf
         d2 = _rms((g0 - f0) / s0, (g1 - f1) / s1) / h0 if h0 > 0 else math.inf
         if d1 <= 1e-15 and d2 <= 1e-15:
@@ -236,7 +246,7 @@ class RK45:
         """Advance by one accepted step, retrying rejected trials."""
         fun, t, y, t_bound = self.fun, self.t, self.y, self.t_bound
         y0, y1 = y
-        k1u, k1v = k1 = self.f
+        k1u, k1v, k1d = k1 = self.f
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(self.h_abs, min_step)
         rejected = False
@@ -245,26 +255,26 @@ class RK45:
                 raise IntegrationError("step size underflow", last_state=y, last_time=t)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            k2u, k2v = k2 = fun(t + _C2 * h, (y0 + k1u * _A21 * h, y1 + k1v * _A21 * h))
-            k3u, k3v = k3 = fun(
+            k2u, k2v, _ = k2 = fun(t + _C2 * h, (y0 + k1u * _A21 * h, y1 + k1v * _A21 * h))
+            k3u, k3v, k3d = k3 = fun(
                 t + _C3 * h,
                 (y0 + (k1u * _A31 + k2u * _A32) * h, y1 + (k1v * _A31 + k2v * _A32) * h),
             )
-            k4u, k4v = k4 = fun(
+            k4u, k4v, k4d = k4 = fun(
                 t + _C4 * h,
                 (
                     y0 + (k1u * _A41 + k2u * _A42 + k3u * _A43) * h,
                     y1 + (k1v * _A41 + k2v * _A42 + k3v * _A43) * h,
                 ),
             )
-            k5u, k5v = k5 = fun(
+            k5u, k5v, k5d = k5 = fun(
                 t + _C5 * h,
                 (
                     y0 + (k1u * _A51 + k2u * _A52 + k3u * _A53 + k4u * _A54) * h,
                     y1 + (k1v * _A51 + k2v * _A52 + k3v * _A53 + k4v * _A54) * h,
                 ),
             )
-            k6u, k6v = k6 = fun(
+            k6u, k6v, k6d = k6 = fun(
                 t + h,
                 (
                     y0 + (k1u * _A61 + k2u * _A62 + k3u * _A63 + k4u * _A64 + k5u * _A65) * h,
@@ -275,7 +285,7 @@ class RK45:
                 y0 + h * (k1u * _B1 + k3u * _B3 + k4u * _B4 + k5u * _B5 + k6u * _B6),
                 y1 + h * (k1v * _B1 + k3v * _B3 + k4v * _B4 + k5v * _B5 + k6v * _B6),
             )
-            k7u, k7v = k7 = fun(t + h, y_new)
+            k7u, k7v, _ = k7 = fun(t + h, y_new)
             eu = (k1u * _E1 + k3u * _E3 + k4u * _E4 + k5u * _E5 + k6u * _E6 + k7u * _E7) * h
             ev = (k1v * _E1 + k3v * _E3 + k4v * _E4 + k5v * _E5 + k6v * _E6 + k7v * _E7) * h
             err = _rms(
@@ -290,15 +300,16 @@ class RK45:
             # a nan or inf norm comes from trial stages that overflowed
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT) if math.isfinite(err) else _MIN_FACTOR
             rejected = True
-        self.t_old, self.y_old, self.K = t, y, (k1, k3, k4, k5, k6, k7)
+        self.t_old, self.y_old, self.w_old, self.K = t, y, self.w, (k1, k3, k4, k5, k6, k7)
         self.t, self.y, self.f, self.h_abs = t_new, y_new, k7, h * factor
+        self.w += h * (k1d * _B1 + k3d * _B3 + k4d * _B4 + k5d * _B5 + k6d * _B6)
 
     def dense_output(self) -> _DenseStep:
-        """The interpolant over the last accepted step."""
+        """The interpolant of (u, v, w) over the last accepted step."""
         Q = tuple(
-            tuple(sum(k[i] * row[c] for k, row in zip(self.K, _P)) for c in range(4)) for i in (0, 1)
+            tuple(sum(k[i] * row[c] for k, row in zip(self.K, _P)) for c in range(4)) for i in range(3)
         )
-        return _DenseStep(self.t_old, self.t, self.y_old, Q)
+        return _DenseStep(self.t_old, self.t, self.y_old + (self.w_old,), Q)
 
 
 def _steps(rhs, z0, t_bound: float, tol: float):
@@ -386,14 +397,20 @@ def poincare_return(
     tol: float = DEFAULT_CONFIG.tol,
     cfg: DynamicsConfig = DEFAULT_CONFIG,
     rhs=None,
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """First same-orientation return of the flow to the section.
 
     Steps the integrator and watches the signed section offset; when an
     accepted step brackets a crossing in the wanted direction, the
     crossing time is refined on that step's dense interpolant.  The
     integration stops at the crossing, so unstable cycles are not flowed
-    past their return.  Returns (new parameter, flight time).
+    past their return.  Returns (new parameter, flight time, slope).
+
+    The slope is the derivative of the return map at s.  The flow scales
+    areas by exp(w), w the integral of div f along the orbit (Liouville),
+    and carries f(z0) to f(z_tau), so P'(s) = exp(w) (f(z0).n) / (f(z_tau).n)
+    with n the section normal (Perko, Differential Equations and
+    Dynamical Systems, 3.4).
     """
     if not 0.0 < s < section.s_max:
         raise ValueError(f"section parameter {s} outside (0, {section.s_max})")
@@ -421,13 +438,16 @@ def poincare_return(
             )
             # rounding can put the start point a hair on the wrong side
             if t_star >= 1e-9:
-                z_star = dense.at(t_star)
-                s_new = section.param_of(z_star)
+                u, v, w = dense.at(t_star)
+                s_new = section.param_of((u, v))
                 if 0.0 < s_new < section.s_max:
-                    f_star = rhs(t_star, z_star)
-                    if abs(f_star[0] * n[0] + f_star[1] * n[1]) <= cfg.eps_transverse:
+                    f_star = rhs(t_star, (u, v))
+                    fn_star = f_star[0] * n[0] + f_star[1] * n[1]
+                    if abs(fn_star) <= cfg.eps_transverse:
                         raise DegenerateCrossingError("tangential crossing of the section")
-                    return float(s_new), float(t_star)
+                    # w beyond exp's range: an expansion no float can hold
+                    slope = (math.exp(w) if w < 709.0 else math.inf) * fn0 / fn_star
+                    return float(s_new), float(t_star), slope
         g_prev, t_prev = g_new, solver.t
     raise NoReturnError(f"no return to the section within t_max={cfg.t_max}")
 
@@ -473,59 +493,59 @@ def find_cycle(
     cfg: DynamicsConfig = DEFAULT_CONFIG,
     rhs=None,
 ) -> LimitCycleRecord:
-    """Locate a fixed point of the return map by damped secant iteration.
+    """Locate a fixed point of the return map by Newton iteration on
+    return(s) - s.
 
-    The multiplier is a central finite difference of the return map with
-    step max(fd_scale, fd_scale*|s|); a record whose multiplier sits
-    within eps_hyp of 1 is returned flagged non-certified.
+    Each return brings its own slope (see `poincare_return`).  The Newton
+    step is taken when both it and the residual f fit in a trust radius of
+    0.1 s_max; otherwise the iterate moves toward its return, by f clamped
+    to that radius.  Iterates stay in the section's inner 99.8%.  The
+    multiplier is the slope of the accepted return, so a record costs no
+    return beyond the search; one whose multiplier sits within eps_hyp of
+    1 is returned flagged non-certified.  A hyperbolic fixed point within
+    reach of a tangency of the field raises DegenerateCrossingError: the
+    returns closed in on an equilibrium.
     """
     rhs = rhs or field_rhs(field)
-
-    def ret(sv: float) -> tuple[float, float]:
-        return poincare_return(field, section, sv, cfg.tol, cfg, rhs=rhs)
-
     lo_lim = 1e-3 * section.s_max
     hi_lim = section.s_max * (1.0 - 1e-3)
+    max_step = 0.1 * section.s_max
 
     s_cur = s0
-    r_cur, t_cur = ret(s_cur)
-    f_cur = r_cur - s_cur
-    if abs(f_cur) > cfg.eps_fix:
-        max_step = 0.1 * section.s_max
-        step = max(-max_step, min(max_step, f_cur))
-        s_prev, f_prev = s_cur, f_cur
-        s_cur = min(hi_lim, max(lo_lim, s_cur + step))
-        converged = False
-        for _ in range(cfg.max_iters):
-            r_cur, t_cur = ret(s_cur)
-            f_cur = r_cur - s_cur
-            if abs(f_cur) <= cfg.eps_fix:
-                converged = True
-                break
-            denom = f_cur - f_prev
-            if denom == 0.0:
-                raise CycleSearchError("secant iteration stalled (flat return map)")
-            step = -f_cur * (s_cur - s_prev) / denom
-            step = max(-max_step, min(max_step, step))
-            s_prev, f_prev = s_cur, f_cur
-            s_cur = min(hi_lim, max(lo_lim, s_cur + step))
-        if not converged:
-            raise CycleSearchError(
-                f"no fixed point after {cfg.max_iters} iterations (last residual {f_cur:.3g})"
+    for _ in range(cfg.max_iters + 1):
+        r_cur, t_cur, mu = poincare_return(field, section, s_cur, cfg.tol, cfg, rhs=rhs)
+        f_cur = r_cur - s_cur
+        if abs(f_cur) <= cfg.eps_fix:
+            certified = abs(mu - 1.0) > cfg.eps_hyp
+            if certified:
+                # Newton puts the fixed point within |f / (mu - 1)| of s_cur.
+                # If the field turns tangent to the section within ten times
+                # that, the returns close in on an equilibrium, not a cycle.
+                reach, n = 10.0 * abs(f_cur / (mu - 1.0)), section.normal
+                signs = set()
+                for sk in (s_cur - reach, s_cur, s_cur + reach):
+                    fu, fv, _ = rhs(0.0, section.point_at(sk))
+                    signs.add(fu * n[0] + fv * n[1] > 0.0)
+                if len(signs) > 1:
+                    raise DegenerateCrossingError("field tangent to the section at the fixed point")
+            return LimitCycleRecord(
+                anchor=section.point_at(s_cur),
+                period=t_cur,
+                multiplier=mu,
+                certified=certified,
             )
-
-    h = max(cfg.fd_scale, cfg.fd_scale * abs(s_cur))
-    h = min(h, 0.25 * (s_cur - lo_lim), 0.25 * (hi_lim - s_cur))
-    if h <= 0:
-        raise CycleSearchError("fixed point too close to the section endpoint")
-    r_plus, _ = ret(s_cur + h)
-    r_minus, _ = ret(s_cur - h)
-    mu = (r_plus - r_minus) / (2.0 * h)
-    return LimitCycleRecord(
-        anchor=section.point_at(s_cur),
-        period=t_cur,
-        multiplier=mu,
-        certified=abs(mu - 1.0) > cfg.eps_hyp,
+        if mu == 1.0 or not math.isfinite(mu):
+            raise CycleSearchError(f"Newton iteration stalled (return-map slope {mu:.3g})")
+        step = -f_cur / (mu - 1.0)
+        if max(abs(f_cur), abs(step)) > max_step:
+            # beyond the trust radius, follow the flow toward the return,
+            # which the orbit visits anyway: a Newton step across a
+            # repelling cycle can land where the flow never returns
+            step = f_cur
+        step = max(-max_step, min(max_step, step))
+        s_cur = min(hi_lim, max(lo_lim, s_cur + step))
+    raise CycleSearchError(
+        f"no fixed point after {cfg.max_iters} iterations (last residual {f_cur:.3g})"
     )
 
 
@@ -588,7 +608,7 @@ def lift_cycles(
                 half = min(0.45 * clearance, cfg.section_cap)
                 if half <= cfg.margin:
                     raise CycleSearchError("seed too close to the rectangle boundary")
-                sec = _section_through(seed, rhs(0.0, seed), half)
+                sec = _section_through(seed, rhs(0.0, seed)[:2], half)
                 rec = find_cycle(pb, sec, half, cfg, rhs=rhs)
                 if not rec.certified:
                     raise CycleSearchError(

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import RK45 as ScipyRK45
 
 from cyclerep import dynamics
-from cyclerep.branches import branch_inverse
+from cyclerep.branches import branch_inverse, cheb_branches
 from cyclerep.dynamics import (
     DEFAULT_CONFIG,
     BranchRectangle,
@@ -57,21 +57,46 @@ def uni_abs_term_sum(p: UniPoly, x: float) -> float:
     return sum(abs(float(c)) * abs(x) ** k for k, c in enumerate(p.coeffs))
 
 
-def factored_magnitude(pb, k: int, u: float, v: float) -> float:
-    """Rounding-error scale of RHS component k evaluated through its
-    factors, d * S(x, y) with x = p(u), y = p(v), (d, S) = (p'(v), P) or
-    (p'(u), Q): each factor's sum |term|, the cover's carried through
-    dS/dx and dS/dy (first order)."""
-    p, dp = pb.cover_poly, pb.cover_poly.derivative()
-    src = (pb.source.p_comp, pb.source.q_comp)[k]
-    w = (v, u)[k]
+def composed_magnitude(pb, src: BiPoly, u: float, v: float) -> float:
+    """Rounding-error scale of S(p(u), p(v)): S's sum |term|, plus the
+    cover's carried through dS/dx and dS/dy (first order)."""
+    p = pb.cover_poly
     x, y = p.evaluate_float(u), p.evaluate_float(v)
-    inner = (
+    return (
         abs_term_sum(src, x, y)
         + abs_term_sum(src.partial_u(), x, y) * uni_abs_term_sum(p, u)
         + abs_term_sum(src.partial_v(), x, y) * uni_abs_term_sum(p, v)
     )
-    return abs(dp.evaluate_float(w)) * inner + uni_abs_term_sum(dp, w) * abs(src.evaluate_float(x, y))
+
+
+def factored_magnitude(pb, k: int, u: float, v: float) -> float:
+    """Rounding-error scale of RHS component k evaluated through its
+    factors, d * S(x, y) with x = p(u), y = p(v), (d, S) = (p'(v), P) or
+    (p'(u), Q): each factor's sum |term|."""
+    p, dp = pb.cover_poly, pb.cover_poly.derivative()
+    src = (pb.source.p_comp, pb.source.q_comp)[k]
+    w = (v, u)[k]
+    x, y = p.evaluate_float(u), p.evaluate_float(v)
+    return (
+        abs(dp.evaluate_float(w)) * composed_magnitude(pb, src, u, v)
+        + uni_abs_term_sum(dp, w) * abs(src.evaluate_float(x, y))
+    )
+
+
+def divergence(field: VectorField2) -> BiPoly:
+    return field.p_comp.partial_u() + field.q_comp.partial_v()
+
+
+def divergence_magnitude(pb, u: float, v: float) -> float:
+    """Rounding-error scale of the factored divergence
+    p'(u) p'(v) (div X)(x, y): each factor's sum |term|."""
+    p, dp = pb.cover_poly, pb.cover_poly.derivative()
+    div_x = divergence(pb.source)
+    du, dv = dp.evaluate_float(u), dp.evaluate_float(v)
+    x, y = p.evaluate_float(u), p.evaluate_float(v)
+    return abs(du * dv) * composed_magnitude(pb, div_x, u, v) + (
+        uni_abs_term_sum(dp, u) * abs(dv) + abs(du) * uni_abs_term_sum(dp, v)
+    ) * abs(div_x.evaluate_float(x, y))
 
 
 # every monomial of degree <= 3 in both components
@@ -135,6 +160,34 @@ class TestFactoredRhs:
                 exact = comp.evaluate(Fraction(u), Fraction(v))
                 assert abs(Fraction(got[k]) - exact) <= 1e-12 * factored_magnitude(pb, k, u, v)
 
+    @pytest.mark.parametrize("seed", ["cubic", "dense"])
+    @pytest.mark.parametrize("m", [2, 3, 6, 8, 10, 30])
+    def test_divergence_matches_exact_expanded_divergence(self, radial_half, seed, m):
+        # div Y = p'(u) p'(v) (div X)(p(u), p(v)), against dP/du + dQ/dv of
+        # the expanded field, exactly
+        X = radial_half if seed == "cubic" else DENSE_CUBIC
+        pb = build_pullback(X, chebyshev(m))
+        rhs = field_rhs(pb)
+        exact_div = divergence(pb.field)
+        rng = random.Random(100 + m)
+        for _ in range(4 if m == 30 else 20):
+            u, v = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+            exact = exact_div.evaluate(Fraction(u), Fraction(v))
+            got = rhs(0.0, (u, v))[2]
+            assert abs(Fraction(got) - exact) <= 1e-12 * divergence_magnitude(pb, u, v)
+
+    @pytest.mark.parametrize("field", ["seed", "dense", "m3"])
+    def test_expanded_field_divergence(self, radial_half, pullback_m3, field):
+        X = {"seed": radial_half, "dense": DENSE_CUBIC, "m3": pullback_m3.field}[field]
+        rhs = field_rhs(X)
+        exact_div = divergence(X)
+        rng = random.Random(7)
+        for _ in range(20):
+            u, v = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+            exact = exact_div.evaluate(Fraction(u), Fraction(v))
+            got = rhs(0.0, (u, v))[2]
+            assert abs(Fraction(got) - exact) <= 1e-14 * abs_term_sum(exact_div, u, v)
+
 
 class TestIntegrate:
     def test_harmonic_rotation_period(self):
@@ -186,10 +239,16 @@ def stepper_case(radial_half, case):
     return field_rhs(pb), (branch_inverse(m, i, 0.5), branch_inverse(m, j, 0.0))
 
 
+def state_lanes(rhs):
+    """The RHS without its divergence: the ODE scipy's RK45 integrates."""
+    return lambda t, z: rhs(t, z)[:2]
+
+
 def copy_state(ours: RK45, theirs) -> None:
     ours.t, ours.h_abs = float(theirs.t), float(theirs.h_abs)
     ours.y = (float(theirs.y[0]), float(theirs.y[1]))
-    ours.f = (float(theirs.f[0]), float(theirs.f[1]))
+    # the divergence at y, which only the w lane reads
+    ours.f = (float(theirs.f[0]), float(theirs.f[1]), ours.fun(ours.t, ours.y)[2])
 
 
 class TestStepperAgainstScipy:
@@ -199,13 +258,13 @@ class TestStepperAgainstScipy:
     def test_first_step_size(self, radial_half, case):
         rhs, z0 = stepper_case(radial_half, case)
         ours = RK45(rhs, 0.0, z0, 5.0, RTOL, ATOL)
-        theirs = ScipyRK45(rhs, 0.0, np.array(z0), 5.0, rtol=RTOL, atol=ATOL)
+        theirs = ScipyRK45(state_lanes(rhs), 0.0, np.array(z0), 5.0, rtol=RTOL, atol=ATOL)
         assert ours.h_abs == pytest.approx(theirs.h_abs, rel=1e-14)
 
     @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
     def test_one_step_from_shared_state(self, radial_half, case):
         rhs, z0 = stepper_case(radial_half, case)
-        theirs = ScipyRK45(rhs, 0.0, np.array(z0), 20.0, rtol=RTOL, atol=ATOL)
+        theirs = ScipyRK45(state_lanes(rhs), 0.0, np.array(z0), 20.0, rtol=RTOL, atol=ATOL)
         ours = RK45(rhs, 0.0, z0, 20.0, RTOL, ATOL)
         retried = 0
         for _ in range(150):
@@ -229,7 +288,7 @@ class TestStepperAgainstScipy:
     @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
     def test_step_after_rejected_trials(self, radial_half, case):
         rhs, z0 = stepper_case(radial_half, case)
-        theirs = ScipyRK45(rhs, 0.0, np.array(z0), 20.0, rtol=RTOL, atol=ATOL)
+        theirs = ScipyRK45(state_lanes(rhs), 0.0, np.array(z0), 20.0, rtol=RTOL, atol=ATOL)
         ours = RK45(rhs, 0.0, z0, 20.0, RTOL, ATOL)
         for _ in range(20):
             theirs.step()
@@ -246,7 +305,7 @@ class TestStepperAgainstScipy:
     def test_whole_run_takes_the_same_steps(self, radial_half, case, t_bound):
         rhs, z0 = stepper_case(radial_half, case)
         ours = RK45(rhs, 0.0, z0, t_bound, RTOL, ATOL)
-        theirs = ScipyRK45(rhs, 0.0, np.array(z0), t_bound, rtol=RTOL, atol=ATOL)
+        theirs = ScipyRK45(state_lanes(rhs), 0.0, np.array(z0), t_bound, rtol=RTOL, atol=ATOL)
         n_ours = n_theirs = 0
         while ours.t < t_bound:
             ours.step()
@@ -260,7 +319,7 @@ class TestStepperAgainstScipy:
     @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
     def test_dense_output_at_step_midpoints(self, radial_half, case):
         rhs, z0 = stepper_case(radial_half, case)
-        theirs = ScipyRK45(rhs, 0.0, np.array(z0), 5.0, rtol=RTOL, atol=ATOL)
+        theirs = ScipyRK45(state_lanes(rhs), 0.0, np.array(z0), 5.0, rtol=RTOL, atol=ATOL)
         ours = RK45(rhs, 0.0, z0, 5.0, RTOL, ATOL)
         for _ in range(50):
             copy_state(ours, theirs)
@@ -317,7 +376,7 @@ class TestStepperOverflow:
     def test_nan_field_fails_instead_of_looping(self):
         # a field that is nan everywhere gives a nan first step
         with pytest.raises(IntegrationError):
-            integrate(None, (0.5, 0.0), 1.0, rhs=lambda t, z: (math.nan, 0.0))
+            integrate(None, (0.5, 0.0), 1.0, rhs=lambda t, z: (math.nan, 0.0, 0.0))
 
 
 class TestStepperHook:
@@ -344,7 +403,7 @@ class TestStepperHook:
         assert seen == list(traj.ts[1:]) and len(seen) > 10
 
     def test_poincare_return_steps_are_seen(self, radial_half, x_axis_section, seen):
-        _, flight = poincare_return(radial_half, x_axis_section, 0.8)
+        _, flight, _ = poincare_return(radial_half, x_axis_section, 0.8)
         assert len(seen) > 10
         assert all(a < b for a, b in zip(seen, seen[1:]))
         assert seen[-2] < flight <= seen[-1]
@@ -352,26 +411,54 @@ class TestStepperHook:
 
 class TestPoincareReturn:
     def test_cycle_fixed_point(self, radial_half, x_axis_section):
-        s1, t1 = poincare_return(radial_half, x_axis_section, 0.5)
+        s1, t1, _ = poincare_return(radial_half, x_axis_section, 0.5)
         assert abs(s1 - 0.5) <= 1e-6
         assert abs(t1 - 2 * math.pi) <= 1e-6
 
     def test_center_return_is_identity(self, x_axis_section):
-        s1, t1 = poincare_return(ROTATION, x_axis_section, 0.7)
+        s1, t1, _ = poincare_return(ROTATION, x_axis_section, 0.7)
         assert abs(s1 - 0.7) <= 1e-9
         assert abs(t1 - 2 * math.pi) <= 1e-8
 
     def test_contraction_matches_radial_oracle(self, radial_half, x_axis_section):
-        s1, t1 = poincare_return(radial_half, x_axis_section, 0.8)
+        s1, t1, _ = poincare_return(radial_half, x_axis_section, 0.8)
         assert 0.5 < s1 < 0.8
         assert abs(s1 - radial_oracle(0.8, 2 * math.pi, 0.5)) <= 1e-6
         assert abs(t1 - 2 * math.pi) <= 1e-6  # angular speed is exactly -1
 
     def test_flight_time_agrees_with_integrate(self, radial_half, x_axis_section):
         for s in (0.3, 0.5, 0.8):
-            s_new, t = poincare_return(radial_half, x_axis_section, s)
+            s_new, t, _ = poincare_return(radial_half, x_axis_section, s)
             end = integrate(radial_half, x_axis_section.point_at(s), t).end_state
             assert math.dist(end, x_axis_section.point_at(s_new)) <= 1e-8
+
+    @pytest.mark.parametrize("s", [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    def test_slope_matches_radial_return_map(self, radial_half, x_axis_section, s):
+        # P(s) = rho s / sqrt(s^2 + (rho^2 - s^2) a) with a = exp(-4 pi rho^2)
+        # (radial_oracle after one turn), so P'(s) = rho^3 a / (...)^(3/2)
+        rho, a = 0.5, EXP_MINUS_PI
+        _, _, slope = poincare_return(radial_half, x_axis_section, s)
+        want = rho**3 * a / (s * s + (rho * rho - s * s) * a) ** 1.5
+        assert abs(slope - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("frac", [0.3, 0.6, 1.4, 1.7])
+    def test_slope_matches_central_difference_on_tilted_section(self, pullback_m3, frac):
+        # a section turned 35 degrees off the field's normal, through the
+        # lifted cycle of rectangle (2, 2); points away from the fixed point
+        m, half, h = 3, 0.02, 1e-6
+        seed = (branch_inverse(m, 2, 0.5), branch_inverse(m, 2, 0.0))
+        fu, fv, _ = field_rhs(pullback_m3)(0.0, seed)
+        c, s = math.cos(math.radians(35)), math.sin(math.radians(35))
+        nu, nv = -fv / math.hypot(fu, fv), fu / math.hypot(fu, fv)
+        d = (c * nu - s * nv, s * nu + c * nv)
+        base = (seed[0] - half * d[0], seed[1] - half * d[1])
+        sec = Section(base=base, direction=d, s_max=2 * half)
+        s0 = frac * half
+        r0, _, slope = poincare_return(pullback_m3, sec, s0)
+        assert abs(r0 - s0) > 1e-4
+        r_plus, _, _ = poincare_return(pullback_m3, sec, s0 + h)
+        r_minus, _, _ = poincare_return(pullback_m3, sec, s0 - h)
+        assert abs(slope - (r_plus - r_minus) / (2 * h)) <= 1e-8 * abs(slope)
 
     def test_blowup_reports_last_state(self):
         # du/dt = u^2 from u=1/2 blows up at t = 2, long before t_max
@@ -426,7 +513,7 @@ class TestFindCycle:
         assert abs(rec.multiplier - math.exp(-4 * math.pi * 0.64)) <= 1e-4
 
     def test_iteration_budget_exhausted(self):
-        # damped steps are capped at 0.1 * s_max, so four iterations cannot
+        # steps are capped at 0.1 * s_max, so four iterations cannot
         # carry the search from s = 0.05 out to the cycle at 0.8
         field = radial_cubic_field(Fraction(4, 5))
         section = Section(base=(0.0, 0.0), direction=(1.0, 0.0), s_max=1.0)
@@ -442,6 +529,72 @@ class TestFindCycle:
         cfg = DynamicsConfig(t_max=30.0)
         with pytest.raises(NoReturnError):
             find_cycle(field, section, 0.3, cfg)
+
+
+    def test_start_where_newton_points_at_the_equilibrium(self):
+        # at rho = 1/3 the return map's slope is 1.025 at s = 0.144, so
+        # Newton would step 3.5 toward the repelling focus at s = 0; the
+        # step leaves the trust radius and the search follows the flow out
+        rho = Fraction(1, 3)
+        section = Section(base=(0.0, 0.0), direction=(1.0, 0.0), s_max=1.0)
+        rec = find_cycle(radial_cubic_field(rho), section, 0.1444)
+        assert rec.certified
+        assert abs(rec.anchor[0] - 1 / 3) <= 1e-8
+
+    def test_start_inward_of_repelling_cycle_misses_fast(self):
+        # 7% inward of the repelling cycle of rectangle (1, 2) of m = 3 at
+        # rho = 1/2, one return carries the start 40% of the section
+        # inward.  Newton's step from there crosses the cycle, outside of
+        # which the flow runs t_max = 200 without a return (about 11 s);
+        # following the flow misses within one return (about 0.3 s)
+        rho = Fraction(1, 2)
+        pb = build_pullback(radial_cubic_field(rho), chebyshev(3))
+        sec, half = rectangle_section(pb, 3, 1, 2, (float(rho), 0.0))
+        start = time.perf_counter()
+        with pytest.raises(NoReturnError):
+            find_cycle(pb.field, sec, half * (1 - 0.07))
+        assert time.perf_counter() - start < 3.0
+
+    def test_reversed_rectangle_from_near_start(self):
+        # the lifted cycle of the orientation-reversed rectangle (1, 2) of
+        # m = 3 at rho = 2/3 repels by exp(4 pi rho^2) = 266.4 per turn;
+        # a start 2e-5 of the half-length outward must still converge
+        rho = Fraction(2, 3)
+        pb = build_pullback(radial_cubic_field(rho), chebyshev(3))
+        sec, half = rectangle_section(pb, 3, 1, 2, (float(rho), 0.0))
+        rec = find_cycle(pb.field, sec, half * (1 + 2e-5))
+        want = math.exp(4 * math.pi * float(rho) ** 2)
+        assert rec.certified
+        assert abs(rec.multiplier - want) <= 1e-5 * want
+        assert math.dist(rec.anchor, sec.point_at(half)) <= 1e-8
+
+    @pytest.mark.parametrize("factored", [False, True])
+    @pytest.mark.parametrize("inward", [0.714, 0.728, 0.74])
+    def test_start_past_pulled_back_equilibrium(self, factored, inward):
+        # in rectangle (5, 3) of m = 5 at rho = 1/3, a start 70-78% inward
+        # lies past the pulled-back equilibrium (T_5(u), T_5(v)) = (0, 0) at
+        # the rectangle's centre, a repelling focus whose returns close in
+        # on it; it must not be certified as a cycle.  From 74% Newton lands
+        # on it and the start of the next return is tangent; from 71.4% and
+        # 72.8% it stops within eps_fix of it, where the field turns
+        # tangent to the section inside the fixed point's Newton bound.
+        rho = Fraction(1, 3)
+        pb = build_pullback(radial_cubic_field(rho), chebyshev(5))
+        sec, half = rectangle_section(pb, 5, 5, 3, (float(rho), 0.0))
+        with pytest.raises(DegenerateCrossingError):
+            find_cycle(pb if factored else pb.field, sec, half * (1 - inward))
+
+
+def rectangle_section(pb, m: int, i: int, j: int, anchor):
+    """Section through the branch-wise inverse of `anchor` in rectangle
+    (i, j), normal to the field, built as `lift_cycles` builds it; returns
+    it with its half-length (the start of a lift's search)."""
+    bset = cheb_branches(m)
+    iu, iv = bset.intervals[i - 1], bset.intervals[j - 1]
+    seed = (branch_inverse(m, i, anchor[0]), branch_inverse(m, j, anchor[1]))
+    clearance = min(seed[0] - iu.lo, iu.hi - seed[0], seed[1] - iv.lo, iv.hi - seed[1])
+    half = min(0.45 * clearance, DEFAULT_CONFIG.section_cap)
+    return dynamics._section_through(seed, field_rhs(pb)(0.0, seed)[:2], half), half
 
 
 class TestSection:
@@ -542,7 +695,7 @@ class TestLiftCycles:
         assert math.dist(traj.end_state, r.anchor) <= 1e-7
         expanded = integrate(pullback_m3.field, r.anchor, r.period, tol=1e-10)
         assert math.dist(traj.end_state, expanded.end_state) <= 1e-8
-        fu, fv = field_rhs(pullback_m3)(0.0, r.anchor)
+        fu, fv, _ = field_rhs(pullback_m3)(0.0, r.anchor)
         d = (-fv / math.hypot(fu, fv), fu / math.hypot(fu, fv))
         half = 0.01
         base = (r.anchor[0] - half * d[0], r.anchor[1] - half * d[1])
@@ -597,6 +750,27 @@ class TestLiftLargeCover:
         for r in records:
             target = EXP_PLUS_PI if r.orientation_reversed else EXP_MINUS_PI
             assert abs(r.multiplier - target) / target <= 1e-3
+        assert elapsed < wall_s
+
+    # the multiplier gate: every lifted multiplier within 1e-5 of
+    # exp(-+4 pi rho^2) (measured worst 3.8e-7, at rho = 2/3, m = 12); wall
+    # bounds are about 5x the measured 0.3-0.6 s at m = 8 and 0.7-1.2 s at
+    # m = 12 on a 2-core x86 host
+    @pytest.mark.parametrize("m, wall_s", [(8, 3.0), (12, 6.0)])
+    @pytest.mark.parametrize("rho", ["1/3", "2/5", "1/2", "3/5", "2/3"])
+    def test_multipliers_within_1e_5(self, rho, m, wall_s):
+        rho = Fraction(rho)
+        X = radial_cubic_field(rho)
+        base = find_cycle(X, Section(base=(0.0, 0.0), direction=(1.0, 0.0), s_max=1.0), float(rho))
+        pb = build_pullback(X, chebyshev(m))
+        start = time.perf_counter()
+        records = lift_cycles(pb, base, m)
+        elapsed = time.perf_counter() - start
+        assert len(records) == m * m and all(r.certified for r in records)
+        mu = math.exp(-4 * math.pi * float(rho) ** 2)
+        for r in records:
+            target = 1 / mu if r.orientation_reversed else mu
+            assert abs(r.multiplier - target) <= 1e-5 * target
         assert elapsed < wall_s
 
 
