@@ -32,6 +32,7 @@ from .dynamics import (
     LiftError,
     DynamicsError,
     Section,
+    _state_rhs,
     find_cycle,
     integrate,
     lift_cycles,
@@ -132,11 +133,6 @@ def cmd_pullback(args) -> int:
     return EXIT_OK
 
 
-def _cycle_curve(field, record, n_points: int, tol: float):
-    traj = integrate(field, record.anchor, record.period, tol)
-    return [tuple(p) for p in traj.sample(n_points)]
-
-
 def cmd_example(args) -> int:
     m = args.m
     if m < 2:
@@ -174,16 +170,19 @@ def cmd_example(args) -> int:
     (out_dir / "residuals.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     plot_tol = 1e-8
-    cycle_curve = _cycle_curve(field, base, 400, plot_tol)
-    spirals = []
-    for start in ((0.9, 0.0), (0.12 * float(rho) / 0.5, 0.0)):
-        traj = integrate(field, start, 30.0, plot_tol)
-        spirals.append([tuple(p) for p in traj.sample(1200)])
+    cycle_curve = integrate(field, base.anchor, base.period, plot_tol).sample(400)
+    spirals = [
+        integrate(field, start, 30.0, plot_tol).sample(1200)
+        for start in ((0.9, 0.0), (0.12 * float(rho) / 0.5, 0.0))
+    ]
     (out_dir / "phase_portrait.svg").write_text(
         phase_portrait_svg(cycle_curve, spirals), encoding="utf-8"
     )
 
-    lifted_curves = [_cycle_curve(pb, r, 300, plot_tol) for r in records]
+    lift_rhs = _state_rhs(pb)  # one evaluator for all m^2 curves
+    lifted_curves = [
+        integrate(pb, r.anchor, r.period, plot_tol, rhs=lift_rhs).sample(300) for r in records
+    ]
     (out_dir / "branch_rectangles.svg").write_text(
         branch_grid_svg(cheb_nodes(m), lifted_curves, [r.anchor for r in records]),
         encoding="utf-8",

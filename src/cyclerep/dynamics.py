@@ -8,11 +8,12 @@ w = integral of div f, a quadrature lane that stays out of the error
 norm, so the state takes the steps it would take alone.  One loop steps
 it for both `integrate` and `poincare_return`; section crossings are
 located by scanning the accepted steps for sign changes of the signed
-section coordinate and root-finding on the dense interpolant.  A field
-is evaluated by Horner on Python floats: a VectorField2 as it stands, a
-PullbackResult through its factors p'(v) P(p(u), p(v)) and
-p'(u) Q(p(u), p(v)), which keeps the accuracy of the seed field that the
-expanded pullback loses as m grows.
+section coordinate, and refined on the step's dense interpolant by the
+in-module Brent method, `brentq`, so the package needs no numpy or
+scipy at runtime.  A field is evaluated by Horner on Python floats: a
+VectorField2 as it stands, a PullbackResult through its factors
+p'(v) P(p(u), p(v)) and p'(u) Q(p(u), p(v)), which keeps the accuracy
+of the seed field that the expanded pullback loses as m grows.
 Cycles are fixed points of the return map, found by Newton iteration on
 return(s) - s.  The slope of a planar return map is given by Liouville's
 formula, exp(w) times a transversality ratio, so one return yields both
@@ -30,11 +31,8 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, replace
-
-import numpy as np
-from scipy.integrate import DenseOutput, OdeSolution
-from scipy.optimize import brentq
 
 from .branches import BranchInterval, branch_inverse, cheb_branches
 from .polynomials import BiPoly, Scalar, VectorField2, chebyshev, compose_separable, fmt9, _as_fraction
@@ -107,10 +105,21 @@ def field_rhs(field: VectorField2 | PullbackResult):
     through the factors), and costs more.  A VectorField2's divergence is
     Horner on the exact polynomial dP/du + dQ/dv.
     """
+    return _make_rhs(field, divergence=True)
+
+
+def _state_rhs(field: VectorField2 | PullbackResult):
+    """`field_rhs` with the divergence lane fixed at 0.0, for integrations
+    that never read w (`integrate`): the same (u', v'), at the cost of the
+    state alone.  w never steers the steps, so they are the same steps."""
+    return _make_rhs(field, divergence=False)
+
+
+def _make_rhs(field: VectorField2 | PullbackResult, divergence: bool):
     X = field.source if isinstance(field, PullbackResult) else field
     fp = compile_component(X.p_comp)
     fq = compile_component(X.q_comp)
-    fdiv = compile_component(X.p_comp.partial_u() + X.q_comp.partial_v())
+    fdiv = compile_component(X.p_comp.partial_u() + X.q_comp.partial_v()) if divergence else None
     if isinstance(field, PullbackResult):
         p = field.cover_poly.evaluate_float
         dp = field.cover_poly.derivative().evaluate_float
@@ -119,34 +128,46 @@ def field_rhs(field: VectorField2 | PullbackResult):
             u, v = float(z[0]), float(z[1])
             x, y = p(u), p(v)
             du, dv = dp(u), dp(v)
-            return (dv * fp(x, y), du * fq(x, y), du * dv * fdiv(x, y))
+            return (dv * fp(x, y), du * fq(x, y), du * dv * fdiv(x, y) if divergence else 0.0)
 
         return rhs
 
     def rhs(t, z):
         # Python floats: Horner on numpy scalars costs about 4x as much
         u, v = float(z[0]), float(z[1])
-        return (fp(u, v), fq(u, v), fdiv(u, v))
+        return (fp(u, v), fq(u, v), fdiv(u, v) if divergence else 0.0)
 
     return rhs
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense-output solution of one integration run."""
+    """Dense-output solution of one integration run: the accepted step
+    times `ts`, the (u, v) state `ys` at each, and `pieces`, the
+    interpolant of each step."""
 
-    ts: np.ndarray
-    ys: np.ndarray          # shape (2, len(ts))
-    sol: OdeSolution        # callable on [ts[0], ts[-1]]
+    ts: list[float]
+    ys: list[tuple[float, float]]
+    pieces: list[_DenseStep]
 
     @property
     def end_state(self) -> tuple[float, float]:
-        return (float(self.ys[0, -1]), float(self.ys[1, -1]))
+        return self.ys[-1]
 
-    def sample(self, n: int) -> np.ndarray:
-        """n+1 points equally spaced in time, shape (n+1, 2)."""
-        ts = np.linspace(self.ts[0], self.ts[-1], n + 1)
-        return self.sol(ts).T
+    def sample(self, n: int) -> list[tuple[float, float]]:
+        """n+1 states equally spaced in time over [ts[0], ts[-1]], n >= 1.
+
+        The times are numpy.linspace's, k * step + t0 with the last one set
+        to t1, and each is read on the step scipy's OdeSolution picks: the
+        first one whose end is at or after it.
+        """
+        t0, t1 = self.ts[0], self.ts[-1]
+        step = (t1 - t0) / n
+        last = len(self.pieces) - 1
+        return [
+            self.pieces[min(max(bisect_left(self.ts, t) - 1, 0), last)].at(t, 2)
+            for t in [k * step + t0 for k in range(n)] + [t1]
+        ]
 
 
 # The Dormand & Prince (1980) 5(4) pair with Shampine's (1986) quartic dense
@@ -178,25 +199,24 @@ def _rms(a: float, b: float) -> float:
     return math.sqrt(a * a + b * b) / 2**0.5
 
 
-class _DenseStep(DenseOutput):
-    """Quartic interpolant over one accepted step, in the form OdeSolution
-    takes: y_old + h x (q1 + x (q2 + x (q3 + x q4))) at step fraction x,
-    for each lane of (u, v, w)."""
+class _DenseStep:
+    """Quartic interpolant over one accepted step, from t_old to t:
+    y_old + h x (q1 + x (q2 + x (q3 + x q4))) at step fraction
+    x = (t - t_old) / h, for each lane of (u, v, w)."""
+
+    __slots__ = ("t_old", "t", "h", "y_old", "Q")
 
     def __init__(self, t_old: float, t: float, y_old, Q):
-        super().__init__(t_old, t)
-        self.h, self.y_old, self.Q = t - t_old, y_old, Q
+        self.t_old, self.t, self.h, self.y_old, self.Q = t_old, t, t - t_old, y_old, Q
 
-    def at(self, t):
-        """(u, v, w) at time t: floats, or arrays for an array t."""
+    def at(self, t: float, lanes: int = 3) -> tuple[float, ...]:
+        """The first `lanes` lanes of (u, v, w) at time t; the lanes are
+        independent, so (u, v) alone costs two thirds."""
         x = (t - self.t_old) / self.h
         return tuple(
             y + self.h * x * (q1 + x * (q2 + x * (q3 + x * q4)))
-            for y, (q1, q2, q3, q4) in zip(self.y_old, self.Q)
+            for y, (q1, q2, q3, q4) in zip(self.y_old[:lanes], self.Q[:lanes])
         )
-
-    def _call_impl(self, t):
-        return np.array(self.at(t)[:2])
 
 
 class RK45:
@@ -325,6 +345,71 @@ def _steps(rhs, z0, t_bound: float, tol: float):
         yield solver
 
 
+def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * sys.float_info.epsilon,
+           maxiter: int = 100) -> float:
+    """A root of f in the bracket [a, b] by Brent's method (Brent 1973,
+    Algorithms for Minimization without Derivatives, ch. 4).
+
+    scipy.optimize.brentq, step for step on Python floats: the same
+    secant and inverse quadratic steps, bisection safeguards and stop at
+    half a bracket below (xtol + rtol |x|) / 2, so it returns the same
+    float.  A root at either end is returned as is.  Ends of one sign or
+    a nan value of f raise ValueError; no convergence within maxiter
+    iterations raises DynamicsError.
+    """
+    xtol, rtol = float(xtol), float(rtol)
+    if not xtol > 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if not rtol >= 4 * sys.float_info.epsilon:
+        raise ValueError(f"rtol too small ({rtol:g} < {4 * sys.float_info.epsilon:g})")
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"the function value at x={x!r} is nan")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    # xcur is the best estimate, xblk the other end of the bracket, xpre
+    # the previous estimate; scur and spre are the last two steps
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise DynamicsError(f"Brent's method did not converge in {maxiter} iterations (last x={xcur!r})")
+
+
 def integrate(
     field: VectorField2 | PullbackResult,
     start,
@@ -334,20 +419,21 @@ def integrate(
 ) -> Trajectory:
     """Flow `start` forward for time t_span with local error control tol.
 
-    Raises IntegrationError (carrying the last valid state) on finite-time
-    blowup, and ValueError for a nonpositive tol or t_span.
+    The divergence is not evaluated unless `rhs` does: nothing reads w
+    from a Trajectory.  Raises IntegrationError (carrying the last valid
+    state) on finite-time blowup, and ValueError for a nonpositive tol or
+    t_span.
     """
     if not t_span > 0:
         raise ValueError(f"t_span must be positive, got {t_span}")
-    rhs = rhs or field_rhs(field)
+    rhs = rhs or _state_rhs(field)
     z0 = (float(start[0]), float(start[1]))
     ts, ys, pieces = [0.0], [z0], []
     for solver in _steps(rhs, z0, float(t_span), tol):
         ts.append(solver.t)
         ys.append(solver.y)
         pieces.append(solver.dense_output())
-    ts = np.array(ts)
-    return Trajectory(ts=ts, ys=np.vstack(ys).T, sol=OdeSolution(ts, pieces))
+    return Trajectory(ts=ts, ys=ys, pieces=pieces)
 
 
 @dataclass(frozen=True)
@@ -405,6 +491,7 @@ def poincare_return(
     crossing time is refined on that step's dense interpolant.  The
     integration stops at the crossing, so unstable cycles are not flowed
     past their return.  Returns (new parameter, flight time, slope).
+    A crossing whose refinement does not converge raises DynamicsError.
 
     The slope is the derivative of the return map at s.  The flow scales
     areas by exp(w), w the integral of div f along the orbit (Liouville),
@@ -434,7 +521,7 @@ def poincare_return(
             t_star = (
                 solver.t
                 if g_new == 0.0
-                else brentq(lambda t: gval(dense.at(t)), t_prev, solver.t, xtol=1e-14, rtol=8.9e-16)
+                else brentq(lambda t: gval(dense.at(t, 2)), t_prev, solver.t, xtol=1e-14, rtol=8.9e-16)
             )
             # rounding can put the start point a hair on the wrong side
             if t_star >= 1e-9:

@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cyclerep
 from cyclerep.cli import main
 from cyclerep.polynomials import chebyshev, field_to_json, unipoly_to_json
 from cyclerep.dynamics import radial_cubic_field
@@ -207,3 +211,23 @@ class TestExampleCommand:
         monkeypatch.setattr(cli_mod, "lift_cycles", boom)
         assert main(["example", "--m", "2", "--out-dir", str(tmp_path / "x")]) == 4
         assert "(1,1)" in capsys.readouterr().err
+
+
+class TestRuntimeImports:
+    def test_cli_runs_without_numpy_or_scipy(self):
+        # a fresh interpreter: this one has numpy and scipy loaded by the tests
+        probe = (
+            "import sys\n"
+            "import cyclerep.cli\n"
+            "code = cyclerep.cli.main(['bounds', 'table1'])\n"
+            "loaded = sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})\n"
+            "print('loaded:', loaded, file=sys.stderr)\n"
+            "sys.exit(code or bool(loaded))\n"
+        )
+        src = str(Path(cyclerep.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert run.stderr.strip() == "loaded: []"
+        assert run.returncode == 0
+        assert run.stdout == (GOLDEN / "table1.csv").read_text()

@@ -1,12 +1,18 @@
+import functools
 import math
 import random
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import RK45 as ScipyRK45
+from scipy.integrate import DenseOutput, OdeSolution
+from scipy.optimize import brentq as scipy_brentq
 
 from cyclerep import dynamics
 from cyclerep.branches import branch_inverse, cheb_branches
@@ -16,11 +22,15 @@ from cyclerep.dynamics import (
     CycleSearchError,
     DegenerateCrossingError,
     DynamicsConfig,
+    DynamicsError,
     IntegrationError,
+    LiftError,
     LimitCycleRecord,
     NoReturnError,
     RK45,
     Section,
+    Trajectory,
+    brentq,
     compile_component,
     field_rhs,
     find_cycle,
@@ -327,13 +337,161 @@ class TestStepperAgainstScipy:
             theirs.step()
             mid = 0.5 * (theirs.t_old + theirs.t)
             want = theirs.dense_output()(mid)
-            for got in (ours.dense_output().at(mid), ours.dense_output()(mid)):
-                for k in range(2):
-                    assert abs(got[k] - want[k]) <= 1e-13 * abs(want[k]) + 1e-16
+            got = ours.dense_output().at(mid)
+            for k in range(2):
+                assert abs(got[k] - want[k]) <= 1e-13 * abs(want[k]) + 1e-16
 
     def test_scipy_stepper_is_not_used(self):
         assert RK45.__module__ == "cyclerep.dynamics"
         assert not issubclass(RK45, ScipyRK45)
+
+
+class TestBrentq:
+    """`brentq` against scipy.optimize.brentq, the oracle here only: the
+    same control flow on the same floats gives the same root, bit for bit."""
+
+    @pytest.fixture
+    def crossings(self, monkeypatch):
+        """(ours, scipy's, a, b) for every crossing refinement made; scipy
+        is called at once, while the crossing function's step is current."""
+        calls = []
+
+        def recording(f, a, b, **kwargs):
+            ours = brentq(f, a, b, **kwargs)
+            calls.append((ours, scipy_brentq(f, a, b, **kwargs), a, b))
+            return ours
+
+        monkeypatch.setattr(dynamics, "brentq", recording)
+        return calls
+
+    @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
+    def test_crossing_times_match_scipy_bit_for_bit(self, radial_half, case, crossings):
+        rhs, z0 = stepper_case(radial_half, case)
+        sec = dynamics._section_through(z0, rhs(0.0, z0)[:2], 0.02)
+        for s in (0.005, 0.015, 0.02, 0.025, 0.035):
+            poincare_return(None, sec, s, rhs=rhs)
+        # one more per start that rounding puts a hair behind the section
+        assert len(crossings) >= 5
+        for ours, theirs, a, b in crossings:
+            assert ours.hex() == theirs.hex()
+            assert a <= ours <= b
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+        st.floats(-5.0, 5.0),
+        st.floats(0.1, 10.0),
+        st.floats(0.01, 100.0),
+        st.sampled_from([(2e-12, 4 * np.finfo(float).eps), (1e-14, 8.9e-16), (1e-6, 1e-9)]),
+    )
+    def test_bracketed_cubics_match_scipy_bit_for_bit(self, roots, a, width, scale, tols):
+        r1, r2, r3 = roots
+        b = a + width
+
+        def f(x):
+            return scale * (x - r1) * (x - r2) * (x - r3)
+
+        assume(f(a) * f(b) < 0.0)
+        xtol, rtol = tols
+        want, status = scipy_brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True, disp=False)
+        if not status.converged:  # e.g. a triple root, flat to 1e-30 near it
+            with pytest.raises(DynamicsError, match=re.escape(f"last x={want!r})")):
+                brentq(f, a, b, xtol=xtol, rtol=rtol)
+            return
+        assert brentq(f, a, b, xtol=xtol, rtol=rtol).hex() == want.hex()
+
+    def test_root_at_an_end_is_returned_as_is(self):
+        assert brentq(lambda x: x * x, 0.0, 1.0) == 0.0  # even with no sign change
+        assert brentq(lambda x: x - 0.75, -1.0, 0.75) == 0.75
+        assert scipy_brentq(lambda x: x - 0.75, -1.0, 0.75) == 0.75
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_nan_value_raises(self):
+        with pytest.raises(ValueError, match="nan"):
+            brentq(lambda x: math.nan, 0.0, 1.0)
+        # a nan met inside the bracket, as scipy's does
+        inside = lambda x: x - 0.3 if x in (0.0, 1.0) else math.nan  # noqa: E731
+        with pytest.raises(ValueError, match="nan"):
+            brentq(inside, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            scipy_brentq(inside, 0.0, 1.0)
+
+    def test_bad_tolerances_raise(self):
+        with pytest.raises(ValueError):
+            brentq(lambda x: x, -1.0, 1.0, xtol=0.0)
+        with pytest.raises(ValueError):
+            brentq(lambda x: x, -1.0, 1.0, rtol=1e-16)
+
+    def test_no_convergence_raises_dynamics_error(self):
+        def f(x):
+            return x**3 - 2.0
+
+        with pytest.raises(RuntimeError):
+            scipy_brentq(f, 0.0, 2.0, maxiter=3)
+        with pytest.raises(DynamicsError, match="did not converge in 3 iterations"):
+            brentq(f, 0.0, 2.0, maxiter=3)
+        assert brentq(f, 0.0, 2.0) == scipy_brentq(f, 0.0, 2.0)
+
+    def test_lift_records_a_refinement_that_does_not_converge(self, monkeypatch, radial_half, base_cycle):
+        monkeypatch.setattr(dynamics, "brentq", functools.partial(brentq, maxiter=1))
+        pb = build_pullback(radial_half, chebyshev(2))
+        with pytest.raises(LiftError) as exc:
+            lift_cycles(pb, base_cycle, 2)
+        assert [(i, j) for i, j, _ in exc.value.failures] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert all("did not converge" in why for _, _, why in exc.value.failures)
+
+
+class _ScipyPiece(DenseOutput):
+    """One `Trajectory` piece as the DenseOutput scipy's OdeSolution takes."""
+
+    def __init__(self, piece):
+        super().__init__(piece.t_old, piece.t)
+        self.piece = piece
+
+    def _call_impl(self, t):
+        return np.array(self.piece.at(t, 2))
+
+
+def ode_solution_samples(traj: Trajectory, n: int):
+    """`traj.sample(n)` the way it was computed with numpy and scipy."""
+    sol = OdeSolution(np.array(traj.ts), [_ScipyPiece(p) for p in traj.pieces])
+    return [(float(u), float(v)) for u, v in sol(np.linspace(traj.ts[0], traj.ts[-1], n + 1)).T]
+
+
+class TestTrajectorySample:
+    """`Trajectory.sample` against numpy.linspace and scipy's OdeSolution,
+    the oracles here only: the same times on the same pieces, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 7, 300, 1200])
+    def test_recorded_integration(self, pullback_m3, lifted_m3, n):
+        r = lifted_m3[4]
+        traj = integrate(pullback_m3, r.anchor, r.period, 1e-8)
+        assert len(traj.pieces) > 50
+        got = traj.sample(n)
+        assert len(got) == n + 1
+        assert [(u.hex(), v.hex()) for u, v in got] == [
+            (u.hex(), v.hex()) for u, v in ode_solution_samples(traj, n)
+        ]
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 5])
+    def test_sample_times_on_step_boundaries(self, radial_half, n):
+        # the pieces of a recorded run, moved onto steps of 1/8: neighbours
+        # meet only to rounding, so the piece chosen at a boundary shows
+        rec = integrate(radial_half, (0.9, 0.0), 3.0)
+        pieces = [
+            dynamics._DenseStep(k / 8, (k + 1) / 8, p.y_old, p.Q) for k, p in enumerate(rec.pieces[:8])
+        ]
+        ts = [k / 8 for k in range(9)]
+        ys = [p.at(p.t_old, 2) for p in pieces] + [pieces[-1].at(1.0, 2)]
+        traj = Trajectory(ts=ts, ys=ys, pieces=pieces)
+        assert sum(pieces[k - 1].at(t, 2) != pieces[k].at(t, 2) for k, t in enumerate(ts[1:-1], 1)) >= 4
+        got = traj.sample(n)
+        assert [(u.hex(), v.hex()) for u, v in got] == [
+            (u.hex(), v.hex()) for u, v in ode_solution_samples(traj, n)
+        ]
 
 
 class TestStepperOverflow:
