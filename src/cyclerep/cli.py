@@ -32,7 +32,6 @@ from .dynamics import (
     LiftError,
     DynamicsError,
     Section,
-    _state_rhs,
     find_cycle,
     integrate,
     lift_cycles,
@@ -179,10 +178,7 @@ def cmd_example(args) -> int:
         phase_portrait_svg(cycle_curve, spirals), encoding="utf-8"
     )
 
-    lift_rhs = _state_rhs(pb)  # one evaluator for all m^2 curves
-    lifted_curves = [
-        integrate(pb, r.anchor, r.period, plot_tol, rhs=lift_rhs).sample(300) for r in records
-    ]
+    lifted_curves = [integrate(pb, r.anchor, r.period, plot_tol).sample(300) for r in records]
     (out_dir / "branch_rectangles.svg").write_text(
         branch_grid_svg(cheb_nodes(m), lifted_curves, [r.anchor for r in records]),
         encoding="utf-8",

@@ -109,17 +109,21 @@ def field_rhs(field: VectorField2 | PullbackResult):
 
 
 def _state_rhs(field: VectorField2 | PullbackResult):
-    """`field_rhs` with the divergence lane fixed at 0.0, for integrations
-    that never read w (`integrate`): the same (u', v'), at the cost of the
-    state alone.  w never steers the steps, so they are the same steps."""
+    """`field_rhs` with the divergence taken as 0, for integrations that
+    never read w (`integrate`): the same (u', v'), at the cost of the state
+    alone.  w never steers the steps, so they are the same steps."""
     return _make_rhs(field, divergence=False)
+
+
+def _no_divergence(x: float, y: float) -> float:
+    return 0.0
 
 
 def _make_rhs(field: VectorField2 | PullbackResult, divergence: bool):
     X = field.source if isinstance(field, PullbackResult) else field
     fp = compile_component(X.p_comp)
     fq = compile_component(X.q_comp)
-    fdiv = compile_component(X.p_comp.partial_u() + X.q_comp.partial_v()) if divergence else None
+    fdiv = compile_component(X.p_comp.partial_u() + X.q_comp.partial_v()) if divergence else _no_divergence
     if isinstance(field, PullbackResult):
         p = field.cover_poly.evaluate_float
         dp = field.cover_poly.derivative().evaluate_float
@@ -128,14 +132,14 @@ def _make_rhs(field: VectorField2 | PullbackResult, divergence: bool):
             u, v = float(z[0]), float(z[1])
             x, y = p(u), p(v)
             du, dv = dp(u), dp(v)
-            return (dv * fp(x, y), du * fq(x, y), du * dv * fdiv(x, y) if divergence else 0.0)
+            return (dv * fp(x, y), du * fq(x, y), du * dv * fdiv(x, y))
 
         return rhs
 
     def rhs(t, z):
         # Python floats: Horner on numpy scalars costs about 4x as much
         u, v = float(z[0]), float(z[1])
-        return (fp(u, v), fq(u, v), fdiv(u, v) if divergence else 0.0)
+        return (fp(u, v), fq(u, v), fdiv(u, v))
 
     return rhs
 
@@ -345,8 +349,7 @@ def _steps(rhs, z0, t_bound: float, tol: float):
         yield solver
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * sys.float_info.epsilon,
-           maxiter: int = 100) -> float:
+def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * sys.float_info.epsilon) -> float:
     """A root of f in the bracket [a, b] by Brent's method (Brent 1973,
     Algorithms for Minimization without Derivatives, ch. 4).
 
@@ -354,9 +357,10 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * sys.flo
     secant and inverse quadratic steps, bisection safeguards and stop at
     half a bracket below (xtol + rtol |x|) / 2, so it returns the same
     float.  A root at either end is returned as is.  Ends of one sign or
-    a nan value of f raise ValueError; no convergence within maxiter
-    iterations raises DynamicsError.
+    a nan value of f raise ValueError; no convergence within 100
+    iterations, scipy's default, raises DynamicsError.
     """
+    maxiter = 100
     xtol, rtol = float(xtol), float(rtol)
     if not xtol > 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")

@@ -1,4 +1,3 @@
-import functools
 import math
 import random
 import re
@@ -426,17 +425,21 @@ class TestBrentq:
             brentq(lambda x: x, -1.0, 1.0, rtol=1e-16)
 
     def test_no_convergence_raises_dynamics_error(self):
-        def f(x):
-            return x**3 - 2.0
+        def f(x):  # a triple root: |f| < 1e-30 within 1e-10 of it
+            return (x - 0.7) * (x - 0.7) * (x - 0.7)
 
         with pytest.raises(RuntimeError):
-            scipy_brentq(f, 0.0, 2.0, maxiter=3)
-        with pytest.raises(DynamicsError, match="did not converge in 3 iterations"):
-            brentq(f, 0.0, 2.0, maxiter=3)
-        assert brentq(f, 0.0, 2.0) == scipy_brentq(f, 0.0, 2.0)
+            scipy_brentq(f, 0.0, 4.0)
+        last, status = scipy_brentq(f, 0.0, 4.0, full_output=True, disp=False)
+        assert status.iterations == 100
+        with pytest.raises(DynamicsError, match=re.escape(f"did not converge in 100 iterations (last x={last!r})")):
+            brentq(f, 0.0, 4.0)
 
     def test_lift_records_a_refinement_that_does_not_converge(self, monkeypatch, radial_half, base_cycle):
-        monkeypatch.setattr(dynamics, "brentq", functools.partial(brentq, maxiter=1))
+        def stalled(f, a, b, xtol, rtol):
+            raise DynamicsError("Brent's method did not converge in 100 iterations")
+
+        monkeypatch.setattr(dynamics, "brentq", stalled)
         pb = build_pullback(radial_half, chebyshev(2))
         with pytest.raises(LiftError) as exc:
             lift_cycles(pb, base_cycle, 2)
