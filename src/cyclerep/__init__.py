@@ -13,7 +13,6 @@ from .polynomials import (
     chebyshev,
     compose_pair,
     compose_separable,
-    total_degree,
 )
 from .branches import (
     BranchInterval,

@@ -47,14 +47,13 @@ class SeedTable:
     entries: tuple[tuple[int, SeedBound], ...]
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.entries))
-        for n, sb in ordered:
+        ordered = tuple(sorted(self.entries, key=lambda entry: entry[0]))
+        for k, (n, sb) in enumerate(ordered):
+            if k and ordered[k - 1][0] == n:
+                raise ValueError(f"seed degree {n} appears more than once")
             if sb.value <= 0:
                 raise ValueError(f"seed bound at degree {n} must be positive")
         object.__setattr__(self, "entries", ordered)
-
-    def degrees(self) -> list[int]:
-        return [n for n, _ in self.entries]
 
     def get(self, n: int) -> Optional[SeedBound]:
         for deg, sb in self.entries:

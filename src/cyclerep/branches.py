@@ -26,7 +26,7 @@ from .polynomials import UniPoly, chebyshev
 INCREASING = 1
 DECREASING = -1
 
-DEFAULT_TOL = 1e-12
+_TOL = 1e-12  # the classifier's one tolerance: refinement, tangency and coverage
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def _cauchy_bound(p: UniPoly) -> float:
     return 1.0 + float(ratio)
 
 
-def _roots_by_bisection(p: UniPoly, tol: float, npts: int) -> list[float]:
+def _roots_by_bisection(p: UniPoly, npts: int) -> list[float]:
     """Real roots of p found as sign changes on a uniform grid over the
     Cauchy bound, refined by bisection.  Roots where p does not change
     sign (even multiplicity) are invisible to this scan by design; they
@@ -166,10 +166,10 @@ def _roots_by_bisection(p: UniPoly, tol: float, npts: int) -> list[float]:
     for i in range(npts):
         a, b = vals[i], vals[i + 1]
         if a != 0.0 and b != 0.0 and (a < 0) != (b < 0):
-            roots.append(_solve_monotone(p, 0.0, xs[i], xs[i + 1], tol))
+            roots.append(_solve_monotone(p, 0.0, xs[i], xs[i + 1]))
     merged: list[float] = []
     for r in sorted(roots):
-        if not merged or r - merged[-1] > tol * 10:
+        if not merged or r - merged[-1] > _TOL * 10:
             merged.append(r)
     return merged
 
@@ -180,7 +180,7 @@ def _range_bound(p: UniPoly) -> float:
     return max(_cauchy_bound(p - one), _cauchy_bound(p + one)) + 1.0
 
 
-def _solve_monotone(p: UniPoly, target: float, lo: float, hi: float, tol: float) -> float:
+def _solve_monotone(p: UniPoly, target: float, lo: float, hi: float) -> float:
     """Solve p(x) = target on [lo, hi] by bisection, where p - target
     changes sign across the bracket or p is monotone on it."""
     flo = p.evaluate_float(lo) - target
@@ -190,10 +190,10 @@ def _solve_monotone(p: UniPoly, target: float, lo: float, hi: float, tol: float)
     if fhi == 0.0:
         return hi
     if (flo < 0) == (fhi < 0):
-        # No sign change: the piece stops within tol of the target level
+        # No sign change: the piece stops within _TOL of the target level
         # (flagged degenerate upstream); clip the branch at the nearer end.
         return lo if abs(flo) <= abs(fhi) else hi
-    while hi - lo > tol:
+    while hi - lo > _TOL:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -207,36 +207,36 @@ def _solve_monotone(p: UniPoly, target: float, lo: float, hi: float, tol: float)
     return 0.5 * (lo + hi)
 
 
-def full_branch_intervals(p: UniPoly, tol: float = DEFAULT_TOL) -> BranchSet:
+def full_branch_intervals(p: UniPoly) -> BranchSet:
     """All full branches of p, isolated numerically.
 
     Critical points of p are found by sign-change bisection of p' on a
     uniform grid of 64*deg(p) points over the Cauchy root bound; each
     monotone piece between consecutive critical points contributes a
     branch iff its value range covers (-1, 1).  Branch endpoints solve
-    p = -1 and p = +1 inside the piece, refined to tol.
+    p = -1 and p = +1 inside the piece, refined to 1e-12.
 
     Degenerate situations are flagged (not decided silently): critical
     points where p' has even multiplicity (no sign change), and critical
-    values or endpoint limits within tol of +-1.
+    values or endpoint limits within 1e-12 of +-1.
     """
     deg = p.degree()
     if not p.coeffs or deg < 1:
         raise ValueError("need a nonconstant polynomial")
     dp = p.derivative()
     npts = 64 * int(deg)
-    crit = _roots_by_bisection(dp, tol, npts)
+    crit = _roots_by_bisection(dp, npts)
 
     notes: list[str] = []
     degenerate = False
 
     # Even-multiplicity critical points never produce a sign change of p';
     # look for them among the roots of p'' where p' nearly vanishes.
-    flat_tol = math.sqrt(tol) * max(1.0, max(abs(float(c)) for c in dp.coeffs))
+    flat_tol = math.sqrt(_TOL) * max(1.0, max(abs(float(c)) for c in dp.coeffs))
     spacing = 2.0 * _cauchy_bound(dp) / npts
-    for s in _roots_by_bisection(dp.derivative(), tol, npts):
+    for s in _roots_by_bisection(dp.derivative(), npts):
         if abs(dp.evaluate_float(s)) <= flat_tol:
-            if all(abs(s - r) > max(spacing, 10 * tol) for r in crit):
+            if all(abs(s - r) > max(spacing, 10 * _TOL) for r in crit):
                 degenerate = True
                 notes.append(f"critical point without sign change near x={s:.6g}")
 
@@ -248,12 +248,12 @@ def full_branch_intervals(p: UniPoly, tol: float = DEFAULT_TOL) -> BranchSet:
         va, vb = p.evaluate_float(a), p.evaluate_float(b)
         lo_val, hi_val = min(va, vb), max(va, vb)
         for val in (lo_val, hi_val):
-            if abs(abs(val) - 1.0) <= tol:
+            if abs(abs(val) - 1.0) <= _TOL:
                 degenerate = True
                 notes.append(
                     f"monotone piece ({a:.6g}, {b:.6g}) has limit within tol of +-1"
                 )
-        if hi_val > 1.0 - tol and lo_val < -1.0 + tol:
+        if hi_val > 1.0 - _TOL and lo_val < -1.0 + _TOL:
             direction = INCREASING if vb > va else DECREASING
 
             def solve(target: float) -> float:
@@ -261,11 +261,11 @@ def full_branch_intervals(p: UniPoly, tol: float = DEFAULT_TOL) -> BranchSet:
                 # the target is a tangency: the branch boundary is the
                 # critical point itself (bisection cannot do better than
                 # sqrt(eps) through a quadratic tangency).
-                if abs(va - target) <= tol:
+                if abs(va - target) <= _TOL:
                     return a
-                if abs(vb - target) <= tol:
+                if abs(vb - target) <= _TOL:
                     return b
-                return _solve_monotone(p, target, a, b, tol)
+                return _solve_monotone(p, target, a, b)
 
             left, right = (solve(-1.0), solve(1.0)) if direction == INCREASING else (
                 solve(1.0),
@@ -283,9 +283,9 @@ def full_branch_intervals(p: UniPoly, tol: float = DEFAULT_TOL) -> BranchSet:
     return BranchSet(poly=p, intervals=intervals, degenerate=degenerate, notes=tuple(notes))
 
 
-def branch_count(p: UniPoly, tol: float = DEFAULT_TOL) -> int:
+def branch_count(p: UniPoly) -> int:
     """Number of full branches of p; always <= deg(p)."""
-    return full_branch_intervals(p, tol).count
+    return full_branch_intervals(p).count
 
 
 def branch_set_to_json(bs: BranchSet) -> dict:

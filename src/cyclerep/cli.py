@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -45,6 +46,7 @@ from .polynomials import (
     chebyshev,
     field_from_json,
     fmt9,
+    fraction_from_str,
     unipoly_from_json,
 )
 from .pullback import build_pullback, check_exact_degree, pullback_result_to_json, verify_conjugacy
@@ -102,8 +104,8 @@ def _load_unipoly(path: str) -> UniPoly:
 
 def _parse_rho(text: str) -> Fraction:
     try:
-        rho = Fraction(text)
-    except (ValueError, ZeroDivisionError) as err:
+        rho = fraction_from_str(text)
+    except ValueError as err:
         raise ParseFailure(f"bad rho {text!r}: {err}") from err
     if not 0 < rho < 1:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
@@ -201,7 +203,11 @@ def cmd_example(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    seeds = bounds_mod.default_seed_table()
+    try:
+        seeds = bounds_mod.default_seed_table()
+    except (OSError, KeyError, TypeError, ValueError) as err:
+        path = os.environ[bounds_mod.SEED_TABLE_ENV]
+        raise ParseFailure(f"bad seed table file {path}: {err}") from err
     if args.bounds_cmd == "table1":
         text = bounds_mod.table1_csv(bounds_mod.table_pub_vs_cheb(seeds))
     elif args.bounds_cmd == "table2":
@@ -241,7 +247,7 @@ def cmd_branches(args) -> int:
         bset = cheb_branches(args.cheb)
     else:
         poly = _load_unipoly(args.poly)
-        bset = full_branch_intervals(poly, args.tol)
+        bset = full_branch_intervals(poly)
     if bset.degenerate:
         print("warning: degenerate critical structure; classification may be unreliable",
               file=sys.stderr)
@@ -302,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_br = sub.add_parser("branches", help="full-branch structure of a polynomial")
     p_br.add_argument("poly", nargs="?", help="univariate polynomial JSON file")
     p_br.add_argument("--cheb", type=int, help="use the Chebyshev polynomial of this degree")
-    p_br.add_argument("--tol", type=float, default=1e-12)
     p_br.add_argument("--svg", help="write a graph SVG with branch intervals shaded")
 
     return ap

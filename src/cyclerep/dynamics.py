@@ -444,15 +444,13 @@ def integrate(
 class Section:
     """Transverse segment base + s*direction, s in (0, s_max).
 
-    `orientation` fixes which way trajectories must cross (sign of the
-    normal component of the field); 0 means infer it from the field at
-    the first query point.
+    A section has no orientation of its own: `poincare_return` waits for
+    the crossing in the direction the field takes at the start point.
     """
 
     base: tuple[float, float]
     direction: tuple[float, float]
     s_max: float
-    orientation: int = 0
 
     def __post_init__(self) -> None:
         dx, dy = self.direction
@@ -475,24 +473,20 @@ class Section:
     def param_of(self, pt) -> float:
         return (pt[0] - self.base[0]) * self.direction[0] + (pt[1] - self.base[1]) * self.direction[1]
 
-    def offset_of(self, pt) -> float:
-        n = self.normal
-        return (pt[0] - self.base[0]) * n[0] + (pt[1] - self.base[1]) * n[1]
-
 
 def poincare_return(
     field: VectorField2 | PullbackResult,
     section: Section,
     s: float,
-    tol: float = DEFAULT_CONFIG.tol,
     cfg: DynamicsConfig = DEFAULT_CONFIG,
     rhs=None,
 ) -> tuple[float, float, float]:
     """First same-orientation return of the flow to the section.
 
-    Steps the integrator and watches the signed section offset; when an
-    accepted step brackets a crossing in the wanted direction, the
-    crossing time is refined on that step's dense interpolant.  The
+    Integrates at cfg.tol, with every other limit from cfg, and watches
+    the signed section offset, its sign set by the field at the start
+    point; when an accepted step brackets a crossing in that direction,
+    the crossing time is refined on that step's dense interpolant.  The
     integration stops at the crossing, so unstable cycles are not flowed
     past their return.  Returns (new parameter, flight time, slope).
     A crossing whose refinement does not converge raises DynamicsError.
@@ -512,13 +506,13 @@ def poincare_return(
     fn0 = f0[0] * n[0] + f0[1] * n[1]
     if abs(fn0) <= cfg.eps_transverse:
         raise DegenerateCrossingError(f"field tangent to section at start (|f.n|={abs(fn0):.3g})")
-    sgn = section.orientation if section.orientation else (1 if fn0 > 0 else -1)
+    sgn = 1 if fn0 > 0 else -1
 
     def gval(z) -> float:
         return sgn * ((z[0] - section.base[0]) * n[0] + (z[1] - section.base[1]) * n[1])
 
     g_prev, t_prev = gval(z0), 0.0
-    for solver in _steps(rhs, z0, cfg.t_max, tol):
+    for solver in _steps(rhs, z0, cfg.t_max, cfg.tol):
         g_new = gval(solver.y)
         if g_prev < 0.0 <= g_new:
             dense = solver.dense_output()
@@ -604,7 +598,7 @@ def find_cycle(
 
     s_cur = s0
     for _ in range(cfg.max_iters + 1):
-        r_cur, t_cur, mu = poincare_return(field, section, s_cur, cfg.tol, cfg, rhs=rhs)
+        r_cur, t_cur, mu = poincare_return(field, section, s_cur, cfg, rhs=rhs)
         f_cur = r_cur - s_cur
         if abs(f_cur) <= cfg.eps_fix:
             certified = abs(mu - 1.0) > cfg.eps_hyp
@@ -654,11 +648,6 @@ def _section_through(point, field_dir, half_length: float) -> Section:
     return Section(base=base, direction=d, s_max=2.0 * half_length)
 
 
-def branch_sign(k: int) -> int:
-    """Sign of T_m' on branch k under the right-to-left indexing."""
-    return 1 if k % 2 == 1 else -1
-
-
 def lift_cycles(
     pb: PullbackResult,
     base: LimitCycleRecord,
@@ -672,9 +661,9 @@ def lift_cycles(
     searched independently with a local section, and required to come
     back certified hyperbolic, strictly inside its rectangle with the
     configured margin.  orientation_reversed records the sign of the
-    time-change factor on the rectangle, computed exactly from the
-    branch parity (negative lambda flips the return map to its inverse,
-    hence the multiplier to its reciprocal).
+    time-change factor on the rectangle, the product of the directions
+    of its two branches (negative lambda flips the return map to its
+    inverse, hence the multiplier to its reciprocal).
     """
     if m != pb.cover_degree:
         raise ValueError(f"m={m} does not match the pullback cover degree {pb.cover_degree}")
@@ -707,7 +696,7 @@ def lift_cycles(
                     )
                 if not rect.contains(rec.anchor, cfg.margin):
                     raise CycleSearchError("lifted anchor left its branch rectangle")
-                lam_sign = branch_sign(i) * branch_sign(j)
+                lam_sign = rect.u_interval.direction * rect.v_interval.direction
                 records[(i, j)] = replace(
                     rec, rect=rect, orientation_reversed=(lam_sign < 0)
                 )

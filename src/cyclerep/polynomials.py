@@ -124,18 +124,6 @@ class UniPoly:
     def __rmul__(self, other: Scalar) -> "UniPoly":
         return self * other
 
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def derivative(self) -> "UniPoly":
         return UniPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
@@ -217,14 +205,6 @@ class BiPoly:
         return cls({(0, 0): c})
 
     @classmethod
-    def u(cls) -> "BiPoly":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def v(cls) -> "BiPoly":
-        return cls({(0, 1): 1})
-
-    @classmethod
     def from_uni(cls, p: UniPoly, var: int) -> "BiPoly":
         """Embed a univariate polynomial as p(u) (var=0) or p(v) (var=1)."""
         if var not in (0, 1):
@@ -268,18 +248,6 @@ class BiPoly:
     def __rmul__(self, other: Scalar) -> "BiPoly":
         return self * other
 
-    def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = BiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def partial_u(self) -> "BiPoly":
         return BiPoly({(du - 1, dv): du * c for (du, dv), c in self.terms if du >= 1})
 
@@ -314,10 +282,6 @@ class BiPoly:
         if self.is_zero:
             return "0"
         return " + ".join(f"{c}*u^{du}*v^{dv}" for (du, dv), c in self.terms)
-
-
-def total_degree(f: BiPoly) -> Union[int, float]:
-    return f.total_degree()
 
 
 def compose_separable(P: BiPoly, p: UniPoly) -> BiPoly:
@@ -381,7 +345,12 @@ def fraction_to_str(c: Fraction) -> str:
 
 
 def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
+    """The rational written in s; ValueError if it is malformed or has a
+    zero denominator."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError as err:
+        raise ValueError(f"zero denominator in {s!r}") from err
 
 
 def unipoly_to_json(p: UniPoly) -> dict:

@@ -15,6 +15,8 @@ from cyclerep.bounds import (
     MissingSeedError,
     NoWitnessError,
     Schedule,
+    SeedBound,
+    SeedTable,
     admissible_factorizations,
     best_cheb_bound,
     builtin_seed_table,
@@ -52,6 +54,12 @@ class TestSeedTable:
     def test_missing_degree(self):
         with pytest.raises(MissingSeedError):
             SEEDS.lookup(3)
+
+    def test_repeated_degree_rejected(self):
+        # a degree has one seed bound, whether or not the repeat agrees
+        for second in (SeedBound(14, "b"), SeedBound(13, "a")):
+            with pytest.raises(ValueError, match="degree 3"):
+                SeedTable(((3, SeedBound(13, "a")), (3, second)))
 
     def test_json_override(self, tmp_path, monkeypatch):
         path = tmp_path / "seeds.json"

@@ -169,7 +169,7 @@ class TestFullBranches:
     def test_chebyshev_matches_closed_form(self):
         tol = 1e-12
         for m in range(2, 9):
-            numeric = full_branch_intervals(chebyshev(m), tol)
+            numeric = full_branch_intervals(chebyshev(m))
             closed = cheb_branches(m)
             assert numeric.count == m
             for a, b in zip(numeric.intervals, closed.intervals):

@@ -46,6 +46,12 @@ class TestPullbackCommand:
         field_file = write_field_file(tmp_path, radial_half)
         assert main(["pullback", field_file, "--m", "1"]) == 3
 
+    def test_zero_denominator_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps({"p": [{"du": 0, "dv": 1, "c": "1/0"}], "q": []}))
+        assert main(["pullback", str(bad), "--m", "2"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad vector field file {bad}: ")
+
 
 class TestBoundsCommand:
     def test_table1_matches_golden(self, tmp_path):
@@ -88,6 +94,24 @@ class TestBoundsCommand:
         assert main(["bounds", "query", "11"]) == 0
         out = capsys.readouterr().out
         assert "160" in out  # 4 * 40 from the override table
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            None,  # no file at the path
+            [{"n": 5, "source": "custom"}],
+            [{"n": 5, "value": 40, "source": "a"}, {"n": 5, "value": 41, "source": "b"}],
+        ],
+        ids=["missing_file", "missing_value", "repeated_degree"],
+    )
+    def test_bad_seed_table_file_exits_2(self, tmp_path, capsys, monkeypatch, entries):
+        path = tmp_path / "seeds.json"
+        if entries is not None:
+            path.write_text(json.dumps(entries))
+        monkeypatch.setenv("CYCLEREP_SEED_TABLE", str(path))
+        for argv in (["table1"], ["table2"], ["query", "11"]):
+            assert main(["bounds", *argv]) == 2
+            assert capsys.readouterr().err.startswith(f"error: bad seed table file {path}: ")
 
     def test_json_format(self, capsys):
         # quoted cells such as "seed (n,m)" and "(5,2)" stay whole strings
@@ -139,6 +163,12 @@ class TestBranchesCommand:
         captured = capsys.readouterr()
         assert "warning" in captured.err
         assert json.loads(captured.out)["degenerate"] is True
+
+    def test_zero_denominator_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps({"coeffs": ["0", "1/0", "1"]}))
+        assert main(["branches", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad polynomial file {bad}: ")
 
     def test_svg_output(self, tmp_path, capsys):
         svg = tmp_path / "graph.svg"

@@ -569,6 +569,13 @@ class TestStepperHook:
         assert all(a < b for a, b in zip(seen, seen[1:]))
         assert seen[-2] < flight <= seen[-1]
 
+    def test_poincare_return_integrates_at_cfg_tol(self, radial_half, x_axis_section, seen):
+        poincare_return(radial_half, x_axis_section, 0.8)
+        default_steps = len(seen)
+        seen.clear()
+        poincare_return(radial_half, x_axis_section, 0.8, cfg=DynamicsConfig(tol=1e-6))
+        assert 0 < len(seen) < default_steps
+
 
 class TestPoincareReturn:
     def test_cycle_fixed_point(self, radial_half, x_axis_section):
