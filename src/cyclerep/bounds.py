@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
+from .polynomials import as_integer
+
 HAN_LI = "HanLi"
 PROHENS_TORREGROSA = "ProhensTorregrosa"
 
@@ -128,7 +130,7 @@ def builtin_seed_table() -> SeedTable:
 def seed_table_from_json(items: Iterable[Mapping]) -> SeedTable:
     entries = []
     for it in items:
-        entries.append((int(it["n"]), SeedBound(int(it["value"]), str(it["source"]))))
+        entries.append((as_integer(it["n"]), SeedBound(as_integer(it["value"]), str(it["source"]))))
     return SeedTable(tuple(entries))
 
 

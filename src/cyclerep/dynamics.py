@@ -89,7 +89,7 @@ DEFAULT_CONFIG = DynamicsConfig()
 
 def compile_component(f: BiPoly):
     """Float evaluator of f on floats or numpy arrays: `f.evaluate_float`,
-    nested Horner over float coefficients cached on f, for any degree."""
+    a nested Horner closure built once per f, for any degree."""
     return f.evaluate_float
 
 

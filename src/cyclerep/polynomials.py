@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import index
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -33,6 +34,15 @@ def _as_fraction(c: Scalar) -> Fraction:
     if isinstance(c, (int, str)):
         return Fraction(c)
     raise TypeError(f"expected an exact rational coefficient, got {type(c).__name__}")
+
+
+def as_integer(k) -> int:
+    """k as an int; ValueError unless k is an integer (so 0.5 or "1" is
+    rejected, not truncated or parsed)."""
+    try:
+        return index(k)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {k!r}") from None
 
 
 def _powers(base, one):
@@ -135,12 +145,22 @@ class UniPoly:
         return _horner(reversed(self.coeffs or (Fraction(0),)), _as_fraction(x))
 
     @cached_property
-    def _float_coeffs(self) -> tuple[float, ...]:
-        """Float coefficients, highest power first; (0.0,) for zero."""
-        return tuple(float(c) for c in reversed(self.coeffs)) or (0.0,)
+    def evaluate_float(self):
+        """Float evaluator x -> self(x), x a float or a numpy array: Horner
+        over the float coefficients from the highest power down (0.0 for
+        zero), built once per polynomial.  The closure lives in the
+        instance __dict__, so a polynomial evaluated in floats can no
+        longer be pickled."""
+        lead, *tail = [float(c) for c in reversed(self.coeffs)] or [0.0]
+        tail = tuple(tail)
 
-    def evaluate_float(self, x):  # x: float or numpy array
-        return _horner(self._float_coeffs, x)
+        def evaluate_float(x):
+            acc = lead
+            for c in tail:
+                acc = acc * x + c
+            return acc
+
+        return evaluate_float
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -188,7 +208,7 @@ class BiPoly:
             c = _as_fraction(c)
             if c == 0:
                 continue
-            key = (int(du), int(dv))
+            key = (as_integer(du), as_integer(dv))
             if key[0] < 0 or key[1] < 0:
                 raise ValueError(f"negative exponent {key}")
             acc[key] = acc.get(key, Fraction(0)) + c
@@ -263,20 +283,36 @@ class BiPoly:
         return acc
 
     @cached_property
-    def _float_rows(self) -> tuple[tuple[float, ...], ...]:
-        """Rows of v-coefficients per power of u, highest powers first; a
-        missing v-power is 0.0 and a missing u-power the row (0.0,)."""
-        rows: dict[int, dict[int, float]] = {}
+    def evaluate_float(self):
+        """Float evaluator (u, v) -> self(u, v), u and v floats or numpy
+        arrays: Horner in v inside each row of v-coefficients, then Horner
+        in u over the rows, highest powers first, built once per
+        polynomial.  A missing v-power is a 0.0 coefficient and a missing
+        u-power the row (0.0,), so every Horner step is taken.  The closure
+        lives in the instance __dict__, so a polynomial evaluated in floats
+        can no longer be pickled."""
+        by_du: dict[int, dict[int, float]] = {}
         for (du, dv), c in self.terms:
-            rows.setdefault(du, {})[dv] = float(c)
-        return tuple(
-            tuple(rows[du].get(dv, 0.0) for dv in range(max(rows[du]), -1, -1)) if du in rows else (0.0,)
-            for du in range(max(rows, default=0), -1, -1)
-        )
+            by_du.setdefault(du, {})[dv] = float(c)
+        rows = []  # (lead, tail) per power of u, highest first
+        for du in range(max(by_du, default=0), -1, -1):
+            row = by_du.get(du, {0: 0.0})
+            top = max(row)
+            rows.append((row[top], tuple(row.get(dv, 0.0) for dv in range(top - 1, -1, -1))))
+        (lead0, tail0), rest = rows[0], tuple(rows[1:])
 
-    def evaluate_float(self, u, v):  # u, v: floats or numpy arrays
-        # Horner in v inside each u-row, then Horner in u.
-        return _horner([_horner(row, v) for row in self._float_rows], u)
+        def evaluate_float(u, v):
+            acc = lead0
+            for c in tail0:
+                acc = acc * v + c
+            for lead, tail in rest:
+                r = lead
+                for c in tail:
+                    r = r * v + c
+                acc = acc * u + r
+            return acc
+
+        return evaluate_float
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -344,9 +380,12 @@ def fraction_to_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def fraction_from_str(s: str) -> Fraction:
-    """The rational written in s; ValueError if it is malformed or has a
-    zero denominator."""
+def fraction_from_str(s: Union[str, int]) -> Fraction:
+    """The rational written in s, a "num/den" string or an int; ValueError
+    if s is anything else (a float would be read as its binary value), is
+    malformed or has a zero denominator."""
+    if not isinstance(s, (str, int)):
+        raise ValueError(f"expected a 'num/den' string or an integer, got {s!r}")
     try:
         return Fraction(s)
     except ZeroDivisionError as err:

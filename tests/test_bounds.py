@@ -61,6 +61,14 @@ class TestSeedTable:
             with pytest.raises(ValueError, match="degree 3"):
                 SeedTable(((3, SeedBound(13, "a")), (3, second)))
 
+    @pytest.mark.parametrize("entry", [{"n": 5, "value": 40.9}, {"n": 5.5, "value": 40}, {"n": 5, "value": "40"}])
+    def test_non_integer_count_rejected(self, tmp_path, entry):
+        # 40.9 is not truncated to 40, nor "40" parsed
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps([{**entry, "source": "custom"}]))
+        with pytest.raises(ValueError, match="expected an integer"):
+            load_seed_table(str(path))
+
     def test_json_override(self, tmp_path, monkeypatch):
         path = tmp_path / "seeds.json"
         path.write_text(json.dumps([{"n": 3, "value": 13, "source": "custom"}]))

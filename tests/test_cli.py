@@ -52,6 +52,19 @@ class TestPullbackCommand:
         assert main(["pullback", str(bad), "--m", "2"]) == 2
         assert capsys.readouterr().err.startswith(f"error: bad vector field file {bad}: ")
 
+    def test_fractional_exponent_exits_2(self, tmp_path, capsys):
+        # du = 0.5 is not truncated to the term v
+        bad = tmp_path / "half.json"
+        bad.write_text(json.dumps({"p": [{"du": 0.5, "dv": 1, "c": "1"}], "q": [{"du": 1, "dv": 0, "c": "1"}]}))
+        assert main(["pullback", str(bad), "--m", "2"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad vector field file {bad}: ")
+
+    def test_float_coefficient_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "float.json"
+        bad.write_text(json.dumps({"p": [{"du": 0, "dv": 1, "c": 0.1}], "q": [{"du": 1, "dv": 0, "c": "1"}]}))
+        assert main(["pullback", str(bad), "--m", "2"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad vector field file {bad}: ")
+
 
 class TestBoundsCommand:
     def test_table1_matches_golden(self, tmp_path):
@@ -101,8 +114,9 @@ class TestBoundsCommand:
             None,  # no file at the path
             [{"n": 5, "source": "custom"}],
             [{"n": 5, "value": 40, "source": "a"}, {"n": 5, "value": 41, "source": "b"}],
+            [{"n": 5, "value": 40.9, "source": "custom"}],
         ],
-        ids=["missing_file", "missing_value", "repeated_degree"],
+        ids=["missing_file", "missing_value", "repeated_degree", "fractional_value"],
     )
     def test_bad_seed_table_file_exits_2(self, tmp_path, capsys, monkeypatch, entries):
         path = tmp_path / "seeds.json"
@@ -170,6 +184,13 @@ class TestBranchesCommand:
         assert main(["branches", str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"error: bad polynomial file {bad}: ")
 
+    def test_float_coefficient_exits_2(self, tmp_path, capsys):
+        # 0.1 would be read as its binary value, not as 1/10
+        bad = tmp_path / "float.json"
+        bad.write_text(json.dumps({"coeffs": [0.1, 1]}))
+        assert main(["branches", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad polynomial file {bad}: ")
+
     def test_svg_output(self, tmp_path, capsys):
         svg = tmp_path / "graph.svg"
         assert main(["branches", "--cheb", "4", "--svg", str(svg)]) == 0
@@ -197,6 +218,14 @@ class TestExampleCommand:
         assert len(lines) == 5  # header + 4 cycles
         residuals = (out1 / "residuals.csv").read_text().strip().splitlines()[1:]
         assert all(abs(float(row.split(",")[2])) <= 1e-6 for row in residuals)
+
+    def test_m3_matches_golden(self, tmp_path):
+        # tests/golden/example_m3_rho1_2 holds the two CSVs as first written,
+        # so this pins the bytes across changes, not only between two runs
+        out = tmp_path / "ex"
+        assert main(["example", "--m", "3", "--rho", "1/2", "--out-dir", str(out)]) == 0
+        for name in ("cycles.csv", "residuals.csv"):
+            assert (out / name).read_bytes() == (GOLDEN / "example_m3_rho1_2" / name).read_bytes()
 
     def test_m2_prints_multiplier_error(self, tmp_path, capsys):
         out = tmp_path / "ex"

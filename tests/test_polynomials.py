@@ -13,6 +13,7 @@ from cyclerep.polynomials import (
     BiPoly,
     UniPoly,
     VectorField2,
+    _horner,
     bipoly_from_json,
     bipoly_to_json,
     chebyshev,
@@ -195,6 +196,76 @@ class TestBiPoly:
             assert abs(exact - approx) <= 1e-12 * max(1.0, abs(exact))
 
 
+def reference_uni(p, x):
+    """The float Horner the evaluator must reproduce, from _horner."""
+    return _horner([float(c) for c in reversed(p.coeffs)] or [0.0], x)
+
+
+def reference_bi(f, u, v):
+    """Horner in v per row of v-coefficients, then in u, from _horner; a
+    missing v-power is 0.0 and a missing u-power the row (0.0,)."""
+    rows = {}
+    for (du, dv), c in f.terms:
+        rows.setdefault(du, {})[dv] = float(c)
+    values = []
+    for du in range(max(rows, default=0), -1, -1):
+        row = rows.get(du, {0: 0.0})
+        values.append(_horner([row.get(dv, 0.0) for dv in range(max(row), -1, -1)], v))
+    return _horner(values, u)
+
+
+def same_bits(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.shape == want.shape
+        assert [float(g).hex() for g in got.ravel()] == [float(w).hex() for w in want.ravel()]
+    else:
+        assert float(got).hex() == float(want).hex()
+
+
+wide_fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+finite_points = st.floats(-2.0, 2.0)
+scalar_points = st.one_of(finite_points, st.sampled_from([math.inf, -math.inf, math.nan, 1e200, -0.0]))
+sparse_bipolys = st.one_of(
+    # sparse up to degree 40 in each variable, so most u-rows are absent
+    st.dictionaries(st.tuples(st.integers(0, 40), st.integers(0, 40)), wide_fractions, max_size=8),
+    st.builds(lambda c: {(0, 0): c}, wide_fractions),  # constants, zero included
+    st.just({}),
+).map(BiPoly)
+unipolys = st.lists(wide_fractions, max_size=41).map(lambda cs: UniPoly(tuple(cs)))
+
+
+class TestFloatEvaluatorAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(unipolys, scalar_points)
+    def test_unipoly_at_floats(self, p, x):
+        same_bits(p.evaluate_float(x), reference_uni(p, x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(unipolys, st.lists(finite_points, min_size=1, max_size=6))
+    def test_unipoly_at_arrays(self, p, xs):
+        xs = np.array(xs)
+        same_bits(p.evaluate_float(xs), reference_uni(p, xs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_bipolys, scalar_points, scalar_points)
+    def test_bipoly_at_floats(self, f, u, v):
+        same_bits(f.evaluate_float(u, v), reference_bi(f, u, v))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_bipolys, st.lists(st.tuples(finite_points, finite_points), min_size=1, max_size=6))
+    def test_bipoly_at_arrays(self, f, points):
+        us, vs = np.array([p[0] for p in points]), np.array([p[1] for p in points])
+        same_bits(f.evaluate_float(us, vs), reference_bi(f, us, vs))
+
+    def test_degree_40_rows(self):
+        f = BiPoly({(40, 40): Fraction(1, 3), (40, 0): -2, (0, 40): Fraction(7, 5), (17, 3): 1})
+        for u, v in [(0.999, -1.001), (1.5, 0.5), (-0.3, 1.7)]:
+            same_bits(f.evaluate_float(u, v), reference_bi(f, u, v))
+        us, vs = np.linspace(-1.1, 1.1, 5), np.linspace(1.2, -0.7, 5)
+        same_bits(f.evaluate_float(us, vs), reference_bi(f, us, vs))
+
+
 class TestComposeSeparable:
     def test_identity_projection(self):
         # P = x composed with T_3 gives T_3(u) as a bivariate in u only
@@ -256,6 +327,22 @@ class TestJson:
     def test_field_round_trip(self):
         X = VectorField2(BiPoly({(1, 0): Fraction(1, 2)}), BiPoly({(0, 3): -2}))
         assert field_from_json(json.loads(json.dumps(field_to_json(X)))) == X
+
+    def test_non_integer_exponent_rejected(self):
+        # 0.5 is not truncated to 0: {"du": 0.5, "dv": 1} is not the term v
+        with pytest.raises(ValueError, match="expected an integer"):
+            bipoly_from_json([{"du": 0.5, "dv": 1, "c": "1"}])
+        with pytest.raises(ValueError, match="expected an integer"):
+            BiPoly({(1, 2.0): 1})
+        assert BiPoly({(np.int64(2), 1): 1}) == BiPoly({(2, 1): 1})
+
+    def test_float_coefficient_rejected(self):
+        # 0.1 would be read as 3602879701896397/36028797018963968, not 1/10
+        with pytest.raises(ValueError, match="'num/den' string or an integer"):
+            unipoly_from_json({"coeffs": [0.1, 1]})
+        with pytest.raises(ValueError, match="'num/den' string or an integer"):
+            bipoly_from_json([{"du": 0, "dv": 0, "c": 2.0}])
+        assert unipoly_from_json({"coeffs": [3, "1/10"]}) == UniPoly((3, Fraction(1, 10)))
 
     def test_term_order_deterministic(self):
         f = BiPoly({(2, 0): 1, (0, 2): 1, (1, 1): 1})
