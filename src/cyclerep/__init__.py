@@ -11,7 +11,6 @@ from .polynomials import (
     UniPoly,
     VectorField2,
     chebyshev,
-    compose_pair,
     compose_separable,
 )
 from .branches import (
@@ -21,18 +20,14 @@ from .branches import (
     branch_inverse,
     cheb_branches,
     cheb_nodes,
+    cheb_preimage,
     full_branch_intervals,
 )
 from .pullback import (
-    AffineMap2,
     PullbackResult,
-    affine_transform,
-    build_adjugate_pullback,
     build_pullback,
     check_exact_degree,
-    normalize_into_box,
     verify_conjugacy,
-    verify_conjugacy_adjugate,
 )
 from .dynamics import (
     DynamicsConfig,

@@ -101,12 +101,27 @@ def _cheb_cached(m: int) -> UniPoly:
     return chebyshev(m)
 
 
-def branch_inverse(m: int, k: int, y: float) -> float:
-    """The unique preimage of y under T_m inside branch k.
+def cheb_preimage(m: int, k: int, y: float) -> float:
+    """The preimage of y under T_m on branch k, unchecked.
 
-    Uses u = cos(((k-1)*pi + arccos y) / m) on odd branches and
-    u = cos((k*pi - arccos y) / m) on even ones.  Valid only for
-    y strictly inside (-1, 1); the endpoints are critical values.
+    u = cos(((k-1)*pi + arccos y) / m) on odd branches and
+    u = cos((k*pi - arccos y) / m) on even ones, for -1 <= y <= 1.  Being
+    a closed form it keeps the accuracy of acos and cos at every m, where
+    float Horner on T_m does not; `branch_inverse` adds the range and
+    exact residual checks.
+    """
+    a = math.acos(y)
+    if k % 2 == 1:
+        theta = ((k - 1) * math.pi + a) / m
+    else:
+        theta = (k * math.pi - a) / m
+    return math.cos(theta)
+
+
+def branch_inverse(m: int, k: int, y: float) -> float:
+    """The unique preimage of y under T_m inside branch k: `cheb_preimage`,
+    checked.  Valid only for y strictly inside (-1, 1); the endpoints are
+    critical values.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
@@ -114,12 +129,7 @@ def branch_inverse(m: int, k: int, y: float) -> float:
         raise ValueError(f"branch index {k} out of range 1..{m}")
     if not -1.0 < y < 1.0:
         raise ValueError(f"y={y} outside (-1, 1); branch endpoints are critical values")
-    a = math.acos(y)
-    if k % 2 == 1:
-        theta = ((k - 1) * math.pi + a) / m
-    else:
-        theta = (k * math.pi - a) / m
-    u = math.cos(theta)
+    u = cheb_preimage(m, k, y)
     nodes = cheb_nodes(m)
     # exact: float Horner on T_m errs by ~eps*sum|a_i|, over 1e-12 from m=13
     resid = abs(_cheb_cached(m).evaluate(Fraction(u)) - Fraction(y))

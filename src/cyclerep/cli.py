@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from .branches import branch_set_to_json, cheb_branches, cheb_nodes, full_branch_intervals
+from .branches import branch_set_to_json, cheb_branches, cheb_nodes, cheb_preimage, full_branch_intervals
 from .dynamics import (
     DEFAULT_CONFIG,
     DynamicsConfig,
@@ -139,8 +139,8 @@ def cmd_example(args) -> int:
     if m < 2:
         raise ValueError(f"cover degree must be >= 2, got {m}")
     rho = _parse_rho(args.rho)
-    if not args.tol > 0:
-        raise ValueError(f"tol must be positive, got {args.tol}")
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {args.tol}")
     cfg = DynamicsConfig(tol=args.tol)
 
     out_dir = Path(args.out_dir)
@@ -171,16 +171,21 @@ def cmd_example(args) -> int:
     (out_dir / "residuals.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     plot_tol = 1e-8
-    cycle_curve = integrate(field, base.anchor, base.period, plot_tol).sample(400)
+    base_traj = integrate(field, base.anchor, base.period, plot_tol)
     spirals = [
         integrate(field, start, 30.0, plot_tol).sample(1200)
         for start in ((0.9, 0.0), (0.12 * float(rho) / 0.5, 0.0))
     ]
     (out_dir / "phase_portrait.svg").write_text(
-        phase_portrait_svg(cycle_curve, spirals), encoding="utf-8"
+        phase_portrait_svg(base_traj.sample(400), spirals), encoding="utf-8"
     )
 
-    lifted_curves = [integrate(pb, r.anchor, r.period, plot_tol).sample(300) for r in records]
+    # the lifted cycle in rectangle (i, j) is the branch-wise preimage of the
+    # base cycle: its u on branch i of T_m, its v on branch j
+    xs, ys = zip(*base_traj.sample(300))
+    us = [[cheb_preimage(m, k, x) for x in xs] for k in range(1, m + 1)]
+    vs = [[cheb_preimage(m, k, y) for y in ys] for k in range(1, m + 1)]
+    lifted_curves = [list(zip(us[r.rect.i - 1], vs[r.rect.j - 1])) for r in records]
     (out_dir / "branch_rectangles.svg").write_text(
         branch_grid_svg(cheb_nodes(m), lifted_curves, [r.anchor for r in records]),
         encoding="utf-8",

@@ -105,25 +105,10 @@ def field_rhs(field: VectorField2 | PullbackResult):
     through the factors), and costs more.  A VectorField2's divergence is
     Horner on the exact polynomial dP/du + dQ/dv.
     """
-    return _make_rhs(field, divergence=True)
-
-
-def _state_rhs(field: VectorField2 | PullbackResult):
-    """`field_rhs` with the divergence taken as 0, for integrations that
-    never read w (`integrate`): the same (u', v'), at the cost of the state
-    alone.  w never steers the steps, so they are the same steps."""
-    return _make_rhs(field, divergence=False)
-
-
-def _no_divergence(x: float, y: float) -> float:
-    return 0.0
-
-
-def _make_rhs(field: VectorField2 | PullbackResult, divergence: bool):
     X = field.source if isinstance(field, PullbackResult) else field
     fp = compile_component(X.p_comp)
     fq = compile_component(X.q_comp)
-    fdiv = compile_component(X.p_comp.partial_u() + X.q_comp.partial_v()) if divergence else _no_divergence
+    fdiv = compile_component(X.p_comp.partial_u() + X.q_comp.partial_v())
     if isinstance(field, PullbackResult):
         p = field.cover_poly.evaluate_float
         dp = field.cover_poly.derivative().evaluate_float
@@ -423,14 +408,14 @@ def integrate(
 ) -> Trajectory:
     """Flow `start` forward for time t_span with local error control tol.
 
-    The divergence is not evaluated unless `rhs` does: nothing reads w
-    from a Trajectory.  Raises IntegrationError (carrying the last valid
-    state) on finite-time blowup, and ValueError for a nonpositive tol or
-    t_span.
+    The RHS is `field_rhs(field)` unless `rhs` is given; w, the divergence
+    lane, never steers the steps, and a Trajectory keeps only (u, v).
+    Raises IntegrationError (carrying the last valid state) on finite-time
+    blowup, and ValueError for a nonpositive tol or t_span.
     """
     if not t_span > 0:
         raise ValueError(f"t_span must be positive, got {t_span}")
-    rhs = rhs or _state_rhs(field)
+    rhs = rhs or field_rhs(field)
     z0 = (float(start[0]), float(start[1]))
     ts, ys, pieces = [0.0], [z0], []
     for solver in _steps(rhs, z0, float(t_span), tol):
@@ -755,21 +740,3 @@ def records_to_csv(records: list[LimitCycleRecord]) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def records_to_json(records: list[LimitCycleRecord]) -> list[dict]:
-    out = []
-    for r in records:
-        out.append(
-            {
-                "i": r.rect.i if r.rect else 0,
-                "j": r.rect.j if r.rect else 0,
-                "anchor_u": r.anchor[0],
-                "anchor_v": r.anchor[1],
-                "period": r.period,
-                "multiplier": r.multiplier,
-                "orientation_reversed": r.orientation_reversed,
-                "certified": r.certified,
-            }
-        )
-    return out

@@ -341,16 +341,6 @@ def compose_separable(P: BiPoly, p: UniPoly) -> BiPoly:
     return BiPoly(acc)
 
 
-def compose_pair(P: BiPoly, p: BiPoly, q: BiPoly) -> BiPoly:
-    """Exact substitution P(p(u,v), q(u,v)) for a general polynomial map."""
-    ppow = _powers(p, BiPoly.const(1))
-    qpow = _powers(q, BiPoly.const(1))
-    acc = BiPoly.zero()
-    for (a, b), c in P.terms:
-        acc = acc + ppow(a) * qpow(b) * c
-    return acc
-
-
 @dataclass(frozen=True)
 class VectorField2:
     """Planar polynomial vector field (p_comp, q_comp)."""

@@ -14,6 +14,7 @@ from cyclerep.branches import (
     branch_set_to_json,
     cheb_branches,
     cheb_nodes,
+    cheb_preimage,
     full_branch_intervals,
 )
 from cyclerep.polynomials import UniPoly, chebyshev
@@ -125,6 +126,17 @@ class TestBranchInverse:
                 assert all(d > 0 for d in diffs)
             else:
                 assert all(d < 0 for d in diffs)
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 12])
+    def test_preimage_is_the_checked_inverse(self, m):
+        # branch_inverse is cheb_preimage plus its checks; at the critical
+        # values +-1 the unchecked closed form lands on the branch ends
+        nodes = cheb_nodes(m)
+        for k in range(1, m + 1):
+            for y in (-0.9, -0.25, 0.0, 0.5, 0.99):
+                assert cheb_preimage(m, k, y) == branch_inverse(m, k, y)
+            ends = sorted(cheb_preimage(m, k, y) for y in (-1.0, 1.0))
+            assert ends == pytest.approx([nodes[k], nodes[k - 1]], abs=1e-15)
 
     def test_rejects_critical_values(self):
         for y in (1.0, -1.0, 1.5):

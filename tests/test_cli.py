@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import cyclerep
+from cyclerep import svgplot
+from cyclerep.branches import cheb_nodes
 from cyclerep.cli import main
 from cyclerep.polynomials import chebyshev, field_to_json, unipoly_to_json
 from cyclerep.dynamics import radial_cubic_field
@@ -220,11 +222,12 @@ class TestExampleCommand:
         assert all(abs(float(row.split(",")[2])) <= 1e-6 for row in residuals)
 
     def test_m3_matches_golden(self, tmp_path):
-        # tests/golden/example_m3_rho1_2 holds the two CSVs as first written,
-        # so this pins the bytes across changes, not only between two runs
+        # tests/golden/example_m3_rho1_2 holds the two CSVs and the phase
+        # portrait as first written, so this pins the bytes across changes,
+        # not only between two runs
         out = tmp_path / "ex"
         assert main(["example", "--m", "3", "--rho", "1/2", "--out-dir", str(out)]) == 0
-        for name in ("cycles.csv", "residuals.csv"):
+        for name in ("cycles.csv", "residuals.csv", "phase_portrait.svg"):
             assert (out / name).read_bytes() == (GOLDEN / "example_m3_rho1_2" / name).read_bytes()
 
     def test_m2_prints_multiplier_error(self, tmp_path, capsys):
@@ -246,13 +249,39 @@ class TestExampleCommand:
         )
         assert abs(from_csv - worst) <= 1e-8
 
-    @pytest.mark.parametrize("tol", ["0", "-1e-9"])
+    @pytest.mark.parametrize("tol", ["0", "-1e-9", "inf"])
     def test_nonpositive_tol_exits_3(self, tmp_path, tol):
-        # both spellings: argparse before Python 3.13 read a bare -1e-9 as an option
+        # both spellings: argparse before Python 3.13 read a bare -1e-9 as an
+        # option; an infinite tol would pass a bare positivity check, then
+        # fail in the integrator with exit 4
         out = tmp_path / "ex"
         for tol_args in ([f"--tol={tol}"], ["--tol", tol]):
             assert main(["example", "--m", "2", *tol_args, "--out-dir", str(out)]) == 3
             assert not out.exists()
+
+    def test_lifted_curves_lie_on_the_preimage_in_their_rectangles(self, tmp_path):
+        # each drawn lifted cycle is a closed polygon, in (i, j) order; its
+        # points, read back from 9-digit pixels, lie on the preimage of the
+        # base cycle T_m(u)^2 + T_m(v)^2 = rho^2 and inside their rectangle
+        m, rho = 8, 2 / 3
+        out = tmp_path / "ex"
+        assert main(["example", "--m", str(m), "--rho", "2/3", "--out-dir", str(out)]) == 0
+        svg = (out / "branch_rectangles.svg").read_text()
+        curves = re.findall(r'<polygon points="([^"]*)" fill="none" stroke="#2255cc"', svg)
+        assert len(curves) == m * m
+        scale = svgplot.SIZE / (2.0 * svgplot.WORLD)
+        t_m = chebyshev(m).evaluate_float
+        nodes = cheb_nodes(m)
+        worst = 0.0
+        for n, coords in enumerate(curves):
+            i, j = divmod(n, m)
+            points = [tuple(map(float, pair.split(","))) for pair in coords.split()]
+            assert len(points) == 301
+            for px, py in points:
+                u, v = px / scale - svgplot.WORLD, svgplot.WORLD - py / scale
+                assert nodes[i + 1] < u < nodes[i] and nodes[j + 1] < v < nodes[j]
+                worst = max(worst, abs(t_m(u) ** 2 + t_m(v) ** 2 - rho**2))
+        assert worst <= 1e-6
 
     def test_bad_rho_exits_3(self, tmp_path):
         assert main(["example", "--m", "2", "--rho", "2", "--out-dir", str(tmp_path)]) == 3

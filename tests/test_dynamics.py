@@ -39,7 +39,6 @@ from cyclerep.dynamics import (
     poincare_return,
     radial_cubic_field,
     records_to_csv,
-    records_to_json,
 )
 from cyclerep.polynomials import BiPoly, UniPoly, VectorField2, chebyshev
 from cyclerep.pullback import build_pullback
@@ -971,9 +970,3 @@ class TestRecordSerialization:
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "1"
         assert first[6] in ("true", "false")
-
-    def test_json_fields(self, lifted_m3):
-        blob = records_to_json(lifted_m3)
-        assert len(blob) == 9
-        assert {"i", "j", "anchor_u", "anchor_v", "period", "multiplier",
-                "orientation_reversed", "certified"} <= set(blob[0])

@@ -17,7 +17,6 @@ from cyclerep.polynomials import (
     bipoly_from_json,
     bipoly_to_json,
     chebyshev,
-    compose_pair,
     compose_separable,
     field_from_json,
     field_to_json,
@@ -302,12 +301,6 @@ class TestComposeSeparable:
             terms[(dP, 0)] = rng.choice([1, -2, 3])  # nonzero top homogeneous part
             P = BiPoly({k: v for k, v in terms.items() if k[0] + k[1] <= dP})
             assert compose_separable(P, p).total_degree() == dp * P.total_degree()
-
-    def test_compose_pair_matches_separable_path(self):
-        P = BiPoly({(2, 1): 2, (1, 0): -1, (0, 0): Fraction(1, 3)})
-        p = chebyshev(2)
-        via_pair = compose_pair(P, BiPoly.from_uni(p, 0), BiPoly.from_uni(p, 1))
-        assert via_pair == compose_separable(P, p)
 
 
 class TestJson:

@@ -5,15 +5,10 @@ import pytest
 
 from cyclerep.polynomials import BiPoly, UniPoly, VectorField2, chebyshev
 from cyclerep.pullback import (
-    AffineMap2,
-    affine_transform,
-    build_adjugate_pullback,
     build_pullback,
     check_exact_degree,
-    normalize_into_box,
     pullback_result_to_json,
     verify_conjugacy,
-    verify_conjugacy_adjugate,
 )
 from cyclerep.dynamics import radial_cubic_field
 
@@ -53,79 +48,6 @@ def random_cover(rng, m):
     coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
     coeffs.append(Fraction(rng.choice([1, 2, 3, -1, -2, -3])))
     return UniPoly(coeffs)
-
-
-class TestAffine:
-    def test_identity_leaves_field_unchanged(self, radial_half):
-        assert affine_transform(radial_half, AffineMap2.identity()) == radial_half
-
-    def test_rotation_field_scale_invariant(self):
-        A = AffineMap2.scaling(Fraction(1, 2), Fraction(1, 2))
-        assert affine_transform(ROTATION, A) == ROTATION
-
-    def test_cubic_degree_preserved_under_scaling(self, radial_half):
-        A = AffineMap2.scaling(Fraction(1, 4), Fraction(1, 4))
-        assert affine_transform(radial_half, A).degree() == 3
-
-    def test_singular_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            AffineMap2(((1, 2), (2, 4)), (0, 0))
-
-    def test_inverse_round_trip_on_points(self):
-        A = AffineMap2(((2, 1), (0, 3)), (Fraction(1, 5), -2))
-        pt = (Fraction(3, 7), Fraction(-2, 9))
-        assert A.inverse().apply(A.apply(pt)) == pt
-
-    def test_round_trip_exact_on_fields(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            X = random_field(rng, 4)
-            while True:
-                entries = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)]
-                if entries[0] * entries[3] - entries[1] * entries[2] != 0:
-                    break
-            A = AffineMap2(
-                ((entries[0], entries[1]), (entries[2], entries[3])),
-                (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))),
-            )
-            Y = affine_transform(X, A)
-            assert Y.degree() <= X.degree()
-            assert affine_transform(Y, A.inverse()) == X
-            assert Y.degree() == X.degree()
-
-
-class TestNormalizeIntoBox:
-    def test_already_inside_is_identity(self, radial_half):
-        rho = Fraction(1, 2)
-        field, g = normalize_into_box(radial_half, (-rho, rho, -rho, rho), rho)
-        assert g.is_identity()
-        assert field == radial_half
-
-    def test_large_box_scaling(self):
-        field, g = normalize_into_box(ROTATION, (-10, 10, -10, 10), Fraction(1, 2))
-        assert g.matrix == ((Fraction(1, 40), 0), (0, Fraction(1, 40)))
-        for corner in ((-10, -10), (-10, 10), (10, -10), (10, 10)):
-            image = g.apply(corner)
-            assert abs(image[0]) < Fraction(1, 2) and abs(image[1]) < Fraction(1, 2)
-
-    def test_off_center_box(self):
-        field, g = normalize_into_box(ROTATION, (3, 5, -1, 1), Fraction(1, 2))
-        assert g.apply((4, 0)) == (0, 0)
-        for corner in ((3, -1), (3, 1), (5, -1), (5, 1)):
-            image = g.apply(corner)
-            assert abs(image[0]) < Fraction(1, 2) and abs(image[1]) < Fraction(1, 2)
-
-    def test_mapped_field_matches_direct_transform(self):
-        field, g = normalize_into_box(ROTATION, (-10, 10, -10, 10), Fraction(1, 2))
-        assert field == affine_transform(ROTATION, g.inverse())
-
-    def test_degenerate_box_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_into_box(ROTATION, (1, 1, -1, 1))
-
-    def test_bad_rho_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_into_box(ROTATION, (-1, 1, -1, 1), Fraction(3, 2))
 
 
 class TestBuildPullback:
@@ -196,50 +118,6 @@ class TestConjugacy:
             r = build_pullback(X, p)
             assert verify_conjugacy(r, X)
             assert check_exact_degree(r, X)
-
-
-class TestAdjugate:
-    def test_separable_cover_matches_separable_path(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            X = random_field(rng, 2)
-            p_hat = random_cover(rng, 2)
-            Y = build_adjugate_pullback(
-                X, BiPoly.from_uni(p_hat, 0), BiPoly.from_uni(p_hat, 1)
-            )
-            assert Y == build_pullback(X, p_hat).field
-
-    def test_shear_cover_constant_field(self):
-        # Phi = (u + v^2, v) with X = (1, 0) gives Y = (1, 0)
-        X = VectorField2(BiPoly.const(1), BiPoly.zero())
-        p = BiPoly({(1, 0): 1, (0, 2): 1})
-        q = BiPoly({(0, 1): 1})
-        Y = build_adjugate_pullback(X, p, q)
-        assert Y == VectorField2(BiPoly.const(1), BiPoly.zero())
-
-    def test_identity_random(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            X = random_field(rng, 2)
-            p = BiPoly(
-                {
-                    (rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(-3, 3))
-                    for _ in range(4)
-                }
-            ) + BiPoly({(1, 0): 1})
-            q = BiPoly(
-                {
-                    (rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(-3, 3))
-                    for _ in range(4)
-                }
-            ) + BiPoly({(0, 1): 1})
-            Y = build_adjugate_pullback(X, p, q)
-            assert verify_conjugacy_adjugate(Y, X, p, q)
-
-    def test_constant_cover_rejected(self):
-        X = VectorField2(BiPoly.const(1), BiPoly.zero())
-        with pytest.raises(ValueError):
-            build_adjugate_pullback(X, BiPoly.const(2), BiPoly({(0, 1): 1}))
 
 
 class TestSerialization:
