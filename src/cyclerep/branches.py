@@ -1,15 +1,20 @@
 """Monotone full-branch structure of univariate polynomials on (-1, 1).
 
-A full branch of p is an open interval on which p restricts to a
-diffeomorphism onto (-1, 1).  For the Chebyshev polynomial T_m the m
-branches are known in closed form from the nodes cos(k*pi/m); for a
-general polynomial they are found numerically by isolating the critical
-points of p and testing each monotone piece for coverage of (-1, 1).
+A full branch of p is an open interval that p maps strictly monotonically
+onto (-1, 1).  For the Chebyshev polynomial T_m the m branches are known
+in closed form from the nodes cos(k*pi/m).  For any rational p,
+`full_branch_intervals` decides them exactly, with no tolerance: a branch
+runs between two consecutive real roots of p**2 = 1 at opposite levels
+where p' keeps one sign, and those roots and the critical points of p are
+isolated on integer polynomials by Descartes' rule with bisection.  Only
+the reported endpoints become floats.  `degenerate` means that p' and p''
+share a root: p has a critical point where p' may keep its sign (x**3 at
+0), so a branch can hold a critical point.
 
 Convention: branches are indexed right to left, interval k running from
 nodes[k] up to nodes[k-1], and T_m is increasing on odd-indexed branches
 and decreasing on even-indexed ones (the sign of T_m' on branch k is
-(-1)**(k-1)).  The closed-form inverse and the numeric classifier both
+(-1)**(k-1)).  The closed-form inverse and the exact classifier both
 follow this convention, which keeps the orientation bookkeeping of the
 pullback machinery deterministic.
 """
@@ -25,8 +30,6 @@ from .polynomials import UniPoly, chebyshev
 
 INCREASING = 1
 DECREASING = -1
-
-_TOL = 1e-12  # the classifier's one tolerance: refinement, tangency and coverage
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,6 @@ class BranchSet:
     poly: UniPoly
     intervals: tuple[BranchInterval, ...]
     degenerate: bool = False
-    notes: tuple[str, ...] = ()
 
     @property
     def count(self) -> int:
@@ -140,157 +142,157 @@ def branch_inverse(m: int, k: int, y: float) -> float:
     return u
 
 
-def _cauchy_bound(p: UniPoly) -> float:
-    """Radius bounding all real roots: 1 + max |a_i| / |a_n|."""
-    lead = abs(p.leading())
-    if lead == 0:
-        return 1.0
-    ratio = max((abs(c) / lead for c in p.coeffs[:-1]), default=0)
-    return 1.0 + float(ratio)
+def _primitive(f: list[int]) -> list[int]:
+    """f divided by the gcd of its coefficients (which run from the constant up)."""
+    g = math.gcd(*f)
+    return [c // g for c in f]
 
 
-def _roots_by_bisection(p: UniPoly, npts: int) -> list[float]:
-    """Real roots of p found as sign changes on a uniform grid over the
-    Cauchy bound, refined by bisection.  Roots where p does not change
-    sign (even multiplicity) are invisible to this scan by design; they
-    are hunted separately and only ever flagged."""
-    deg = p.degree()
-    if not p.coeffs or deg < 1:
-        return []
-    bound = _cauchy_bound(p)
-    xs = [(-bound + 2.0 * bound * i / npts) for i in range(npts + 1)]
-    vals = [p.evaluate_float(x) for x in xs]
-    roots: list[float] = []
-    for i in range(npts + 1):
-        if vals[i] != 0.0:
-            continue
-        # exact grid hit: a root only if the sign actually changes across it
-        left = i - 1
-        while left >= 0 and vals[left] == 0.0:
-            left -= 1
-        right = i + 1
-        while right <= npts and vals[right] == 0.0:
-            right += 1
-        if left >= 0 and right <= npts and (vals[left] < 0) != (vals[right] < 0):
-            roots.append(xs[i])
-    for i in range(npts):
-        a, b = vals[i], vals[i + 1]
-        if a != 0.0 and b != 0.0 and (a < 0) != (b < 0):
-            roots.append(_solve_monotone(p, 0.0, xs[i], xs[i + 1]))
-    merged: list[float] = []
-    for r in sorted(roots):
-        if not merged or r - merged[-1] > _TOL * 10:
-            merged.append(r)
-    return merged
+def _derivative(f: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(f)][1:]
 
 
-def _range_bound(p: UniPoly) -> float:
-    """Radius beyond which |p| > 1 (all solutions of p = +-1 lie inside)."""
-    one = UniPoly.const(1)
-    return max(_cauchy_bound(p - one), _cauchy_bound(p + one)) + 1.0
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of integer polynomials, by primitive pseudo-remainders."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        r, lead, db = a, b[-1], len(b) - 1
+        while len(r) > db:  # one pseudo-division step per leading term
+            q, s = r[-1], len(r) - 1 - db
+            r = [c * lead for c in r]
+            for i, c in enumerate(b):
+                r[s + i] -= q * c
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, _primitive(r)
+    return a
 
 
-def _solve_monotone(p: UniPoly, target: float, lo: float, hi: float) -> float:
-    """Solve p(x) = target on [lo, hi] by bisection, where p - target
-    changes sign across the bracket or p is monotone on it."""
-    flo = p.evaluate_float(lo) - target
-    fhi = p.evaluate_float(hi) - target
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo < 0) == (fhi < 0):
-        # No sign change: the piece stops within _TOL of the target level
-        # (flagged degenerate upstream); clip the branch at the nearer end.
-        return lo if abs(flo) <= abs(fhi) else hi
-    while hi - lo > _TOL:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fmid = p.evaluate_float(mid) - target
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    return 0.5 * (lo + hi)
+def _quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b that divides a (so the quotient is integral)."""
+    a, q = list(a), [0] * (len(a) - len(b) + 1)
+    for s in range(len(q) - 1, -1, -1):
+        q[s] = a[s + len(b) - 1] // b[-1]
+        for i, c in enumerate(b):
+            a[s + i] -= q[s] * c
+    return q
+
+
+def _shift1(f: list[int]) -> list[int]:
+    """Coefficients of f(x + 1) (Taylor shift)."""
+    f = list(f)
+    for i in range(len(f) - 1):
+        for j in range(len(f) - 2, i - 1, -1):
+            f[j] += f[j + 1]
+    return f
+
+
+def _sign_at(f: list[int], num: int, k: int) -> int:
+    """Sign of f at the dyadic rational num / 2**k, exactly."""
+    if k < 0:
+        num, k = num << -k, 0
+    acc, n = 0, len(f) - 1
+    for i in range(n, -1, -1):
+        acc = acc * num + (f[i] << k * (n - i))
+    return (acc > 0) - (acc < 0)
+
+
+def _isolate(f: list[int]) -> list[tuple]:
+    """The real roots of the squarefree integer polynomial f, one cell
+    (g, num, k, s) per root: the root is num / 2**k if s == 0, else it lies
+    in (num / 2**k, (num + 1) / 2**k) and g (f, or f / x if f(0) = 0) has
+    the sign s between num / 2**k and the root.
+
+    Descartes' rule with bisection (Collins & Akritas 1976) on (0, 2**B)
+    and (-2**B, 0), B from Fujiwara's root bound: with a cell mapped onto
+    (0, 1) as h of degree n, the sign variations of (1 + x)**n h(1 / (1 + x))
+    bound the number of roots in the cell and share its parity, so a cell
+    with more than one variation is halved.
+    """
+    cells = []
+    if f[0] == 0:
+        cells.append((f, 0, 0, 0))
+        f = f[1:]
+    n = len(f) - 1
+    top = f[-1].bit_length() - 1
+    bound = 1 + max([0] + [-((top - f[n - i].bit_length()) // i) for i in range(1, n + 1)])
+    for side in (1, -1):
+        todo = [([c * side**i << bound * i for i, c in enumerate(f)], 0, 0)]
+        while todo:
+            h, c, k = todo.pop()
+            if h[0] == 0:  # a root at the left end of the cell
+                cells.append((f, side * c, k - bound, 0))
+                h = h[1:]
+            signs = [x > 0 for x in _shift1(h[::-1]) if x]
+            variations = sum(a != b for a, b in zip(signs, signs[1:]))
+            if variations == 1:
+                s = 1 if h[0] > 0 else -1
+                cells.append((f, c, k - bound, s) if side == 1 else (f, -c - 1, k - bound, -s))
+            elif variations > 1:
+                left = [x << len(h) - 1 - i for i, x in enumerate(h)]
+                todo += [(left, 2 * c, k + 1), (_shift1(left), 2 * c + 1, k + 1)]
+    return cells
+
+
+def _narrow(cell: tuple, level: int) -> tuple:
+    """The cell halved, keeping the root's half, until 2**-level wide or exact."""
+    g, num, k, s = cell
+    while s and k < level:
+        t = _sign_at(g, 2 * num + 1, k + 1)
+        num, k, s = 2 * num + (t in (0, s)), k + 1, s if t else 0
+    return g, num, k, s
+
+
+def _ends(cell: tuple) -> tuple[Fraction, Fraction]:
+    _, num, k, s = cell
+    unit = Fraction(2) ** -k
+    return num * unit, (num + (s != 0)) * unit
 
 
 def full_branch_intervals(p: UniPoly) -> BranchSet:
-    """All full branches of p, isolated numerically.
+    """All full branches of p, decided exactly.
 
-    Critical points of p are found by sign-change bisection of p' on a
-    uniform grid of 64*deg(p) points over the Cauchy root bound; each
-    monotone piece between consecutive critical points contributes a
-    branch iff its value range covers (-1, 1).  Branch endpoints solve
-    p = -1 and p = +1 inside the piece, refined to 1e-12.
-
-    Degenerate situations are flagged (not decided silently): critical
-    points where p' has even multiplicity (no sign change), and critical
-    values or endpoint limits within 1e-12 of +-1.
+    With p = P / den, P integer: the roots of p = +-1 are those of the
+    squarefree parts of P -+ den, the critical points off those levels those
+    of the squarefree part of P' with the tangency points gcd(P -+ den, P')
+    divided out.  Cells are halved to width 2**-40 and until apart, and p'
+    is read at a rational point of each gap between neighbouring roots.
     """
-    deg = p.degree()
-    if not p.coeffs or deg < 1:
+    if p.degree() < 1:
         raise ValueError("need a nonconstant polynomial")
-    dp = p.derivative()
-    npts = 64 * int(deg)
-    crit = _roots_by_bisection(dp, npts)
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    P = [c.numerator * (den // c.denominator) for c in p.coeffs]  # p = P / den
+    dP = _derivative(P)
+    repeated = _gcd(dP, _derivative(dP))
+    crit = _quotient(dP, repeated)
+    roots = []
+    for level in (1, -1):
+        shifted = [P[0] - level * den] + P[1:]
+        tangent = _gcd(shifted, dP)
+        crit = _quotient(crit, _gcd(crit, tangent))
+        roots += [(level, _narrow(cell, 40)) for cell in _isolate(_quotient(shifted, tangent))]
+    roots += [(0, _narrow(cell, 40)) for cell in _isolate(crit)]
+    while True:  # halve cells until each gap between neighbours has a rational point
+        roots.sort(key=lambda r: _ends(r[1]))
+        ends = [_ends(cell) for _, cell in roots]
+        clash = {i + d for i in range(len(roots) - 1) if ends[i][1] >= ends[i + 1][0] for d in (0, 1)}
+        if not clash:
+            break
+        roots = [(level, _narrow(cell, cell[2] + (i in clash)))
+                 for i, (level, cell) in enumerate(roots)]
 
-    notes: list[str] = []
-    degenerate = False
+    def slope(i: int) -> int:  # the sign of p' between roots i and i + 1
+        t = (ends[i][1] + ends[i + 1][0]) / 2
+        return _sign_at(dP, t.numerator, t.denominator.bit_length() - 1)
 
-    # Even-multiplicity critical points never produce a sign change of p';
-    # look for them among the roots of p'' where p' nearly vanishes.
-    flat_tol = math.sqrt(_TOL) * max(1.0, max(abs(float(c)) for c in dp.coeffs))
-    spacing = 2.0 * _cauchy_bound(dp) / npts
-    for s in _roots_by_bisection(dp.derivative(), npts):
-        if abs(dp.evaluate_float(s)) <= flat_tol:
-            if all(abs(s - r) > max(spacing, 10 * _TOL) for r in crit):
-                degenerate = True
-                notes.append(f"critical point without sign change near x={s:.6g}")
-
-    far = _range_bound(p)
-    cuts = [-far] + [c for c in crit if -far < c < far] + [far]
-
-    found: list[tuple[float, float, int]] = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        va, vb = p.evaluate_float(a), p.evaluate_float(b)
-        lo_val, hi_val = min(va, vb), max(va, vb)
-        for val in (lo_val, hi_val):
-            if abs(abs(val) - 1.0) <= _TOL:
-                degenerate = True
-                notes.append(
-                    f"monotone piece ({a:.6g}, {b:.6g}) has limit within tol of +-1"
-                )
-        if hi_val > 1.0 - _TOL and lo_val < -1.0 + _TOL:
-            direction = INCREASING if vb > va else DECREASING
-
-            def solve(target: float) -> float:
-                # A piece endpoint whose value sits in the tolerance band of
-                # the target is a tangency: the branch boundary is the
-                # critical point itself (bisection cannot do better than
-                # sqrt(eps) through a quadratic tangency).
-                if abs(va - target) <= _TOL:
-                    return a
-                if abs(vb - target) <= _TOL:
-                    return b
-                return _solve_monotone(p, target, a, b)
-
-            left, right = (solve(-1.0), solve(1.0)) if direction == INCREASING else (
-                solve(1.0),
-                solve(-1.0),
-            )
-            if left < right:
-                found.append((left, right, direction))
-
-    found.sort(key=lambda t: -t[0])  # rightmost branch gets index 1
-    intervals = tuple(
-        BranchInterval(index=k, lo=lo, hi=hi, direction=d)
-        for k, (lo, hi, d) in enumerate(found, start=1)
-    )
-    assert len(intervals) <= deg
-    return BranchSet(poly=p, intervals=intervals, degenerate=degenerate, notes=tuple(notes))
+    marks = [i for i, (level, _) in enumerate(roots) if level]
+    found = [
+        (float(sum(ends[i]) / 2), float(sum(ends[j]) / 2), roots[j][0])
+        for i, j in zip(marks, marks[1:])
+        if roots[i][0] == -roots[j][0] and all(slope(g) == roots[j][0] for g in range(i, j))
+    ]
+    intervals = tuple(BranchInterval(k, *iv) for k, iv in enumerate(reversed(found), start=1))
+    return BranchSet(poly=p, intervals=intervals, degenerate=len(repeated) > 1)
 
 
 def branch_count(p: UniPoly) -> int:
@@ -299,7 +301,7 @@ def branch_count(p: UniPoly) -> int:
 
 
 def branch_set_to_json(bs: BranchSet) -> dict:
-    out = {
+    return {
         "count": bs.count,
         "degenerate": bs.degenerate,
         "intervals": [
@@ -312,6 +314,3 @@ def branch_set_to_json(bs: BranchSet) -> dict:
             for iv in bs.intervals
         ],
     }
-    if bs.notes:
-        out["notes"] = list(bs.notes)
-    return out

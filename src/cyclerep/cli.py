@@ -254,8 +254,8 @@ def cmd_branches(args) -> int:
         poly = _load_unipoly(args.poly)
         bset = full_branch_intervals(poly)
     if bset.degenerate:
-        print("warning: degenerate critical structure; classification may be unreliable",
-              file=sys.stderr)
+        print("warning: degenerate: p' and p'' share a root, so a critical point may lie"
+              " inside a branch", file=sys.stderr)
     sys.stdout.write(_dump_json(branch_set_to_json(bset)))
     if args.svg:
         span = 1.05
@@ -333,7 +333,7 @@ def main(argv=None) -> int:
     except ParseFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:  # OverflowError: a value beyond float range
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARAMS
     except bounds_mod.MissingSeedError as err:

@@ -144,7 +144,7 @@ def test_criterion_5_m2_and_m4_replication(tmp_path, base_cycle, radial_half):
 
 
 def test_criterion_6_branch_suite():
-    ok = all(branch_count(chebyshev(m)) == m for m in range(2, 9))
+    ok = all(branch_count(chebyshev(m)) == m for m in range(2, 65))
 
     rng = random.Random(777)
     for _ in range(100):

@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
-from scipy.optimize import brentq
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclerep.branches import (
     DECREASING,
@@ -152,77 +154,106 @@ class TestBranchInverse:
             branch_inverse(1, 1, 0.0)
 
 
-def oracle_branch_count(p: UniPoly, eps=1e-9):
-    """Independent classifier: numpy for the critical points, brentq checks.
+def oracle_branches(p: UniPoly) -> list[tuple[float, float, int]]:
+    """Independent classifier from sympy's exact real roots: the pieces
+    between the odd-multiplicity roots of p' whose range covers [-1, 1],
+    each from its root of p = -1 or +1 to its root of the other level (a
+    critical value of exactly +-1 makes the critical point an endpoint),
+    as (lo, hi, direction), right to left."""
+    x = sympy.Symbol("x")
+    P = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x)
+    mult = Counter(P.diff(x).real_roots())
+    crit = sorted(sympy.N(r, 30) for r, k in mult.items() if k % 2)
+    levels = sorted(sympy.N(r, 30) for r in set((P - 1).real_roots()) | set((P + 1).real_roots()))
+    tie = sympy.Float("1e-20", 30)
 
-    Returns None when a critical value sits too close to +-1 to classify
-    reliably (callers skip those instances).
-    """
-    coeffs = [float(c) for c in reversed(p.coeffs)]
-    poly = np.poly1d(coeffs)
-    dpoly = poly.deriv()
-    crit = sorted(
-        r.real for r in np.roots(dpoly.c) if abs(r.imag) < 1e-9
-    ) if dpoly.order >= 1 else []
-    big = 1.0 + max(abs(c) for c in coeffs) / abs(coeffs[0]) + 1.0
-    cuts = [-big] + [c for c in crit if -big < c < big] + [big]
-    count = 0
+    def value(t):
+        if t in (-math.inf, math.inf):
+            sign = 1 if p.leading() > 0 else -1
+            return math.inf * sign * (1 if t > 0 or p.degree() % 2 == 0 else -1)
+        return P.eval(t)
+
+    cuts = [-math.inf] + crit + [math.inf]
+    out = []
     for a, b in zip(cuts[:-1], cuts[1:]):
-        va, vb = poly(a), poly(b)
-        lo, hi = min(va, vb), max(va, vb)
-        if abs(abs(lo) - 1.0) < eps or abs(abs(hi) - 1.0) < eps:
-            return None
-        if lo < -1.0 and hi > 1.0:
-            count += 1
-    return count
+        va, vb = value(a), value(b)
+        if min(va, vb) <= -1 + tie and max(va, vb) >= 1 - tie:
+            inside = [r for r in levels if a - tie <= r <= b + tie]
+            out.append((float(min(inside)), float(max(inside)), INCREASING if vb > va else DECREASING))
+    return sorted(out, reverse=True)
+
+
+def assert_matches_oracle(bs, p: UniPoly) -> None:
+    want = oracle_branches(p)
+    assert bs.count == len(want) <= p.degree()
+    for k, (iv, (lo, hi, direction)) in enumerate(zip(bs.intervals, want), start=1):
+        assert iv.index == k and iv.direction == direction
+        assert abs(iv.lo - lo) <= 1e-9 and abs(iv.hi - hi) <= 1e-9
+
+
+# small numerators and denominators hit tangencies, repeated critical
+# points and exact dyadic roots, which random six-digit coefficients miss
+small_polys = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=2, max_size=7
+).map(UniPoly).filter(lambda p: p.degree() >= 1)
 
 
 class TestFullBranches:
     def test_chebyshev_matches_closed_form(self):
-        tol = 1e-12
-        for m in range(2, 9):
-            numeric = full_branch_intervals(chebyshev(m))
+        for m in range(2, 65):
+            exact = full_branch_intervals(chebyshev(m))
             closed = cheb_branches(m)
-            assert numeric.count == m
-            for a, b in zip(numeric.intervals, closed.intervals):
-                assert abs(a.lo - b.lo) <= 10 * tol
-                assert abs(a.hi - b.hi) <= 10 * tol
-                assert a.direction == b.direction
+            assert exact.count == m and not exact.degenerate
+            for a, b in zip(exact.intervals, closed.intervals):
+                assert (a.index, a.direction) == (b.index, b.direction)
+                assert abs(a.lo - b.lo) <= 1e-11 and abs(a.hi - b.hi) <= 1e-11
 
     def test_identity_map(self):
         bs = full_branch_intervals(U(0, 1))
-        assert bs.count == 1
-        iv = bs.intervals[0]
-        assert iv.lo == pytest.approx(-1.0, abs=1e-11)
-        assert iv.hi == pytest.approx(1.0, abs=1e-11)
-        assert iv.direction == INCREASING
+        assert [(iv.lo, iv.hi, iv.direction) for iv in bs.intervals] == [(-1.0, 1.0, INCREASING)]
+        assert not bs.degenerate
 
     def test_square_has_no_full_branch(self):
         # x^2 has range [0, inf); (-1, 1) is never covered
         assert branch_count(U(0, 0, 1)) == 0
 
     def test_cube_single_monotone_branch_flagged(self):
-        # x^3 is strictly monotone but its derivative has a double root at 0,
-        # which the sign-change scan cannot see: flagged degenerate, count 1.
+        # x^3 is strictly monotone, but p' = 3x^2 and p'' = 6x share the root
+        # 0: degenerate, with the critical point inside the one branch
         bs = full_branch_intervals(U(0, 0, 0, 1))
-        assert bs.count == 1
         assert bs.degenerate
-        assert bs.intervals[0].lo == pytest.approx(-1.0, abs=1e-11)
-        assert bs.intervals[0].hi == pytest.approx(1.0, abs=1e-11)
+        assert [(iv.lo, iv.hi, iv.direction) for iv in bs.intervals] == [(-1.0, 1.0, INCREASING)]
 
     def test_cubic_with_wide_critical_values(self):
-        # x^3 - 3x has critical values +-2 at x = -+1, so all three monotone
-        # pieces sweep through (-1, 1): three full branches, middle decreasing.
+        # x^3 - 3x has rational critical points -+1 with critical values +-2,
+        # so all three monotone pieces sweep through (-1, 1)
         p = U(0, -3, 0, 1)
-        assert oracle_branch_count(p) == 3
         bs = full_branch_intervals(p)
-        assert bs.count == 3
         assert not bs.degenerate
         assert [iv.direction for iv in bs.intervals] == [INCREASING, DECREASING, INCREASING]
-        # endpoints solve p = -+1: check against brentq on each bracket
-        left = bs.intervals[0]
-        assert left.lo == pytest.approx(brentq(lambda x: x**3 - 3 * x + 1, 1.0, 1.6), abs=1e-9)
-        assert left.hi == pytest.approx(brentq(lambda x: x**3 - 3 * x - 1, 1.6, 2.0), abs=1e-9)
+        assert_matches_oracle(bs, p)
+
+    def test_critical_value_exactly_one(self):
+        # 1 - 2x^2 touches +1 at its critical point 0, which ends both branches
+        bs = full_branch_intervals(U(1, 0, -2))
+        assert not bs.degenerate
+        assert [(iv.lo, iv.hi, iv.direction) for iv in bs.intervals] == [
+            (0.0, 1.0, DECREASING),
+            (-1.0, 0.0, INCREASING),
+        ]
+
+    def test_dyadic_root_endpoint(self):
+        # 4x - 1 = +1 at x = 1/2, a midpoint of the bisection: found exactly
+        bs = full_branch_intervals(U(-1, 4))
+        assert [(iv.lo, iv.hi, iv.direction) for iv in bs.intervals] == [(0.0, 0.5, INCREASING)]
+
+    def test_scaled_chebyshev(self):
+        # (11/10) T_3 overshoots +-1 at its critical points: still 3 branches,
+        # now narrower than the nodes of T_3
+        p = chebyshev(3) * Fraction(11, 10)
+        bs = full_branch_intervals(p)
+        assert bs.count == 3 and not bs.degenerate
+        assert_matches_oracle(bs, p)
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
@@ -230,7 +261,6 @@ class TestFullBranches:
 
     def test_count_bounded_by_degree_random(self):
         rng = random.Random(2024)
-        checked_against_oracle = 0
         for _ in range(100):
             deg = rng.randint(1, 8)
             coeffs = [Fraction(rng.randint(-3_000_000, 3_000_000), 1_000_000) for _ in range(deg)]
@@ -238,10 +268,11 @@ class TestFullBranches:
                 Fraction(rng.choice([-1, 1]) * rng.randint(200_000, 3_000_000), 1_000_000)
             )
             p = UniPoly(coeffs)
-            bs = full_branch_intervals(p)
-            assert bs.count <= deg
-            expected = oracle_branch_count(p)
-            if expected is not None and not bs.degenerate:
-                assert bs.count == expected
-                checked_against_oracle += 1
-        assert checked_against_oracle >= 80
+            assert_matches_oracle(full_branch_intervals(p), p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys)
+    def test_count_at_most_degree_property(self, p):
+        bs = full_branch_intervals(p)
+        assert bs.count <= p.degree()
+        assert_matches_oracle(bs, p)

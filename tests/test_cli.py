@@ -207,6 +207,28 @@ class TestBranchesCommand:
         assert main(["branches", str(poly_file), "--cheb", "3"]) == 3
         assert main(["branches"]) == 3
 
+    # 10^400 is beyond float range; the coefficients are written out in digits
+    def test_tiny_coefficient_is_decided_exactly(self, tmp_path, capsys):
+        # 1 + x^2 / 10^400 >= 1 everywhere: no branch, and no float overflow
+        poly_file = tmp_path / "tiny.json"
+        poly_file.write_text(json.dumps({"coeffs": ["1", "0", f"1/{10**400}"]}))
+        assert main(["branches", str(poly_file)]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert (blob["count"], blob["degenerate"]) == (0, False)
+
+    def test_endpoint_beyond_float_range_exits_3(self, tmp_path, capsys):
+        # x / 10^400 has its branch on (-10^400, 10^400)
+        poly_file = tmp_path / "wide.json"
+        poly_file.write_text(json.dumps({"coeffs": ["0", f"1/{10**400}"]}))
+        assert main(["branches", str(poly_file)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_svg_of_huge_coefficient_exits_3(self, tmp_path, capsys):
+        poly_file = tmp_path / "steep.json"
+        poly_file.write_text(json.dumps({"coeffs": ["0", "1", "0", str(10**400)]}))
+        assert main(["branches", str(poly_file), "--svg", str(tmp_path / "g.svg")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestExampleCommand:
     def test_m2_end_to_end_and_deterministic(self, tmp_path):
