@@ -7,9 +7,11 @@ in closed form from the nodes cos(k*pi/m).  For any rational p,
 runs between two consecutive real roots of p**2 = 1 at opposite levels
 where p' keeps one sign, and those roots and the critical points of p are
 isolated on integer polynomials by Descartes' rule with bisection.  Only
-the reported endpoints become floats.  `degenerate` means that p' and p''
-share a root: p has a critical point where p' may keep its sign (x**3 at
-0), so a branch can hold a critical point.
+the reported endpoints become floats: the nearest ones, or one float
+further out each when a branch is narrower than the float spacing.
+`degenerate` means that p' and p'' share a root: p has a critical point
+where p' may keep its sign (x**3 at 0), so a branch can hold a critical
+point.
 
 Convention: branches are indexed right to left, interval k running from
 nodes[k] up to nodes[k-1], and T_m is increasing on odd-indexed branches
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .polynomials import UniPoly, chebyshev
+from .polynomials import UniPoly, chebyshev, integer_numerators
 
 INCREASING = 1
 DECREASING = -1
@@ -243,6 +245,12 @@ def _narrow(cell: tuple, level: int) -> tuple:
     return g, num, k, s
 
 
+def _float_ends(lo: Fraction, hi: Fraction) -> tuple[float, float]:
+    """lo < hi rounded to floats, widened one float outward if they round to one."""
+    a, b = float(lo), float(hi)
+    return (math.nextafter(a, -math.inf), math.nextafter(b, math.inf)) if a == b else (a, b)
+
+
 def _ends(cell: tuple) -> tuple[Fraction, Fraction]:
     _, num, k, s = cell
     unit = Fraction(2) ** -k
@@ -260,8 +268,7 @@ def full_branch_intervals(p: UniPoly) -> BranchSet:
     """
     if p.degree() < 1:
         raise ValueError("need a nonconstant polynomial")
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    P = [c.numerator * (den // c.denominator) for c in p.coeffs]  # p = P / den
+    P, den = integer_numerators(p.coeffs)  # p = P / den
     dP = _derivative(P)
     repeated = _gcd(dP, _derivative(dP))
     crit = _quotient(dP, repeated)
@@ -287,7 +294,7 @@ def full_branch_intervals(p: UniPoly) -> BranchSet:
 
     marks = [i for i, (level, _) in enumerate(roots) if level]
     found = [
-        (float(sum(ends[i]) / 2), float(sum(ends[j]) / 2), roots[j][0])
+        (*_float_ends(sum(ends[i]) / 2, sum(ends[j]) / 2), roots[j][0])
         for i, j in zip(marks, marks[1:])
         if roots[i][0] == -roots[j][0] and all(slope(g) == roots[j][0] for g in range(i, j))
     ]

@@ -5,7 +5,10 @@ no trailing zeros); bivariate polynomials are sparse (sorted tuple of
 ((deg_u, deg_v), coefficient) pairs, zero coefficients never stored).
 Coefficients are `fractions.Fraction`, so everything in this module is
 exact; floating point enters only through the ``*_float`` evaluators
-used at the symbolic/numeric boundary.
+used at the symbolic/numeric boundary.  Products, compositions and exact
+evaluation do not multiply Fractions: they accumulate the integer
+numerators of their operands over one common denominator and build one
+Fraction per output coefficient.
 
 The degree of the zero polynomial is the sentinel ``NEG_INF`` (minus
 infinity), never -1, so degree laws cannot pass vacuously on zero
@@ -17,10 +20,12 @@ pure function, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import index
+from operator import index, mul
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -45,13 +50,41 @@ def as_integer(k) -> int:
         raise ValueError(f"expected an integer, got {k!r}") from None
 
 
-def _powers(base, one):
-    """Lazy table k -> base**k, each new power the previous one times base."""
+def integer_numerators(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
+    """(N, den) with coeffs[i] == N[i] / den, den the lcm of the denominators."""
+    coeffs = tuple(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Coefficients, constant first, of the product of two integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def _sum_products(pairs, width: int, den: int) -> "BiPoly":
+    """The BiPoly sum of a * b / den over (a, b) in pairs, a and b integer
+    polynomials as lists of (du * width + dv, coefficient)."""
+    sums = defaultdict(int)
+    for a, b in pairs:
+        for i, ca in a:
+            for j, cb in b:
+                sums[i + j] += ca * cb
+    return BiPoly({divmod(k, width): Fraction(n, den) for k, n in sums.items() if n})
+
+
+def _powers(base, one, times=mul):
+    """Lazy table k -> base**k, each new power times(previous power, base)."""
     cache = [one]
 
     def power(k: int):
         while len(cache) <= k:
-            cache.append(cache[-1] * base)
+            cache.append(times(cache[-1], base))
         return cache[k]
 
     return power
@@ -87,10 +120,6 @@ class UniPoly:
     def const(cls, c: Scalar) -> "UniPoly":
         return cls((c,))
 
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((0, 1))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -120,16 +149,8 @@ class UniPoly:
     def __mul__(self, other: Union["UniPoly", Scalar]) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
             return UniPoly(tuple(c * other for c in self.coeffs))
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                if cj:
-                    out[i + j] += ci * cj
-        return UniPoly(out)
+        (a, da), (b, db) = integer_numerators(self.coeffs), integer_numerators(other.coeffs)
+        return UniPoly(tuple(Fraction(n, da * db) for n in _convolve(a, b)))
 
     def __rmul__(self, other: Scalar) -> "UniPoly":
         return self * other
@@ -142,7 +163,14 @@ class UniPoly:
         return _horner([UniPoly.const(c) for c in reversed(self.coeffs)] or [UniPoly.zero()], inner)
 
     def evaluate(self, x: Scalar) -> Fraction:
-        return _horner(reversed(self.coeffs or (Fraction(0),)), _as_fraction(x))
+        """self(x) exactly: with x = a/b and self = N/den, the integer sum
+        of N[i] * a**i * b**(n - i) (Horner), over den * b**n."""
+        a, b = _as_fraction(x).as_integer_ratio()
+        N, den = integer_numerators(self.coeffs or (Fraction(0),))
+        acc, scale = 0, 1
+        for c in reversed(N):
+            acc, scale = acc * a + c * scale, scale * b
+        return Fraction(acc, den * scale // b)
 
     @cached_property
     def evaluate_float(self):
@@ -182,14 +210,13 @@ def chebyshev(m: int) -> UniPoly:
     """
     if m < 0:
         raise ValueError(f"Chebyshev index must be >= 0, got {m}")
-    prev = UniPoly.const(1)
-    if m == 0:
-        return prev
-    cur = UniPoly.x()
-    two_x = UniPoly((0, 2))
-    for _ in range(m - 1):
-        prev, cur = cur, two_x * cur - prev
-    return cur
+    prev, cur = [0, 1], [1]  # T_-1 = T_1 = x and T_0, as integer lists
+    for _ in range(m):
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return UniPoly(tuple(cur))
 
 
 Term = tuple[tuple[int, int], Fraction]
@@ -211,7 +238,7 @@ class BiPoly:
             key = (as_integer(du), as_integer(dv))
             if key[0] < 0 or key[1] < 0:
                 raise ValueError(f"negative exponent {key}")
-            acc[key] = acc.get(key, Fraction(0)) + c
+            acc[key] = acc[key] + c if key in acc else c
         object.__setattr__(
             self, "terms", tuple(sorted((k, v) for k, v in acc.items() if v != 0))
         )
@@ -258,15 +285,19 @@ class BiPoly:
     def __mul__(self, other: Union["BiPoly", Scalar]) -> "BiPoly":
         if isinstance(other, (int, Fraction)):
             return BiPoly(tuple((k, c * other) for k, c in self.terms))
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (au, av), ca in self.terms:
-            for (bu, bv), cb in other.terms:
-                key = (au + bu, av + bv)
-                acc[key] = acc.get(key, Fraction(0)) + ca * cb
-        return BiPoly(acc)
+        # above every power of v in the product
+        width = 1 + 2 * max((dv for (_, dv), _ in self.terms + other.terms), default=0)
+        (a, da), (b, db) = self._flat(width), other._flat(width)
+        return _sum_products([(a, b)], width, da * db)
 
     def __rmul__(self, other: Scalar) -> "BiPoly":
         return self * other
+
+    def _flat(self, width: int) -> tuple[list[tuple[int, int]], int]:
+        """(terms, den): self is the sum of c * u**du * v**dv / den over
+        (du * width + dv, c) in terms, each c an integer."""
+        N, den = integer_numerators(c for _, c in self.terms)
+        return [(du * width + dv, c) for ((du, dv), _), c in zip(self.terms, N)], den
 
     def partial_u(self) -> "BiPoly":
         return BiPoly({(du - 1, dv): du * c for (du, dv), c in self.terms if du >= 1})
@@ -324,21 +355,19 @@ def compose_separable(P: BiPoly, p: UniPoly) -> BiPoly:
     """Exact substitution P(p(u), p(v)) for a separable coordinate change.
 
     Total degree is at most deg(p) * deg(P), with equality whenever the top
-    homogeneous part of P is nonzero.
+    homogeneous part of P is nonzero.  With p = N / d and P = C / D on
+    integers, the term c * p(u)**a * p(v)**b is C_ab * d**(top - a - b) *
+    N(u)**a * N(v)**b over D * d**top, top the total degree of P.
     """
-    ppow = _powers(p, UniPoly.const(1))
-    acc: dict[tuple[int, int], Fraction] = {}
-    for (a, b), c in P.terms:
-        pa, pb = ppow(a).coeffs, ppow(b).coeffs
-        for i, ci in enumerate(pa):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(pb):
-                if cj == 0:
-                    continue
-                key = (i, j)
-                acc[key] = acc.get(key, Fraction(0)) + c * ci * cj
-    return BiPoly(acc)
+    (N, d), (C, D) = integer_numerators(p.coeffs), integer_numerators(c for _, c in P.terms)
+    top, npow = max(P.total_degree(), 0), _powers(N, [1], _convolve)
+    width = 1 + top * len(N)  # above every power of u or v in the result
+    pairs = []
+    for ((a, b), _), c in zip(P.terms, C):
+        c *= d ** (top - a - b)
+        pairs.append(([(i * width, c * ci) for i, ci in enumerate(npow(a)) if ci],
+                      [(j, cj) for j, cj in enumerate(npow(b)) if cj]))
+    return _sum_products(pairs, width, D * d**top)
 
 
 @dataclass(frozen=True)

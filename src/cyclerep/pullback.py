@@ -80,16 +80,17 @@ def build_pullback(X: VectorField2, p: UniPoly) -> PullbackResult:
 def verify_conjugacy(r: PullbackResult, X: VectorField2) -> bool:
     """Exact check of DPhi . Y = lambda . X o Phi, component by component.
 
-    True iff both residuals are the zero polynomial.  A False return
-    means the pullback was not built from X (or a construction bug).
+    True iff both sides are equal polynomials (a zero residual).  A False
+    return means the pullback was not built from X (or a construction bug).
     """
     p = r.cover_poly
     dp = p.derivative()
     dpu = BiPoly.from_uni(dp, 0)
     dpv = BiPoly.from_uni(dp, 1)
-    res_u = dpu * r.field.p_comp - r.lam * compose_separable(X.p_comp, p)
-    res_v = dpv * r.field.q_comp - r.lam * compose_separable(X.q_comp, p)
-    return res_u.is_zero and res_v.is_zero
+    return (
+        dpu * r.field.p_comp == r.lam * compose_separable(X.p_comp, p)
+        and dpv * r.field.q_comp == r.lam * compose_separable(X.q_comp, p)
+    )
 
 
 def check_exact_degree(r: PullbackResult, X: VectorField2) -> bool:

@@ -11,9 +11,9 @@ import pytest
 
 import cyclerep
 from cyclerep import svgplot
-from cyclerep.branches import cheb_nodes
+from cyclerep.branches import cheb_nodes, full_branch_intervals
 from cyclerep.cli import main
-from cyclerep.polynomials import chebyshev, field_to_json, unipoly_to_json
+from cyclerep.polynomials import UniPoly, chebyshev, field_to_json, unipoly_to_json
 from cyclerep.dynamics import radial_cubic_field
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -34,6 +34,14 @@ class TestPullbackCommand:
         assert blob["deg_Y"] == 11
         assert blob["conjugacy_identity"] is True
         assert blob["exact_degree"] is True
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_golden_field_bytes(self, m, capsys):
+        # tests/golden/pullback_field.json: degree 3, every monomial present,
+        # denominators 1 to 4; its outputs as first written pin the bytes
+        assert main(["pullback", str(GOLDEN / "pullback_field.json"), "--m", str(m)]) == 0
+        got = capsys.readouterr().out.encode("utf-8")
+        assert got == (GOLDEN / f"pullback_field_m{m}.json").read_bytes()
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -222,6 +230,20 @@ class TestBranchesCommand:
         poly_file.write_text(json.dumps({"coeffs": ["0", f"1/{10**400}"]}))
         assert main(["branches", str(poly_file)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_branch_narrower_than_float_spacing(self, tmp_path, capsys):
+        # 10^20 x - 10^26 maps (10^6 - 10^-20, 10^6 + 10^-20) onto (-1, 1); both
+        # ends round to the float 10^6, so each is pushed one float outward
+        coeffs = [str(-10**26), str(10**20)]
+        poly_file = tmp_path / "narrow.json"
+        poly_file.write_text(json.dumps({"coeffs": coeffs}))
+        assert main(["branches", str(poly_file)]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["count"] == 1
+        # the JSON holds 9 significant digits; the interval itself is not empty
+        (iv,) = full_branch_intervals(UniPoly(tuple(map(int, coeffs)))).intervals
+        assert iv.lo < 1e6 < iv.hi
+        assert (iv.lo, iv.hi) == (math.nextafter(1e6, 0), math.nextafter(1e6, 2e6))
 
     def test_svg_of_huge_coefficient_exits_3(self, tmp_path, capsys):
         poly_file = tmp_path / "steep.json"

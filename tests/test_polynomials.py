@@ -70,6 +70,19 @@ class TestChebyshev:
         with pytest.raises(ValueError):
             chebyshev(-1)
 
+    def test_matches_fraction_recurrence_to_64(self):
+        # T_0 = 1, T_1 = x, T_{k+1} = 2x T_k - T_{k-1}, over Fractions
+        prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+        assert chebyshev(0).coeffs == (Fraction(1),)
+        for m in range(1, 65):
+            got = chebyshev(m).coeffs
+            assert got == tuple(cur)
+            assert all(type(c) is Fraction for c in got)
+            nxt = [Fraction(0)] + [2 * c for c in cur]
+            for i, c in enumerate(prev):
+                nxt[i] -= c
+            prev, cur = cur, nxt
+
 
 class TestUniPoly:
     def test_derivative_t3(self):
@@ -265,6 +278,84 @@ class TestFloatEvaluatorAgainstReference:
         same_bits(f.evaluate_float(us, vs), reference_bi(f, us, vs))
 
 
+# coefficients over the denominators 1, 2, 3, 4 and 7, so a product's
+# common denominator differs from every operand's
+mixed_fractions = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 7]))
+mixed_bipolys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), mixed_fractions, max_size=8
+).map(BiPoly)
+mixed_unipolys = st.lists(mixed_fractions, max_size=8).map(lambda cs: UniPoly(tuple(cs)))
+
+
+def fraction_product(f, g):
+    """f * g term by term over Fractions: every pair of terms multiplied and
+    summed, zero sums dropped; the reference for the integer products."""
+    acc = {}
+    for (au, av), ca in f.terms:
+        for (bu, bv), cb in g.terms:
+            key = (au + bu, av + bv)
+            acc[key] = acc.get(key, Fraction(0)) + ca * cb
+    return BiPoly(tuple((k, c) for k, c in acc.items() if c != 0))
+
+
+def fraction_uni_product(p, q):
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs))
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return UniPoly(tuple(out))
+
+
+class TestIntegerProducts:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_bipolys, mixed_bipolys)
+    def test_bipoly_product_matches_fraction_reference(self, f, g):
+        got = f * g
+        assert got == fraction_product(f, g)
+        assert all(type(c) is Fraction and c != 0 for _, c in got.terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_bipolys, mixed_bipolys)
+    def test_bipoly_product_with_cancelling_terms(self, f, g):
+        # the cross terms of (f + g)(f - g) cancel to f^2 - g^2
+        got = (f + g) * (f - g)
+        assert got == fraction_product(f + g, f - g)
+        assert got == fraction_product(f, f) - fraction_product(g, g)
+
+    def test_bipoly_product_cancels_to_zero(self):
+        f = BiPoly({(1, 0): Fraction(2, 3), (0, 1): Fraction(-5, 7)})
+        g = BiPoly({(2, 1): Fraction(3, 4)})
+        assert f * g - g * f == BiPoly.zero()
+        assert (f * g + (-f) * g).terms == ()
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_unipolys, mixed_unipolys)
+    def test_unipoly_product_matches_fraction_reference(self, p, q):
+        got = p * q
+        assert got == fraction_uni_product(p, q)
+        assert all(type(c) is Fraction for c in got.coeffs)
+        # (p + q)(p - q): the cross terms cancel
+        assert (p + q) * (p - q) == fraction_uni_product(p, p) - fraction_uni_product(q, q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_unipolys, mixed_fractions, st.sampled_from([1, 2, 3, 4, 7, 2**53]))
+    def test_exact_evaluation_matches_fraction_horner(self, p, num, den):
+        x = num / den
+        expected = Fraction(0)
+        for c in reversed(p.coeffs):
+            expected = expected * x + c
+        got = p.evaluate(x)
+        assert type(got) is Fraction and got == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_unipolys, mixed_unipolys)
+    def test_compose_matches_fraction_horner(self, p, q):
+        expected = UniPoly.zero()
+        for c in reversed(p.coeffs):
+            expected = fraction_uni_product(expected, q) + UniPoly.const(c)
+        assert p.compose(q) == expected
+
+
 class TestComposeSeparable:
     def test_identity_projection(self):
         # P = x composed with T_3 gives T_3(u) as a bivariate in u only
@@ -288,6 +379,22 @@ class TestComposeSeparable:
         t3v = BiPoly.from_uni(chebyshev(3), 1)
         expected = t3u * t3u + t3v * t3v - BiPoly.const(rho2)
         assert compose_separable(P, chebyshev(3)) == expected
+
+    def test_non_monic_rational_cover_equals_repeated_products(self):
+        # p and P over the denominators 2, 3, 4 and 7, p non-monic
+        p = U(Fraction(1, 3), Fraction(-2, 7), 0, Fraction(5, 4))
+        P = BiPoly({(0, 0): Fraction(-1, 2), (1, 0): Fraction(2, 3), (0, 2): Fraction(3, 4),
+                    (2, 1): Fraction(-5, 7), (1, 2): 1, (0, 3): Fraction(9, 2)})
+        pu, pv = BiPoly.from_uni(p, 0), BiPoly.from_uni(p, 1)
+        expected = BiPoly.zero()
+        for (a, b), c in P.terms:
+            term = BiPoly.const(c)
+            for factor in [pu] * a + [pv] * b:
+                term = fraction_product(term, factor)
+            expected = expected + term
+        got = compose_separable(P, p)
+        assert got == expected
+        assert got.total_degree() == 9
 
     def test_degree_multiplication_law(self):
         rng = random.Random(4242)

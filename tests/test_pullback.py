@@ -1,4 +1,6 @@
 import random
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -96,6 +98,32 @@ class TestConjugacy:
             ),
         )
         assert not verify_conjugacy(bad, radial_half)
+
+    def test_cubic_seed_at_m64_within_wall_bound(self, radial_half):
+        # build plus verify took 1.7 s on a 2-core host; the bound is 5x that
+        start = time.perf_counter()
+        r = build_pullback(radial_half, chebyshev(64))
+        assert verify_conjugacy(r, radial_half)
+        assert time.perf_counter() - start < 8.5
+        assert r.field.degree() == 64 * 3 + 63
+
+    @pytest.mark.parametrize("part", ["p", "q", "lam"])
+    def test_one_perturbed_coefficient_detected_at_m16(self, radial_half, part):
+        # one coefficient c of the middle term moved by 1/(2 den(c)), which
+        # changes its denominator and so every product it enters
+        r = build_pullback(radial_half, chebyshev(16))
+        assert verify_conjugacy(r, radial_half)
+        p, q = r.field.p_comp, r.field.q_comp
+        target = {"p": p, "q": q, "lam": r.lam}[part]
+        terms = list(target.terms)
+        key, c = terms[len(terms) // 2]
+        terms[len(terms) // 2] = (key, c + Fraction(1, 2 * c.denominator))
+        bad = BiPoly(terms)
+        if part == "lam":
+            r_bad = replace(r, lam=bad)
+        else:
+            r_bad = replace(r, field=VectorField2(bad, q) if part == "p" else VectorField2(p, bad))
+        assert not verify_conjugacy(r_bad, radial_half)
 
     def test_exact_degree_examples(self, radial_half, pullback_m3):
         assert check_exact_degree(pullback_m3, radial_half)
