@@ -256,7 +256,11 @@ def cmd_branches(args) -> int:
     if bset.degenerate:
         print("warning: degenerate: p' and p'' share a root, so a critical point may lie"
               " inside a branch", file=sys.stderr)
-    sys.stdout.write(_dump_json(branch_set_to_json(bset)))
+    blob = _round9(branch_set_to_json(bset))
+    for iv, out in zip(bset.intervals, blob["intervals"]):
+        if out["lo"] == out["hi"]:  # equal at 9 digits: the exact ends show lo < hi
+            out["lo"], out["hi"] = iv.lo, iv.hi
+    sys.stdout.write(json.dumps(blob, indent=2) + "\n")
     if args.svg:
         span = 1.05
         n = 400

@@ -149,7 +149,7 @@ class UniPoly:
     def __mul__(self, other: Union["UniPoly", Scalar]) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
             return UniPoly(tuple(c * other for c in self.coeffs))
-        (a, da), (b, db) = integer_numerators(self.coeffs), integer_numerators(other.coeffs)
+        (a, da), (b, db) = self._numerators, other._numerators
         return UniPoly(tuple(Fraction(n, da * db) for n in _convolve(a, b)))
 
     def __rmul__(self, other: Scalar) -> "UniPoly":
@@ -166,11 +166,19 @@ class UniPoly:
         """self(x) exactly: with x = a/b and self = N/den, the integer sum
         of N[i] * a**i * b**(n - i) (Horner), over den * b**n."""
         a, b = _as_fraction(x).as_integer_ratio()
-        N, den = integer_numerators(self.coeffs or (Fraction(0),))
+        N, den = self._numerators
         acc, scale = 0, 1
         for c in reversed(N):
             acc, scale = acc * a + c * scale, scale * b
         return Fraction(acc, den * scale // b)
+
+    @cached_property
+    def _numerators(self) -> tuple[tuple[int, ...], int]:
+        """`integer_numerators` of the coefficients ((0,), 1 for zero),
+        computed once per polynomial: the lcm is most of an exact evaluation
+        at large degree."""
+        N, den = integer_numerators(self.coeffs or (Fraction(0),))
+        return tuple(N), den
 
     @cached_property
     def evaluate_float(self):

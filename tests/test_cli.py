@@ -240,7 +240,10 @@ class TestBranchesCommand:
         assert main(["branches", str(poly_file)]) == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["count"] == 1
-        # the JSON holds 9 significant digits; the interval itself is not empty
+        # equal at 9 significant digits, so the JSON holds the ends in full
+        (out,) = blob["intervals"]
+        assert out["lo"] < out["hi"]
+        assert (out["lo"], out["hi"]) == (math.nextafter(1e6, 0), math.nextafter(1e6, 2e6))
         (iv,) = full_branch_intervals(UniPoly(tuple(map(int, coeffs)))).intervals
         assert iv.lo < 1e6 < iv.hi
         assert (iv.lo, iv.hi) == (math.nextafter(1e6, 0), math.nextafter(1e6, 2e6))

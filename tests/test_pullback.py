@@ -148,6 +148,26 @@ class TestConjugacy:
             assert check_exact_degree(r, X)
 
 
+class TestIteratedReplication:
+    """T_a o T_b = T_ab, so pulling back by T_a and then by T_b is pulling
+    back once by T_ab (chain rule: T_b'(v) T_a'(T_b(v)) = T_ab'(v)): the
+    (ab)^2 rectangles of the composite cover come from replicating twice.
+    Both are exact polynomial identities."""
+
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    @pytest.mark.parametrize("b", [2, 3, 4])
+    def test_chebyshev_composes(self, a, b):
+        assert chebyshev(a).compose(chebyshev(b)) == chebyshev(a * b)
+
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    @pytest.mark.parametrize("b", [2, 3, 4])
+    def test_two_pullbacks_are_one(self, radial_half, a, b):
+        twice = build_pullback(build_pullback(radial_half, chebyshev(a)).field, chebyshev(b))
+        once = build_pullback(radial_half, chebyshev(a * b))
+        assert twice.field == once.field
+        assert twice.field.degree() == 4 * a * b - 1
+
+
 class TestSerialization:
     def test_result_json(self, pullback_m3):
         blob = pullback_result_to_json(pullback_m3)
