@@ -261,6 +261,92 @@ def copy_state(ours: DOP853, theirs) -> None:
     ours.f = (float(theirs.f[0]), float(theirs.f[1]), ours.fun(ours.t, ours.y)[2])
 
 
+@pytest.fixture
+def trials(monkeypatch):
+    """Every trial step the stepper makes, as (t, y, h, stages), in order."""
+    made = []
+
+    def recording(fun, t, y, h, K, rows):
+        K = _stages(fun, t, y, h, K, rows)
+        if rows is dynamics._A:  # a trial, not an interpolant's extra stages
+            made.append((t, y, h, list(K)))
+        return K
+
+    _stages = dynamics._stages
+    monkeypatch.setattr(dynamics, "_stages", recording)
+    return made
+
+
+def gamma(n: int) -> Fraction:
+    """n u / (1 - n u), u = 2^-53: the relative error bound of n roundings
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1)."""
+    nu = Fraction(n, 2**53)
+    return nu / (1 - nu)
+
+
+def exact_trial(solver: DOP853, trial):
+    """One trial of `solver`, evaluated exactly from its own float stages:
+    (y_new, the bound on a float y_new's error per lane, the interval that
+    holds a float error norm).  A float sum of n products is within
+    gamma(n) sum|products| of the exact sum, in any order, and each later
+    operation adds a rounding; the norm rises with the 5th-order estimate
+    and falls with the 3rd-order one, so the interval's ends take the
+    extremes of each."""
+    _, y, h, K = trial
+    if not all(math.isfinite(x) for k_ in K for x in k_[:2]):
+        return None, None, (math.inf, math.inf)  # stages that overflowed
+    F = Fraction
+    h, rtol, atol = F(h), F(solver.rtol), F(solver.atol)
+    y_new, y_err, n_lo, n_hi = [], [], [0, 0], [0, 0]
+    for lane in range(2):
+        y0 = F(y[lane])
+        # the stages' products with the weights b, e5 and e3, by weight
+        terms = list(zip(*([F(K[k][lane]) * F(w) for w in weights] for k, *weights in dynamics._BE)))
+        b, e5, e3 = (sum(col) for col in terms)
+        b_mag, e5_mag, e3_mag = (sum(map(abs, col)) for col in terms)
+        y_new.append(y0 + h * b)
+        y_err.append(gamma(10) * (abs(y0) + abs(h) * b_mag))  # 8 products summed, * h, + y0
+        ends = [max(abs(y0), abs(y_new[-1]) + d) for d in (-y_err[-1], y_err[-1])]
+        s_lo, s_hi = ((atol + end * rtol) * (1 + g) for end, g in zip(ends, (-gamma(2), gamma(2))))
+        for j, (e, mag) in enumerate(((e5, e5_mag), (e3, e3_mag))):
+            d = gamma(9) * mag  # 8 products summed, / scale
+            n_lo[j] += (max(abs(e) - d, 0) / s_hi) ** 2 * (1 - gamma(2))  # squared and summed
+            n_hi[j] += ((abs(e) + d) / s_lo) ** 2 * (1 + gamma(2))
+
+    def norm(n5, n3, g):  # h n5 / sqrt(2 (n5 + 0.01 n3)): five roundings there, three here
+        return math.sqrt(float(h * h * n5 * n5 / (2 * (n5 + F(0.01) * n3)))) * float(1 + g) if n5 else 0.0
+
+    return y_new, y_err, (norm(n_lo[0], n_hi[1], -gamma(8)), norm(n_hi[0], n_lo[1], gamma(8)))
+
+
+def factor(err: float, rejected: bool, retried: bool) -> float:
+    """The DOP853 controller's step size factor for error norm err: 0.9
+    err^(-1/8), at least 0.2 for a rejected trial, at most 10 for an
+    accepted one, and at most 1 right after a rejection."""
+    grow = 0.9 * err**-0.125 if 0.0 < err < math.inf else (10.0 if err == 0.0 else 0.2)
+    return max(0.2, grow) if rejected else min(1.0 if retried else 10.0, grow)
+
+
+def assert_controller_exact(solver: DOP853, trials) -> None:
+    """Every step size `solver` chose in its last step, and its new state,
+    are those of the exact error norm and sums of its own stages, to the
+    rounding bounds of a float evaluation (`exact_trial`), widened by eight
+    roundings for the controller's own arithmetic on either side."""
+    pad = float(gamma(8))
+    for i, trial in enumerate(trials):
+        t, _, h, _ = trial
+        y_new, y_err, (err_lo, err_hi) = exact_trial(solver, trial)
+        rejected = i + 1 < len(trials)
+        lo, hi = (h * factor(err, rejected, i > 0) * (1 + p) for err, p in ((err_hi, -pad), (err_lo, pad)))
+        if rejected:  # the next trial's length, clipped at t_bound
+            lo, hi = (min(t + x, solver.t_bound) - t for x in (lo, hi))
+            assert lo <= trials[i + 1][2] <= hi
+            continue
+        assert lo <= solver.h_abs <= hi
+        for k in range(2):
+            assert abs(Fraction(solver.y[k]) - y_new[k]) <= y_err[k]
+
+
 class TestStepperAgainstScipy:
     # scipy's DOP853 is the oracle here only; its sums run in BLAS, with fused
     # multiply-adds on some hosts, so steps agree to rounding, not bit for bit
@@ -272,33 +358,38 @@ class TestStepperAgainstScipy:
         assert ours.h_abs == pytest.approx(theirs.h_abs, rel=1e-14)
 
     @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
-    def test_one_step_from_shared_state(self, radial_half, case):
+    def test_one_step_from_shared_state(self, radial_half, case, trials):
         rhs, z0 = stepper_case(radial_half, case)
         theirs = ScipyDOP853(state_lanes(rhs), 0.0, np.array(z0), 20.0, rtol=RTOL, atol=ATOL)
         ours = DOP853(rhs, 0.0, z0, 20.0, RTOL, ATOL)
         retried = compared = 0
         while theirs.status == "running" and retried + compared < 150:
             copy_state(ours, theirs)
-            t, h_abs = ours.t, ours.h_abs
+            t, h_abs, nfev = ours.t, ours.h_abs, theirs.nfev
+            trials.clear()
             ours.step()
             theirs.step()
+            assert_controller_exact(ours, trials)
+            # scipy makes 12 RHS calls per trial, so both rejected the same trials
+            assert theirs.nfev - nfev == 12 * len(trials)
             # the error estimate cancels to 1e-12 of the stages or less (to
             # rounding noise on the tiny first step), so the next step size,
             # through its 1/8 power, keeps fewer digits
             assert ours.h_abs == pytest.approx(theirs.h_abs, rel=1e-3)
             if theirs.t != t + h_abs:
-                # a rejected trial: the retry shrinks by that power too.  The
-                # 5th-order estimate of a rejected trial cancels to 1e-10 of
-                # the stages and the norm squares it, so the retry keeps
-                # about 9 digits (measured 1.9e-9 at worst, m3)
+                # a rejected trial: the retry shrinks by that power too.  A
+                # rejected trial's 5th-order estimate cancels to 1e-10 of the
+                # stages, and the norm squares it; each side's retry is held
+                # to its own exact norm above, and they meet to about 9 digits
+                # (measured 1.9e-9 at worst, m3)
                 retried += 1
                 assert ours.t == pytest.approx(theirs.t, rel=1e-8)
                 continue
             compared += 1
             assert ours.t == theirs.t
-            # a lane's rounding is that of sums over stages of the state's
-            # size, so a lane crossing zero is held to the state's scale
-            # (measured 8.1e-16 at worst)
+            # each lane against the exact sum is held above; against scipy's,
+            # which has its own rounding, to 1e-14 of the state's scale, since
+            # a lane may cross zero (measured 8.1e-16 at worst)
             scale = max(abs(theirs.y[0]), abs(theirs.y[1]))
             for k in range(2):
                 assert abs(ours.y[k] - theirs.y[k]) <= 1e-14 * scale
@@ -307,7 +398,7 @@ class TestStepperAgainstScipy:
         assert compared >= 30
 
     @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
-    def test_step_after_rejected_trials(self, radial_half, case):
+    def test_step_after_rejected_trials(self, radial_half, case, trials):
         rhs, z0 = stepper_case(radial_half, case)
         theirs = ScipyDOP853(state_lanes(rhs), 0.0, np.array(z0), 20.0, rtol=RTOL, atol=ATOL)
         ours = DOP853(rhs, 0.0, z0, 20.0, RTOL, ATOL)
@@ -315,16 +406,19 @@ class TestStepperAgainstScipy:
             theirs.step()
         theirs.h_abs *= 100.0  # far too long: rejected until it fits
         copy_state(ours, theirs)
-        t = ours.t
+        t, nfev = ours.t, theirs.nfev
         ours.step()
         theirs.step()
-        # each retry carries the rejected estimate's rounding (measured
-        # 7.2e-11 at worst, m3)
+        assert len(trials) >= 3
+        assert_controller_exact(ours, trials)
+        assert theirs.nfev - nfev == 12 * len(trials)
+        # against scipy, each retry carries both sides' rounding of a
+        # rejected estimate (measured 7.2e-11 at worst, m3)
         assert ours.t == pytest.approx(theirs.t, rel=1e-9)
         assert ours.h_abs == pytest.approx(theirs.h_abs, rel=1e-3)
         assert ours.h_abs <= ours.t - t  # no growth right after a rejection
 
-    def test_rejected_trial_clipped_at_t_bound_shrinks_from_the_clip(self, radial_half):
+    def test_rejected_trial_clipped_at_t_bound_shrinks_from_the_clip(self, radial_half, trials):
         # a trial of 1e3 is cut at t_bound = 20 and its stages overflow: the
         # retry is 0.2 of the 20 tried, as scipy's, not of 1e3
         rhs, z0 = stepper_case(radial_half, "seed")
@@ -334,6 +428,8 @@ class TestStepperAgainstScipy:
         with np.errstate(over="ignore", invalid="ignore"):
             theirs.step()
         ours.step()
+        assert trials[0][2] == 20.0 and trials[1][2] == 4.0
+        assert_controller_exact(ours, trials)
         assert ours.t == pytest.approx(theirs.t, rel=1e-9)
 
     @pytest.mark.parametrize("case, t_bound", [("seed", 20.0), ("m3", 5.0), ("m8", 1.5)])
