@@ -105,6 +105,11 @@ def _cheb_cached(m: int) -> UniPoly:
     return chebyshev(m)
 
 
+@lru_cache(maxsize=None)
+def _nodes_cached(m: int) -> tuple[float, ...]:
+    return tuple(cheb_nodes(m))
+
+
 def cheb_preimage(m: int, k: int, y: float) -> float:
     """The preimage of y under T_m on branch k, unchecked.
 
@@ -134,7 +139,7 @@ def branch_inverse(m: int, k: int, y: float) -> float:
     if not -1.0 < y < 1.0:
         raise ValueError(f"y={y} outside (-1, 1); branch endpoints are critical values")
     u = cheb_preimage(m, k, y)
-    nodes = cheb_nodes(m)
+    nodes = _nodes_cached(m)
     # exact: float Horner on T_m errs by ~eps*sum|a_i|, over 1e-12 from m=13
     resid = abs(_cheb_cached(m).evaluate(Fraction(u)) - Fraction(y))
     if resid > 1e-12 or not nodes[k] < u < nodes[k - 1]:

@@ -154,6 +154,10 @@ def cmd_example(args) -> int:
 
     section = Section(base=(0.0, 0.0), direction=(1.0, 0.0), s_max=1.0)
     base = find_cycle(field, section, float(rho), cfg)
+    if not base.certified:
+        print(f"error: base cycle not certified hyperbolic: multiplier {fmt9(base.multiplier)}"
+              f" within eps_hyp={cfg.eps_hyp:g} of 1", file=sys.stderr)
+        return EXIT_DYNAMICS
     try:
         records = lift_cycles(pb, base, m, cfg)
     except LiftError as err:
@@ -340,10 +344,7 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as err:  # OverflowError: a value beyond float range
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARAMS
-    except bounds_mod.MissingSeedError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NO_WITNESS
-    except bounds_mod.NoWitnessError as err:
+    except (bounds_mod.MissingSeedError, bounds_mod.NoWitnessError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NO_WITNESS
     except DynamicsError as err:

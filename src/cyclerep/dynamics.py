@@ -716,10 +716,8 @@ def lift_cycles(
     of its two branches (negative lambda flips the return map to its
     inverse, hence the multiplier to its reciprocal).
     """
-    if m != pb.cover_degree:
-        raise ValueError(f"m={m} does not match the pullback cover degree {pb.cover_degree}")
     if pb.cover_poly != chebyshev(m):
-        raise ValueError("lifting requires the Chebyshev cover polynomial")
+        raise ValueError(f"lifting requires the Chebyshev cover polynomial T_{m}")
     if not base.certified:
         raise ValueError("base cycle must be certified hyperbolic")
     xb, yb = base.anchor
@@ -727,6 +725,9 @@ def lift_cycles(
         raise ValueError("base anchor must lie strictly inside (-1, 1)^2")
 
     bset = cheb_branches(m)
+    # the m^2 seeds share 2m coordinates: branch i of xb, branch j of yb
+    us = [branch_inverse(m, k, xb) for k in range(1, m + 1)]
+    vs = [branch_inverse(m, k, yb) for k in range(1, m + 1)]
     rhs = field_rhs(pb)
     records: dict[tuple[int, int], LimitCycleRecord] = {}
     failures: list[tuple[int, int, str]] = []
@@ -734,7 +735,7 @@ def lift_cycles(
         for j in range(1, m + 1):
             rect = BranchRectangle(i, j, bset.intervals[i - 1], bset.intervals[j - 1])
             try:
-                seed = (branch_inverse(m, i, xb), branch_inverse(m, j, yb))
+                seed = (us[i - 1], vs[j - 1])
                 clearance = rect.boundary_distance(seed)
                 half = min(0.45 * clearance, cfg.section_cap)
                 if half <= cfg.margin:

@@ -5,7 +5,10 @@ no trailing zeros); bivariate polynomials are sparse (sorted tuple of
 ((deg_u, deg_v), coefficient) pairs, zero coefficients never stored).
 Coefficients are `fractions.Fraction`, so everything in this module is
 exact; floating point enters only through the ``*_float`` evaluators
-used at the symbolic/numeric boundary.  Products, compositions and exact
+used at the symbolic/numeric boundary.  The exact operations are the
+ones a separable pullback needs: sums and products of bivariate
+polynomials, derivatives, the substitution `compose_separable` (the one
+composition) and evaluation.  Products, the substitution and univariate
 evaluation do not multiply Fractions: they accumulate the integer
 numerators of their operands over one common denominator and build one
 Fraction per output coefficient.
@@ -90,16 +93,6 @@ def _powers(base, one, times=mul):
     return power
 
 
-def _horner(coeffs, x):
-    """Horner's rule over coefficients from the highest power down: the
-    leading one, then ``acc * x + c`` per lower power, zeros included."""
-    it = iter(coeffs)
-    acc = next(it)
-    for c in it:
-        acc = acc * x + c
-    return acc
-
-
 @dataclass(frozen=True)
 class UniPoly:
     """Dense univariate polynomial; ``coeffs[k]`` multiplies x**k."""
@@ -112,55 +105,12 @@ class UniPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
-    @classmethod
-    def const(cls, c: Scalar) -> "UniPoly":
-        return cls((c,))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> Union[int, float]:
         """Degree, or NEG_INF for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
-    def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other: Union["UniPoly", Scalar]) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(tuple(c * other for c in self.coeffs))
-        (a, da), (b, db) = self._numerators, other._numerators
-        return UniPoly(tuple(Fraction(n, da * db) for n in _convolve(a, b)))
-
-    def __rmul__(self, other: Scalar) -> "UniPoly":
-        return self * other
-
     def derivative(self) -> "UniPoly":
         return UniPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
-
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """Exact composition self(inner(x)) by Horner's scheme."""
-        return _horner([UniPoly.const(c) for c in reversed(self.coeffs)] or [UniPoly.zero()], inner)
 
     def evaluate(self, x: Scalar) -> Fraction:
         """self(x) exactly: with x = a/b and self = N/den, the integer sum
@@ -197,16 +147,6 @@ class UniPoly:
             return acc
 
         return evaluate_float
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            parts.append(f"{c}*x^{k}" if k else f"{c}")
-        return " + ".join(parts)
 
 
 def chebyshev(m: int) -> UniPoly:
@@ -252,14 +192,6 @@ class BiPoly:
         )
 
     @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls(())
-
-    @classmethod
-    def const(cls, c: Scalar) -> "BiPoly":
-        return cls({(0, 0): c})
-
-    @classmethod
     def from_uni(cls, p: UniPoly, var: int) -> "BiPoly":
         """Embed a univariate polynomial as p(u) (var=0) or p(v) (var=1)."""
         if var not in (0, 1):
@@ -267,10 +199,6 @@ class BiPoly:
         if var == 0:
             return cls({(k, 0): c for k, c in enumerate(p.coeffs)})
         return cls({(0, k): c for k, c in enumerate(p.coeffs)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def total_degree(self) -> Union[int, float]:
         """max(deg_u + deg_v) over stored terms; NEG_INF for zero."""
@@ -284,22 +212,11 @@ class BiPoly:
             acc[key] = acc.get(key, Fraction(0)) + c
         return BiPoly(acc)
 
-    def __neg__(self) -> "BiPoly":
-        return BiPoly(tuple((k, -c) for k, c in self.terms))
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __mul__(self, other: Union["BiPoly", Scalar]) -> "BiPoly":
-        if isinstance(other, (int, Fraction)):
-            return BiPoly(tuple((k, c * other) for k, c in self.terms))
+    def __mul__(self, other: "BiPoly") -> "BiPoly":
         # above every power of v in the product
         width = 1 + 2 * max((dv for (_, dv), _ in self.terms + other.terms), default=0)
         (a, da), (b, db) = self._flat(width), other._flat(width)
         return _sum_products([(a, b)], width, da * db)
-
-    def __rmul__(self, other: Scalar) -> "BiPoly":
-        return self * other
 
     def _flat(self, width: int) -> tuple[list[tuple[int, int]], int]:
         """(terms, den): self is the sum of c * u**du * v**dv / den over
@@ -353,11 +270,6 @@ class BiPoly:
 
         return evaluate_float
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        return " + ".join(f"{c}*u^{du}*v^{dv}" for (du, dv), c in self.terms)
-
 
 def compose_separable(P: BiPoly, p: UniPoly) -> BiPoly:
     """Exact substitution P(p(u), p(v)) for a separable coordinate change.
@@ -388,10 +300,6 @@ class VectorField2:
     def degree(self) -> Union[int, float]:
         """max of the component total degrees; NEG_INF for the zero field."""
         return max(self.p_comp.total_degree(), self.q_comp.total_degree())
-
-    @property
-    def is_zero(self) -> bool:
-        return self.p_comp.is_zero and self.q_comp.is_zero
 
 
 def fmt9(v: float) -> str:

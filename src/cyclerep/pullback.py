@@ -40,13 +40,8 @@ class PullbackResult:
 
     field: VectorField2
     cover_poly: UniPoly
-    source_degree: int
-    cover_degree: int
     lam: BiPoly  # p'(u) p'(v), the time-change factor
     source: VectorField2  # the seed field X
-
-    def degree(self):
-        return self.field.degree()
 
 
 def build_pullback(X: VectorField2, p: UniPoly) -> PullbackResult:
@@ -59,8 +54,7 @@ def build_pullback(X: VectorField2, p: UniPoly) -> PullbackResult:
     m = p.degree()
     if m == NEG_INF or m < 2:
         raise ValueError(f"cover polynomial must have degree >= 2, got degree {m}")
-    d = X.degree()
-    if d == NEG_INF:
+    if X.degree() == NEG_INF:
         raise ValueError("cannot pull back the zero field")
     dp = p.derivative()
     dpu = BiPoly.from_uni(dp, 0)
@@ -70,8 +64,6 @@ def build_pullback(X: VectorField2, p: UniPoly) -> PullbackResult:
     return PullbackResult(
         field=VectorField2(dpv * P_phi, dpu * Q_phi),
         cover_poly=p,
-        source_degree=int(d),
-        cover_degree=int(m),
         lam=dpu * dpv,
         source=X,
     )
@@ -103,13 +95,14 @@ def check_exact_degree(r: PullbackResult, X: VectorField2) -> bool:
     d = X.degree()
     if d == NEG_INF or d < 1:
         raise ValueError("need deg(X) >= 1")
-    return r.field.degree() == r.cover_degree * d + (r.cover_degree - 1)
+    m = r.cover_poly.degree()
+    return r.field.degree() == m * d + (m - 1)
 
 
 def pullback_result_to_json(r: PullbackResult) -> dict:
     return {
-        "m": r.cover_degree,
-        "d": r.source_degree,
+        "m": r.cover_poly.degree(),
+        "d": r.source.degree(),
         "deg_Y": int(r.field.degree()),
         "cover_poly": unipoly_to_json(r.cover_poly),
         "field": field_to_json(r.field),

@@ -140,6 +140,14 @@ class TestBranchInverse:
             ends = sorted(cheb_preimage(m, k, y) for y in (-1.0, 1.0))
             assert ends == pytest.approx([nodes[k], nodes[k - 1]], abs=1e-15)
 
+    def test_nodes_are_not_shared(self):
+        # cheb_nodes returns a fresh list; changing one leaves the nodes
+        # branch_inverse checks against as they were
+        nodes = cheb_nodes(3)
+        assert nodes is not cheb_nodes(3)
+        nodes[1] = 0.9
+        assert branch_inverse(3, 1, 0.0) == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
+
     def test_rejects_critical_values(self):
         for y in (1.0, -1.0, 1.5):
             with pytest.raises(ValueError):
@@ -169,7 +177,7 @@ def oracle_branches(p: UniPoly) -> list[tuple[float, float, int]]:
 
     def value(t):
         if t in (-math.inf, math.inf):
-            sign = 1 if p.leading() > 0 else -1
+            sign = 1 if p.coeffs[-1] > 0 else -1
             return math.inf * sign * (1 if t > 0 or p.degree() % 2 == 0 else -1)
         return P.eval(t)
 
@@ -250,7 +258,7 @@ class TestFullBranches:
     def test_scaled_chebyshev(self):
         # (11/10) T_3 overshoots +-1 at its critical points: still 3 branches,
         # now narrower than the nodes of T_3
-        p = chebyshev(3) * Fraction(11, 10)
+        p = UniPoly(tuple(Fraction(11, 10) * c for c in chebyshev(3).coeffs))
         bs = full_branch_intervals(p)
         assert bs.count == 3 and not bs.degenerate
         assert_matches_oracle(bs, p)

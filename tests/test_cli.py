@@ -102,6 +102,17 @@ class TestBoundsCommand:
     def test_query_without_witness_exits_5(self, capsys):
         assert main(["bounds", "query", "12"]) == 5
 
+    @pytest.mark.parametrize("error", ["MissingSeedError", "NoWitnessError"])
+    def test_lookup_errors_exit_5(self, monkeypatch, capsys, error):
+        import cyclerep.bounds as bounds_mod
+
+        def fail(N, seeds):
+            raise getattr(bounds_mod, error)("synthetic")
+
+        monkeypatch.setattr(bounds_mod, "best_cheb_bound", fail)
+        assert main(["bounds", "query", "11"]) == 5
+        assert capsys.readouterr().err == "error: synthetic\n"
+
     def test_ceiling_integer(self, capsys):
         assert main(["bounds", "ceiling", "1", "3", "11"]) == 0
         assert capsys.readouterr().out.strip() == "9"
@@ -335,6 +346,13 @@ class TestExampleCommand:
 
     def test_unparsable_rho_exits_2(self, tmp_path):
         assert main(["example", "--m", "2", "--rho", "x/y", "--out-dir", str(tmp_path)]) == 2
+
+    def test_non_hyperbolic_base_exits_4(self, tmp_path, capsys):
+        # rho = 1/200 is a valid radius; what fails is the dynamics: the
+        # seed multiplier exp(-4 pi rho^2) = 0.99969 lies within eps_hyp of 1
+        assert main(["example", "--m", "2", "--rho", "1/200", "--out-dir", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert "base cycle not certified hyperbolic" in err and "0.99968589" in err
 
     def test_lift_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         from cyclerep.dynamics import LiftError

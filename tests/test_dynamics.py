@@ -127,7 +127,7 @@ class TestCompiledEvaluation:
             assert abs(fast(u, v) - exact) <= 1e-14 * abs_term_sum(f, u, v)
 
     def test_zero_polynomial(self):
-        assert compile_component(BiPoly.zero())(0.4, -0.2) == 0.0
+        assert compile_component(BiPoly())(0.4, -0.2) == 0.0
 
     def test_no_degree_limit(self):
         # the m = 30 pullback of the cubic seed has total degree 119
@@ -222,7 +222,7 @@ class TestIntegrate:
 
     def test_blowup_reports_last_state(self):
         # du/dt = u^2 from u=1 blows up at t = 1
-        field = VectorField2(BiPoly({(2, 0): 1}), BiPoly.zero())
+        field = VectorField2(BiPoly({(2, 0): 1}), BiPoly())
         with pytest.raises(IntegrationError) as exc:
             integrate(field, (1.0, 0.0), 2.0, tol=1e-10)
         assert exc.value.last_time is not None
@@ -657,7 +657,7 @@ class TestStepperOverflow:
     def test_overflow_at_blowup_raises_integration_error(self):
         # du/dt = u^2 from u = 1e150 blows up at t = 1e-150, and the trial
         # stages near it overflow
-        field = VectorField2(BiPoly({(2, 0): 1}), BiPoly.zero())
+        field = VectorField2(BiPoly({(2, 0): 1}), BiPoly())
         rhs = field_rhs(field)
         overflowed = []
 
@@ -786,7 +786,7 @@ class TestPoincareReturn:
 
     def test_blowup_reports_last_state(self):
         # du/dt = u^2 from u=1/2 blows up at t = 2, long before t_max
-        field = VectorField2(BiPoly({(2, 0): 1}), BiPoly.zero())
+        field = VectorField2(BiPoly({(2, 0): 1}), BiPoly())
         section = Section(base=(0.5, -1.0), direction=(0.0, 1.0), s_max=2.0)
         with pytest.raises(IntegrationError) as exc:
             poincare_return(field, section, 1.0)
@@ -800,14 +800,14 @@ class TestPoincareReturn:
 
     def test_never_returning_flow(self):
         # constant drift never re-crosses a section it leaves
-        drift = VectorField2(BiPoly.const(1), BiPoly.zero())
+        drift = VectorField2(BiPoly({(0, 0): 1}), BiPoly())
         section = Section(base=(0.0, -1.0), direction=(0.0, 1.0), s_max=2.0)
         cfg = DynamicsConfig(t_max=5.0)
         with pytest.raises(NoReturnError):
             poincare_return(drift, section, 1.0, cfg=cfg)
 
     def test_tangent_start_rejected(self):
-        drift = VectorField2(BiPoly.const(1), BiPoly.zero())
+        drift = VectorField2(BiPoly({(0, 0): 1}), BiPoly())
         section = Section(base=(0.0, 0.0), direction=(1.0, 0.0), s_max=1.0)
         with pytest.raises(DegenerateCrossingError):
             poincare_return(drift, section, 0.5)
@@ -1036,6 +1036,20 @@ class TestLiftCycles:
         assert len(recs) == 4
         assert all(r.certified for r in recs)
 
+    def test_each_branch_inverted_once(self, monkeypatch, pullback_m3, base_cycle, lifted_m3):
+        # the m^2 seeds share 2m coordinates: branch i of the anchor's u
+        # and branch j of its v
+        calls = []
+
+        def counted(m, k, y):
+            calls.append((k, y))
+            return branch_inverse(m, k, y)
+
+        monkeypatch.setattr(dynamics, "branch_inverse", counted)
+        records = lift_cycles(pullback_m3, base_cycle, 3)
+        assert len(calls) == 6
+        assert [repr(r) for r in records] == [repr(r) for r in lifted_m3]
+
     def test_determinism(self, pullback_m3, base_cycle):
         a = lift_cycles(pullback_m3, base_cycle, 3)
         b = lift_cycles(pullback_m3, base_cycle, 3)
@@ -1104,7 +1118,7 @@ class TestImplicitCurve:
         got = implicit_lift_curve(2, Fraction(1, 2))
         t2u = BiPoly.from_uni(chebyshev(2), 0)
         t2v = BiPoly.from_uni(chebyshev(2), 1)
-        assert got == t2u * t2u + t2v * t2v - BiPoly.const(Fraction(1, 4))
+        assert got == t2u * t2u + t2v * t2v + BiPoly({(0, 0): Fraction(-1, 4)})
 
     def test_vanishes_at_lifted_seed_point(self):
         curve = implicit_lift_curve(3, Fraction(1, 2))

@@ -13,7 +13,6 @@ from cyclerep.polynomials import (
     BiPoly,
     UniPoly,
     VectorField2,
-    _horner,
     bipoly_from_json,
     bipoly_to_json,
     chebyshev,
@@ -28,6 +27,21 @@ from cyclerep.polynomials import (
 
 def U(*coeffs):
     return UniPoly(coeffs)
+
+
+def neg(f):
+    """-f, coefficient by coefficient."""
+    return BiPoly(tuple((k, -c) for k, c in f.terms))
+
+
+def _horner(coeffs, x):
+    """Horner's rule over coefficients from the highest power down: the
+    leading one, then ``acc * x + c`` per lower power, zeros included."""
+    it = iter(coeffs)
+    acc = next(it)
+    for c in it:
+        acc = acc * x + c
+    return acc
 
 
 class TestChebyshev:
@@ -51,7 +65,7 @@ class TestChebyshev:
         assert t.evaluate(1) == 1
         assert t.evaluate(-1) == (-1) ** m
         if m >= 1:
-            assert t.leading() == Fraction(2) ** (m - 1)
+            assert t.coeffs[-1] == Fraction(2) ** (m - 1)
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8])
     def test_cosine_identity(self, m):
@@ -64,7 +78,8 @@ class TestChebyshev:
     @pytest.mark.parametrize("a", [2, 3, 4])
     @pytest.mark.parametrize("b", [2, 3, 4])
     def test_nesting(self, a, b):
-        assert chebyshev(a).compose(chebyshev(b)) == chebyshev(a * b)
+        got = compose_separable(BiPoly.from_uni(chebyshev(a), 0), chebyshev(b))
+        assert got == BiPoly.from_uni(chebyshev(a * b), 0)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
@@ -89,7 +104,7 @@ class TestUniPoly:
         assert chebyshev(3).derivative() == U(-3, 0, 12)  # 12x^2 - 3
 
     def test_derivative_constant(self):
-        assert U(5).derivative() == UniPoly.zero()
+        assert U(5).derivative() == UniPoly()
 
     def test_derivative_power(self):
         assert U(0, 0, 0, 0, 0, 1).derivative() == U(0, 0, 0, 0, 5)
@@ -103,25 +118,18 @@ class TestUniPoly:
             assert p.derivative().degree() == deg - 1
 
     def test_zero_degree_sentinel(self):
-        assert UniPoly.zero().degree() == NEG_INF
+        assert UniPoly().degree() == NEG_INF
         assert NEG_INF != -1 and NEG_INF < -1
         assert U(7).degree() == 0
 
     def test_trailing_zeros_stripped(self):
         assert U(1, 2, 0, 0) == U(1, 2)
-        assert U(0, 0).is_zero
+        assert U(0, 0) == UniPoly()
 
     def test_exact_evaluation(self):
         p = U(Fraction(1, 3), Fraction(-2, 7), 1)
         x = Fraction(5, 11)
         assert p.evaluate(x) == Fraction(1, 3) - Fraction(2, 7) * x + x * x
-
-    def test_scalar_multiplication(self):
-        assert U(1, -2) * Fraction(1, 2) == U(Fraction(1, 2), -1)
-        assert 3 * U(0, 1) == U(0, 3)
-        f = BiPoly({(1, 1): 2})
-        assert f * Fraction(-1, 4) == BiPoly({(1, 1): Fraction(-1, 2)})
-        assert 0 * f == BiPoly.zero()
 
     def test_immutable(self):
         p = U(1, 2)
@@ -129,7 +137,8 @@ class TestUniPoly:
             p.coeffs = ()
 
     def test_float_eval_on_array_equals_scalar(self):
-        p = chebyshev(9) + U(Fraction(1, 3))
+        t9 = chebyshev(9).coeffs
+        p = UniPoly((t9[0] + Fraction(1, 3),) + t9[1:])
         xs = np.linspace(-1.2, 1.2, 41)
         values = p.evaluate_float(xs)
         assert isinstance(values, np.ndarray)
@@ -150,12 +159,12 @@ class TestBiPoly:
     def test_total_degree_examples(self):
         f = BiPoly({(2, 1): 1, (0, 1): 1})  # x^2 y + y
         assert f.total_degree() == 3
-        assert BiPoly.zero().total_degree() == NEG_INF
+        assert BiPoly().total_degree() == NEG_INF
 
     def test_zero_coefficients_never_stored(self):
-        f = BiPoly({(1, 1): 1}) - BiPoly({(1, 1): 1})
+        f = BiPoly({(1, 1): 1}) + BiPoly({(1, 1): -1})
         assert f.terms == ()
-        assert f.is_zero
+        assert f == BiPoly()
 
     @settings(max_examples=120, deadline=None)
     @given(bipolys(), bipolys(), bipolys())
@@ -191,7 +200,7 @@ class TestBiPoly:
             got = f.evaluate_float(u, v)
             assert got == expected or (math.isnan(got) and math.isnan(expected))
         assert math.isnan(f.evaluate_float(math.inf, 0.0))
-        assert BiPoly.zero().evaluate_float(0.4, -0.2) == 0.0
+        assert BiPoly().evaluate_float(0.4, -0.2) == 0.0
 
     def test_float_eval_matches_exact(self):
         rng = random.Random(99)
@@ -298,14 +307,6 @@ def fraction_product(f, g):
     return BiPoly(tuple((k, c) for k, c in acc.items() if c != 0))
 
 
-def fraction_uni_product(p, q):
-    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs))
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return UniPoly(tuple(out))
-
-
 class TestIntegerProducts:
     @settings(max_examples=150, deadline=None)
     @given(mixed_bipolys, mixed_bipolys)
@@ -318,24 +319,15 @@ class TestIntegerProducts:
     @given(mixed_bipolys, mixed_bipolys)
     def test_bipoly_product_with_cancelling_terms(self, f, g):
         # the cross terms of (f + g)(f - g) cancel to f^2 - g^2
-        got = (f + g) * (f - g)
-        assert got == fraction_product(f + g, f - g)
-        assert got == fraction_product(f, f) - fraction_product(g, g)
+        got = (f + g) * (f + neg(g))
+        assert got == fraction_product(f + g, f + neg(g))
+        assert got == fraction_product(f, f) + neg(fraction_product(g, g))
 
     def test_bipoly_product_cancels_to_zero(self):
         f = BiPoly({(1, 0): Fraction(2, 3), (0, 1): Fraction(-5, 7)})
         g = BiPoly({(2, 1): Fraction(3, 4)})
-        assert f * g - g * f == BiPoly.zero()
-        assert (f * g + (-f) * g).terms == ()
-
-    @settings(max_examples=150, deadline=None)
-    @given(mixed_unipolys, mixed_unipolys)
-    def test_unipoly_product_matches_fraction_reference(self, p, q):
-        got = p * q
-        assert got == fraction_uni_product(p, q)
-        assert all(type(c) is Fraction for c in got.coeffs)
-        # (p + q)(p - q): the cross terms cancel
-        assert (p + q) * (p - q) == fraction_uni_product(p, p) - fraction_uni_product(q, q)
+        assert f * g == g * f
+        assert (f * g + neg(f) * g).terms == ()
 
     @settings(max_examples=150, deadline=None)
     @given(mixed_unipolys, mixed_fractions, st.sampled_from([1, 2, 3, 4, 7, 2**53]))
@@ -346,14 +338,6 @@ class TestIntegerProducts:
             expected = expected * x + c
         got = p.evaluate(x)
         assert type(got) is Fraction and got == expected
-
-    @settings(max_examples=60, deadline=None)
-    @given(mixed_unipolys, mixed_unipolys)
-    def test_compose_matches_fraction_horner(self, p, q):
-        expected = UniPoly.zero()
-        for c in reversed(p.coeffs):
-            expected = fraction_uni_product(expected, q) + UniPoly.const(c)
-        assert p.compose(q) == expected
 
 
 class TestComposeSeparable:
@@ -377,7 +361,7 @@ class TestComposeSeparable:
         P = BiPoly({(2, 0): 1, (0, 2): 1, (0, 0): -rho2})
         t3u = BiPoly.from_uni(chebyshev(3), 0)
         t3v = BiPoly.from_uni(chebyshev(3), 1)
-        expected = t3u * t3u + t3v * t3v - BiPoly.const(rho2)
+        expected = t3u * t3u + t3v * t3v + BiPoly({(0, 0): -rho2})
         assert compose_separable(P, chebyshev(3)) == expected
 
     def test_non_monic_rational_cover_equals_repeated_products(self):
@@ -386,9 +370,9 @@ class TestComposeSeparable:
         P = BiPoly({(0, 0): Fraction(-1, 2), (1, 0): Fraction(2, 3), (0, 2): Fraction(3, 4),
                     (2, 1): Fraction(-5, 7), (1, 2): 1, (0, 3): Fraction(9, 2)})
         pu, pv = BiPoly.from_uni(p, 0), BiPoly.from_uni(p, 1)
-        expected = BiPoly.zero()
+        expected = BiPoly()
         for (a, b), c in P.terms:
-            term = BiPoly.const(c)
+            term = BiPoly({(0, 0): c})
             for factor in [pu] * a + [pv] * b:
                 term = fraction_product(term, factor)
             expected = expected + term
@@ -454,4 +438,4 @@ class TestVectorField:
     def test_degree_is_max_of_components(self):
         X = VectorField2(BiPoly({(1, 2): 1}), BiPoly({(0, 1): 1}))
         assert X.degree() == 3
-        assert VectorField2(BiPoly.zero(), BiPoly.zero()).degree() == NEG_INF
+        assert VectorField2(BiPoly(), BiPoly()).degree() == NEG_INF
