@@ -85,8 +85,10 @@ def cheb_nodes(m: int) -> list[float]:
     return nodes
 
 
+@lru_cache(maxsize=None)
 def cheb_branches(m: int) -> BranchSet:
-    """The m full branches of T_m on (-1, 1), in closed form."""
+    """The m full branches of T_m on (-1, 1), in closed form; built once
+    per m, the BranchSet being immutable."""
     nodes = cheb_nodes(m)
     intervals = tuple(
         BranchInterval(
@@ -98,16 +100,6 @@ def cheb_branches(m: int) -> BranchSet:
         for k in range(1, m + 1)
     )
     return BranchSet(poly=chebyshev(m), intervals=intervals)
-
-
-@lru_cache(maxsize=None)
-def _cheb_cached(m: int) -> UniPoly:
-    return chebyshev(m)
-
-
-@lru_cache(maxsize=None)
-def _nodes_cached(m: int) -> tuple[float, ...]:
-    return tuple(cheb_nodes(m))
 
 
 def cheb_preimage(m: int, k: int, y: float) -> float:
@@ -139,10 +131,10 @@ def branch_inverse(m: int, k: int, y: float) -> float:
     if not -1.0 < y < 1.0:
         raise ValueError(f"y={y} outside (-1, 1); branch endpoints are critical values")
     u = cheb_preimage(m, k, y)
-    nodes = _nodes_cached(m)
+    bset = cheb_branches(m)
     # exact: float Horner on T_m errs by ~eps*sum|a_i|, over 1e-12 from m=13
-    resid = abs(_cheb_cached(m).evaluate(Fraction(u)) - Fraction(y))
-    if resid > 1e-12 or not nodes[k] < u < nodes[k - 1]:
+    resid = abs(bset.poly.evaluate(Fraction(u)) - Fraction(y))
+    if resid > 1e-12 or not bset.intervals[k - 1].contains(u):
         raise ArithmeticError(
             f"branch inverse postcondition failed: m={m} k={k} y={y} u={u} resid={float(resid)}"
         )

@@ -143,9 +143,6 @@ def cmd_example(args) -> int:
         raise ValueError(f"tol must be positive and finite, got {args.tol}")
     cfg = DynamicsConfig(tol=args.tol)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     field = radial_cubic_field(rho)
     pb = build_pullback(field, chebyshev(m))
     if not verify_conjugacy(pb, field) or not check_exact_degree(pb, field):
@@ -156,7 +153,7 @@ def cmd_example(args) -> int:
     base = find_cycle(field, section, float(rho), cfg)
     if not base.certified:
         print(f"error: base cycle not certified hyperbolic: multiplier {fmt9(base.multiplier)}"
-              f" within eps_hyp={cfg.eps_hyp:g} of 1", file=sys.stderr)
+              f" within eps_hyp={DynamicsConfig.eps_hyp:g} of 1", file=sys.stderr)
         return EXIT_DYNAMICS
     try:
         records = lift_cycles(pb, base, m, cfg)
@@ -165,6 +162,9 @@ def cmd_example(args) -> int:
             print(f"rectangle ({i},{j}) failed: {why}", file=sys.stderr)
         return EXIT_DYNAMICS
 
+    # created only now, so that a failed run leaves nothing behind
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "cycles.csv").write_text(records_to_csv(records), encoding="utf-8")
 
     curve_poly = implicit_lift_curve(m, rho)

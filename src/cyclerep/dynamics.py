@@ -36,6 +36,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from .branches import BranchInterval, branch_inverse, cheb_branches
 from .polynomials import BiPoly, Scalar, VectorField2, chebyshev, compose_separable, fmt9, _as_fraction
@@ -77,14 +78,17 @@ class LiftError(DynamicsError):
 
 @dataclass(frozen=True)
 class DynamicsConfig:
-    tol: float = 1e-10            # integrator local error control
-    eps_fix: float = 1e-9         # |return(s) - s| at an accepted fixed point
-    eps_transverse: float = 1e-8  # minimum |normal . field| at a crossing
-    eps_hyp: float = 1e-3         # |multiplier - 1| needed to certify
-    margin: float = 1e-3          # anchor clearance from rectangle boundary
-    max_iters: int = 40
-    t_max: float = 200.0          # return-map time budget
-    section_cap: float = 0.05     # half-length cap for auto-built sections
+    """The integration tolerance `tol`, the one settable value, and the
+    fixed limits of the cycle search as class constants."""
+
+    tol: float = 1e-10                      # integrator local error control
+    eps_fix: ClassVar[float] = 1e-9         # |return(s) - s| at an accepted fixed point
+    eps_transverse: ClassVar[float] = 1e-8  # minimum |normal . field| at a crossing
+    eps_hyp: ClassVar[float] = 1e-3         # |multiplier - 1| needed to certify
+    margin: ClassVar[float] = 1e-3          # anchor clearance from rectangle boundary
+    max_iters: ClassVar[int] = 40
+    t_max: ClassVar[float] = 200.0          # return-map time budget
+    section_cap: ClassVar[float] = 0.05     # half-length cap for auto-built sections
 
 
 DEFAULT_CONFIG = DynamicsConfig()
@@ -400,23 +404,24 @@ def _steps(rhs, z0, t_bound: float, tol: float):
         yield solver
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * sys.float_info.epsilon) -> float:
+# the crossing-time tolerances of `brentq`: absolute, and relative to |t|
+# (scipy's floor on it is 4 eps = 8.88e-16)
+BRENT_XTOL, BRENT_RTOL = 1e-14, 8.9e-16
+
+
+def brentq(f, a: float, b: float) -> float:
     """A root of f in the bracket [a, b] by Brent's method (Brent 1973,
     Algorithms for Minimization without Derivatives, ch. 4).
 
-    scipy.optimize.brentq, step for step on Python floats: the same
-    secant and inverse quadratic steps, bisection safeguards and stop at
-    half a bracket below (xtol + rtol |x|) / 2, so it returns the same
-    float.  A root at either end is returned as is.  Ends of one sign or
-    a nan value of f raise ValueError; no convergence within 100
-    iterations, scipy's default, raises DynamicsError.
+    scipy.optimize.brentq at xtol=BRENT_XTOL, rtol=BRENT_RTOL, step for
+    step on Python floats: the same secant and inverse quadratic steps,
+    bisection safeguards and stop at half a bracket below (xtol + rtol |x|)
+    / 2, so it returns the same float.  A root at either end is returned as
+    is.  Ends of one sign or a nan value of f raise ValueError; no
+    convergence within 100 iterations, scipy's default, raises
+    DynamicsError.
     """
-    maxiter = 100
-    xtol, rtol = float(xtol), float(rtol)
-    if not xtol > 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if not rtol >= 4 * sys.float_info.epsilon:
-        raise ValueError(f"rtol too small ({rtol:g} < {4 * sys.float_info.epsilon:g})")
+    maxiter, xtol, rtol = 100, BRENT_XTOL, BRENT_RTOL
 
     def value(x: float) -> float:
         fx = f(x)
@@ -534,7 +539,7 @@ def poincare_return(
 ) -> tuple[float, float, float]:
     """First same-orientation return of the flow to the section.
 
-    Integrates at cfg.tol, with every other limit from cfg, and watches
+    Integrates at cfg.tol for at most DynamicsConfig.t_max, and watches
     the signed section offset, its sign set by the field at the start
     point; when an accepted step brackets a crossing in that direction,
     the crossing time is refined on that step's dense interpolant.  The
@@ -555,7 +560,7 @@ def poincare_return(
     z0 = section.point_at(s)
     f0 = rhs(0.0, z0)
     fn0 = f0[0] * n[0] + f0[1] * n[1]
-    if abs(fn0) <= cfg.eps_transverse:
+    if abs(fn0) <= DynamicsConfig.eps_transverse:
         raise DegenerateCrossingError(f"field tangent to section at start (|f.n|={abs(fn0):.3g})")
     sgn = 1 if fn0 > 0 else -1
 
@@ -563,15 +568,11 @@ def poincare_return(
         return sgn * ((z[0] - section.base[0]) * n[0] + (z[1] - section.base[1]) * n[1])
 
     g_prev, t_prev = gval(z0), 0.0
-    for solver in _steps(rhs, z0, cfg.t_max, cfg.tol):
+    for solver in _steps(rhs, z0, DynamicsConfig.t_max, cfg.tol):
         g_new = gval(solver.y)
         if g_prev < 0.0 <= g_new:
             dense = solver.dense_output()
-            t_star = (
-                solver.t
-                if g_new == 0.0
-                else brentq(lambda t: gval(dense.at(t, 2)), t_prev, solver.t, xtol=1e-14, rtol=8.9e-16)
-            )
+            t_star = solver.t if g_new == 0.0 else brentq(lambda t: gval(dense.at(t, 2)), t_prev, solver.t)
             # rounding can put the start point a hair on the wrong side
             if t_star >= 1e-9:
                 u, v, w = dense.at(t_star)
@@ -579,13 +580,13 @@ def poincare_return(
                 if 0.0 < s_new < section.s_max:
                     f_star = rhs(t_star, (u, v))
                     fn_star = f_star[0] * n[0] + f_star[1] * n[1]
-                    if abs(fn_star) <= cfg.eps_transverse:
+                    if abs(fn_star) <= DynamicsConfig.eps_transverse:
                         raise DegenerateCrossingError("tangential crossing of the section")
                     # w beyond exp's range: an expansion no float can hold
                     slope = (math.exp(w) if w < 709.0 else math.inf) * fn0 / fn_star
                     return float(s_new), float(t_star), slope
         g_prev, t_prev = g_new, solver.t
-    raise NoReturnError(f"no return to the section within t_max={cfg.t_max}")
+    raise NoReturnError(f"no return to the section within t_max={DynamicsConfig.t_max}")
 
 
 @dataclass(frozen=True)
@@ -618,8 +619,13 @@ class LimitCycleRecord:
     period: float
     multiplier: float
     certified: bool
-    orientation_reversed: bool = False
     rect: BranchRectangle | None = None
+
+    @property
+    def orientation_reversed(self) -> bool:
+        """Whether the time change on `rect` is negative: its two branches
+        run in opposite directions.  False without a rect."""
+        return self.rect is not None and self.rect.u_interval.direction * self.rect.v_interval.direction < 0
 
 
 def find_cycle(
@@ -648,11 +654,11 @@ def find_cycle(
     max_step = 0.1 * section.s_max
 
     s_cur = s0
-    for _ in range(cfg.max_iters + 1):
+    for _ in range(DynamicsConfig.max_iters + 1):
         r_cur, t_cur, mu = poincare_return(field, section, s_cur, cfg, rhs=rhs)
         f_cur = r_cur - s_cur
-        if abs(f_cur) <= cfg.eps_fix:
-            certified = abs(mu - 1.0) > cfg.eps_hyp
+        if abs(f_cur) <= DynamicsConfig.eps_fix:
+            certified = abs(mu - 1.0) > DynamicsConfig.eps_hyp
             if certified:
                 # Newton puts the fixed point within |f / (mu - 1)| of s_cur.
                 # If the field turns tangent to the section within ten times
@@ -681,7 +687,7 @@ def find_cycle(
         step = max(-max_step, min(max_step, step))
         s_cur = min(hi_lim, max(lo_lim, s_cur + step))
     raise CycleSearchError(
-        f"no fixed point after {cfg.max_iters} iterations (last residual {f_cur:.3g})"
+        f"no fixed point after {DynamicsConfig.max_iters} iterations (last residual {f_cur:.3g})"
     )
 
 
@@ -710,13 +716,14 @@ def lift_cycles(
 
     Each rectangle is seeded by the branch-wise inverse of the anchor,
     searched independently with a local section, and required to come
-    back certified hyperbolic, strictly inside its rectangle with the
-    configured margin.  orientation_reversed records the sign of the
-    time-change factor on the rectangle, the product of the directions
-    of its two branches (negative lambda flips the return map to its
-    inverse, hence the multiplier to its reciprocal).
+    back certified hyperbolic, strictly inside its rectangle by
+    DynamicsConfig.margin.  A record's orientation_reversed follows from
+    its rect: the sign of the time-change factor, the product of the
+    directions of its two branches (negative lambda flips the return map
+    to its inverse, hence the multiplier to its reciprocal).
     """
-    if pb.cover_poly != chebyshev(m):
+    bset = cheb_branches(m)
+    if pb.cover_poly != bset.poly:
         raise ValueError(f"lifting requires the Chebyshev cover polynomial T_{m}")
     if not base.certified:
         raise ValueError("base cycle must be certified hyperbolic")
@@ -724,7 +731,6 @@ def lift_cycles(
     if not (abs(xb) < 1.0 and abs(yb) < 1.0):
         raise ValueError("base anchor must lie strictly inside (-1, 1)^2")
 
-    bset = cheb_branches(m)
     # the m^2 seeds share 2m coordinates: branch i of xb, branch j of yb
     us = [branch_inverse(m, k, xb) for k in range(1, m + 1)]
     vs = [branch_inverse(m, k, yb) for k in range(1, m + 1)]
@@ -737,8 +743,8 @@ def lift_cycles(
             try:
                 seed = (us[i - 1], vs[j - 1])
                 clearance = rect.boundary_distance(seed)
-                half = min(0.45 * clearance, cfg.section_cap)
-                if half <= cfg.margin:
+                half = min(0.45 * clearance, DynamicsConfig.section_cap)
+                if half <= DynamicsConfig.margin:
                     raise CycleSearchError("seed too close to the rectangle boundary")
                 sec = _section_through(seed, rhs(0.0, seed)[:2], half)
                 rec = find_cycle(pb, sec, half, cfg, rhs=rhs)
@@ -746,12 +752,9 @@ def lift_cycles(
                     raise CycleSearchError(
                         f"lifted cycle not certified hyperbolic (multiplier {rec.multiplier:.6g})"
                     )
-                if not rect.contains(rec.anchor, cfg.margin):
+                if not rect.contains(rec.anchor, DynamicsConfig.margin):
                     raise CycleSearchError("lifted anchor left its branch rectangle")
-                lam_sign = rect.u_interval.direction * rect.v_interval.direction
-                records[(i, j)] = replace(
-                    rec, rect=rect, orientation_reversed=(lam_sign < 0)
-                )
+                records[(i, j)] = replace(rec, rect=rect)
             except DynamicsError as err:
                 failures.append((i, j, str(err)))
     if failures:

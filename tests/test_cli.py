@@ -350,9 +350,11 @@ class TestExampleCommand:
     def test_non_hyperbolic_base_exits_4(self, tmp_path, capsys):
         # rho = 1/200 is a valid radius; what fails is the dynamics: the
         # seed multiplier exp(-4 pi rho^2) = 0.99969 lies within eps_hyp of 1
-        assert main(["example", "--m", "2", "--rho", "1/200", "--out-dir", str(tmp_path)]) == 4
+        out = tmp_path / "ex"
+        assert main(["example", "--m", "2", "--rho", "1/200", "--out-dir", str(out)]) == 4
         err = capsys.readouterr().err
         assert "base cycle not certified hyperbolic" in err and "0.99968589" in err
+        assert not out.exists()
 
     def test_lift_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         from cyclerep.dynamics import LiftError
@@ -364,6 +366,7 @@ class TestExampleCommand:
         monkeypatch.setattr(cli_mod, "lift_cycles", boom)
         assert main(["example", "--m", "2", "--out-dir", str(tmp_path / "x")]) == 4
         assert "(1,1)" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestRuntimeImports:

@@ -1,8 +1,9 @@
+import inspect
 import math
 import random
 import re
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +49,7 @@ from cyclerep.pullback import build_pullback
 ROTATION = VectorField2(BiPoly({(0, 1): 1}), BiPoly({(1, 0): -1}))
 EXP_MINUS_PI = math.exp(-math.pi)
 EXP_PLUS_PI = math.exp(math.pi)
+PROGRAM_TOLS = {"xtol": dynamics.BRENT_XTOL, "rtol": dynamics.BRENT_RTOL}
 
 
 def radial_oracle(r0: float, t: float, rho: float) -> float:
@@ -489,8 +491,9 @@ class TestStepperAgainstScipy:
 
 
 class TestBrentq:
-    """`brentq` against scipy.optimize.brentq, the oracle here only: the
-    same control flow on the same floats gives the same root, bit for bit."""
+    """`brentq` against scipy.optimize.brentq at the crossing tolerances,
+    the oracle here only: the same control flow on the same floats gives
+    the same root, bit for bit."""
 
     @pytest.fixture
     def crossings(self, monkeypatch):
@@ -498,9 +501,9 @@ class TestBrentq:
         is called at once, while the crossing function's step is current."""
         calls = []
 
-        def recording(f, a, b, **kwargs):
-            ours = brentq(f, a, b, **kwargs)
-            calls.append((ours, scipy_brentq(f, a, b, **kwargs), a, b))
+        def recording(f, a, b):
+            ours = brentq(f, a, b)
+            calls.append((ours, scipy_brentq(f, a, b, **PROGRAM_TOLS), a, b))
             return ours
 
         monkeypatch.setattr(dynamics, "brentq", recording)
@@ -524,9 +527,8 @@ class TestBrentq:
         st.floats(-5.0, 5.0),
         st.floats(0.1, 10.0),
         st.floats(0.01, 100.0),
-        st.sampled_from([(2e-12, 4 * np.finfo(float).eps), (1e-14, 8.9e-16), (1e-6, 1e-9)]),
     )
-    def test_bracketed_cubics_match_scipy_bit_for_bit(self, roots, a, width, scale, tols):
+    def test_bracketed_cubics_match_scipy_bit_for_bit(self, roots, a, width, scale):
         r1, r2, r3 = roots
         b = a + width
 
@@ -534,13 +536,12 @@ class TestBrentq:
             return scale * (x - r1) * (x - r2) * (x - r3)
 
         assume(f(a) * f(b) < 0.0)
-        xtol, rtol = tols
-        want, status = scipy_brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True, disp=False)
+        want, status = scipy_brentq(f, a, b, **PROGRAM_TOLS, full_output=True, disp=False)
         if not status.converged:  # e.g. a triple root, flat to 1e-30 near it
             with pytest.raises(DynamicsError, match=re.escape(f"last x={want!r})")):
-                brentq(f, a, b, xtol=xtol, rtol=rtol)
+                brentq(f, a, b)
             return
-        assert brentq(f, a, b, xtol=xtol, rtol=rtol).hex() == want.hex()
+        assert brentq(f, a, b).hex() == want.hex()
 
     def test_root_at_an_end_is_returned_as_is(self):
         assert brentq(lambda x: x * x, 0.0, 1.0) == 0.0  # even with no sign change
@@ -561,25 +562,19 @@ class TestBrentq:
         with pytest.raises(ValueError):
             scipy_brentq(inside, 0.0, 1.0)
 
-    def test_bad_tolerances_raise(self):
-        with pytest.raises(ValueError):
-            brentq(lambda x: x, -1.0, 1.0, xtol=0.0)
-        with pytest.raises(ValueError):
-            brentq(lambda x: x, -1.0, 1.0, rtol=1e-16)
-
     def test_no_convergence_raises_dynamics_error(self):
         def f(x):  # a triple root: |f| < 1e-30 within 1e-10 of it
             return (x - 0.7) * (x - 0.7) * (x - 0.7)
 
         with pytest.raises(RuntimeError):
-            scipy_brentq(f, 0.0, 4.0)
-        last, status = scipy_brentq(f, 0.0, 4.0, full_output=True, disp=False)
+            scipy_brentq(f, 0.0, 4.0, **PROGRAM_TOLS)
+        last, status = scipy_brentq(f, 0.0, 4.0, **PROGRAM_TOLS, full_output=True, disp=False)
         assert status.iterations == 100
         with pytest.raises(DynamicsError, match=re.escape(f"did not converge in 100 iterations (last x={last!r})")):
             brentq(f, 0.0, 4.0)
 
     def test_lift_records_a_refinement_that_does_not_converge(self, monkeypatch, radial_half, base_cycle):
-        def stalled(f, a, b, xtol, rtol):
+        def stalled(f, a, b):
             raise DynamicsError("Brent's method did not converge in 100 iterations")
 
         monkeypatch.setattr(dynamics, "brentq", stalled)
@@ -716,6 +711,22 @@ class TestStepperHook:
         assert 0 < len(seen) < default_steps
 
 
+class TestSettableSurface:
+    """The integration tolerance is the one value a caller sets; every
+    other limit is a constant."""
+
+    def test_config_has_only_tol(self):
+        assert [f.name for f in fields(DynamicsConfig)] == ["tol"]
+        assert DEFAULT_CONFIG.section_cap == 0.05 and DEFAULT_CONFIG.margin == DEFAULT_CONFIG.eps_hyp == 1e-3
+
+    def test_fixed_limit_is_not_settable(self):
+        with pytest.raises(TypeError):
+            DynamicsConfig(margin=1e-6)
+
+    def test_brentq_takes_no_tolerances(self):
+        assert list(inspect.signature(brentq).parameters) == ["f", "a", "b"]
+
+
 class TestPoincareReturn:
     def test_cycle_fixed_point(self, radial_half, x_axis_section):
         s1, t1, _ = poincare_return(radial_half, x_axis_section, 0.5)
@@ -802,9 +813,8 @@ class TestPoincareReturn:
         # constant drift never re-crosses a section it leaves
         drift = VectorField2(BiPoly({(0, 0): 1}), BiPoly())
         section = Section(base=(0.0, -1.0), direction=(0.0, 1.0), s_max=2.0)
-        cfg = DynamicsConfig(t_max=5.0)
-        with pytest.raises(NoReturnError):
-            poincare_return(drift, section, 1.0, cfg=cfg)
+        with pytest.raises(NoReturnError, match="t_max=200.0"):
+            poincare_return(drift, section, 1.0)
 
     def test_tangent_start_rejected(self):
         drift = VectorField2(BiPoly({(0, 0): 1}), BiPoly())
@@ -836,23 +846,28 @@ class TestFindCycle:
         rec = find_cycle(field, section, 0.8)
         assert abs(rec.multiplier - math.exp(-4 * math.pi * 0.64)) <= 1e-4
 
-    def test_iteration_budget_exhausted(self):
-        # steps are capped at 0.1 * s_max, so four iterations cannot
-        # carry the search from s = 0.05 out to the cycle at 0.8
-        field = radial_cubic_field(Fraction(4, 5))
+    def test_iteration_budget_exhausted(self, monkeypatch):
+        # a return map whose residual never shrinks: the search gives up
+        # after its max_iters + 1 returns
+        calls = []
+
+        def never_closes(field, section, s, cfg, rhs=None):
+            calls.append(s)
+            return s + 1e-3, 1.0, 0.5
+
+        monkeypatch.setattr(dynamics, "poincare_return", never_closes)
         section = Section(base=(0.0, 0.0), direction=(1.0, 0.0), s_max=1.0)
-        cfg = DynamicsConfig(max_iters=4)
-        with pytest.raises(CycleSearchError):
-            find_cycle(field, section, 0.05, cfg)
+        with pytest.raises(CycleSearchError, match="no fixed point after 40 iterations"):
+            find_cycle(ROTATION, section, 0.05)
+        assert len(calls) == DynamicsConfig.max_iters + 1 == 41
 
     def test_return_outside_section_range(self):
         # cycle sits at r = 0.8 but the section stops at 0.5: the orbit
         # re-crosses the supporting line beyond the segment, never on it
         field = radial_cubic_field(Fraction(4, 5))
         section = Section(base=(0.0, 0.0), direction=(1.0, 0.0), s_max=0.5)
-        cfg = DynamicsConfig(t_max=30.0)
         with pytest.raises(NoReturnError):
-            find_cycle(field, section, 0.3, cfg)
+            find_cycle(field, section, 0.3)
 
 
     def test_start_where_newton_points_at_the_equilibrium(self):
@@ -954,9 +969,12 @@ class TestLiftCycles:
             assert r.rect.boundary_distance(r.anchor) >= DEFAULT_CONFIG.margin
 
     def test_orientation_flag_matches_branch_parity(self, lifted_m3):
+        # derived from the rect, not stored: no field, and False without one
+        assert "orientation_reversed" not in {f.name for f in fields(LimitCycleRecord)}
         for r in lifted_m3:
             lam_negative = (r.rect.i + r.rect.j) % 2 == 1
             assert r.orientation_reversed == lam_negative
+            assert replace(r, rect=None).orientation_reversed is False
 
     def test_multipliers_follow_time_change_sign(self, lifted_m3):
         for r in lifted_m3:
