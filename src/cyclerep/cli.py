@@ -7,10 +7,10 @@ Subcommands wire the library into reproducible file-based workflows:
     bounds    lower-bound tables, single-degree queries, quadratic ceiling
     branches  full-branch structure of a polynomial
 
-Exit codes are stable: 0 ok, 2 parse error, 3 invalid parameters,
-4 dynamics/verification failure, 5 no admissible witness.  All numeric
-output is printed with 9 significant digits and no timestamps, so
-identical inputs reproduce identical bytes.
+Exit codes are stable: 0 ok, 2 parse error or unreadable input, 3 invalid
+parameters or unwritable output, 4 dynamics/verification failure, 5 no
+admissible witness.  All numeric output is printed with 9 significant
+digits and no timestamps, so identical inputs reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .dynamics import (
     lift_cycles,
     radial_cubic_field,
     records_to_csv,
-    implicit_lift_curve,
 )
 from .polynomials import (
     UniPoly,
@@ -167,11 +166,12 @@ def cmd_example(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "cycles.csv").write_text(records_to_csv(records), encoding="utf-8")
 
-    curve_poly = implicit_lift_curve(m, rho)
+    # exact, then rounded: float Horner on the expanded T_m curve is noise by m = 14
+    T = pb.cover_poly.evaluate
     lines = ["i,j,residual"]
     for r in records:
-        resid = curve_poly.evaluate_float(r.anchor[0], r.anchor[1])
-        lines.append(f"{r.rect.i},{r.rect.j},{fmt9(resid)}")
+        resid = T(Fraction(r.anchor[0])) ** 2 + T(Fraction(r.anchor[1])) ** 2 - rho * rho
+        lines.append(f"{r.rect.i},{r.rect.j},{fmt9(float(resid))}")
     (out_dir / "residuals.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     plot_tol = 1e-8
@@ -341,7 +341,7 @@ def main(argv=None) -> int:
     except ParseFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, OverflowError) as err:  # OverflowError: a value beyond float range
+    except (ValueError, OverflowError, OSError) as err:  # a float overflow; an unwritable output path
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARAMS
     except (bounds_mod.MissingSeedError, bounds_mod.NoWitnessError) as err:

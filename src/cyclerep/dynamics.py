@@ -110,12 +110,13 @@ def field_rhs(field: VectorField2 | PullbackResult):
     m deg(X) + m - 1, loses digits as m grows (relative error 2.7e-7 at
     m = 8 and 2.9e-5 at m = 10 on the cubic seed, against at most 3e-13
     through the factors), and costs more.  A VectorField2's divergence is
-    Horner on the exact polynomial dP/du + dQ/dv.
+    Horner on the exact polynomial dP/du + dQ/dv.  That divergence, p' and
+    the evaluators are cached, so a second call builds no polynomial.
     """
     X = field.source if isinstance(field, PullbackResult) else field
     fp = compile_component(X.p_comp)
     fq = compile_component(X.q_comp)
-    fdiv = compile_component(X.p_comp.partial_u() + X.q_comp.partial_v())
+    fdiv = compile_component(X.divergence)
     if isinstance(field, PullbackResult):
         p = field.cover_poly.evaluate_float
         dp = field.cover_poly.derivative().evaluate_float
@@ -475,21 +476,19 @@ def integrate(
     start,
     t_span: float,
     tol: float = DEFAULT_CONFIG.tol,
-    rhs=None,
 ) -> Trajectory:
     """Flow `start` forward for time t_span with local error control tol.
 
-    The RHS is `field_rhs(field)` unless `rhs` is given; w, the divergence
-    lane, never steers the steps, and a Trajectory keeps only (u, v).
+    The RHS is `field_rhs(field)`; w, the divergence lane, never steers
+    the steps, and a Trajectory keeps only (u, v).
     Raises IntegrationError (carrying the last valid state) on finite-time
     blowup, and ValueError for a nonpositive tol or t_span.
     """
     if not t_span > 0:
         raise ValueError(f"t_span must be positive, got {t_span}")
-    rhs = rhs or field_rhs(field)
     z0 = (float(start[0]), float(start[1]))
     ts, ys, pieces = [0.0], [z0], []
-    for solver in _steps(rhs, z0, float(t_span), tol):
+    for solver in _steps(field_rhs(field), z0, float(t_span), tol):
         ts.append(solver.t)
         ys.append(solver.y)
         pieces.append(solver.dense_output())
@@ -535,7 +534,6 @@ def poincare_return(
     section: Section,
     s: float,
     cfg: DynamicsConfig = DEFAULT_CONFIG,
-    rhs=None,
 ) -> tuple[float, float, float]:
     """First same-orientation return of the flow to the section.
 
@@ -555,7 +553,7 @@ def poincare_return(
     """
     if not 0.0 < s < section.s_max:
         raise ValueError(f"section parameter {s} outside (0, {section.s_max})")
-    rhs = rhs or field_rhs(field)
+    rhs = field_rhs(field)
     n = section.normal
     z0 = section.point_at(s)
     f0 = rhs(0.0, z0)
@@ -633,7 +631,6 @@ def find_cycle(
     section: Section,
     s0: float,
     cfg: DynamicsConfig = DEFAULT_CONFIG,
-    rhs=None,
 ) -> LimitCycleRecord:
     """Locate a fixed point of the return map by Newton iteration on
     return(s) - s.
@@ -648,14 +645,14 @@ def find_cycle(
     reach of a tangency of the field raises DegenerateCrossingError: the
     returns closed in on an equilibrium.
     """
-    rhs = rhs or field_rhs(field)
+    rhs = field_rhs(field)
     lo_lim = 1e-3 * section.s_max
     hi_lim = section.s_max * (1.0 - 1e-3)
     max_step = 0.1 * section.s_max
 
     s_cur = s0
     for _ in range(DynamicsConfig.max_iters + 1):
-        r_cur, t_cur, mu = poincare_return(field, section, s_cur, cfg, rhs=rhs)
+        r_cur, t_cur, mu = poincare_return(field, section, s_cur, cfg)
         f_cur = r_cur - s_cur
         if abs(f_cur) <= DynamicsConfig.eps_fix:
             certified = abs(mu - 1.0) > DynamicsConfig.eps_hyp
@@ -691,16 +688,11 @@ def find_cycle(
     )
 
 
-def _perp(vec: tuple[float, float]) -> tuple[float, float]:
-    return (-vec[1], vec[0])
-
-
 def _section_through(point, field_dir, half_length: float) -> Section:
     """Section of half-length `half_length` through `point`, perpendicular
     to the local field direction; the cycle sits near s = half_length."""
     norm = math.hypot(*field_dir)
-    tangent = (field_dir[0] / norm, field_dir[1] / norm)
-    d = _perp(tangent)
+    d = (-field_dir[1] / norm, field_dir[0] / norm)  # the unit normal to the field
     base = (point[0] - half_length * d[0], point[1] - half_length * d[1])
     return Section(base=base, direction=d, s_max=2.0 * half_length)
 
@@ -747,7 +739,7 @@ def lift_cycles(
                 if half <= DynamicsConfig.margin:
                     raise CycleSearchError("seed too close to the rectangle boundary")
                 sec = _section_through(seed, rhs(0.0, seed)[:2], half)
-                rec = find_cycle(pb, sec, half, cfg, rhs=rhs)
+                rec = find_cycle(pb, sec, half, cfg)
                 if not rec.certified:
                     raise CycleSearchError(
                         f"lifted cycle not certified hyperbolic (multiplier {rec.multiplier:.6g})"

@@ -110,6 +110,11 @@ class UniPoly:
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
     def derivative(self) -> "UniPoly":
+        """The derivative, computed once per polynomial."""
+        return self._derivative
+
+    @cached_property
+    def _derivative(self) -> "UniPoly":
         return UniPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
     def evaluate(self, x: Scalar) -> Fraction:
@@ -300,6 +305,11 @@ class VectorField2:
     def degree(self) -> Union[int, float]:
         """max of the component total degrees; NEG_INF for the zero field."""
         return max(self.p_comp.total_degree(), self.q_comp.total_degree())
+
+    @cached_property
+    def divergence(self) -> BiPoly:
+        """dP/du + dQ/dv, exact, computed once per field."""
+        return self.p_comp.partial_u() + self.q_comp.partial_v()
 
 
 def fmt9(v: float) -> str:

@@ -56,9 +56,8 @@ def build_pullback(X: VectorField2, p: UniPoly) -> PullbackResult:
         raise ValueError(f"cover polynomial must have degree >= 2, got degree {m}")
     if X.degree() == NEG_INF:
         raise ValueError("cannot pull back the zero field")
-    dp = p.derivative()
-    dpu = BiPoly.from_uni(dp, 0)
-    dpv = BiPoly.from_uni(dp, 1)
+    dpu = BiPoly.from_uni(p.derivative(), 0)
+    dpv = BiPoly.from_uni(p.derivative(), 1)
     P_phi = compose_separable(X.p_comp, p)
     Q_phi = compose_separable(X.q_comp, p)
     return PullbackResult(
@@ -76,9 +75,8 @@ def verify_conjugacy(r: PullbackResult, X: VectorField2) -> bool:
     return means the pullback was not built from X (or a construction bug).
     """
     p = r.cover_poly
-    dp = p.derivative()
-    dpu = BiPoly.from_uni(dp, 0)
-    dpv = BiPoly.from_uni(dp, 1)
+    dpu = BiPoly.from_uni(p.derivative(), 0)
+    dpv = BiPoly.from_uni(p.derivative(), 1)
     return (
         dpu * r.field.p_comp == r.lam * compose_separable(X.p_comp, p)
         and dpv * r.field.q_comp == r.lam * compose_separable(X.q_comp, p)

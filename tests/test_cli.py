@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,9 @@ import cyclerep
 from cyclerep import svgplot
 from cyclerep.branches import cheb_nodes, full_branch_intervals
 from cyclerep.cli import main
-from cyclerep.polynomials import UniPoly, chebyshev, field_to_json, unipoly_to_json
-from cyclerep.dynamics import radial_cubic_field
+from cyclerep.polynomials import UniPoly, chebyshev, field_to_json, fmt9, unipoly_to_json
+from cyclerep.dynamics import lift_cycles, radial_cubic_field
+from cyclerep.pullback import build_pullback
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -288,6 +290,22 @@ class TestExampleCommand:
         for name in ("cycles.csv", "residuals.csv", "phase_portrait.svg"):
             assert (out / name).read_bytes() == (GOLDEN / "example_m3_rho1_2" / name).read_bytes()
 
+    def test_m15_residuals_are_exact(self, tmp_path, radial_half, base_cycle):
+        # each written residual is T_m(u)^2 + T_m(v)^2 - rho^2 at its anchor,
+        # computed exactly and rounded once; float Horner on the expanded
+        # degree-30 curve wrote its own rounding noise here, up to 2.3e-6
+        m, out = 15, tmp_path / "ex"
+        assert main(["example", "--m", str(m), "--out-dir", str(out)]) == 0
+        rows = list(csv.DictReader((out / "residuals.csv").read_text().splitlines()))
+        records = lift_cycles(build_pullback(radial_half, chebyshev(m)), base_cycle, m)
+        assert len(rows) == len(records) == m * m
+        t_m = chebyshev(m).evaluate
+        for row, r in zip(rows, records):
+            exact = t_m(Fraction(r.anchor[0])) ** 2 + t_m(Fraction(r.anchor[1])) ** 2 - Fraction(1, 4)
+            assert (int(row["i"]), int(row["j"])) == (r.rect.i, r.rect.j)
+            assert abs(float(row["residual"])) <= 1e-7
+            assert row["residual"] == fmt9(float(exact))
+
     def test_m2_prints_multiplier_error(self, tmp_path, capsys):
         out = tmp_path / "ex"
         assert main(["example", "--m", "2", "--out-dir", str(out)]) == 0
@@ -367,6 +385,25 @@ class TestExampleCommand:
         assert main(["example", "--m", "2", "--out-dir", str(tmp_path / "x")]) == 4
         assert "(1,1)" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["example", "bounds", "pullback", "branches"])
+def test_unwritable_output_path_exits_3(tmp_path, radial_half, capsys, command):
+    # an --out-dir that is an existing file, or an output file in a missing
+    # directory: one error line and exit 3, not a traceback
+    afile, missing = tmp_path / "afile", tmp_path / "missing"
+    afile.write_text("")
+    argv = {
+        "example": ["example", "--m", "2", "--out-dir", str(afile)],
+        "bounds": ["bounds", "table1", "--out", str(missing / "x.csv")],
+        "pullback": ["pullback", write_field_file(tmp_path, radial_half), "--m", "2",
+                     "--out", str(missing / "p.json")],
+        "branches": ["branches", "--cheb", "3", "--svg", str(missing / "g.svg")],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert afile.read_text() == "" and not missing.exists()
 
 
 class TestRuntimeImports:

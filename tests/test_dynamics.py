@@ -157,6 +157,32 @@ class TestCompiledEvaluation:
                 assert from_tuple == from_array
 
 
+class TestRhsBuildsAreCached:
+    """`field_rhs` builds its RHS from the field alone, and every entry point
+    calls it; the exact divergence and p' it needs are computed once."""
+
+    def test_derived_polynomials_are_cached(self, radial_half):
+        assert radial_half.divergence is radial_half.divergence
+        assert radial_half.divergence == divergence(radial_half)
+        p = chebyshev(5)
+        assert p.derivative() is p.derivative()
+
+    def test_second_build_computes_no_polynomial(self, radial_half, monkeypatch):
+        cases = [build_pullback(radial_half, chebyshev(8)), radial_half]
+        firsts = [field_rhs(field) for field in cases]
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("a polynomial was rebuilt")
+
+        # every exact polynomial is made by its constructor's __post_init__
+        for cls in (BiPoly, UniPoly):
+            monkeypatch.setattr(cls, "__post_init__", rebuilt)
+        for field, first in zip(cases, firsts):
+            again = field_rhs(field)
+            for z in [(0.31, -0.27), (-0.93, 0.88)]:
+                assert again(0.0, z) == first(0.0, z)
+
+
 class TestFactoredRhs:
     @pytest.mark.parametrize("seed", ["cubic", "dense"])
     @pytest.mark.parametrize("m", [2, 3, 6, 8, 10, 30])
@@ -239,16 +265,22 @@ class TestIntegrate:
 RTOL, ATOL = 1e-10, 1e-12
 
 
-def stepper_case(radial_half, case):
-    """(rhs, start) for the seed from its cycle, or for an m = 3 or m = 8
+def stepper_field(radial_half, case):
+    """(field, start) for the seed from its cycle, or for an m = 3 or m = 8
     pullback, through its factors, from the lifted cycle of an attracting
     rectangle; rounding differences decay on an attracting cycle, so two
     step sequences that differ in the last bits stay the same sequence."""
     if case == "seed":
-        return field_rhs(radial_half), (0.5, 0.0)
+        return radial_half, (0.5, 0.0)
     m, i, j = {"m3": (3, 2, 2), "m8": (8, 3, 5)}[case]
     pb = build_pullback(radial_half, chebyshev(m))
-    return field_rhs(pb), (branch_inverse(m, i, 0.5), branch_inverse(m, j, 0.0))
+    return pb, (branch_inverse(m, i, 0.5), branch_inverse(m, j, 0.0))
+
+
+def stepper_case(radial_half, case):
+    """(rhs, start) of `stepper_field`."""
+    field, z0 = stepper_field(radial_half, case)
+    return field_rhs(field), z0
 
 
 def state_lanes(rhs):
@@ -511,10 +543,10 @@ class TestBrentq:
 
     @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
     def test_crossing_times_match_scipy_bit_for_bit(self, radial_half, case, crossings):
-        rhs, z0 = stepper_case(radial_half, case)
-        sec = dynamics._section_through(z0, rhs(0.0, z0)[:2], 0.02)
+        field, z0 = stepper_field(radial_half, case)
+        sec = dynamics._section_through(z0, field_rhs(field)(0.0, z0)[:2], 0.02)
         for s in (0.005, 0.015, 0.02, 0.025, 0.035):
-            poincare_return(None, sec, s, rhs=rhs)
+            poincare_return(field, sec, s)
         # one more per start that rounding puts a hair behind the section
         assert len(crossings) >= 5
         for ours, theirs, a, b in crossings:
@@ -649,7 +681,7 @@ class TestStepperOverflow:
         assert 0.0 < solver.t < 1.0
         assert abs(math.hypot(*solver.y) - 0.5) <= 1e-9
 
-    def test_overflow_at_blowup_raises_integration_error(self):
+    def test_overflow_at_blowup_raises_integration_error(self, monkeypatch):
         # du/dt = u^2 from u = 1e150 blows up at t = 1e-150, and the trial
         # stages near it overflow
         field = VectorField2(BiPoly({(2, 0): 1}), BiPoly())
@@ -661,16 +693,18 @@ class TestStepperOverflow:
             overflowed.append(not math.isfinite(value[0]))
             return value
 
+        monkeypatch.setattr(dynamics, "field_rhs", lambda f: watched)
         with pytest.raises(IntegrationError) as exc:
-            integrate(field, (1e150, 0.0), 1.0, rhs=watched)
+            integrate(field, (1e150, 0.0), 1.0)
         assert any(overflowed)
         assert 1e151 < exc.value.last_state[0] < math.inf
         assert exc.value.last_time == pytest.approx(1e-150, rel=1e-3)
 
-    def test_nan_field_fails_instead_of_looping(self):
+    def test_nan_field_fails_instead_of_looping(self, monkeypatch):
         # a field that is nan everywhere gives a nan first step
+        monkeypatch.setattr(dynamics, "field_rhs", lambda field: lambda t, z: (math.nan, 0.0, 0.0))
         with pytest.raises(IntegrationError):
-            integrate(None, (0.5, 0.0), 1.0, rhs=lambda t, z: (math.nan, 0.0, 0.0))
+            integrate(ROTATION, (0.5, 0.0), 1.0)
 
 
 class TestStepperHook:
@@ -725,6 +759,10 @@ class TestSettableSurface:
 
     def test_brentq_takes_no_tolerances(self):
         assert list(inspect.signature(brentq).parameters) == ["f", "a", "b"]
+
+    @pytest.mark.parametrize("entry", [integrate, poincare_return, find_cycle])
+    def test_rhs_comes_from_the_field_alone(self, entry):
+        assert "rhs" not in inspect.signature(entry).parameters
 
 
 class TestPoincareReturn:
@@ -851,7 +889,7 @@ class TestFindCycle:
         # after its max_iters + 1 returns
         calls = []
 
-        def never_closes(field, section, s, cfg, rhs=None):
+        def never_closes(field, section, s, cfg):
             calls.append(s)
             return s + 1e-3, 1.0, 0.5
 
