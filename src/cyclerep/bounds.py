@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -24,8 +23,6 @@ from .polynomials import as_integer
 
 HAN_LI = "HanLi"
 PROHENS_TORREGROSA = "ProhensTorregrosa"
-
-SEED_TABLE_ENV = "CYCLEREP_SEED_TABLE"
 
 
 class MissingSeedError(LookupError):
@@ -139,32 +136,23 @@ def load_seed_table(path: str) -> SeedTable:
         return seed_table_from_json(json.load(fh))
 
 
-def default_seed_table() -> SeedTable:
-    """Builtin seeds, unless the CYCLEREP_SEED_TABLE env var names a JSON file."""
-    path = os.environ.get(SEED_TABLE_ENV)
-    if path:
-        return load_seed_table(path)
-    return builtin_seed_table()
-
-
 @dataclass(frozen=True)
 class BoundEntry:
-    """A lower bound at target_degree, optionally with its replication witness."""
+    """A lower bound at target_degree with its replication witness."""
 
     target_degree: int
     value: int
-    witness: Optional[tuple[int, int]]  # (seed degree n, cover degree m)
+    witness: tuple[int, int]  # (seed degree n, cover degree m)
     source: str
 
     def __post_init__(self) -> None:
-        if self.witness is not None:
-            n, m = self.witness
-            if m < 2:
-                raise ValueError("witness cover degree must be >= 2")
-            if self.target_degree + 1 != (n + 1) * m:
-                raise ValueError(
-                    f"witness ({n},{m}) inconsistent with target degree {self.target_degree}"
-                )
+        n, m = self.witness
+        if m < 2:
+            raise ValueError("witness cover degree must be >= 2")
+        if self.target_degree + 1 != (n + 1) * m:
+            raise ValueError(
+                f"witness ({n},{m}) inconsistent with target degree {self.target_degree}"
+            )
 
 
 def replication_bound(n: int, m: int, seeds: SeedTable) -> BoundEntry:
@@ -214,8 +202,6 @@ def best_cheb_bound(N: int, seeds: SeedTable) -> BoundEntry:
 
 def inequality_chain(entry: BoundEntry, seeds: SeedTable) -> str:
     """Human-readable derivation, e.g. 'H(29) ≥ 9·H(9) ≥ 9·120 = 1080'."""
-    if entry.witness is None:
-        return f"H({entry.target_degree}) ≥ {entry.value}"
     n, m = entry.witness
     seed = seeds.lookup(n).value
     msq = m * m
@@ -329,13 +315,15 @@ class Schedule:
     steps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n0 < 1:
+        n0, k0, steps = as_integer(self.n0), as_integer(self.k0), tuple(map(as_integer, self.steps))
+        if n0 < 1:
             raise ValueError("n0 must be >= 1")
-        if self.k0 < 0:
+        if k0 < 0:
             raise ValueError("k0 must be >= 0")
-        steps = tuple(int(m) for m in self.steps)
         if any(m < 2 for m in steps):
             raise ValueError("every replication step needs cover degree >= 2")
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "k0", k0)
         object.__setattr__(self, "steps", steps)
 
 

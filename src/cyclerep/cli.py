@@ -175,18 +175,18 @@ def cmd_example(args) -> int:
     (out_dir / "residuals.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     plot_tol = 1e-8
-    base_traj = integrate(field, base.anchor, base.period, plot_tol)
     spirals = [
-        integrate(field, start, 30.0, plot_tol).sample(1200)
+        integrate(field, start, 30.0, 1200, plot_tol)
         for start in ((0.9, 0.0), (0.12 * float(rho) / 0.5, 0.0))
     ]
     (out_dir / "phase_portrait.svg").write_text(
-        phase_portrait_svg(base_traj.sample(400), spirals), encoding="utf-8"
+        phase_portrait_svg(integrate(field, base.anchor, base.period, 400, plot_tol), spirals),
+        encoding="utf-8",
     )
 
     # the lifted cycle in rectangle (i, j) is the branch-wise preimage of the
     # base cycle: its u on branch i of T_m, its v on branch j
-    xs, ys = zip(*base_traj.sample(300))
+    xs, ys = zip(*integrate(field, base.anchor, base.period, 300, plot_tol))
     us = [[cheb_preimage(m, k, x) for x in xs] for k in range(1, m + 1)]
     vs = [[cheb_preimage(m, k, y) for y in ys] for k in range(1, m + 1)]
     lifted_curves = [list(zip(us[r.rect.i - 1], vs[r.rect.j - 1])) for r in records]
@@ -212,10 +212,10 @@ def cmd_example(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    path = os.environ.get("CYCLEREP_SEED_TABLE")  # a JSON file of seeds in place of the builtin ones
     try:
-        seeds = bounds_mod.default_seed_table()
+        seeds = bounds_mod.load_seed_table(path) if path else bounds_mod.builtin_seed_table()
     except (OSError, KeyError, TypeError, ValueError) as err:
-        path = os.environ[bounds_mod.SEED_TABLE_ENV]
         raise ParseFailure(f"bad seed table file {path}: {err}") from err
     if args.bounds_cmd == "table1":
         text = bounds_mod.table1_csv(bounds_mod.table_pub_vs_cheb(seeds))

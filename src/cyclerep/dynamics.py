@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -135,36 +134,6 @@ def field_rhs(field: VectorField2 | PullbackResult):
         return (fp(u, v), fq(u, v), fdiv(u, v))
 
     return rhs
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Dense-output solution of one integration run: the accepted step
-    times `ts`, the (u, v) state `ys` at each, and `pieces`, the
-    interpolant of each step."""
-
-    ts: list[float]
-    ys: list[tuple[float, float]]
-    pieces: list[_DenseStep]
-
-    @property
-    def end_state(self) -> tuple[float, float]:
-        return self.ys[-1]
-
-    def sample(self, n: int) -> list[tuple[float, float]]:
-        """n+1 states equally spaced in time over [ts[0], ts[-1]], n >= 1.
-
-        The times are numpy.linspace's, k * step + t0 with the last one set
-        to t1, and each is read on the step scipy's OdeSolution picks: the
-        first one whose end is at or after it.
-        """
-        t0, t1 = self.ts[0], self.ts[-1]
-        step = (t1 - t0) / n
-        last = len(self.pieces) - 1
-        return [
-            self.pieces[min(max(bisect_left(self.ts, t) - 1, 0), last)].at(t, 2)
-            for t in [k * step + t0 for k in range(n)] + [t1]
-        ]
 
 
 # Prince & Dormand's (1981) 8(5,3) pair with its degree-7 dense output:
@@ -475,24 +444,31 @@ def integrate(
     field: VectorField2 | PullbackResult,
     start,
     t_span: float,
+    n: int,
     tol: float = DEFAULT_CONFIG.tol,
-) -> Trajectory:
-    """Flow `start` forward for time t_span with local error control tol.
+) -> list[tuple[float, float]]:
+    """The n + 1 (u, v) states of `start`'s flow at the times k (t_span/n),
+    k < n, then t_span, with local error control tol.
 
-    The RHS is `field_rhs(field)`; w, the divergence lane, never steers
-    the steps, and a Trajectory keeps only (u, v).
-    Raises IntegrationError (carrying the last valid state) on finite-time
-    blowup, and ValueError for a nonpositive tol or t_span.
+    The times are numpy.linspace's, and each state is read on the
+    interpolant of the first accepted step that ends at or after its time,
+    as scipy's OdeSolution reads it; only a step that holds a sample time
+    is interpolated.  The RHS is `field_rhs(field)`, whose divergence lane
+    w never steers the steps.  Raises IntegrationError (carrying the last
+    valid state) on finite-time blowup, and ValueError for a nonpositive
+    tol or t_span or n < 1.
     """
-    if not t_span > 0:
-        raise ValueError(f"t_span must be positive, got {t_span}")
-    z0 = (float(start[0]), float(start[1]))
-    ts, ys, pieces = [0.0], [z0], []
-    for solver in _steps(field_rhs(field), z0, float(t_span), tol):
-        ts.append(solver.t)
-        ys.append(solver.y)
-        pieces.append(solver.dense_output())
-    return Trajectory(ts=ts, ys=ys, pieces=pieces)
+    if not (t_span > 0 and n >= 1):
+        raise ValueError(f"need t_span > 0 and n >= 1, got t_span={t_span}, n={n}")
+    t_span = float(t_span)
+    times = [k * (t_span / n) for k in range(n)] + [t_span]
+    states: list[tuple[float, float]] = []
+    for solver in _steps(field_rhs(field), (float(start[0]), float(start[1])), t_span, tol):
+        if times[len(states)] <= solver.t:
+            piece = solver.dense_output()
+            while len(states) <= n and times[len(states)] <= solver.t:
+                states.append(piece.at(times[len(states)], 2))
+    return states
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from cyclerep.bounds import (
     admissible_factorizations,
     best_cheb_bound,
     builtin_seed_table,
-    default_seed_table,
     inequality_chain,
     load_seed_table,
     quadratic_ceiling,
@@ -69,15 +68,11 @@ class TestSeedTable:
         with pytest.raises(ValueError, match="expected an integer"):
             load_seed_table(str(path))
 
-    def test_json_override(self, tmp_path, monkeypatch):
+    def test_json_override(self, tmp_path):
         path = tmp_path / "seeds.json"
         path.write_text(json.dumps([{"n": 3, "value": 13, "source": "custom"}]))
         table = load_seed_table(str(path))
         assert table.lookup(3).value == 13
-        monkeypatch.setenv("CYCLEREP_SEED_TABLE", str(path))
-        assert default_seed_table().lookup(3).value == 13
-        monkeypatch.delenv("CYCLEREP_SEED_TABLE")
-        assert default_seed_table().lookup(9).value == 120
 
 
 class TestReplicationBound:
@@ -205,6 +200,12 @@ class TestScheduleBound:
             Schedule(3, 1, (1,))
         with pytest.raises(ValueError):
             Schedule(0, 1, (2,))
+
+    @pytest.mark.parametrize("n0, k0, steps", [(3, 1, (2.7, 3.9)), (3, 1.5, (2,)), (2.5, 1, (2,)), (3, 1, ("2",))])
+    def test_non_integer_schedule_rejected(self, n0, k0, steps):
+        # 2.7 is not truncated to 2, nor "2" parsed, nor 1.5 carried into a float bound
+        with pytest.raises(ValueError, match="expected an integer"):
+            Schedule(n0, k0, steps)
 
     def test_independence_all_products_up_to_64(self):
         for q in range(2, 65):

@@ -282,12 +282,12 @@ class TestExampleCommand:
         assert all(abs(float(row.split(",")[2])) <= 1e-6 for row in residuals)
 
     def test_m3_matches_golden(self, tmp_path):
-        # tests/golden/example_m3_rho1_2 holds the two CSVs and the phase
-        # portrait as first written, so this pins the bytes across changes,
-        # not only between two runs
+        # tests/golden/example_m3_rho1_2 holds the two CSVs and the two SVGs
+        # as first written, so this pins the bytes across changes, not only
+        # between two runs
         out = tmp_path / "ex"
         assert main(["example", "--m", "3", "--rho", "1/2", "--out-dir", str(out)]) == 0
-        for name in ("cycles.csv", "residuals.csv", "phase_portrait.svg"):
+        for name in ("cycles.csv", "residuals.csv", "phase_portrait.svg", "branch_rectangles.svg"):
             assert (out / name).read_bytes() == (GOLDEN / "example_m3_rho1_2" / name).read_bytes()
 
     def test_m15_residuals_are_exact(self, tmp_path, radial_half, base_cycle):

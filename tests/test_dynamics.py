@@ -31,7 +31,6 @@ from cyclerep.dynamics import (
     LimitCycleRecord,
     NoReturnError,
     Section,
-    Trajectory,
     brentq,
     compile_component,
     field_rhs,
@@ -229,22 +228,20 @@ class TestFactoredRhs:
 
 class TestIntegrate:
     def test_harmonic_rotation_period(self):
-        traj = integrate(ROTATION, (1.0, 0.0), 2 * math.pi, tol=1e-10)
-        end = traj.end_state
+        end = integrate(ROTATION, (1.0, 0.0), 2 * math.pi, 1, tol=1e-10)[-1]
         assert abs(end[0] - 1.0) <= 1e-8 and abs(end[1]) <= 1e-8
 
     def test_cycle_is_invariant(self, radial_half):
-        traj = integrate(radial_half, (0.5, 0.0), 2 * math.pi, tol=1e-10)
-        end = traj.end_state
+        end = integrate(radial_half, (0.5, 0.0), 2 * math.pi, 1, tol=1e-10)[-1]
         assert abs(end[0] - 0.5) <= 1e-8 and abs(end[1]) <= 1e-8
 
     def test_attraction_to_cycle_with_radial_oracle(self, radial_half):
-        traj = integrate(radial_half, (0.9, 0.0), 20.0, tol=1e-10)
-        end = traj.end_state
+        states = integrate(radial_half, (0.9, 0.0), 20.0, 400, tol=1e-10)
+        end = states[-1]
         assert abs(math.hypot(*end) - 0.5) <= 1e-4
         # radius along the whole trajectory follows the closed form
         worst = 0.0
-        for pt, t in zip(traj.sample(400), [20.0 * k / 400 for k in range(401)]):
+        for pt, t in zip(states, [20.0 * k / 400 for k in range(401)]):
             worst = max(worst, abs(math.hypot(pt[0], pt[1]) - radial_oracle(0.9, t, 0.5)))
         assert worst <= 1e-5
 
@@ -252,14 +249,19 @@ class TestIntegrate:
         # du/dt = u^2 from u=1 blows up at t = 1
         field = VectorField2(BiPoly({(2, 0): 1}), BiPoly())
         with pytest.raises(IntegrationError) as exc:
-            integrate(field, (1.0, 0.0), 2.0, tol=1e-10)
+            integrate(field, (1.0, 0.0), 2.0, 1, tol=1e-10)
         assert exc.value.last_time is not None
         assert 0.9 <= exc.value.last_time <= 1.1
         assert exc.value.last_state[0] > 100.0
 
     def test_bad_tol_rejected(self, radial_half):
         with pytest.raises(ValueError):
-            integrate(radial_half, (0.5, 0.0), 1.0, tol=0.0)
+            integrate(radial_half, (0.5, 0.0), 1.0, 1, tol=0.0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_sample_interval_rejected(self, radial_half, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            integrate(radial_half, (0.5, 0.0), 1.0, n)
 
 
 RTOL, ATOL = 1e-10, 1e-12
@@ -618,47 +620,76 @@ class TestBrentq:
 
 
 def scipy_piece(piece) -> Dop853DenseOutput:
-    """One `Trajectory` piece as scipy's DOP853 interpolant of (u, v)."""
+    """One step's interpolant as scipy's DOP853 interpolant of (u, v)."""
     return Dop853DenseOutput(piece.t_old, piece.t, np.array(piece.y_old[:2]), np.array(piece.F[:2]).T)
 
 
-def ode_solution_samples(traj: Trajectory, n: int):
-    """`traj.sample(n)` the way it was computed with numpy and scipy."""
-    sol = OdeSolution(np.array(traj.ts), [scipy_piece(p) for p in traj.pieces])
-    return [(float(u), float(v)) for u, v in sol(np.linspace(traj.ts[0], traj.ts[-1], n + 1)).T]
+def ode_solution_samples(ts, pieces, n: int):
+    """The n + 1 states `integrate` returns over the steps ending at ts[1:],
+    the way they were computed with numpy and scipy."""
+    sol = OdeSolution(np.array(ts), [scipy_piece(p) for p in pieces])
+    return [(float(u), float(v)) for u, v in sol(np.linspace(ts[0], ts[-1], n + 1)).T]
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """(ts, pieces): the step times from t = 0 and the interpolant of every
+    accepted step, recorded through a subclass set on `dynamics.RK45`."""
+    ts, pieces = [0.0], []
+
+    class Recording(dynamics.RK45):
+        def step(self):
+            super().step()
+            ts.append(self.t)
+            pieces.append(self.dense_output())
+
+    monkeypatch.setattr(dynamics, "RK45", Recording)
+    return ts, pieces
 
 
 class TestTrajectorySample:
-    """`Trajectory.sample` against numpy.linspace and scipy's OdeSolution,
+    """`integrate`'s states against numpy.linspace and scipy's OdeSolution,
     the oracles here only: the same times on the same pieces, bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 7, 300, 1200])
-    def test_recorded_integration(self, pullback_m3, lifted_m3, n):
+    def test_recorded_integration(self, pullback_m3, lifted_m3, recorded, n):
         r = lifted_m3[4]
-        traj = integrate(pullback_m3, r.anchor, r.period, 1e-8)
-        assert len(traj.pieces) > 8  # about half the 17 steps taken
-        got = traj.sample(n)
+        got = integrate(pullback_m3, r.anchor, r.period, n, 1e-8)
+        ts, pieces = recorded
+        assert len(pieces) > 8  # about half the 17 steps taken
         assert len(got) == n + 1
         assert [(u.hex(), v.hex()) for u, v in got] == [
-            (u.hex(), v.hex()) for u, v in ode_solution_samples(traj, n)
+            (u.hex(), v.hex()) for u, v in ode_solution_samples(ts, pieces, n)
         ]
 
     @pytest.mark.parametrize("n", [8, 16, 24, 5])
-    def test_sample_times_on_step_boundaries(self, radial_half, n):
+    def test_sample_times_on_step_boundaries(self, radial_half, recorded, monkeypatch, n):
         # every other piece of a recorded run (16 steps), moved onto steps
-        # of 1/8: neighbours do not meet, so the piece chosen at a boundary
-        # shows (consecutive degree-7 pieces meet to the last bit)
-        rec = integrate(radial_half, (0.9, 0.0), 3.0)
+        # of 1/8 and replayed by a stub stepper: neighbours do not meet, so
+        # the piece chosen at a boundary shows (consecutive degree-7 pieces
+        # meet to the last bit)
+        integrate(radial_half, (0.9, 0.0), 3.0, 1)
         pieces = [
-            dynamics._DenseStep(k / 8, (k + 1) / 8, p.y_old, p.F) for k, p in enumerate(rec.pieces[:16:2])
+            dynamics._DenseStep(k / 8, (k + 1) / 8, p.y_old, p.F) for k, p in enumerate(recorded[1][:16:2])
         ]
         ts = [k / 8 for k in range(9)]
-        ys = [p.at(p.t_old, 2) for p in pieces] + [pieces[-1].at(1.0, 2)]
-        traj = Trajectory(ts=ts, ys=ys, pieces=pieces)
         assert all(pieces[k - 1].at(t, 2) != pieces[k].at(t, 2) for k, t in enumerate(ts[1:-1], 1))
-        got = traj.sample(n)
+
+        class Replay:
+            def __init__(self, fun, t0, y0, t_bound, rtol, atol):
+                self.t, self.steps = t0, iter(pieces)
+
+            def step(self):
+                self.piece = next(self.steps)
+                self.t = self.piece.t
+
+            def dense_output(self):
+                return self.piece
+
+        monkeypatch.setattr(dynamics, "RK45", Replay)
+        got = integrate(radial_half, (0.9, 0.0), 1.0, n)
         assert [(u.hex(), v.hex()) for u, v in got] == [
-            (u.hex(), v.hex()) for u, v in ode_solution_samples(traj, n)
+            (u.hex(), v.hex()) for u, v in ode_solution_samples(ts, pieces, n)
         ]
 
 
@@ -695,7 +726,7 @@ class TestStepperOverflow:
 
         monkeypatch.setattr(dynamics, "field_rhs", lambda f: watched)
         with pytest.raises(IntegrationError) as exc:
-            integrate(field, (1e150, 0.0), 1.0)
+            integrate(field, (1e150, 0.0), 1.0, 1)
         assert any(overflowed)
         assert 1e151 < exc.value.last_state[0] < math.inf
         assert exc.value.last_time == pytest.approx(1e-150, rel=1e-3)
@@ -704,7 +735,7 @@ class TestStepperOverflow:
         # a field that is nan everywhere gives a nan first step
         monkeypatch.setattr(dynamics, "field_rhs", lambda field: lambda t, z: (math.nan, 0.0, 0.0))
         with pytest.raises(IntegrationError):
-            integrate(ROTATION, (0.5, 0.0), 1.0)
+            integrate(ROTATION, (0.5, 0.0), 1.0, 1)
 
 
 class TestStepperHook:
@@ -728,8 +759,26 @@ class TestStepperHook:
         return times
 
     def test_integrate_steps_are_seen(self, radial_half, seen):
-        traj = integrate(radial_half, (0.9, 0.0), 3.0)
-        assert seen == list(traj.ts[1:]) and len(seen) > 10
+        integrate(radial_half, (0.9, 0.0), 3.0, 1)
+        tol = DEFAULT_CONFIG.tol
+        solver, ts = DOP853(field_rhs(radial_half), 0.0, (0.9, 0.0), 3.0, tol, tol * 1e-2), []
+        while solver.t < 3.0:
+            solver.step()
+            ts.append(solver.t)
+        assert seen == ts and len(seen) > 10
+
+    def test_integrate_interpolates_only_the_steps_it_samples(self, radial_half, monkeypatch):
+        interpolated = []
+
+        class Counting(dynamics.RK45):
+            def dense_output(self):
+                interpolated.append(self.t)
+                return super().dense_output()
+
+        monkeypatch.setattr(dynamics, "RK45", Counting)
+        integrate(radial_half, (0.9, 0.0), 3.0, n=1)
+        # the first step, which holds t = 0, and the last, which ends at 3
+        assert len(interpolated) == 2 and interpolated[-1] == 3.0
 
     def test_poincare_return_steps_are_seen(self, radial_half, x_axis_section, seen):
         _, flight, _ = poincare_return(radial_half, x_axis_section, 0.8)
@@ -785,7 +834,7 @@ class TestPoincareReturn:
     def test_flight_time_agrees_with_integrate(self, radial_half, x_axis_section):
         for s in (0.3, 0.5, 0.8):
             s_new, t, _ = poincare_return(radial_half, x_axis_section, s)
-            end = integrate(radial_half, x_axis_section.point_at(s), t).end_state
+            end = integrate(radial_half, x_axis_section.point_at(s), t, 1)[-1]
             assert math.dist(end, x_axis_section.point_at(s_new)) <= 1e-8
 
     @pytest.mark.parametrize("s", [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
@@ -1048,8 +1097,7 @@ class TestLiftCycles:
         # the image of each lifted cycle under the cover map stays on r = 1/2
         t3 = chebyshev(3)
         for r in lifted_m3[::4]:
-            traj = integrate(pullback_m3.field, r.anchor, r.period, tol=1e-10)
-            for u, v in traj.sample(200):
+            for u, v in integrate(pullback_m3.field, r.anchor, r.period, 200, tol=1e-10):
                 radius = math.hypot(t3.evaluate_float(u), t3.evaluate_float(v))
                 assert abs(radius - 0.5) <= 1e-5
 
@@ -1060,10 +1108,9 @@ class TestLiftCycles:
         center = next(r for r in lifted_m3 if (r.rect.i, r.rect.j) == (2, 2))
         start = (center.anchor[0] + 0.02, center.anchor[1])
         r0 = math.hypot(t3.evaluate_float(start[0]), t3.evaluate_float(start[1]))
-        traj = integrate(pullback_m3.field, start, 3.0, tol=1e-10)
         radii = [
             math.hypot(t3.evaluate_float(u), t3.evaluate_float(v))
-            for u, v in traj.sample(300)
+            for u, v in integrate(pullback_m3.field, start, 3.0, 300, tol=1e-10)
         ]
         lo, hi = min(0.5, r0) - 1e-5, max(0.5, r0) + 1e-5
         assert all(lo <= rad <= hi for rad in radii)
@@ -1071,10 +1118,10 @@ class TestLiftCycles:
 
     def test_integrate_and_find_cycle_take_a_pullback(self, pullback_m3, lifted_m3):
         r = next(r for r in lifted_m3 if (r.rect.i, r.rect.j) == (2, 2))
-        traj = integrate(pullback_m3, r.anchor, r.period, tol=1e-10)
-        assert math.dist(traj.end_state, r.anchor) <= 1e-7
-        expanded = integrate(pullback_m3.field, r.anchor, r.period, tol=1e-10)
-        assert math.dist(traj.end_state, expanded.end_state) <= 1e-8
+        end = integrate(pullback_m3, r.anchor, r.period, 1, tol=1e-10)[-1]
+        assert math.dist(end, r.anchor) <= 1e-7
+        expanded = integrate(pullback_m3.field, r.anchor, r.period, 1, tol=1e-10)[-1]
+        assert math.dist(end, expanded) <= 1e-8
         fu, fv, _ = field_rhs(pullback_m3)(0.0, r.anchor)
         d = (-fv / math.hypot(fu, fv), fu / math.hypot(fu, fv))
         half = 0.01
