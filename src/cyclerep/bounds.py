@@ -157,7 +157,9 @@ class BoundEntry:
 
 def replication_bound(n: int, m: int, seeds: SeedTable) -> BoundEntry:
     """One pullback step: from the seed at degree n, a bound m^2 * seed(n)
-    at target degree N = (n + 1) m - 1."""
+    at target degree N = (n + 1) m - 1.  ValueError unless n and m are
+    integers."""
+    n, m = as_integer(n), as_integer(m)
     if m < 2:
         raise ValueError(f"cover degree must be >= 2, got {m}")
     sb = seeds.lookup(n)
@@ -295,7 +297,9 @@ def table2_csv(rows: Optional[list[DerivationRow]] = None) -> str:
 
 def quadratic_ceiling(k0: int, n0: int, N: int) -> Fraction:
     """Cap k0 * ((N + 1) / (n0 + 1))^2 on the cycle count reachable from a
-    degree-n0 seed with k0 cycles by replication alone, exact rational."""
+    degree-n0 seed with k0 cycles by replication alone, exact rational.
+    ValueError unless k0, n0 and N are integers."""
+    k0, n0, N = as_integer(k0), as_integer(n0), as_integer(N)
     if k0 < 0:
         raise ValueError("k0 must be >= 0")
     if n0 < 1:

@@ -16,7 +16,10 @@ method, `brentq`, so the package needs no numpy or scipy at runtime.
 A field is evaluated by Horner on Python floats: a VectorField2 as it
 stands, a PullbackResult through its factors p'(v) P(p(u), p(v)) and
 p'(u) Q(p(u), p(v)), which keeps the accuracy of the seed field that
-the expanded pullback loses as m grows.
+the expanded pullback loses as m grows.  `field_rhs` writes those Horner
+steps out as one straight-line function per field, cached on the field
+object (which can then no longer be pickled): the floats of the
+polynomials' own evaluators, without their loops.
 Cycles are fixed points of the return map, found by Newton iteration on
 return(s) - s.  The slope of a planar return map is given by Liouville's
 formula, exp(w) times a transversality ratio, so one return yields both
@@ -99,6 +102,24 @@ def compile_component(f: BiPoly):
     return f.evaluate_float
 
 
+def _horner(out: str, x: str, coeffs) -> list[str]:
+    """Horner on x over coeffs, highest power first, as source lines: one
+    `out = out * x + c` per step, the step of the `evaluate_float` loops,
+    each c written by its repr, which reads back as the same float."""
+    lead, *tail = coeffs
+    return [f"{out} = {lead!r}"] + [f"{out} = {out} * {x} + {c!r}" for c in tail]
+
+
+def _bipoly_lines(out: str, f: BiPoly, x: str, y: str) -> list[str]:
+    """`f.evaluate_float(x, y)` as source lines assigning out: Horner in y
+    over each of `f.horner_rows()`, then in x over the rows."""
+    first, *rest = f.horner_rows()
+    lines = _horner(out, y, first)
+    for row in rest:
+        lines += _horner("r", y, row) + [f"{out} = {out} * {x} + r"]
+    return lines
+
+
 def field_rhs(field: VectorField2 | PullbackResult):
     """Right-hand side for the ODE solver: f(t, z) = (u', v', div).
 
@@ -108,31 +129,36 @@ def field_rhs(field: VectorField2 | PullbackResult):
     p'(u) p'(v) (div X)(x, y): Horner on the expanded field, of degree
     m deg(X) + m - 1, loses digits as m grows (relative error 2.7e-7 at
     m = 8 and 2.9e-5 at m = 10 on the cubic seed, against at most 3e-13
-    through the factors), and costs more.  A VectorField2's divergence is
-    Horner on the exact polynomial dP/du + dQ/dv.  That divergence, p' and
-    the evaluators are cached, so a second call builds no polynomial.
+    through the factors), and costs more.  A VectorField2 is evaluated at
+    x, y = u, v with no cover factors; its divergence is the exact
+    polynomial dP/du + dQ/dv.
+
+    The RHS is one straight-line function, generated from the field's
+    coefficients: the Horner steps of p, p', P, Q and div X written out
+    in the order of their `evaluate_float` loops, so it gives the same
+    floats as those, with no loop or call between the steps.  No line
+    nests, so any degree compiles.  It is built once per field object and
+    kept in the instance __dict__, as `evaluate_float` is, so a field
+    whose RHS was built can no longer be pickled.
     """
-    X = field.source if isinstance(field, PullbackResult) else field
-    fp = compile_component(X.p_comp)
-    fq = compile_component(X.q_comp)
-    fdiv = compile_component(X.divergence)
-    if isinstance(field, PullbackResult):
-        p = field.cover_poly.evaluate_float
-        dp = field.cover_poly.derivative().evaluate_float
-
-        def rhs(t, z):
-            u, v = float(z[0]), float(z[1])
-            x, y = p(u), p(v)
-            du, dv = dp(u), dp(v)
-            return (dv * fp(x, y), du * fq(x, y), du * dv * fdiv(x, y))
-
+    rhs = vars(field).get("_rhs")
+    if rhs is not None:
         return rhs
-
-    def rhs(t, z):
-        # Python floats: Horner on numpy scalars costs about 4x as much
-        u, v = float(z[0]), float(z[1])
-        return (fp(u, v), fq(u, v), fdiv(u, v))
-
+    # Python floats: Horner on numpy scalars costs about 4x as much
+    lines = ["u, v = float(z[0]), float(z[1])"]
+    if isinstance(field, PullbackResult):
+        X, p, dp = field.source, field.cover_poly, field.cover_poly.derivative()
+        for out, var, poly in (("x", "u", p), ("y", "v", p), ("du", "u", dp), ("dv", "v", dp)):
+            lines += _horner(out, var, poly.horner_floats())
+        x, y, result = "x", "y", "(dv * P, du * Q, du * dv * D)"
+    else:
+        X, x, y, result = field, "u", "v", "(P, Q, D)"
+    for out, comp in (("P", X.p_comp), ("Q", X.q_comp), ("D", X.divergence)):
+        lines += _bipoly_lines(out, comp, x, y)
+    source = "def rhs(t, z):\n" + "".join(f"    {line}\n" for line in lines + [f"return {result}"])
+    namespace: dict = {}
+    exec(compile(source, "<field_rhs>", "exec"), namespace)
+    rhs = vars(field)["_rhs"] = namespace["rhs"]
     return rhs
 
 

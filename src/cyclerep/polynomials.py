@@ -135,14 +135,19 @@ class UniPoly:
         N, den = integer_numerators(self.coeffs or (Fraction(0),))
         return tuple(N), den
 
+    def horner_floats(self) -> tuple[float, ...]:
+        """The float coefficients from the highest power down, (0.0,) for
+        zero: the Horner steps of `evaluate_float`, one per entry after
+        the first."""
+        return tuple(float(c) for c in reversed(self.coeffs)) or (0.0,)
+
     @cached_property
     def evaluate_float(self):
         """Float evaluator x -> self(x), x a float or a numpy array: Horner
-        over the float coefficients from the highest power down (0.0 for
-        zero), built once per polynomial.  The closure lives in the
-        instance __dict__, so a polynomial evaluated in floats can no
-        longer be pickled."""
-        lead, *tail = [float(c) for c in reversed(self.coeffs)] or [0.0]
+        over `horner_floats`, built once per polynomial.  The closure
+        lives in the instance __dict__, so a polynomial evaluated in
+        floats can no longer be pickled."""
+        lead, *tail = self.horner_floats()
         tail = tuple(tail)
 
         def evaluate_float(x):
@@ -243,24 +248,30 @@ class BiPoly:
             acc += c * upow(du) * vpow(dv)
         return acc
 
-    @cached_property
-    def evaluate_float(self):
-        """Float evaluator (u, v) -> self(u, v), u and v floats or numpy
-        arrays: Horner in v inside each row of v-coefficients, then Horner
-        in u over the rows, highest powers first, built once per
-        polynomial.  A missing v-power is a 0.0 coefficient and a missing
-        u-power the row (0.0,), so every Horner step is taken.  The closure
-        lives in the instance __dict__, so a polynomial evaluated in floats
-        can no longer be pickled."""
+    def horner_rows(self) -> tuple[tuple[float, ...], ...]:
+        """The float coefficients as rows, one per power of u from the
+        highest down, each row its v-coefficients from the highest power
+        down: the Horner steps of `evaluate_float`.  A missing v-power is a
+        0.0 coefficient and a missing u-power the row (0.0,), so every
+        Horner step is taken."""
         by_du: dict[int, dict[int, float]] = {}
         for (du, dv), c in self.terms:
             by_du.setdefault(du, {})[dv] = float(c)
-        rows = []  # (lead, tail) per power of u, highest first
+        rows = []
         for du in range(max(by_du, default=0), -1, -1):
             row = by_du.get(du, {0: 0.0})
-            top = max(row)
-            rows.append((row[top], tuple(row.get(dv, 0.0) for dv in range(top - 1, -1, -1))))
-        (lead0, tail0), rest = rows[0], tuple(rows[1:])
+            rows.append(tuple(row.get(dv, 0.0) for dv in range(max(row), -1, -1)))
+        return tuple(rows)
+
+    @cached_property
+    def evaluate_float(self):
+        """Float evaluator (u, v) -> self(u, v), u and v floats or numpy
+        arrays: Horner in v inside each of the `horner_rows`, then Horner
+        in u over the rows, built once per polynomial.  The closure lives
+        in the instance __dict__, so a polynomial evaluated in floats can
+        no longer be pickled."""
+        (lead0, *tail0), *rest = self.horner_rows()
+        tail0, rest = tuple(tail0), tuple((lead, tuple(tail)) for lead, *tail in rest)
 
         def evaluate_float(u, v):
             acc = lead0

@@ -90,6 +90,12 @@ class TestReplicationBound:
         with pytest.raises(MissingSeedError):
             replication_bound(3, 2, SEEDS)
 
+    @pytest.mark.parametrize("n, m", [(9, 3.0), (9.0, 3), (9, 2.5), ("9", 3), (9, "3")])
+    def test_non_integer_degrees_rejected(self, n, m):
+        # 3.0 does not give target_degree 29.0, nor "9" a lookup by string
+        with pytest.raises(ValueError, match="expected an integer"):
+            replication_bound(n, m, SEEDS)
+
 
 class TestBestBound:
     @pytest.mark.parametrize(
@@ -171,6 +177,12 @@ class TestQuadraticCeiling:
             quadratic_ceiling(1, 0, 11)
         with pytest.raises(ValueError):
             quadratic_ceiling(1, 3, 2)
+
+    @pytest.mark.parametrize("k0, n0, N", [(2.5, 3, 11), (1, 3.0, 11), (1, 3, 11.0), ("1", 3, 11), (1, 3, Fraction(11))])
+    def test_non_integer_inputs_rejected(self, k0, n0, N):
+        # 2.5 does not give the float 22.5, nor 11.0 a float ratio
+        with pytest.raises(ValueError, match="expected an integer"):
+            quadratic_ceiling(k0, n0, N)
 
 
 def factorizations(q):

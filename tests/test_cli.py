@@ -290,6 +290,16 @@ class TestExampleCommand:
         for name in ("cycles.csv", "residuals.csv", "phase_portrait.svg", "branch_rectangles.svg"):
             assert (out / name).read_bytes() == (GOLDEN / "example_m3_rho1_2" / name).read_bytes()
 
+    def test_m8_cycles_match_golden(self, tmp_path):
+        # tests/golden/example_m8_rho2_3/cycles.csv pins all 64 lifted
+        # records, the reversed edge rectangles among them, to the bytes
+        # first written
+        out = tmp_path / "ex"
+        assert main(["example", "--m", "8", "--rho", "2/3", "--out-dir", str(out)]) == 0
+        got = (out / "cycles.csv").read_bytes()
+        assert got == (GOLDEN / "example_m8_rho2_3" / "cycles.csv").read_bytes()
+        assert got.count(b"\n") == 1 + 64
+
     def test_m15_residuals_are_exact(self, tmp_path, radial_half, base_cycle):
         # each written residual is T_m(u)^2 + T_m(v)^2 - rho^2 at its anchor,
         # computed exactly and rounded once; float Horner on the expanded

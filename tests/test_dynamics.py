@@ -43,7 +43,7 @@ from cyclerep.dynamics import (
     records_to_csv,
 )
 from cyclerep.polynomials import BiPoly, UniPoly, VectorField2, chebyshev
-from cyclerep.pullback import build_pullback
+from cyclerep.pullback import PullbackResult, build_pullback
 
 ROTATION = VectorField2(BiPoly({(0, 1): 1}), BiPoly({(1, 0): -1}))
 EXP_MINUS_PI = math.exp(-math.pi)
@@ -130,9 +130,9 @@ class TestCompiledEvaluation:
     def test_zero_polynomial(self):
         assert compile_component(BiPoly())(0.4, -0.2) == 0.0
 
-    def test_no_degree_limit(self):
+    def test_no_degree_limit(self, radial_half):
         # the m = 30 pullback of the cubic seed has total degree 119
-        pb = build_pullback(radial_cubic_field(Fraction(1, 2)), chebyshev(30))
+        pb = build_pullback(radial_half, chebyshev(30))
         points = [(0.31, -0.27), (-0.93, 0.88), (0.999, 0.05), (-0.5, -0.999)]
         us = np.array([[u for u, _ in points]])
         vs = np.array([[v for _, v in points]])
@@ -145,6 +145,28 @@ class TestCompiledEvaluation:
                 bound = 1e-11 * abs_term_sum(comp, u, v)
                 assert abs(fast(u, v) - exact) <= bound
                 assert abs(grid[0, c] - exact) <= bound
+        # field_rhs writes one line per Horner step with no nesting: the
+        # expanded field and the m = 64 pullback build and evaluate within
+        # the bounds of TestFactoredRhs
+        Y = pb.field
+        rhs = field_rhs(Y)
+        for u, v in points:
+            got = rhs(0.0, (u, v))
+            for k, comp in enumerate((Y.p_comp, Y.q_comp, Y.divergence)):
+                exact = comp.evaluate(Fraction(u), Fraction(v))
+                assert abs(Fraction(got[k]) - exact) <= 1e-11 * abs_term_sum(comp, u, v)
+        pb = build_pullback(radial_half, chebyshev(64))
+        rhs = field_rhs(pb)
+        p, dp, X = pb.cover_poly, pb.cover_poly.derivative(), pb.source
+        for u, v in points:
+            got = rhs(0.0, (u, v))
+            x, y = p.evaluate(Fraction(u)), p.evaluate(Fraction(v))
+            du, dv = dp.evaluate(Fraction(u)), dp.evaluate(Fraction(v))
+            exact = (dv * X.p_comp.evaluate(x, y), du * X.q_comp.evaluate(x, y),
+                     du * dv * X.divergence.evaluate(x, y))
+            for k in range(2):
+                assert abs(Fraction(got[k]) - exact[k]) <= 1e-12 * factored_magnitude(pb, k, u, v)
+            assert abs(Fraction(got[2]) - exact[2]) <= 1e-12 * divergence_magnitude(pb, u, v)
 
     def test_rhs_state_type_does_not_change_values(self, pullback_m3):
         # expanded and factored RHS alike
@@ -224,6 +246,77 @@ class TestFactoredRhs:
             exact = exact_div.evaluate(Fraction(u), Fraction(v))
             got = rhs(0.0, (u, v))[2]
             assert abs(Fraction(got) - exact) <= 1e-14 * abs_term_sum(exact_div, u, v)
+
+
+def closure_rhs(field):
+    """The RHS as a composition of the `evaluate_float` closures, the
+    reference the straight-line `field_rhs` must match bit for bit."""
+    X = field.source if isinstance(field, PullbackResult) else field
+    fp, fq, fdiv = X.p_comp.evaluate_float, X.q_comp.evaluate_float, X.divergence.evaluate_float
+    if isinstance(field, PullbackResult):
+        p, dp = field.cover_poly.evaluate_float, field.cover_poly.derivative().evaluate_float
+
+        def rhs(t, z):
+            u, v = float(z[0]), float(z[1])
+            x, y = p(u), p(v)
+            du, dv = dp(u), dp(v)
+            return (dv * fp(x, y), du * fq(x, y), du * dv * fdiv(x, y))
+
+        return rhs
+
+    def rhs(t, z):
+        u, v = float(z[0]), float(z[1])
+        return (fp(u, v), fq(u, v), fdiv(u, v))
+
+    return rhs
+
+
+def same_float(a: float, b: float) -> bool:
+    """a and b equal with the same sign, zeros included, or both nan."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestStraightLineRhs:
+    """`field_rhs` writes the Horner steps of the `evaluate_float` closures
+    out in their order, so every lane is the same float as theirs."""
+
+    SPECIAL = [math.inf, -math.inf, math.nan, 1e200, -1e200, 0.0, -0.0]
+
+    def points(self, seed: int) -> list[tuple[float, float]]:
+        rng = random.Random(seed)
+        pts = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(40)]
+        pts += [(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(20)]
+        pts += [(a, rng.uniform(-1.0, 1.0)) for a in self.SPECIAL]
+        pts += [(rng.uniform(-1.0, 1.0), b) for b in self.SPECIAL]
+        return pts + [(a, b) for a in self.SPECIAL for b in self.SPECIAL]
+
+    def assert_same(self, field, seed: int) -> None:
+        got, want = field_rhs(field), closure_rhs(field)
+        for z in self.points(seed):
+            a, b = got(0.0, z), want(0.0, z)
+            assert len(a) == 3 and all(same_float(x, y) for x, y in zip(a, b)), (z, a, b)
+
+    @pytest.mark.parametrize("seed", ["cubic", "dense"])
+    @pytest.mark.parametrize("m", [2, 3, 6, 8, 16, 64])
+    def test_pullback_matches_closures(self, radial_half, seed, m):
+        X = radial_half if seed == "cubic" else DENSE_CUBIC
+        self.assert_same(build_pullback(X, chebyshev(m)), m)
+
+    @pytest.mark.parametrize("field", ["seed", "dense", "m3"])
+    def test_vector_field_matches_closures(self, radial_half, pullback_m3, field):
+        self.assert_same({"seed": radial_half, "dense": DENSE_CUBIC, "m3": pullback_m3.field}[field], 5)
+
+    def test_built_once_per_field_object(self, radial_half):
+        pb = build_pullback(radial_half, chebyshev(4))
+        rhs = field_rhs(pb)
+        assert field_rhs(pb) is rhs
+        # an equal field object builds its own; the cache is never a
+        # dict keyed by the field, which would hash its Fractions
+        twin = build_pullback(radial_half, chebyshev(4))
+        assert twin == pb and field_rhs(twin) is not rhs
+        assert field_rhs(pb.field) is not rhs
 
 
 class TestIntegrate:
