@@ -2,9 +2,10 @@
 
 Trajectories come from an adaptive Dormand-Prince 8(5,3) integrator with
 degree-7 dense output, `DOP853`: scipy's algorithm (tableau, first step,
-step controller, error norm) written out on Python floats, so that a
-step costs its twelve RHS calls and little else, and the three more of
-the interpolant only on a step that is interpolated.  At the default
+step controller, error norm) on Python floats.  Its trial step is one
+straight-line function generated from the tableau, so that a step costs
+its twelve RHS calls and little else, and the three more of the
+interpolant only on a step that is interpolated.  At the default
 tol the eighth-order pair takes about a fifth of the steps of a 5(4)
 pair.  Beside the state it carries w = integral of div f, a quadrature
 lane that stays out of the error norm, so the state takes the steps it
@@ -17,9 +18,10 @@ A field is evaluated by Horner on Python floats: a VectorField2 as it
 stands, a PullbackResult through its factors p'(v) P(p(u), p(v)) and
 p'(u) Q(p(u), p(v)), which keeps the accuracy of the seed field that
 the expanded pullback loses as m grows.  `field_rhs` writes those Horner
-steps out as one straight-line function per field, cached on the field
-object (which can then no longer be pickled): the floats of the
-polynomials' own evaluators, without their loops.
+steps out as one straight-line function of (u, v) per field, cached on
+the field object (which can then no longer be pickled): the floats of
+the polynomials' own evaluators, without their loops, and without the
+zero steps whose only effect a later constant absorbs.
 Cycles are fixed points of the return map, found by Newton iteration on
 return(s) - s.  The slope of a planar return map is given by Liouville's
 formula, exp(w) times a transversality ratio, so one return yields both
@@ -35,6 +37,7 @@ deterministic, with no randomness or wall-clock dependence.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -103,11 +106,23 @@ def compile_component(f: BiPoly):
 
 
 def _horner(out: str, x: str, coeffs) -> list[str]:
-    """Horner on x over coeffs, highest power first, as source lines: one
-    `out = out * x + c` per step, the step of the `evaluate_float` loops,
-    each c written by its repr, which reads back as the same float."""
+    """Horner on x over coeffs, highest power first, as source lines: the
+    steps `out = out * x + c` of the `evaluate_float` loops, each c written
+    by its repr, which reads back as the same float.  A zero step before a
+    later nonzero c keeps its multiply and drops its `+ 0.0`, joining the
+    next line (`out = out * x * x + c`): the add only turns -0.0 into 0.0,
+    a multiply keeps a zero's magnitude (inf times either zero is nan), and
+    the later c absorbs the sign, as +-0 + c = c.  A trailing zero step
+    stays: it sets the sign of a zero result."""
     lead, *tail = coeffs
-    return [f"{out} = {lead!r}"] + [f"{out} = {out} * {x} + {c!r}" for c in tail]
+    last = max((k for k, c in enumerate(tail) if c != 0.0), default=-1)
+    lines, product = [f"{out} = {lead!r}"], out
+    for k, c in enumerate(tail):
+        product += f" * {x}"
+        if c != 0.0 or k > last:
+            lines.append(f"{out} = {product} + {c!r}")
+            product = out
+    return lines
 
 
 def _bipoly_lines(out: str, f: BiPoly, x: str, y: str) -> list[str]:
@@ -121,7 +136,8 @@ def _bipoly_lines(out: str, f: BiPoly, x: str, y: str) -> list[str]:
 
 
 def field_rhs(field: VectorField2 | PullbackResult):
-    """Right-hand side for the ODE solver: f(t, z) = (u', v', div).
+    """Right-hand side for the ODE solver: rhs(u, v) = (u', v', div), with
+    u and v Python floats (the field is autonomous, so it takes no t).
 
     The divergence rides along for the integrator's w lane.  A
     PullbackResult is evaluated through its factors, as
@@ -136,16 +152,20 @@ def field_rhs(field: VectorField2 | PullbackResult):
     The RHS is one straight-line function, generated from the field's
     coefficients: the Horner steps of p, p', P, Q and div X written out
     in the order of their `evaluate_float` loops, so it gives the same
-    floats as those, with no loop or call between the steps.  No line
-    nests, so any degree compiles.  It is built once per field object and
-    kept in the instance __dict__, as `evaluate_float` is, so a field
+    floats as those, with no loop or call between the steps.  A zero
+    coefficient's `+ 0.0` is left out where a later step of the same
+    univariate Horner chain adds a nonzero constant: that constant absorbs
+    the one difference the add makes, the sign of a zero (see `_horner`).
+    Half the coefficients of T_m are zero.  No line nests, so any degree
+    compiles.  States become floats where they enter (`DOP853`,
+    `Section`), not in each call.  The RHS is built once per field object
+    and kept in the instance __dict__, as `evaluate_float` is, so a field
     whose RHS was built can no longer be pickled.
     """
     rhs = vars(field).get("_rhs")
     if rhs is not None:
         return rhs
-    # Python floats: Horner on numpy scalars costs about 4x as much
-    lines = ["u, v = float(z[0]), float(z[1])"]
+    lines = []
     if isinstance(field, PullbackResult):
         X, p, dp = field.source, field.cover_poly, field.cover_poly.derivative()
         for out, var, poly in (("x", "u", p), ("y", "v", p), ("du", "u", dp), ("dv", "v", dp)):
@@ -155,7 +175,7 @@ def field_rhs(field: VectorField2 | PullbackResult):
         X, x, y, result = field, "u", "v", "(P, Q, D)"
     for out, comp in (("P", X.p_comp), ("Q", X.q_comp), ("D", X.divergence)):
         lines += _bipoly_lines(out, comp, x, y)
-    source = "def rhs(t, z):\n" + "".join(f"    {line}\n" for line in lines + [f"return {result}"])
+    source = "def rhs(u, v):\n" + "".join(f"    {line}\n" for line in lines + [f"return {result}"])
     namespace: dict = {}
     exec(compile(source, "<field_rhs>", "exec"), namespace)
     rhs = vars(field)["_rhs"] = namespace["rhs"]
@@ -165,7 +185,8 @@ def field_rhs(field: VectorField2 | PullbackResult):
 # Prince & Dormand's (1981) 8(5,3) pair with its degree-7 dense output:
 # scipy's DOP853 tableau, the coefficients of Hairer's dop853.f (Hairer,
 # Norsett & Wanner, Solving ODEs I, II.10), as the nearest floats.  A stage
-# is (c, its nonzero (k, a) entries), k counting the stages from 0.  `_A`
+# is (c, its nonzero (k, a) entries), k counting the stages from 0; the
+# field is autonomous, so the stepper does not read c.  `_A`
 # makes stages 1..11 after the first, f at the step's start; stage 12 is f
 # at its end (FSAL), and `_A_EXTRA` gives stages 13..15, which only the
 # interpolant needs.
@@ -237,17 +258,47 @@ def _rms(a: float, b: float) -> float:
     return math.sqrt(a * a + b * b) / 2**0.5
 
 
-def _stages(fun, t: float, y, h: float, K: list, rows) -> list:
-    """K, extended by the stages of `rows` from state y at time t, step h."""
-    y0, y1 = y
-    for c, row in rows:
-        su = sv = 0.0
-        for k, a in row:
-            k_ = K[k]
-            su += k_[0] * a
-            sv += k_[1] * a
-        K.append(fun(t + c * h, (y0 + su * h, y1 + sv * h)))
-    return K
+@functools.cache
+def _kernels():
+    """(trial, extra), generated from the tableau and compiled on first use
+    (not at import, which every CLI process would pay).
+
+    trial(fun, y0, y1, h, k0) makes stages 1..11 of a step of h from
+    (y0, y1), k0 being f there, and returns ([k0, ..., k11], bu, bv, bd,
+    e5u, e5v, e3u, e3v): the b-weighted sums of the (u, v, div) lanes and
+    the 5th- and 3rd-order error sums of the (u, v) lanes.  extra(fun, y0,
+    y1, h, K), K the 13 stages of an accepted step, makes stages 13..15
+    and returns, per lane, the sums of the interpolant's rows 3..6.  Stage
+    N is one line, `kNu, kNv, kNd = kN = fun(y0 + (...) * h, ...)`.  Each
+    sum is `0.0 + kKu * a + ...` over its nonzero weights in stage order,
+    the floats of the loop `s = 0.0; s += k * a` it replaces.
+    """
+
+    def total(lane: str, column) -> str:
+        return " + ".join(["0.0"] + [f"k{k}{lane} * {a!r}" for k, a in column])
+
+    def stages(rows, first: int) -> list[str]:
+        return [
+            f"k{n}u, k{n}v, k{n}d = k{n} = fun(y0 + ({total('u', row)}) * h, y1 + ({total('v', row)}) * h)"
+            for n, (_, row) in enumerate(rows, first)
+        ]
+
+    b, e5, e3 = ([(k, weights[i]) for k, *weights in _BE] for i in range(3))
+    trial = ["k0u, k0v, k0d = k0", *stages(_A, 1)]
+    trial += [f"{name}{lane} = {total(lane, col)}"
+              for name, col, lanes in (("b", b, "uvd"), ("e5", e5, "uv"), ("e3", e3, "uv")) for lane in lanes]
+    trial.append(f"return [{', '.join(f'k{n}' for n in range(12))}], bu, bv, bd, e5u, e5v, e3u, e3v")
+    extra = [", ".join(f"(k{n}u, k{n}v, k{n}d)" for n in range(13)) + " = K", *stages(_A_EXTRA, 13)]
+    g = [[(k, d[i]) for k, d in _D] for i in range(4)]
+    extra += [f"g{i + 3}{lane} = {total(lane, col)}" for lane in "uvd" for i, col in enumerate(g)]
+    extra.append("return " + ", ".join(f"(g3{lane}, g4{lane}, g5{lane}, g6{lane})" for lane in "uvd"))
+    source = "".join(
+        f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body)
+        for name, args, body in (("trial", "fun, y0, y1, h, k0", trial), ("extra", "fun, y0, y1, h, K", extra))
+    )
+    namespace: dict = {}
+    exec(compile(source, "<DOP853>", "exec"), namespace)
+    return namespace["trial"], namespace["extra"]
 
 
 class _DenseStep:
@@ -281,15 +332,19 @@ class DOP853:
     (safety 0.9, factor clamped to [0.2, 10], exponent -1/8, no growth
     right after a rejection) and error norm, which blends the 5th- and
     3rd-order estimates scaled by atol + max(|y|, |y_new|) rtol (II.10), so
-    it takes the same steps; a step just costs its twelve RHS calls and
-    little else.  `fun` returns (u', v', div); w, the integral of div from
-    t0, is summed from the same stages with the same weights and has its
-    own rows in the interpolant, but stays out of the error norm and the
-    step size, so the state `y` steps as it would alone.  A trial whose
-    stages overflow has a nan or inf error norm and is rejected with the
-    smallest factor.  `step` makes one accepted step; when the step size
-    falls below 10 ulp(t) it raises IntegrationError with the last accepted
-    state, which for a polynomial field means finite-time blowup.
+    it takes the same steps.  A trial is one function generated from the
+    tableau on first use (`_kernels`): its stages and weighted sums written
+    out, each sum from 0.0 over its nonzero weights in stage order, so a
+    step costs its twelve RHS calls and little else.  `fun(u, v)` returns
+    (u', v', div) at floats u, v; the start state is made floats here.  w,
+    the integral of div from t0, is summed from the same stages with the
+    same weights and has its own rows in the interpolant, but stays out of
+    the error norm and the step size, so the state `y` steps as it would
+    alone.  A trial whose stages overflow has a nan or inf error norm and
+    is rejected with the smallest factor.  `step` makes one accepted step;
+    when the step size falls below 10 ulp(t) it raises IntegrationError
+    with the last accepted state, which for a polynomial field means
+    finite-time blowup.
     """
 
     def __init__(self, fun, t0: float, y0, t_bound: float, rtol: float, atol: float):
@@ -300,7 +355,7 @@ class DOP853:
         self.w = 0.0
         self.rtol, self.atol = max(rtol, 100 * sys.float_info.epsilon), atol  # scipy's floor on rtol
         self.t_old = self.y_old = self.w_old = self.K = None
-        self.f = fun(self.t, self.y)
+        self.f = fun(*self.y)
         self.h_abs = self._initial_step()
 
     def _initial_step(self) -> float:
@@ -308,7 +363,7 @@ class DOP853:
         s0, s1 = self.atol + abs(y0) * self.rtol, self.atol + abs(y1) * self.rtol
         d0, d1 = _rms(y0 / s0, y1 / s1), _rms(f0 / s0, f1 / s1)
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-        g0, g1, _ = self.fun(self.t + h0, (y0 + h0 * f0, y1 + h0 * f1))
+        g0, g1, _ = self.fun(y0 + h0 * f0, y1 + h0 * f1)
         # h0 is 0 when |f| overflowed or the span is empty; scipy's division gives inf
         d2 = _rms((g0 - f0) / s0, (g1 - f1) / s1) / h0 if h0 > 0 else math.inf
         if d1 <= 1e-15 and d2 <= 1e-15:
@@ -321,6 +376,7 @@ class DOP853:
         """Advance by one accepted step, retrying rejected trials."""
         fun, t, y, t_bound = self.fun, self.t, self.y, self.t_bound
         y0, y1 = y
+        trial = _kernels()[0]
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(self.h_abs, min_step)
         rejected = False
@@ -329,17 +385,7 @@ class DOP853:
                 raise IntegrationError("step size underflow", last_state=y, last_time=t)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            K = _stages(fun, t, y, h, [self.f], _A)
-            bu = bv = bd = e5u = e5v = e3u = e3v = 0.0
-            for k, b, e5, e3 in _BE:
-                ku, kv, kd = K[k]
-                bu += ku * b
-                bv += kv * b
-                bd += kd * b
-                e5u += ku * e5
-                e5v += kv * e5
-                e3u += ku * e3
-                e3v += kv * e3
+            K, bu, bv, bd, e5u, e5v, e3u, e3v = trial(fun, y0, y1, h, self.f)
             y_new = (y0 + h * bu, y1 + h * bv)
             s0 = self.atol + max(abs(y0), abs(y_new[0])) * self.rtol
             s1 = self.atol + max(abs(y1), abs(y_new[1])) * self.rtol
@@ -357,7 +403,7 @@ class DOP853:
             # factor scales the trial as taken, clipped at t_bound
             h_abs = h * (max(_MIN_FACTOR, _SAFETY * err**_EXPONENT) if math.isfinite(err) else _MIN_FACTOR)
             rejected = True
-        K.append(fun(t_new, y_new))  # stage 12: f at the end, the next step's first
+        K.append(fun(*y_new))  # stage 12: f at the end, the next step's first
         self.t_old, self.y_old, self.w_old, self.K = t, y, self.w, K
         self.t, self.y, self.f, self.h_abs = t_new, y_new, K[12], h * factor
         self.w += h * bd
@@ -366,17 +412,10 @@ class DOP853:
         """The interpolant of (u, v, w) over the last accepted step; its
         three extra stages are computed here, so a step that is not
         interpolated does not pay for them."""
-        t_old, h = self.t_old, self.t - self.t_old
-        K = _stages(self.fun, t_old, self.y_old, h, list(self.K), _A_EXTRA)
+        t_old, h, K = self.t_old, self.t - self.t_old, self.K
+        G = _kernels()[1](self.fun, *self.y_old, h, K)
         y_old, F = self.y_old + (self.w_old,), []
-        for lane, (y0, y1) in enumerate(zip(y_old, self.y + (self.w,))):
-            g3 = g4 = g5 = g6 = 0.0
-            for k, (d3, d4, d5, d6) in _D:
-                k_ = K[k][lane]
-                g3 += k_ * d3
-                g4 += k_ * d4
-                g5 += k_ * d5
-                g6 += k_ * d6
+        for lane, y0, y1, (g3, g4, g5, g6) in zip(range(3), y_old, self.y + (self.w,), G):
             f_old, f_new, dy = K[0][lane], K[12][lane], y1 - y0
             F.append((dy, h * f_old - dy, 2 * dy - h * (f_new + f_old), h * g3, h * g4, h * g5, h * g6))
         return _DenseStep(t_old, self.t, y_old, F)
@@ -503,6 +542,8 @@ class Section:
 
     A section has no orientation of its own: `poincare_return` waits for
     the crossing in the direction the field takes at the start point.
+    Its numbers are stored as Python floats, whatever type they came in,
+    so that the points on it, and the records anchored there, are floats.
     """
 
     base: tuple[float, float]
@@ -510,12 +551,15 @@ class Section:
     s_max: float
 
     def __post_init__(self) -> None:
-        dx, dy = self.direction
+        dx, dy = float(self.direction[0]), float(self.direction[1])
         norm = math.hypot(dx, dy)
         if norm == 0.0:
             raise ValueError("section direction must be nonzero")
         if abs(norm - 1.0) > 1e-9:
-            object.__setattr__(self, "direction", (dx / norm, dy / norm))
+            dx, dy = dx / norm, dy / norm
+        object.__setattr__(self, "base", (float(self.base[0]), float(self.base[1])))
+        object.__setattr__(self, "direction", (dx, dy))
+        object.__setattr__(self, "s_max", float(self.s_max))
         if self.s_max <= 0:
             raise ValueError("section length must be positive")
 
@@ -557,8 +601,8 @@ def poincare_return(
         raise ValueError(f"section parameter {s} outside (0, {section.s_max})")
     rhs = field_rhs(field)
     n = section.normal
-    z0 = section.point_at(s)
-    f0 = rhs(0.0, z0)
+    z0 = section.point_at(float(s))
+    f0 = rhs(*z0)
     fn0 = f0[0] * n[0] + f0[1] * n[1]
     if abs(fn0) <= DynamicsConfig.eps_transverse:
         raise DegenerateCrossingError(f"field tangent to section at start (|f.n|={abs(fn0):.3g})")
@@ -578,7 +622,7 @@ def poincare_return(
                 u, v, w = dense.at(t_star)
                 s_new = section.param_of((u, v))
                 if 0.0 < s_new < section.s_max:
-                    f_star = rhs(t_star, (u, v))
+                    f_star = rhs(u, v)
                     fn_star = f_star[0] * n[0] + f_star[1] * n[1]
                     if abs(fn_star) <= DynamicsConfig.eps_transverse:
                         raise DegenerateCrossingError("tangential crossing of the section")
@@ -652,7 +696,7 @@ def find_cycle(
     hi_lim = section.s_max * (1.0 - 1e-3)
     max_step = 0.1 * section.s_max
 
-    s_cur = s0
+    s_cur = float(s0)
     for _ in range(DynamicsConfig.max_iters + 1):
         r_cur, t_cur, mu = poincare_return(field, section, s_cur, cfg)
         f_cur = r_cur - s_cur
@@ -665,7 +709,7 @@ def find_cycle(
                 reach, n = 10.0 * abs(f_cur / (mu - 1.0)), section.normal
                 signs = set()
                 for sk in (s_cur - reach, s_cur, s_cur + reach):
-                    fu, fv, _ = rhs(0.0, section.point_at(sk))
+                    fu, fv, _ = rhs(*section.point_at(sk))
                     signs.add(fu * n[0] + fv * n[1] > 0.0)
                 if len(signs) > 1:
                     raise DegenerateCrossingError("field tangent to the section at the fixed point")
@@ -740,7 +784,7 @@ def lift_cycles(
                 half = min(0.45 * clearance, DynamicsConfig.section_cap)
                 if half <= DynamicsConfig.margin:
                     raise CycleSearchError("seed too close to the rectangle boundary")
-                sec = _section_through(seed, rhs(0.0, seed)[:2], half)
+                sec = _section_through(seed, rhs(*seed)[:2], half)
                 rec = find_cycle(pb, sec, half, cfg)
                 if not rec.certified:
                     raise CycleSearchError(

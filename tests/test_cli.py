@@ -300,6 +300,15 @@ class TestExampleCommand:
         assert got == (GOLDEN / "example_m8_rho2_3" / "cycles.csv").read_bytes()
         assert got.count(b"\n") == 1 + 64
 
+    def test_m12_cycles_match_golden(self, tmp_path):
+        # tests/golden/example_m12_rho1_2/cycles.csv pins all 144 lifted
+        # records at m = 12, where every DOP853 trial and RHS float shows
+        out = tmp_path / "ex"
+        assert main(["example", "--m", "12", "--rho", "1/2", "--out-dir", str(out)]) == 0
+        got = (out / "cycles.csv").read_bytes()
+        assert got == (GOLDEN / "example_m12_rho1_2" / "cycles.csv").read_bytes()
+        assert got.count(b"\n") == 1 + 144
+
     def test_m15_residuals_are_exact(self, tmp_path, radial_half, base_cycle):
         # each written residual is T_m(u)^2 + T_m(v)^2 - rho^2 at its anchor,
         # computed exactly and rounded once; float Horner on the expanded

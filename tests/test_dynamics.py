@@ -151,7 +151,7 @@ class TestCompiledEvaluation:
         Y = pb.field
         rhs = field_rhs(Y)
         for u, v in points:
-            got = rhs(0.0, (u, v))
+            got = rhs(u, v)
             for k, comp in enumerate((Y.p_comp, Y.q_comp, Y.divergence)):
                 exact = comp.evaluate(Fraction(u), Fraction(v))
                 assert abs(Fraction(got[k]) - exact) <= 1e-11 * abs_term_sum(comp, u, v)
@@ -159,7 +159,7 @@ class TestCompiledEvaluation:
         rhs = field_rhs(pb)
         p, dp, X = pb.cover_poly, pb.cover_poly.derivative(), pb.source
         for u, v in points:
-            got = rhs(0.0, (u, v))
+            got = rhs(u, v)
             x, y = p.evaluate(Fraction(u)), p.evaluate(Fraction(v))
             du, dv = dp.evaluate(Fraction(u)), dp.evaluate(Fraction(v))
             exact = (dv * X.p_comp.evaluate(x, y), du * X.q_comp.evaluate(x, y),
@@ -168,14 +168,35 @@ class TestCompiledEvaluation:
                 assert abs(Fraction(got[k]) - exact[k]) <= 1e-12 * factored_magnitude(pb, k, u, v)
             assert abs(Fraction(got[2]) - exact[2]) <= 1e-12 * divergence_magnitude(pb, u, v)
 
-    def test_rhs_state_type_does_not_change_values(self, pullback_m3):
-        # expanded and factored RHS alike
+    def test_numpy_inputs_give_the_floats_of_float_inputs(self, radial_half, pullback_m3):
+        # the RHS takes floats; numpy scalars give equal values (expanded
+        # and factored RHS alike)
         for rhs in (field_rhs(pullback_m3.field), field_rhs(pullback_m3)):
-            for z in [(0.31, -0.27), (-0.93, 0.88), (0.0, 0.5)]:
-                from_tuple = rhs(0.0, z)
-                from_array = rhs(0.0, np.array(z))
-                assert all(type(x) is float for x in from_tuple + from_array)
-                assert from_tuple == from_array
+            for u, v in [(0.31, -0.27), (-0.93, 0.88), (0.0, 0.5)]:
+                assert all(type(x) is float for x in rhs(u, v))
+                assert rhs(np.float64(u), np.float64(v)) == rhs(u, v)
+
+        # states become floats where they enter: a numpy-typed section and
+        # start give float records and states, the same floats as floats do
+        def cycle_floats(r: LimitCycleRecord) -> list[str]:
+            return hexes([*r.anchor, r.period, r.multiplier])
+
+        plain = Section(base=(0.1, 0.0), direction=(3.0, 0.5), s_max=1.0)
+        typed = Section(base=np.array([0.1, 0.0]), direction=np.array([3.0, 0.5]), s_max=np.float64(1.0))
+        assert hexes([*typed.base, *typed.direction, typed.s_max]) == hexes(
+            [*plain.base, *plain.direction, plain.s_max]
+        )
+        assert hexes(poincare_return(radial_half, typed, np.float64(0.7))) == hexes(
+            poincare_return(radial_half, plain, 0.7)
+        )
+        base, plain_base = find_cycle(radial_half, typed, np.float64(0.4)), find_cycle(radial_half, plain, 0.4)
+        assert cycle_floats(base) == cycle_floats(plain_base)
+        pb = build_pullback(radial_half, chebyshev(2))
+        lifted = lift_cycles(pb, base, 2)
+        assert [cycle_floats(r) for r in lifted] == [cycle_floats(r) for r in lift_cycles(pb, plain_base, 2)]
+        got = integrate(pb, np.array(lifted[0].anchor), np.float64(1.5), 4)
+        want = integrate(pb, lifted[0].anchor, 1.5, 4)
+        assert hexes(got) == hexes(want)
 
 
 class TestRhsBuildsAreCached:
@@ -201,7 +222,7 @@ class TestRhsBuildsAreCached:
         for field, first in zip(cases, firsts):
             again = field_rhs(field)
             for z in [(0.31, -0.27), (-0.93, 0.88)]:
-                assert again(0.0, z) == first(0.0, z)
+                assert again(*z) == first(*z)
 
 
 class TestFactoredRhs:
@@ -214,7 +235,7 @@ class TestFactoredRhs:
         rng = random.Random(m)
         for _ in range(4 if m == 30 else 20):
             u, v = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
-            got = rhs(0.0, (u, v))
+            got = rhs(u, v)
             for k, comp in enumerate((pb.field.p_comp, pb.field.q_comp)):
                 exact = comp.evaluate(Fraction(u), Fraction(v))
                 assert abs(Fraction(got[k]) - exact) <= 1e-12 * factored_magnitude(pb, k, u, v)
@@ -232,7 +253,7 @@ class TestFactoredRhs:
         for _ in range(4 if m == 30 else 20):
             u, v = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
             exact = exact_div.evaluate(Fraction(u), Fraction(v))
-            got = rhs(0.0, (u, v))[2]
+            got = rhs(u, v)[2]
             assert abs(Fraction(got) - exact) <= 1e-12 * divergence_magnitude(pb, u, v)
 
     @pytest.mark.parametrize("field", ["seed", "dense", "m3"])
@@ -244,7 +265,7 @@ class TestFactoredRhs:
         for _ in range(20):
             u, v = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
             exact = exact_div.evaluate(Fraction(u), Fraction(v))
-            got = rhs(0.0, (u, v))[2]
+            got = rhs(u, v)[2]
             assert abs(Fraction(got) - exact) <= 1e-14 * abs_term_sum(exact_div, u, v)
 
 
@@ -256,16 +277,14 @@ def closure_rhs(field):
     if isinstance(field, PullbackResult):
         p, dp = field.cover_poly.evaluate_float, field.cover_poly.derivative().evaluate_float
 
-        def rhs(t, z):
-            u, v = float(z[0]), float(z[1])
+        def rhs(u, v):
             x, y = p(u), p(v)
             du, dv = dp(u), dp(v)
             return (dv * fp(x, y), du * fq(x, y), du * dv * fdiv(x, y))
 
         return rhs
 
-    def rhs(t, z):
-        u, v = float(z[0]), float(z[1])
+    def rhs(u, v):
         return (fp(u, v), fq(u, v), fdiv(u, v))
 
     return rhs
@@ -295,11 +314,13 @@ class TestStraightLineRhs:
     def assert_same(self, field, seed: int) -> None:
         got, want = field_rhs(field), closure_rhs(field)
         for z in self.points(seed):
-            a, b = got(0.0, z), want(0.0, z)
+            a, b = got(*z), want(*z)
             assert len(a) == 3 and all(same_float(x, y) for x, y in zip(a, b)), (z, a, b)
 
+    # T_m of odd m and T_m' of even m end in a zero step, which stays;
+    # every other zero step of theirs is folded
     @pytest.mark.parametrize("seed", ["cubic", "dense"])
-    @pytest.mark.parametrize("m", [2, 3, 6, 8, 16, 64])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 12, 16, 64])
     def test_pullback_matches_closures(self, radial_half, seed, m):
         X = radial_half if seed == "cubic" else DENSE_CUBIC
         self.assert_same(build_pullback(X, chebyshev(m)), m)
@@ -307,6 +328,31 @@ class TestStraightLineRhs:
     @pytest.mark.parametrize("field", ["seed", "dense", "m3"])
     def test_vector_field_matches_closures(self, radial_half, pullback_m3, field):
         self.assert_same({"seed": radial_half, "dense": DENSE_CUBIC, "m3": pullback_m3.field}[field], 5)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_folded_chains_match_the_loop(self, m):
+        # each univariate chain of T_m and T_m', folded, against the loop of
+        # `evaluate_float`, which takes every zero step
+        for poly in (chebyshev(m), chebyshev(m).derivative()):
+            lines = dynamics._horner("acc", "u", poly.horner_floats())
+            namespace: dict = {}
+            exec("def chain(u):\n" + "".join(f"    {line}\n" for line in lines) + "    return acc\n", namespace)
+            rng = random.Random(m)
+            for u in self.SPECIAL + [1.0, -1.0] + [rng.uniform(-1.5, 1.5) for _ in range(20)]:
+                assert same_float(namespace["chain"](u), poly.evaluate_float(u)), (poly, u)
+
+    def test_zero_steps_fold_into_the_next_constant(self):
+        # T_6 = 32u^6 - 48u^4 + 18u^2 - 1: each zero step keeps its multiply
+        # and joins the next line; T_6' = 192u^5 - 192u^3 + 36u ends in a
+        # zero step, which stays, since it sets the sign of a zero result
+        assert dynamics._horner("x", "u", chebyshev(6).horner_floats()) == [
+            "x = 32.0", "x = x * u * u + -48.0", "x = x * u * u + 18.0", "x = x * u * u + -1.0"
+        ]
+        assert dynamics._horner("d", "u", chebyshev(6).derivative().horner_floats()) == [
+            "d = 192.0", "d = d * u * u + -192.0", "d = d * u * u + 36.0", "d = d * u + 0.0"
+        ]
+        # the zero polynomial and a constant are a lead alone
+        assert dynamics._horner("r", "v", (0.0,)) == ["r = 0.0"]
 
     def test_built_once_per_field_object(self, radial_half):
         pb = build_pullback(radial_half, chebyshev(4))
@@ -379,30 +425,30 @@ def stepper_case(radial_half, case):
 
 
 def state_lanes(rhs):
-    """The RHS without its divergence: the ODE scipy's DOP853 integrates."""
-    return lambda t, z: rhs(t, z)[:2]
+    """The RHS without its divergence: the ODE scipy's DOP853 integrates,
+    on the floats of its numpy state."""
+    return lambda t, z: rhs(float(z[0]), float(z[1]))[:2]
 
 
 def copy_state(ours: DOP853, theirs) -> None:
     ours.t, ours.h_abs = float(theirs.t), float(theirs.h_abs)
     ours.y = (float(theirs.y[0]), float(theirs.y[1]))
     # the divergence at y, which only the w lane reads
-    ours.f = (float(theirs.f[0]), float(theirs.f[1]), ours.fun(ours.t, ours.y)[2])
+    ours.f = (float(theirs.f[0]), float(theirs.f[1]), ours.fun(*ours.y)[2])
 
 
 @pytest.fixture
 def trials(monkeypatch):
-    """Every trial step the stepper makes, as (t, y, h, stages), in order."""
+    """Every trial step the stepper makes, as (y, h, stages), in order."""
     made = []
+    trial, extra = dynamics._kernels()
 
-    def recording(fun, t, y, h, K, rows):
-        K = _stages(fun, t, y, h, K, rows)
-        if rows is dynamics._A:  # a trial, not an interpolant's extra stages
-            made.append((t, y, h, list(K)))
-        return K
+    def recording(fun, y0, y1, h, k0):
+        out = trial(fun, y0, y1, h, k0)
+        made.append(((y0, y1), h, list(out[0])))
+        return out
 
-    _stages = dynamics._stages
-    monkeypatch.setattr(dynamics, "_stages", recording)
+    monkeypatch.setattr(dynamics, "_kernels", lambda: (recording, extra))
     return made
 
 
@@ -421,7 +467,7 @@ def exact_trial(solver: DOP853, trial):
     operation adds a rounding; the norm rises with the 5th-order estimate
     and falls with the 3rd-order one, so the interval's ends take the
     extremes of each."""
-    _, y, h, K = trial
+    y, h, K = trial
     if not all(math.isfinite(x) for k_ in K for x in k_[:2]):
         return None, None, (math.inf, math.inf)  # stages that overflowed
     F = Fraction
@@ -461,15 +507,15 @@ def assert_controller_exact(solver: DOP853, trials) -> None:
     are those of the exact error norm and sums of its own stages, to the
     rounding bounds of a float evaluation (`exact_trial`), widened by eight
     roundings for the controller's own arithmetic on either side."""
-    pad = float(gamma(8))
+    pad, t = float(gamma(8)), solver.t_old  # every trial starts where the step did
     for i, trial in enumerate(trials):
-        t, _, h, _ = trial
+        _, h, _ = trial
         y_new, y_err, (err_lo, err_hi) = exact_trial(solver, trial)
         rejected = i + 1 < len(trials)
         lo, hi = (h * factor(err, rejected, i > 0) * (1 + p) for err, p in ((err_hi, -pad), (err_lo, pad)))
         if rejected:  # the next trial's length, clipped at t_bound
             lo, hi = (min(t + x, solver.t_bound) - t for x in (lo, hi))
-            assert lo <= trials[i + 1][2] <= hi
+            assert lo <= trials[i + 1][1] <= hi
             continue
         assert lo <= solver.h_abs <= hi
         for k in range(2):
@@ -557,7 +603,7 @@ class TestStepperAgainstScipy:
         with np.errstate(over="ignore", invalid="ignore"):
             theirs.step()
         ours.step()
-        assert trials[0][2] == 20.0 and trials[1][2] == 4.0
+        assert trials[0][1] == 20.0 and trials[1][1] == 4.0
         assert_controller_exact(ours, trials)
         assert ours.t == pytest.approx(theirs.t, rel=1e-9)
 
@@ -617,6 +663,123 @@ class TestStepperAgainstScipy:
         assert dynamics.RK45 is DOP853  # the name the benchmark tracer subclasses
 
 
+def loop_stages(fun, y, h: float, K: list, rows) -> list:
+    """K, extended by the stages of `rows` from state y, step h: the stage
+    loop the generated kernels replace."""
+    y0, y1 = y
+    for _, row in rows:
+        su = sv = 0.0
+        for k, a in row:
+            k_ = K[k]
+            su += k_[0] * a
+            sv += k_[1] * a
+        K.append(fun(y0 + su * h, y1 + sv * h))
+    return K
+
+
+def loop_trial(fun, y0, y1, h, k0):
+    """One DOP853 trial by the stage loop and the loop over `_BE`: the
+    reference the generated trial must match bit for bit."""
+    K = loop_stages(fun, (y0, y1), h, [k0], dynamics._A)
+    bu = bv = bd = e5u = e5v = e3u = e3v = 0.0
+    for k, b, e5, e3 in dynamics._BE:
+        ku, kv, kd = K[k]
+        bu += ku * b
+        bv += kv * b
+        bd += kd * b
+        e5u += ku * e5
+        e5v += kv * e5
+        e3u += ku * e3
+        e3v += kv * e3
+    return K, bu, bv, bd, e5u, e5v, e3u, e3v
+
+
+def loop_extra(fun, y0, y1, h, K):
+    """The interpolant's three extra stages and its row sums, per lane, by
+    loops: the reference of the generated `extra`."""
+    K = loop_stages(fun, (y0, y1), h, list(K), dynamics._A_EXTRA)
+    G = []
+    for lane in range(3):
+        g3 = g4 = g5 = g6 = 0.0
+        for k, (d3, d4, d5, d6) in dynamics._D:
+            k_ = K[k][lane]
+            g3 += k_ * d3
+            g4 += k_ * d4
+            g5 += k_ * d5
+            g6 += k_ * d6
+        G.append((g3, g4, g5, g6))
+    return tuple(G)
+
+
+def hexes(x):
+    """Every float in x, through nested tuples and lists, by float.hex; a
+    number of any other type, a numpy float among them, fails."""
+    if isinstance(x, (tuple, list)):
+        return [hexes(v) for v in x]
+    assert type(x) is float, type(x)
+    return x.hex()
+
+
+class TestGeneratedTrial:
+    """The trial and interpolant stages generated from the tableau against
+    the loops they replace (`loop_trial`, `loop_extra`), by float.hex:
+    every stage's arguments and its three lanes, and every weighted sum."""
+
+    @staticmethod
+    def run(kernel, rhs, *args):
+        """(the (u, v) of every RHS call, the kernel's result)."""
+        calls = []
+
+        def fun(u, v):
+            calls.append((u, v))
+            return rhs(u, v)
+
+        return hexes(calls), hexes(kernel(fun, *args))
+
+    def assert_same(self, rhs, y0: float, y1: float, h: float):
+        trial, extra = dynamics._kernels()
+        k0 = rhs(y0, y1)
+        got = self.run(trial, rhs, y0, y1, h, k0)
+        assert got == self.run(loop_trial, rhs, y0, y1, h, k0)
+        K, bu, bv = trial(rhs, y0, y1, h, k0)[:3]
+        K = K + [rhs(y0 + h * bu, y1 + h * bv)]  # stage 12, as an accepted step makes it
+        assert self.run(extra, rhs, y0, y1, h, K) == self.run(loop_extra, rhs, y0, y1, h, K)
+        return K
+
+    @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
+    def test_random_trials_match_the_loops(self, radial_half, case):
+        # states near the stepper case's start and anywhere in [-1, 1]^2;
+        # steps from 1e-6 to 1, where stage sums round differently
+        field, (u0, v0) = stepper_field(radial_half, case)
+        rhs, rng = field_rhs(field), random.Random(case)
+        for k in range(80):
+            (c0, c1), d = ((u0, v0), 0.01) if k < 20 else ((0.0, 0.0), 1.0)
+            y0, y1 = c0 + rng.uniform(-d, d), c1 + rng.uniform(-d, d)
+            self.assert_same(rhs, y0, y1, 10 ** rng.uniform(-6, 0))
+
+    @pytest.mark.parametrize("case", ["seed", "m3"])
+    def test_overflowing_trial_matches_the_loops(self, radial_half, case):
+        # a step of 1e60 overflows the stages to inf and then nan
+        field, (u0, v0) = stepper_field(radial_half, case)
+        K = self.assert_same(field_rhs(field), u0, v0, 1e60)
+        lanes = [x for k in K for x in k]
+        assert any(math.isinf(x) for x in lanes) and any(math.isnan(x) for x in lanes)
+
+    def test_stepper_uses_the_generated_kernels(self, radial_half, monkeypatch):
+        # a run through the loops takes the same steps, states and
+        # interpolants, bit for bit
+        runs = []
+        for kernels in (dynamics._kernels(), (loop_trial, loop_extra)):
+            monkeypatch.setattr(dynamics, "_kernels", lambda: kernels)
+            solver, run = DOP853(field_rhs(radial_half), 0.0, (0.9, 0.0), 3.0, RTOL, ATOL), []
+            while solver.t < 3.0:
+                solver.step()
+                piece = solver.dense_output()
+                run.append(hexes([solver.t, solver.y, solver.w, solver.h_abs, piece.F]))
+            runs.append(run)
+        assert runs[0] == runs[1] and len(runs[0]) > 10
+
+
 class TestBrentq:
     """`brentq` against scipy.optimize.brentq at the crossing tolerances,
     the oracle here only: the same control flow on the same floats gives
@@ -639,7 +802,7 @@ class TestBrentq:
     @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
     def test_crossing_times_match_scipy_bit_for_bit(self, radial_half, case, crossings):
         field, z0 = stepper_field(radial_half, case)
-        sec = dynamics._section_through(z0, field_rhs(field)(0.0, z0)[:2], 0.02)
+        sec = dynamics._section_through(z0, field_rhs(field)(*z0)[:2], 0.02)
         for s in (0.005, 0.015, 0.02, 0.025, 0.035):
             poincare_return(field, sec, s)
         # one more per start that rounding puts a hair behind the section
@@ -793,8 +956,8 @@ class TestStepperOverflow:
         overflows = []
         rhs = field_rhs(radial_half)
 
-        def watched(t, z):
-            value = rhs(t, z)
+        def watched(u, v):
+            value = rhs(u, v)
             overflows.append(not all(map(math.isfinite, value)))
             return value
 
@@ -812,8 +975,8 @@ class TestStepperOverflow:
         rhs = field_rhs(field)
         overflowed = []
 
-        def watched(t, z):
-            value = rhs(t, z)
+        def watched(u, v):
+            value = rhs(u, v)
             overflowed.append(not math.isfinite(value[0]))
             return value
 
@@ -826,7 +989,7 @@ class TestStepperOverflow:
 
     def test_nan_field_fails_instead_of_looping(self, monkeypatch):
         # a field that is nan everywhere gives a nan first step
-        monkeypatch.setattr(dynamics, "field_rhs", lambda field: lambda t, z: (math.nan, 0.0, 0.0))
+        monkeypatch.setattr(dynamics, "field_rhs", lambda field: lambda u, v: (math.nan, 0.0, 0.0))
         with pytest.raises(IntegrationError):
             integrate(ROTATION, (0.5, 0.0), 1.0, 1)
 
@@ -945,7 +1108,7 @@ class TestPoincareReturn:
         lifted cycle of rectangle (2, 2), of half-length 0.02."""
         m, half = 3, 0.02
         seed = (branch_inverse(m, 2, 0.5), branch_inverse(m, 2, 0.0))
-        fu, fv, _ = field_rhs(pullback_m3)(0.0, seed)
+        fu, fv, _ = field_rhs(pullback_m3)(*seed)
         c, s = math.cos(math.radians(35)), math.sin(math.radians(35))
         nu, nv = -fv / math.hypot(fu, fv), fu / math.hypot(fu, fv)
         d = (c * nu - s * nv, s * nu + c * nv)
@@ -1113,7 +1276,7 @@ def rectangle_section(pb, m: int, i: int, j: int, anchor):
     seed = (branch_inverse(m, i, anchor[0]), branch_inverse(m, j, anchor[1]))
     clearance = min(seed[0] - iu.lo, iu.hi - seed[0], seed[1] - iv.lo, iv.hi - seed[1])
     half = min(0.45 * clearance, DEFAULT_CONFIG.section_cap)
-    return dynamics._section_through(seed, field_rhs(pb)(0.0, seed)[:2], half), half
+    return dynamics._section_through(seed, field_rhs(pb)(*seed)[:2], half), half
 
 
 class TestSection:
@@ -1215,7 +1378,7 @@ class TestLiftCycles:
         assert math.dist(end, r.anchor) <= 1e-7
         expanded = integrate(pullback_m3.field, r.anchor, r.period, 1, tol=1e-10)[-1]
         assert math.dist(end, expanded) <= 1e-8
-        fu, fv, _ = field_rhs(pullback_m3)(0.0, r.anchor)
+        fu, fv, _ = field_rhs(pullback_m3)(*r.anchor)
         d = (-fv / math.hypot(fu, fv), fu / math.hypot(fu, fv))
         half = 0.01
         base = (r.anchor[0] - half * d[0], r.anchor[1] - half * d[1])
