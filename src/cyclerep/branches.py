@@ -6,9 +6,11 @@ in closed form from the nodes cos(k*pi/m).  For any rational p,
 `full_branch_intervals` decides them exactly, with no tolerance: a branch
 runs between two consecutive real roots of p**2 = 1 at opposite levels
 where p' keeps one sign, and those roots and the critical points of p are
-isolated on integer polynomials by Descartes' rule with bisection.  Only
-the reported endpoints become floats: the nearest ones, or one float
-further out each when a branch is narrower than the float spacing.
+isolated on integer polynomials by Descartes' rule.  Each root's cell is
+then narrowed by a safeguarded secant on exact integer values to the same
+dyadic cell that bisection would reach.  Only the reported endpoints
+become floats: the nearest ones, or one float further out each when a
+branch is narrower than the float spacing.
 `degenerate` means that p' and p'' share a root: p has a critical point
 where p' may keep its sign (x**3 at 0), so a branch can hold a critical
 point.
@@ -186,13 +188,20 @@ def _shift1(f: list[int]) -> list[int]:
     return f
 
 
-def _sign_at(f: list[int], num: int, k: int) -> int:
-    """Sign of f at the dyadic rational num / 2**k, exactly."""
+def _value_at(f: list[int], num: int, k: int) -> int:
+    """f at the dyadic rational num / 2**k times 2**(k * deg f) (times 1 for
+    k < 0), an integer: on one level k, f scaled by one positive factor."""
     if k < 0:
         num, k = num << -k, 0
     acc, n = 0, len(f) - 1
     for i in range(n, -1, -1):
         acc = acc * num + (f[i] << k * (n - i))
+    return acc
+
+
+def _sign_at(f: list[int], num: int, k: int) -> int:
+    """Sign of f at the dyadic rational num / 2**k, exactly."""
+    acc = _value_at(f, num, k)
     return (acc > 0) - (acc < 0)
 
 
@@ -234,12 +243,42 @@ def _isolate(f: list[int]) -> list[tuple]:
 
 
 def _narrow(cell: tuple, level: int) -> tuple:
-    """The cell halved, keeping the root's half, until 2**-level wide or exact."""
+    """The cell bisection reaches: (floor(r * 2**level), level, s) for the
+    root r, or (a, j, 0) when r = a / 2**j in lowest terms with j <= level.
+
+    A safeguarded secant finds it on the integer grid of that level.  Each
+    step evaluates g exactly at a grid point x strictly inside the bracket,
+    which keeps the root strictly inside: x is left of the root iff g(x) has
+    the sign s (not the sign of g at the left end, which can itself be a
+    root), and g(x) = 0 only at the root.  x is the secant point of the last
+    two evaluations, or the midpoint after a step that failed to halve the
+    bracket, so a cell costs at most about two evaluations per bit.  A
+    bracket one grid step wide holds no grid point, so its root is not
+    dyadic at this level or below.
+    """
     g, num, k, s = cell
-    while s and k < level:
-        t = _sign_at(g, 2 * num + 1, k + 1)
-        num, k, s = 2 * num + (t in (0, s)), k + 1, s if t else 0
-    return g, num, k, s
+    if not s or k >= level:
+        return cell
+    lo, hi = num << (level - k), (num + 1) << (level - k)
+    a, ga, b, gb = lo, _value_at(g, lo, level), hi, _value_at(g, hi, level)
+    bisect = False
+    while hi - lo > 1:
+        width = hi - lo
+        if bisect or ga == gb:
+            x = (lo + hi) // 2
+        else:
+            x = min(max(b - (b - a) * gb // (gb - ga), lo + 1), hi - 1)
+        gx = _value_at(g, x, level)
+        if gx == 0:  # dyadic: x / 2**level, reduced to lowest terms
+            zeros = (x & -x).bit_length() - 1
+            return g, x >> zeros, level - zeros, 0
+        if (gx > 0) == (s > 0):
+            lo = x
+        else:
+            hi = x
+        a, ga, b, gb = b, gb, x, gx
+        bisect = 2 * (hi - lo) > width + 1  # an odd width halves to (width + 1) / 2
+    return g, lo, level, s
 
 
 def _float_ends(lo: Fraction, hi: Fraction) -> tuple[float, float]:
@@ -260,8 +299,8 @@ def full_branch_intervals(p: UniPoly) -> BranchSet:
     With p = P / den, P integer: the roots of p = +-1 are those of the
     squarefree parts of P -+ den, the critical points off those levels those
     of the squarefree part of P' with the tangency points gcd(P -+ den, P')
-    divided out.  Cells are halved to width 2**-40 and until apart, and p'
-    is read at a rational point of each gap between neighbouring roots.
+    divided out.  Cells are narrowed to width 2**-40 and until apart, and
+    p' is read at a rational point of each gap between neighbouring roots.
     """
     if p.degree() < 1:
         raise ValueError("need a nonconstant polynomial")

@@ -8,7 +8,12 @@ pullback through (u, v) -> (p(u), p(v)) is
 which satisfies the conjugacy identity DPhi . Y = lambda . X o Phi with
 lambda(u, v) = p'(u) p'(v).  Both the identity and the degree law
 deg(Y) = m deg(X) + (m - 1) are checked here as exact polynomial
-statements (zero residual), never numerically.  The replication
+statements (zero residual), never numerically.  As DPhi = diag(p'(u),
+p'(v)), the identity's first component is p'(u) Y_1 = p'(u) p'(v) P o Phi;
+Q[u, v] is an integral domain and p' is not zero, so it holds exactly when
+Y_1 = p'(v) P o Phi, and the second exactly when Y_2 = p'(u) Q o Phi.
+`verify_conjugacy` checks these cancelled forms, which skips the products
+with lambda, m**2 terms times those of X o Phi.  The replication
 theorem concerns these separable pullbacks only, so no other covering
 map is built here.
 """
@@ -71,15 +76,20 @@ def build_pullback(X: VectorField2, p: UniPoly) -> PullbackResult:
 def verify_conjugacy(r: PullbackResult, X: VectorField2) -> bool:
     """Exact check of DPhi . Y = lambda . X o Phi, component by component.
 
-    True iff both sides are equal polynomials (a zero residual).  A False
-    return means the pullback was not built from X (or a construction bug).
+    True iff r.lam == p'(u) p'(v), r.field.p_comp == p'(v) P o Phi and
+    r.field.q_comp == p'(u) Q o Phi, with X o Phi recomputed from X: the
+    identity's components p'(u) Y_1 = lambda P o Phi and p'(v) Y_2 =
+    lambda Q o Phi with the nonzero factor p'(u) or p'(v) cancelled, which
+    the integral domain Q[u, v] allows.  A False return means the pullback
+    was not built from X (or a construction bug).
     """
     p = r.cover_poly
     dpu = BiPoly.from_uni(p.derivative(), 0)
     dpv = BiPoly.from_uni(p.derivative(), 1)
     return (
-        dpu * r.field.p_comp == r.lam * compose_separable(X.p_comp, p)
-        and dpv * r.field.q_comp == r.lam * compose_separable(X.q_comp, p)
+        r.lam == dpu * dpv
+        and r.field.p_comp == dpv * compose_separable(X.p_comp, p)
+        and r.field.q_comp == dpu * compose_separable(X.q_comp, p)
     )
 
 

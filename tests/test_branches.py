@@ -2,12 +2,14 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclerep import branches
 from cyclerep.branches import (
     DECREASING,
     INCREASING,
@@ -284,3 +286,87 @@ class TestFullBranches:
         bs = full_branch_intervals(p)
         assert bs.count <= p.degree()
         assert_matches_oracle(bs, p)
+
+
+def bisection_narrow(cell: tuple, level: int) -> tuple:
+    """The reference narrowing: halve the cell, keeping the root's half,
+    until it is 2**-level wide or the root is a midpoint."""
+    g, num, k, s = cell
+    while s and k < level:
+        t = branches._sign_at(g, 2 * num + 1, k + 1)
+        num, k, s = 2 * num + (t in (0, s)), k + 1, s if t else 0
+    return g, num, k, s
+
+
+def narrowed_cells(p: UniPoly) -> list[tuple]:
+    """Every (cell, level) that full_branch_intervals(p) narrows."""
+    calls = []
+
+    def record(cell, level):
+        calls.append((cell, level))
+        return narrow(cell, level)
+
+    narrow = branches._narrow
+    with mock.patch.object(branches, "_narrow", record):
+        full_branch_intervals(p)
+    return calls
+
+
+class TestNarrow:
+    """The secant `_narrow` against bisection, cell by cell: the same tuple."""
+
+    def test_chebyshev_cells_match_bisection(self):
+        count = 0
+        for m in range(2, 65):
+            for cell, level in narrowed_cells(chebyshev(m)):
+                assert branches._narrow(cell, level) == bisection_narrow(cell, level), (m, cell)
+                count += 1
+        assert count > 2000  # every root of T_m -+ 1 and T_m' for m = 2..64
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-60, 60), min_size=2, max_size=10)
+        .map(UniPoly)
+        .filter(lambda p: p.degree() >= 1)
+    )
+    def test_integer_polynomial_cells_match_bisection(self, p):
+        for cell, level in narrowed_cells(p):
+            assert branches._narrow(cell, level) == bisection_narrow(cell, level), cell
+
+    def test_dyadic_root(self):
+        # (8x - 3)(x^2 - 2): the root 3/8 inside the cell (0, 1) is found
+        # exactly, in lowest terms, as bisection finds it at level 3
+        f = [6, -16, -3, 8]
+        (cell,) = [c for c in branches._isolate(f) if c[1:] == (0, 0, 1)]
+        assert branches._narrow(cell, 40) == bisection_narrow(cell, 40) == (f, 3, 3, 0)
+
+    def test_root_at_left_end(self):
+        # (x + 1)(4x^2 - 2x - 1), the squarefree part of T_5 + 1, is zero at
+        # the left end -1 of the cell (-1, 0) that holds its root (1 - 5**0.5) / 4
+        f = [-1, -3, 2, 4]
+        assert (f, -1, 0, 0) in branches._isolate(f)  # the root -1, exact
+        (cell,) = [c for c in branches._isolate(f) if c[1:] == (-1, 0, 1)]
+        assert branches._sign_at(f, -1, 0) == 0
+        want = ((1 << 40) - math.isqrt(5 << 80) - 1) // 4  # floor((1 - sqrt 5) 2**40 / 4)
+        assert branches._narrow(cell, 40) == bisection_narrow(cell, 40) == (f, want, 40, 1)
+
+    def test_negative_level_cell(self):
+        # the root 3001/3 of 3x - 3001 is isolated in (0, 2**12)
+        f = [-3001, 3]
+        (cell,) = branches._isolate(f)
+        assert cell[2] < 0
+        want = (f, (3001 << 40) // 3, 40, cell[3])
+        assert branches._narrow(cell, 40) == bisection_narrow(cell, 40) == want
+
+    def test_cell_at_target_level_unchanged(self):
+        for cell, level in narrowed_cells(chebyshev(9)):
+            done = branches._narrow(cell, level)
+            assert branches._narrow(done, level) == done
+            assert branches._narrow(done, done[2] - 1) == done
+
+    def test_one_level(self):
+        # the narrowing of a clash in full_branch_intervals: one halving
+        for m in range(2, 17):
+            for cell, _ in narrowed_cells(chebyshev(m)):
+                one = cell[2] + 1
+                assert branches._narrow(cell, one) == bisection_narrow(cell, one), cell

@@ -163,6 +163,19 @@ class TestBoundsCommand:
 
 
 class TestBranchesCommand:
+    @pytest.mark.parametrize("name", ["t64", "quartic"])
+    def test_golden_bytes(self, name, tmp_path, capsys):
+        # the exact classifier on T_64 and on 2 - 5x - 12x^2 + 7x^3 - 10x^4
+        # (tests/golden/quartic.json); its outputs as first written pin the bytes
+        if name == "t64":
+            poly_file = tmp_path / "t64.json"
+            poly_file.write_text(json.dumps(unipoly_to_json(chebyshev(64))))
+        else:
+            poly_file = GOLDEN / "quartic.json"
+        assert main(["branches", str(poly_file)]) == 0
+        got = capsys.readouterr().out.encode("utf-8")
+        assert got == (GOLDEN / f"branches_{name}.json").read_bytes()
+
     def test_cheb_6(self, capsys):
         assert main(["branches", "--cheb", "6"]) == 0
         blob = json.loads(capsys.readouterr().out)
