@@ -16,7 +16,6 @@ from .polynomials import (
 from .branches import (
     BranchInterval,
     BranchSet,
-    branch_count,
     branch_inverse,
     cheb_branches,
     cheb_nodes,

@@ -48,23 +48,19 @@ class SeedTable:
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.entries, key=lambda entry: entry[0]))
         for k, (n, sb) in enumerate(ordered):
+            if n < 0:
+                raise ValueError(f"seed degree {n} must be >= 0")
             if k and ordered[k - 1][0] == n:
                 raise ValueError(f"seed degree {n} appears more than once")
             if sb.value <= 0:
                 raise ValueError(f"seed bound at degree {n} must be positive")
         object.__setattr__(self, "entries", ordered)
 
-    def get(self, n: int) -> Optional[SeedBound]:
+    def lookup(self, n: int) -> SeedBound:
         for deg, sb in self.entries:
             if deg == n:
                 return sb
-        return None
-
-    def lookup(self, n: int) -> SeedBound:
-        sb = self.get(n)
-        if sb is None:
-            raise MissingSeedError(f"no seed bound recorded at degree {n}")
-        return sb
+        raise MissingSeedError(f"no seed bound recorded at degree {n}")
 
 
 # Seed records (best published cycle-count lower bound per degree, with source).
@@ -174,15 +170,12 @@ def replication_bound(n: int, m: int, seeds: SeedTable) -> BoundEntry:
 def admissible_factorizations(N: int, seeds: SeedTable) -> list[tuple[int, int]]:
     """All (n, m) with N + 1 = (n + 1) m, m >= 2, n in the seed table,
     ordered by increasing m."""
-    out = []
     total = N + 1
-    for m in range(2, total + 1):
-        if total % m:
-            continue
-        n = total // m - 1
-        if seeds.get(n) is not None:
-            out.append((n, m))
-    return out
+    return [
+        (n, total // (n + 1))
+        for n, _ in reversed(seeds.entries)
+        if total % (n + 1) == 0 and total // (n + 1) >= 2
+    ]
 
 
 def best_cheb_bound(N: int, seeds: SeedTable) -> BoundEntry:
@@ -190,26 +183,20 @@ def best_cheb_bound(N: int, seeds: SeedTable) -> BoundEntry:
     factorizations; ties broken by the smallest cover degree m."""
     if N < 3:
         raise ValueError(f"target degree must be >= 3, got {N}")
-    best: Optional[BoundEntry] = None
-    for n, m in admissible_factorizations(N, seeds):
-        entry = replication_bound(n, m, seeds)
-        if best is None or entry.value > best.value:
-            best = entry
-    if best is None:
+    entries = [replication_bound(n, m, seeds) for n, m in admissible_factorizations(N, seeds)]
+    if not entries:
         raise NoWitnessError(
             f"no factorization {N}+1 = (n+1)*m with m >= 2 hits the seed table"
         )
-    return best
+    return max(entries, key=lambda entry: entry.value)  # the first maximum: smallest m
 
 
-def inequality_chain(entry: BoundEntry, seeds: SeedTable) -> str:
+def inequality_chain(entry: BoundEntry) -> str:
     """Human-readable derivation, e.g. 'H(29) ≥ 9·H(9) ≥ 9·120 = 1080'."""
     n, m = entry.witness
-    seed = seeds.lookup(n).value
     msq = m * m
-    return (
-        f"H({entry.target_degree}) ≥ {msq}·H({n}) ≥ {msq}·{seed} = {entry.value}"
-    )
+    seed = entry.value // msq  # exact: value = m^2 * seed(n)
+    return f"H({entry.target_degree}) ≥ {msq}·H({n}) ≥ {msq}·{seed} = {entry.value}"
 
 
 @dataclass(frozen=True)
@@ -243,34 +230,9 @@ def table_pub_vs_cheb(seeds: Optional[SeedTable] = None) -> list[ComparisonRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class DerivationRow:
-    """One row of the step-by-step derivation table."""
-
-    N: int
-    factorization: str  # e.g. "30=10*3"
-    seed_used: str      # e.g. "H(9)>=120"
-    output: str         # e.g. "H(29)>=9*120"
-    value: int
-
-
-def table_derivation(seeds: Optional[SeedTable] = None) -> list[DerivationRow]:
+def table_derivation(seeds: Optional[SeedTable] = None) -> list[BoundEntry]:
     seeds = seeds or builtin_seed_table()
-    rows = []
-    for N in COMPARISON_DEGREES:
-        entry = best_cheb_bound(N, seeds)
-        n, m = entry.witness
-        seed = seeds.lookup(n).value
-        rows.append(
-            DerivationRow(
-                N=N,
-                factorization=f"{N + 1}={n + 1}*{m}",
-                seed_used=f"H({n})>={seed}",
-                output=f"H({N})>={m * m}*{seed}",
-                value=entry.value,
-            )
-        )
-    return rows
+    return [best_cheb_bound(N, seeds) for N in COMPARISON_DEGREES]
 
 
 def table1_csv(rows: Optional[list[ComparisonRow]] = None) -> str:
@@ -283,7 +245,7 @@ def table1_csv(rows: Optional[list[ComparisonRow]] = None) -> str:
     return buf.getvalue()
 
 
-def table2_csv(rows: Optional[list[DerivationRow]] = None) -> str:
+def table2_csv(rows: Optional[list[BoundEntry]] = None) -> str:
     rows = rows if rows is not None else table_derivation()
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -291,7 +253,10 @@ def table2_csv(rows: Optional[list[DerivationRow]] = None) -> str:
         ["N", "factorization of N+1", "seed bound used", "theorem output", "value of L_Ch(N)"]
     )
     for r in rows:
-        w.writerow([r.N, r.factorization, r.seed_used, r.output, r.value])
+        N, (n, m) = r.target_degree, r.witness
+        seed = r.value // (m * m)  # exact: value = m^2 * seed(n)
+        w.writerow([N, f"{N + 1}={n + 1}*{m}", f"H({n})>={seed}",
+                    f"H({N})>={m * m}*{seed}", r.value])
     return buf.getvalue()
 
 

@@ -338,11 +338,6 @@ def full_branch_intervals(p: UniPoly) -> BranchSet:
     return BranchSet(poly=p, intervals=intervals, degenerate=len(repeated) > 1)
 
 
-def branch_count(p: UniPoly) -> int:
-    """Number of full branches of p; always <= deg(p)."""
-    return full_branch_intervals(p).count
-
-
 def branch_set_to_json(bs: BranchSet) -> dict:
     return {
         "count": bs.count,

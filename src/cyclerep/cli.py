@@ -40,8 +40,6 @@ from .dynamics import (
     records_to_csv,
 )
 from .polynomials import (
-    UniPoly,
-    VectorField2,
     chebyshev,
     field_from_json,
     fmt9,
@@ -77,28 +75,17 @@ def _dump_json(obj) -> str:
     return json.dumps(_round9(obj), indent=2) + "\n"
 
 
-def _load_json_file(path: str):
+def _load(path: str, parse, kind: str):
+    """Parse the JSON file at path with parse; kind names it in the error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise ParseFailure(f"cannot read {path}: {err}") from err
-
-
-def _load_field(path: str) -> VectorField2:
-    obj = _load_json_file(path)
     try:
-        return field_from_json(obj)
+        return parse(obj)
     except (KeyError, TypeError, ValueError) as err:
-        raise ParseFailure(f"bad vector field file {path}: {err}") from err
-
-
-def _load_unipoly(path: str) -> UniPoly:
-    obj = _load_json_file(path)
-    try:
-        return unipoly_from_json(obj)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ParseFailure(f"bad polynomial file {path}: {err}") from err
+        raise ParseFailure(f"bad {kind} file {path}: {err}") from err
 
 
 def _parse_rho(text: str) -> Fraction:
@@ -112,7 +99,7 @@ def _parse_rho(text: str) -> Fraction:
 
 
 def cmd_pullback(args) -> int:
-    field = _load_field(args.field)
+    field = _load(args.field, field_from_json, "vector field")
     if args.m < 2:
         raise ValueError(f"cover degree must be >= 2, got {args.m}")
     result = build_pullback(field, chebyshev(args.m))
@@ -225,7 +212,7 @@ def cmd_bounds(args) -> int:
         entry = bounds_mod.best_cheb_bound(args.N, seeds)
         n, m = entry.witness
         print(f"N={entry.target_degree} L_Ch={entry.value} witness=({n},{m}) source={entry.source}")
-        print(bounds_mod.inequality_chain(entry, seeds))
+        print(bounds_mod.inequality_chain(entry))
         return EXIT_OK
     elif args.bounds_cmd == "ceiling":
         value = bounds_mod.quadratic_ceiling(args.k0, args.n0, args.N)
@@ -255,7 +242,7 @@ def cmd_branches(args) -> int:
             raise ValueError(f"need m >= 2, got {args.cheb}")
         bset = cheb_branches(args.cheb)
     else:
-        poly = _load_unipoly(args.poly)
+        poly = _load(args.poly, unipoly_from_json, "polynomial")
         bset = full_branch_intervals(poly)
     if bset.degenerate:
         print("warning: degenerate: p' and p'' share a root, so a critical point may lie"
@@ -271,7 +258,8 @@ def cmd_branches(args) -> int:
         pts = []
         for k in range(n + 1):
             x = -span + 2 * span * k / n
-            y = bset.poly.evaluate_float(x)
+            # exact, then rounded: float Horner on T_64's monomials is off by 2.7e7
+            y = float(bset.poly.evaluate(Fraction(x)))
             pts.append((x, max(-1.1, min(1.1, y))))
         Path(args.svg).write_text(poly_graph_svg(pts, bset.intervals), encoding="utf-8")
     return EXIT_OK

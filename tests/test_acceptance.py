@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from cyclerep.bounds import Schedule, best_cheb_bound, builtin_seed_table, quadratic_ceiling, schedule_bound
-from cyclerep.branches import branch_count, branch_inverse, cheb_branches, full_branch_intervals
+from cyclerep.branches import branch_inverse, cheb_branches, full_branch_intervals
 from cyclerep.cli import main
 from cyclerep.dynamics import lift_cycles, radial_cubic_field
 from cyclerep.polynomials import BiPoly, UniPoly, VectorField2, chebyshev
@@ -144,14 +144,14 @@ def test_criterion_5_m2_and_m4_replication(tmp_path, base_cycle, radial_half):
 
 
 def test_criterion_6_branch_suite():
-    ok = all(branch_count(chebyshev(m)) == m for m in range(2, 65))
+    ok = all(full_branch_intervals(chebyshev(m)).count == m for m in range(2, 65))
 
     rng = random.Random(777)
     for _ in range(100):
         deg = rng.randint(1, 8)
         coeffs = [Fraction(rng.randint(-3_000_000, 3_000_000), 1_000_000) for _ in range(deg)]
         coeffs.append(Fraction(rng.choice([-1, 1]) * rng.randint(100_000, 3_000_000), 1_000_000))
-        ok = ok and branch_count(UniPoly(coeffs)) <= deg
+        ok = ok and full_branch_intervals(UniPoly(coeffs)).count <= deg
 
     for m in range(2, 9):
         t = chebyshev(m)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,6 +69,12 @@ class TestSeedTable:
         with pytest.raises(ValueError, match="expected an integer"):
             load_seed_table(str(path))
 
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_degree_rejected(self, n):
+        # the search divides by n + 1, which is 0 at n = -1
+        with pytest.raises(ValueError, match=f"seed degree {n} must be >= 0"):
+            SeedTable(((n, SeedBound(5, "a")), (4, SeedBound(28, "b"))))
+
     def test_json_override(self, tmp_path):
         path = tmp_path / "seeds.json"
         path.write_text(json.dumps([{"n": 3, "value": 13, "source": "custom"}]))
@@ -95,6 +102,20 @@ class TestReplicationBound:
         # 3.0 does not give target_degree 29.0, nor "9" a lookup by string
         with pytest.raises(ValueError, match="expected an integer"):
             replication_bound(n, m, SEEDS)
+
+
+def every_m_factorizations(N, seeds):
+    """Reference search: try every cover degree m from 2 to N + 1."""
+    degrees = {n for n, _ in seeds.entries}
+    out = []
+    total = N + 1
+    for m in range(2, total + 1):
+        if total % m:
+            continue
+        n = total // m - 1
+        if n in degrees:
+            out.append((n, m))
+    return out
 
 
 class TestBestBound:
@@ -126,9 +147,33 @@ class TestBestBound:
             for n, m in admissible_factorizations(N, SEEDS):
                 assert best.value >= replication_bound(n, m, SEEDS).value
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(st.integers(0, 60), st.integers(1, 10**6), max_size=25),
+        st.integers(-2, 5000),
+    )
+    def test_factorizations_match_every_m_loop(self, values, N):
+        seeds = SeedTable(tuple((n, SeedBound(v, "s")) for n, v in values.items()))
+        assert admissible_factorizations(N, seeds) == every_m_factorizations(N, seeds)
+
+    @pytest.mark.parametrize("degrees", [None, tuple(range(61))], ids=["builtin", "0..60"])
+    def test_factorizations_match_every_m_loop_for_every_N(self, degrees):
+        seeds = SEEDS
+        if degrees is not None:
+            seeds = SeedTable(tuple((n, SeedBound(1, "s")) for n in degrees))
+        for N in range(-2, 5001):
+            assert admissible_factorizations(N, seeds) == every_m_factorizations(N, seeds)
+
+    def test_huge_degree_is_fast(self):
+        # one divisibility test per seed degree; trying every m up to 10^9 + 1 takes a minute
+        start = time.perf_counter()
+        entry = best_cheb_bound(10**9, SEEDS)
+        assert time.perf_counter() - start < 1.0
+        assert (entry.witness, entry.value) == ((10, 90909091), 90909091**2 * 142)
+
     def test_inequality_chain_string(self):
         entry = best_cheb_bound(29, SEEDS)
-        assert inequality_chain(entry, SEEDS) == "H(29) ≥ 9·H(9) ≥ 9·120 = 1080"
+        assert inequality_chain(entry) == "H(29) ≥ 9·H(9) ≥ 9·120 = 1080"
 
 
 class TestTables:

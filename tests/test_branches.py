@@ -13,7 +13,6 @@ from cyclerep import branches
 from cyclerep.branches import (
     DECREASING,
     INCREASING,
-    branch_count,
     branch_inverse,
     branch_set_to_json,
     cheb_branches,
@@ -225,7 +224,7 @@ class TestFullBranches:
 
     def test_square_has_no_full_branch(self):
         # x^2 has range [0, inf); (-1, 1) is never covered
-        assert branch_count(U(0, 0, 1)) == 0
+        assert full_branch_intervals(U(0, 0, 1)).count == 0
 
     def test_cube_single_monotone_branch_flagged(self):
         # x^3 is strictly monotone, but p' = 3x^2 and p'' = 6x share the root

@@ -138,8 +138,10 @@ class TestBoundsCommand:
             [{"n": 5, "source": "custom"}],
             [{"n": 5, "value": 40, "source": "a"}, {"n": 5, "value": 41, "source": "b"}],
             [{"n": 5, "value": 40.9, "source": "custom"}],
+            [{"n": -1, "value": 5, "source": "custom"}],  # once read as (n + 1) = 0
         ],
-        ids=["missing_file", "missing_value", "repeated_degree", "fractional_value"],
+        ids=["missing_file", "missing_value", "repeated_degree", "fractional_value",
+             "negative_degree"],
     )
     def test_bad_seed_table_file_exits_2(self, tmp_path, capsys, monkeypatch, entries):
         path = tmp_path / "seeds.json"
@@ -234,6 +236,25 @@ class TestBranchesCommand:
         text = svg.read_text()
         assert text.startswith("<?xml")
         assert "</svg>" in text
+
+    def test_svg_plots_exact_values(self, tmp_path, capsys):
+        # float Horner on T_64's monomial coefficients is off by 2.7e7 on [-1, 1];
+        # each drawn point, read back from 9-digit pixels, lies on cos(64 acos x)
+        svg = tmp_path / "t64.svg"
+        assert main(["branches", "--cheb", "64", "--svg", str(svg)]) == 0
+        capsys.readouterr()
+        (coords,) = re.findall(r'<polyline points="([^"]*)" fill="none" stroke="#2255cc"',
+                               svg.read_text())
+        scale = svgplot.SIZE / (2.0 * svgplot.WORLD)
+        points = [tuple(map(float, pair.split(","))) for pair in coords.split()]
+        assert len(points) == 401
+        inside = 0
+        for px, py in points:
+            x, y = px / scale - svgplot.WORLD, svgplot.WORLD - py / scale
+            if abs(x) <= 1:
+                inside += 1
+                assert abs(y - math.cos(64 * math.acos(x))) <= 1e-6, x
+        assert inside > 350
 
     def test_both_inputs_rejected(self, tmp_path):
         poly_file = tmp_path / "p.json"
