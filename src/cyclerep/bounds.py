@@ -12,14 +12,12 @@ caps every replication-only schedule.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .polynomials import as_integer
+from .polynomials import as_integer, csv_text
 
 HAN_LI = "HanLi"
 PROHENS_TORREGROSA = "ProhensTorregrosa"
@@ -237,27 +235,20 @@ def table_derivation(seeds: Optional[SeedTable] = None) -> list[BoundEntry]:
 
 def table1_csv(rows: Optional[list[ComparisonRow]] = None) -> str:
     rows = rows if rows is not None else table_pub_vs_cheb()
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["N", "L_pub(N)", "L_Ch(N)", "seed (n,m)", "Delta"])
-    for r in rows:
-        w.writerow([r.N, r.l_pub, r.l_cheb, f"({r.witness[0]},{r.witness[1]})", r.delta])
-    return buf.getvalue()
+    return csv_text([["N", "L_pub(N)", "L_Ch(N)", "seed (n,m)", "Delta"]] + [
+        [r.N, r.l_pub, r.l_cheb, f"({r.witness[0]},{r.witness[1]})", r.delta] for r in rows
+    ])
 
 
 def table2_csv(rows: Optional[list[BoundEntry]] = None) -> str:
     rows = rows if rows is not None else table_derivation()
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        ["N", "factorization of N+1", "seed bound used", "theorem output", "value of L_Ch(N)"]
-    )
+    lines = [["N", "factorization of N+1", "seed bound used", "theorem output", "value of L_Ch(N)"]]
     for r in rows:
         N, (n, m) = r.target_degree, r.witness
         seed = r.value // (m * m)  # exact: value = m^2 * seed(n)
-        w.writerow([N, f"{N + 1}={n + 1}*{m}", f"H({n})>={seed}",
-                    f"H({N})>={m * m}*{seed}", r.value])
-    return buf.getvalue()
+        lines.append([N, f"{N + 1}={n + 1}*{m}", f"H({n})>={seed}",
+                      f"H({N})>={m * m}*{seed}", r.value])
+    return csv_text(lines)
 
 
 def quadratic_ceiling(k0: int, n0: int, N: int) -> Fraction:

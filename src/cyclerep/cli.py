@@ -41,6 +41,7 @@ from .dynamics import (
 )
 from .polynomials import (
     chebyshev,
+    csv_text,
     field_from_json,
     fmt9,
     fraction_from_str,
@@ -155,11 +156,11 @@ def cmd_example(args) -> int:
 
     # exact, then rounded: float Horner on the expanded T_m curve is noise by m = 14
     T = pb.cover_poly.evaluate
-    lines = ["i,j,residual"]
+    rows = [["i", "j", "residual"]]
     for r in records:
         resid = T(Fraction(r.anchor[0])) ** 2 + T(Fraction(r.anchor[1])) ** 2 - rho * rho
-        lines.append(f"{r.rect.i},{r.rect.j},{fmt9(float(resid))}")
-    (out_dir / "residuals.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows.append([r.rect.i, r.rect.j, fmt9(float(resid))])
+    (out_dir / "residuals.csv").write_text(csv_text(rows), encoding="utf-8")
 
     plot_tol = 1e-8
     spirals = [
@@ -215,11 +216,7 @@ def cmd_bounds(args) -> int:
         print(bounds_mod.inequality_chain(entry))
         return EXIT_OK
     elif args.bounds_cmd == "ceiling":
-        value = bounds_mod.quadratic_ceiling(args.k0, args.n0, args.N)
-        if value.denominator == 1:
-            print(value.numerator)
-        else:
-            print(f"{value.numerator}/{value.denominator}")
+        print(bounds_mod.quadratic_ceiling(args.k0, args.n0, args.N))  # "9" or "50/9"
         return EXIT_OK
     else:  # pragma: no cover - argparse enforces choices
         raise ValueError(f"unknown bounds subcommand {args.bounds_cmd}")

@@ -44,7 +44,9 @@ from dataclasses import dataclass, replace
 from typing import ClassVar
 
 from .branches import BranchInterval, branch_inverse, cheb_branches
-from .polynomials import BiPoly, Scalar, VectorField2, chebyshev, compose_separable, fmt9, _as_fraction
+from .polynomials import (
+    BiPoly, Scalar, VectorField2, chebyshev, compose_separable, csv_text, fmt9, _as_fraction,
+)
 from .pullback import PullbackResult
 
 
@@ -830,21 +832,10 @@ def radial_cubic_field(rho: Scalar) -> VectorField2:
 def records_to_csv(records: list[LimitCycleRecord]) -> str:
     """CSV with columns i, j, anchor_u, anchor_v, period, multiplier,
     orientation_reversed (floats at 9 significant digits)."""
-    lines = ["i,j,anchor_u,anchor_v,period,multiplier,orientation_reversed"]
-    for r in records:
-        i = r.rect.i if r.rect else 0
-        j = r.rect.j if r.rect else 0
-        lines.append(
-            ",".join(
-                [
-                    str(i),
-                    str(j),
-                    fmt9(r.anchor[0]),
-                    fmt9(r.anchor[1]),
-                    fmt9(r.period),
-                    fmt9(r.multiplier),
-                    "true" if r.orientation_reversed else "false",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    header = ["i", "j", "anchor_u", "anchor_v", "period", "multiplier", "orientation_reversed"]
+    return csv_text([header] + [
+        [r.rect.i if r.rect else 0, r.rect.j if r.rect else 0,
+         fmt9(r.anchor[0]), fmt9(r.anchor[1]), fmt9(r.period), fmt9(r.multiplier),
+         "true" if r.orientation_reversed else "false"]
+        for r in records
+    ])

@@ -23,6 +23,8 @@ pure function, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -329,6 +331,14 @@ def fmt9(v: float) -> str:
     return format(v, ".9g")
 
 
+def csv_text(rows: Iterable[Iterable]) -> str:
+    """rows as CSV text, one "\n"-terminated line each: the one CSV writer
+    of the package (cycles, residuals and the bound tables)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 # --- JSON encoding: rationals as "num/den" strings, bit-exact round-trip ---
 
 
@@ -353,7 +363,10 @@ def unipoly_to_json(p: UniPoly) -> dict:
 
 
 def unipoly_from_json(obj: Mapping) -> UniPoly:
-    return UniPoly(tuple(fraction_from_str(s) for s in obj["coeffs"]))
+    coeffs = obj["coeffs"]
+    if not isinstance(coeffs, list):  # a string would be read digit by digit
+        raise ValueError(f"coeffs must be a JSON array, got {coeffs!r}")
+    return UniPoly(tuple(fraction_from_str(s) for s in coeffs))
 
 
 def bipoly_to_json(f: BiPoly) -> list:
@@ -361,7 +374,13 @@ def bipoly_to_json(f: BiPoly) -> list:
 
 
 def bipoly_from_json(items: Iterable[Mapping]) -> BiPoly:
-    return BiPoly({(t["du"], t["dv"]): fraction_from_str(t["c"]) for t in items})
+    terms = {}
+    for t in items:
+        key = (t["du"], t["dv"])
+        if key in terms:  # a dict would keep the last term silently
+            raise ValueError(f"exponent (du, dv) = {key} appears more than once")
+        terms[key] = fraction_from_str(t["c"])
+    return BiPoly(terms)
 
 
 def field_to_json(X: VectorField2) -> dict:

@@ -77,6 +77,14 @@ class TestPullbackCommand:
         assert main(["pullback", str(bad), "--m", "2"]) == 2
         assert capsys.readouterr().err.startswith(f"error: bad vector field file {bad}: ")
 
+    def test_repeated_exponent_exits_2(self, tmp_path, capsys):
+        # the second u term once replaced the first: p read as 2u, exit 0
+        bad = tmp_path / "twice.json"
+        bad.write_text(json.dumps({"p": [{"du": 1, "dv": 0, "c": "1"}, {"du": 1, "dv": 0, "c": "2"}],
+                                   "q": [{"du": 0, "dv": 1, "c": "1"}]}))
+        assert main(["pullback", str(bad), "--m", "2"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad vector field file {bad}: ")
+
 
 class TestBoundsCommand:
     def test_table1_matches_golden(self, tmp_path):
@@ -228,6 +236,20 @@ class TestBranchesCommand:
         bad.write_text(json.dumps({"coeffs": [0.1, 1]}))
         assert main(["branches", str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"error: bad polynomial file {bad}: ")
+
+    def test_string_coeffs_exits_2(self, tmp_path, capsys):
+        # "301" was once read character by character as 3 + x^2, exit 0
+        bad = tmp_path / "string.json"
+        bad.write_text(json.dumps({"coeffs": "301"}))
+        assert main(["branches", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad polynomial file {bad}: ")
+
+    def test_svg_cheb6_matches_golden(self, tmp_path, capsys):
+        # tests/golden/branches_cheb6.svg: the T_6 graph as first written pins the bytes
+        svg = tmp_path / "cheb6.svg"
+        assert main(["branches", "--cheb", "6", "--svg", str(svg)]) == 0
+        capsys.readouterr()
+        assert svg.read_bytes() == (GOLDEN / "branches_cheb6.svg").read_bytes()
 
     def test_svg_output(self, tmp_path, capsys):
         svg = tmp_path / "graph.svg"

@@ -428,6 +428,17 @@ class TestJson:
             bipoly_from_json([{"du": 0, "dv": 0, "c": 2.0}])
         assert unipoly_from_json({"coeffs": [3, "1/10"]}) == UniPoly((3, Fraction(1, 10)))
 
+    def test_repeated_exponent_rejected(self):
+        # a dict keyed by (du, dv) once kept the second term: p read as 2u
+        with pytest.raises(ValueError, match=r"\(du, dv\) = \(1, 0\) appears more than once"):
+            bipoly_from_json([{"du": 1, "dv": 0, "c": "1"}, {"du": 1, "dv": 0, "c": "2"}])
+
+    @pytest.mark.parametrize("coeffs", ["301", {"0": "3"}, 3])
+    def test_non_array_coeffs_rejected(self, coeffs):
+        # "301" was once read character by character as 3 + x^2
+        with pytest.raises(ValueError, match="coeffs must be a JSON array"):
+            unipoly_from_json({"coeffs": coeffs})
+
     def test_term_order_deterministic(self):
         f = BiPoly({(2, 0): 1, (0, 2): 1, (1, 1): 1})
         g = BiPoly({(1, 1): 1, (0, 2): 1, (2, 0): 1})
