@@ -12,7 +12,6 @@ caps every replication-only schedule.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -123,11 +122,6 @@ def seed_table_from_json(items: Iterable[Mapping]) -> SeedTable:
     for it in items:
         entries.append((as_integer(it["n"]), SeedBound(as_integer(it["value"]), str(it["source"]))))
     return SeedTable(tuple(entries))
-
-
-def load_seed_table(path: str) -> SeedTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return seed_table_from_json(json.load(fh))
 
 
 @dataclass(frozen=True)

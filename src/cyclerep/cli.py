@@ -61,31 +61,27 @@ class ParseFailure(Exception):
     pass
 
 
-def _round9(obj):
-    """Clamp every float in a JSON-ready structure to 9 significant digits."""
-    if isinstance(obj, float):
-        return float(fmt9(obj))
-    if isinstance(obj, dict):
-        return {k: _round9(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round9(v) for v in obj]
-    return obj
-
-
 def _dump_json(obj) -> str:
-    return json.dumps(_round9(obj), indent=2) + "\n"
+    """obj as JSON text; the caller rounds its floats (only branches has any)."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _emit(text: str, path) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _load(path: str, parse, kind: str):
     """Parse the JSON file at path with parse; kind names it in the error."""
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors; json raises
+    # RecursionError on arrays nested deeper than the interpreter's stack
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise ParseFailure(f"cannot read {path}: {err}") from err
-    try:
-        return parse(obj)
-    except (KeyError, TypeError, ValueError) as err:
+            return parse(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as err:
         raise ParseFailure(f"bad {kind} file {path}: {err}") from err
 
 
@@ -109,11 +105,7 @@ def cmd_pullback(args) -> int:
     payload = pullback_result_to_json(result)
     payload["conjugacy_identity"] = ok_conj
     payload["exact_degree"] = ok_deg
-    text = _dump_json(payload)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(_dump_json(payload), args.out)
     if not (ok_conj and ok_deg):
         print("pullback verification failed", file=sys.stderr)
         return EXIT_DYNAMICS
@@ -201,10 +193,8 @@ def cmd_example(args) -> int:
 
 def cmd_bounds(args) -> int:
     path = os.environ.get("CYCLEREP_SEED_TABLE")  # a JSON file of seeds in place of the builtin ones
-    try:
-        seeds = bounds_mod.load_seed_table(path) if path else bounds_mod.builtin_seed_table()
-    except (OSError, KeyError, TypeError, ValueError) as err:
-        raise ParseFailure(f"bad seed table file {path}: {err}") from err
+    seeds = (_load(path, bounds_mod.seed_table_from_json, "seed table") if path
+             else bounds_mod.builtin_seed_table())
     if args.bounds_cmd == "table1":
         text = bounds_mod.table1_csv(bounds_mod.table_pub_vs_cheb(seeds))
     elif args.bounds_cmd == "table2":
@@ -224,10 +214,7 @@ def cmd_bounds(args) -> int:
     if args.fmt == "json":
         rows = list(csv.reader(text.splitlines()))
         text = _dump_json({"header": rows[0], "rows": rows[1:]})
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -235,8 +222,6 @@ def cmd_branches(args) -> int:
     if (args.poly is None) == (args.cheb is None):
         raise ValueError("give exactly one of POLY.json or --cheb M")
     if args.cheb is not None:
-        if args.cheb < 2:
-            raise ValueError(f"need m >= 2, got {args.cheb}")
         bset = cheb_branches(args.cheb)
     else:
         poly = _load(args.poly, unipoly_from_json, "polynomial")
@@ -244,11 +229,12 @@ def cmd_branches(args) -> int:
     if bset.degenerate:
         print("warning: degenerate: p' and p'' share a root, so a critical point may lie"
               " inside a branch", file=sys.stderr)
-    blob = _round9(branch_set_to_json(bset))
-    for iv, out in zip(bset.intervals, blob["intervals"]):
-        if out["lo"] == out["hi"]:  # equal at 9 digits: the exact ends show lo < hi
-            out["lo"], out["hi"] = iv.lo, iv.hi
-    sys.stdout.write(json.dumps(blob, indent=2) + "\n")
+    blob = branch_set_to_json(bset)
+    for out in blob["intervals"]:
+        lo, hi = float(fmt9(out["lo"])), float(fmt9(out["hi"]))
+        if lo < hi:  # equal at 9 digits: the full ends are kept, so lo < hi shows
+            out["lo"], out["hi"] = lo, hi
+    sys.stdout.write(_dump_json(blob))
     if args.svg:
         span = 1.05
         n = 400

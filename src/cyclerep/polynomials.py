@@ -47,12 +47,15 @@ def _as_fraction(c: Scalar) -> Fraction:
 
 
 def as_integer(k) -> int:
-    """k as an int; ValueError unless k is an integer (so 0.5 or "1" is
-    rejected, not truncated or parsed)."""
-    try:
-        return index(k)
-    except TypeError:
-        raise ValueError(f"expected an integer, got {k!r}") from None
+    """k as an int; ValueError unless k is an integer (so 0.5, "1" or True
+    is rejected, not truncated, parsed or read as 1)."""
+    # a JSON true is not 1; bool has no subclasses, so this is isinstance, only cheaper
+    if type(k) is not bool:
+        try:
+            return index(k)
+        except TypeError:
+            pass
+    raise ValueError(f"expected an integer, got {k!r}")
 
 
 def integer_numerators(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -348,9 +351,9 @@ def fraction_to_str(c: Fraction) -> str:
 
 def fraction_from_str(s: Union[str, int]) -> Fraction:
     """The rational written in s, a "num/den" string or an int; ValueError
-    if s is anything else (a float would be read as its binary value), is
-    malformed or has a zero denominator."""
-    if not isinstance(s, (str, int)):
+    if s is anything else (a float would be read as its binary value, a
+    bool as 0 or 1), is malformed or has a zero denominator."""
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise ValueError(f"expected a 'num/den' string or an integer, got {s!r}")
     try:
         return Fraction(s)

@@ -22,10 +22,10 @@ from cyclerep.bounds import (
     best_cheb_bound,
     builtin_seed_table,
     inequality_chain,
-    load_seed_table,
     quadratic_ceiling,
     replication_bound,
     schedule_bound,
+    seed_table_from_json,
     table1_csv,
     table2_csv,
     table_derivation,
@@ -67,7 +67,7 @@ class TestSeedTable:
         path = tmp_path / "seeds.json"
         path.write_text(json.dumps([{**entry, "source": "custom"}]))
         with pytest.raises(ValueError, match="expected an integer"):
-            load_seed_table(str(path))
+            seed_table_from_json(json.loads(path.read_text()))
 
     @pytest.mark.parametrize("n", [-1, -2])
     def test_negative_degree_rejected(self, n):
@@ -78,7 +78,7 @@ class TestSeedTable:
     def test_json_override(self, tmp_path):
         path = tmp_path / "seeds.json"
         path.write_text(json.dumps([{"n": 3, "value": 13, "source": "custom"}]))
-        table = load_seed_table(str(path))
+        table = seed_table_from_json(json.loads(path.read_text()))
         assert table.lookup(3).value == 13
 
 

@@ -49,10 +49,12 @@ class TestPullbackCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["pullback", str(bad), "--m", "3"]) == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: bad vector field file {bad}: ")
 
-    def test_missing_file_exits_2(self, tmp_path):
-        assert main(["pullback", str(tmp_path / "absent.json"), "--m", "3"]) == 2
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        absent = tmp_path / "absent.json"
+        assert main(["pullback", str(absent), "--m", "3"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad vector field file {absent}: ")
 
     def test_m1_exits_3(self, tmp_path, radial_half):
         field_file = write_field_file(tmp_path, radial_half)
@@ -82,6 +84,13 @@ class TestPullbackCommand:
         bad = tmp_path / "twice.json"
         bad.write_text(json.dumps({"p": [{"du": 1, "dv": 0, "c": "1"}, {"du": 1, "dv": 0, "c": "2"}],
                                    "q": [{"du": 0, "dv": 1, "c": "1"}]}))
+        assert main(["pullback", str(bad), "--m", "2"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad vector field file {bad}: ")
+
+    def test_bool_exponent_exits_2(self, tmp_path, capsys):
+        # du = true was once read as 1: exit 0 with deg_Y=3
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps({"p": [{"du": True, "dv": 0, "c": "1"}], "q": [{"du": 0, "dv": 1, "c": "1"}]}))
         assert main(["pullback", str(bad), "--m", "2"]) == 2
         assert capsys.readouterr().err.startswith(f"error: bad vector field file {bad}: ")
 
@@ -147,9 +156,10 @@ class TestBoundsCommand:
             [{"n": 5, "value": 40, "source": "a"}, {"n": 5, "value": 41, "source": "b"}],
             [{"n": 5, "value": 40.9, "source": "custom"}],
             [{"n": -1, "value": 5, "source": "custom"}],  # once read as (n + 1) = 0
+            [{"n": 9, "value": True, "source": "custom"}],  # once read as 1: L_Ch=9 at N = 29
         ],
         ids=["missing_file", "missing_value", "repeated_degree", "fractional_value",
-             "negative_degree"],
+             "negative_degree", "bool_value"],
     )
     def test_bad_seed_table_file_exits_2(self, tmp_path, capsys, monkeypatch, entries):
         path = tmp_path / "seeds.json"
@@ -170,6 +180,13 @@ class TestBoundsCommand:
             assert blob["header"] == golden[0]
             assert blob["rows"] == golden[1:]
             assert len(blob["rows"]) == 18
+
+    @pytest.mark.parametrize("table", ["table1", "table2"])
+    def test_json_matches_golden(self, table, tmp_path):
+        # tests/golden/table{1,2}.json: the JSON tables as first written pin the bytes
+        out = tmp_path / f"{table}.json"
+        assert main(["bounds", table, "--format", "json", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{table}.json").read_bytes()
 
 
 class TestBranchesCommand:
@@ -236,6 +253,33 @@ class TestBranchesCommand:
         bad.write_text(json.dumps({"coeffs": [0.1, 1]}))
         assert main(["branches", str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"error: bad polynomial file {bad}: ")
+
+    def test_bool_coefficient_exits_2(self, tmp_path, capsys):
+        # [true, 0, 1] was once read as 1 + x^2, exit 0
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps({"coeffs": [True, 0, 1]}))
+        assert main(["branches", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad polynomial file {bad}: ")
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"{not json", b'{"coeffs": ["\xff"]}', b"[" * 100_000 + b"]" * 100_000],
+        ids=["not_json", "not_utf8", "too_deep"],  # not_utf8 once exited 3, too_deep with a traceback
+    )
+    def test_malformed_json_exits_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["branches", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad polynomial file {bad}: ")
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        absent = tmp_path / "absent.json"
+        assert main(["branches", str(absent)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad polynomial file {absent}: ")
+
+    def test_cheb_below_2_exits_3(self, capsys):
+        assert main(["branches", "--cheb", "1"]) == 3
+        assert capsys.readouterr().err == "error: need m >= 2, got 1\n"
 
     def test_string_coeffs_exits_2(self, tmp_path, capsys):
         # "301" was once read character by character as 3 + x^2, exit 0

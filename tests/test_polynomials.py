@@ -13,12 +13,14 @@ from cyclerep.polynomials import (
     BiPoly,
     UniPoly,
     VectorField2,
+    as_integer,
     bipoly_from_json,
     bipoly_to_json,
     chebyshev,
     compose_separable,
     field_from_json,
     field_to_json,
+    fraction_from_str,
     fraction_to_str,
     unipoly_from_json,
     unipoly_to_json,
@@ -427,6 +429,24 @@ class TestJson:
         with pytest.raises(ValueError, match="'num/den' string or an integer"):
             bipoly_from_json([{"du": 0, "dv": 0, "c": 2.0}])
         assert unipoly_from_json({"coeffs": [3, "1/10"]}) == UniPoly((3, Fraction(1, 10)))
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_integer_rejected(self, flag):
+        # bool is an int, and operator.index(True) is 1: {"du": true} is not the term u
+        with pytest.raises(ValueError, match="expected an integer"):
+            as_integer(flag)
+        with pytest.raises(ValueError, match="expected an integer"):
+            bipoly_from_json([{"du": flag, "dv": 0, "c": "1"}])
+        assert as_integer(1) == 1
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_coefficient_rejected(self, flag):
+        # {"coeffs": [true, 0, 1]} is not 1 + x^2
+        with pytest.raises(ValueError, match="'num/den' string or an integer"):
+            fraction_from_str(flag)
+        with pytest.raises(ValueError, match="'num/den' string or an integer"):
+            unipoly_from_json({"coeffs": [flag, 0, 1]})
+        assert fraction_from_str(1) == 1
 
     def test_repeated_exponent_rejected(self):
         # a dict keyed by (du, dv) once kept the second term: p read as 2u
