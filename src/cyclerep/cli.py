@@ -25,31 +25,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import bounds as bounds_mod
-from .branches import branch_set_to_json, cheb_branches, cheb_nodes, cheb_preimage, full_branch_intervals
-from .dynamics import (
-    DEFAULT_CONFIG,
-    DynamicsConfig,
-    LiftError,
-    DynamicsError,
-    Section,
-    find_cycle,
-    integrate,
-    lift_cycles,
-    radial_cubic_field,
-    records_to_csv,
-)
-from .polynomials import (
-    chebyshev,
-    csv_text,
-    field_from_json,
-    fmt9,
-    fraction_from_str,
-    unipoly_from_json,
-)
-from .pullback import build_pullback, check_exact_degree, pullback_result_to_json, verify_conjugacy
-from .svgplot import branch_grid_svg, phase_portrait_svg, poly_graph_svg
-
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PARAMS = 3
@@ -59,6 +34,12 @@ EXIT_NO_WITNESS = 5
 
 class ParseFailure(Exception):
     pass
+
+
+def _error(err, code: int) -> int:
+    """Print err as the one `error: ` line on stderr and return code."""
+    print(f"error: {err}", file=sys.stderr)
+    return code
 
 
 def _dump_json(obj) -> str:
@@ -85,17 +66,12 @@ def _load(path: str, parse, kind: str):
         raise ParseFailure(f"bad {kind} file {path}: {err}") from err
 
 
-def _parse_rho(text: str) -> Fraction:
-    try:
-        rho = fraction_from_str(text)
-    except ValueError as err:
-        raise ParseFailure(f"bad rho {text!r}: {err}") from err
-    if not 0 < rho < 1:
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    return rho
-
-
+# each handler imports the layers it runs in its body, so a process loads
+# only those: a `bounds` run never compiles the integrator
 def cmd_pullback(args) -> int:
+    from .polynomials import chebyshev, field_from_json
+    from .pullback import build_pullback, check_exact_degree, pullback_result_to_json, verify_conjugacy
+
     field = _load(args.field, field_from_json, "vector field")
     if args.m < 2:
         raise ValueError(f"cover degree must be >= 2, got {args.m}")
@@ -114,102 +90,131 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_example(args) -> int:
+    from .branches import cheb_nodes, cheb_preimage
+    from .dynamics import (
+        DynamicsConfig,
+        DynamicsError,
+        LiftError,
+        Section,
+        find_cycle,
+        integrate,
+        lift_cycles,
+        radial_cubic_field,
+        records_to_csv,
+    )
+    from .polynomials import chebyshev, csv_text, fmt9, fraction_from_str
+    from .pullback import build_pullback, check_exact_degree, verify_conjugacy
+    from .svgplot import branch_grid_svg, phase_portrait_svg
+
     m = args.m
     if m < 2:
         raise ValueError(f"cover degree must be >= 2, got {m}")
-    rho = _parse_rho(args.rho)
-    if not 0 < args.tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {args.tol}")
-    cfg = DynamicsConfig(tol=args.tol)
-
-    field = radial_cubic_field(rho)
-    pb = build_pullback(field, chebyshev(m))
-    if not verify_conjugacy(pb, field) or not check_exact_degree(pb, field):
-        print("pullback verification failed", file=sys.stderr)
-        return EXIT_DYNAMICS
-
-    section = Section(base=(0.0, 0.0), direction=(1.0, 0.0), s_max=1.0)
-    base = find_cycle(field, section, float(rho), cfg)
-    if not base.certified:
-        print(f"error: base cycle not certified hyperbolic: multiplier {fmt9(base.multiplier)}"
-              f" within eps_hyp={DynamicsConfig.eps_hyp:g} of 1", file=sys.stderr)
-        return EXIT_DYNAMICS
     try:
-        records = lift_cycles(pb, base, m, cfg)
-    except LiftError as err:
-        for i, j, why in err.failures:
-            print(f"rectangle ({i},{j}) failed: {why}", file=sys.stderr)
-        return EXIT_DYNAMICS
+        rho = fraction_from_str(args.rho)
+    except ValueError as err:
+        raise ParseFailure(f"bad rho {args.rho!r}: {err}") from err
+    if not 0 < rho < 1:
+        raise ValueError(f"rho must lie in (0, 1), got {rho}")
+    tol = DynamicsConfig.tol if args.tol is None else args.tol
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    cfg = DynamicsConfig(tol=tol)
+    try:
+        field = radial_cubic_field(rho)
+        pb = build_pullback(field, chebyshev(m))
+        if not verify_conjugacy(pb, field) or not check_exact_degree(pb, field):
+            print("pullback verification failed", file=sys.stderr)
+            return EXIT_DYNAMICS
 
-    # created only now, so that a failed run leaves nothing behind
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "cycles.csv").write_text(records_to_csv(records), encoding="utf-8")
+        section = Section(base=(0.0, 0.0), direction=(1.0, 0.0), s_max=1.0)
+        base = find_cycle(field, section, float(rho), cfg)
+        if not base.certified:
+            print(f"error: base cycle not certified hyperbolic: multiplier {fmt9(base.multiplier)}"
+                  f" within eps_hyp={DynamicsConfig.eps_hyp:g} of 1", file=sys.stderr)
+            return EXIT_DYNAMICS
+        try:
+            records = lift_cycles(pb, base, m, cfg)
+        except LiftError as err:
+            for i, j, why in err.failures:
+                print(f"rectangle ({i},{j}) failed: {why}", file=sys.stderr)
+            return EXIT_DYNAMICS
 
-    # exact, then rounded: float Horner on the expanded T_m curve is noise by m = 14
-    T = pb.cover_poly.evaluate
-    rows = [["i", "j", "residual"]]
-    for r in records:
-        resid = T(Fraction(r.anchor[0])) ** 2 + T(Fraction(r.anchor[1])) ** 2 - rho * rho
-        rows.append([r.rect.i, r.rect.j, fmt9(float(resid))])
-    (out_dir / "residuals.csv").write_text(csv_text(rows), encoding="utf-8")
+        # created only now, so that a failed run leaves nothing behind
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "cycles.csv").write_text(records_to_csv(records), encoding="utf-8")
 
-    plot_tol = 1e-8
-    spirals = [
-        integrate(field, start, 30.0, 1200, plot_tol)
-        for start in ((0.9, 0.0), (0.12 * float(rho) / 0.5, 0.0))
-    ]
-    (out_dir / "phase_portrait.svg").write_text(
-        phase_portrait_svg(integrate(field, base.anchor, base.period, 400, plot_tol), spirals),
-        encoding="utf-8",
-    )
+        # exact, then rounded: float Horner on the expanded T_m curve is noise by m = 14
+        T = pb.cover_poly.evaluate
+        rows = [["i", "j", "residual"]]
+        for r in records:
+            resid = T(Fraction(r.anchor[0])) ** 2 + T(Fraction(r.anchor[1])) ** 2 - rho * rho
+            rows.append([r.rect.i, r.rect.j, fmt9(float(resid))])
+        (out_dir / "residuals.csv").write_text(csv_text(rows), encoding="utf-8")
 
-    # the lifted cycle in rectangle (i, j) is the branch-wise preimage of the
-    # base cycle: its u on branch i of T_m, its v on branch j
-    xs, ys = zip(*integrate(field, base.anchor, base.period, 300, plot_tol))
-    us = [[cheb_preimage(m, k, x) for x in xs] for k in range(1, m + 1)]
-    vs = [[cheb_preimage(m, k, y) for y in ys] for k in range(1, m + 1)]
-    lifted_curves = [list(zip(us[r.rect.i - 1], vs[r.rect.j - 1])) for r in records]
-    (out_dir / "branch_rectangles.svg").write_text(
-        branch_grid_svg(cheb_nodes(m), lifted_curves, [r.anchor for r in records]),
-        encoding="utf-8",
-    )
+        plot_tol = 1e-8
+        spirals = [
+            integrate(field, start, 30.0, 1200, plot_tol)
+            for start in ((0.9, 0.0), (0.12 * float(rho) / 0.5, 0.0))
+        ]
+        (out_dir / "phase_portrait.svg").write_text(
+            phase_portrait_svg(integrate(field, base.anchor, base.period, 400, plot_tol), spirals),
+            encoding="utf-8",
+        )
 
-    # the seed cycle's multiplier is exp(-4 pi rho^2); a reversed lift has its reciprocal
-    mu = math.exp(-4.0 * math.pi * float(rho) ** 2)
-    worst = 0.0
-    for r in records:
-        target = 1.0 / mu if r.orientation_reversed else mu
-        worst = max(worst, abs(r.multiplier - target) / target)
+        # the lifted cycle in rectangle (i, j) is the branch-wise preimage of the
+        # base cycle: its u on branch i of T_m, its v on branch j
+        xs, ys = zip(*integrate(field, base.anchor, base.period, 300, plot_tol))
+        us = [[cheb_preimage(m, k, x) for x in xs] for k in range(1, m + 1)]
+        vs = [[cheb_preimage(m, k, y) for y in ys] for k in range(1, m + 1)]
+        lifted_curves = [list(zip(us[r.rect.i - 1], vs[r.rect.j - 1])) for r in records]
+        (out_dir / "branch_rectangles.svg").write_text(
+            branch_grid_svg(cheb_nodes(m), lifted_curves, [r.anchor for r in records]),
+            encoding="utf-8",
+        )
 
-    print(f"deg_Y={int(pb.field.degree())}")
-    print(f"base: anchor=({fmt9(base.anchor[0])},{fmt9(base.anchor[1])}) "
-          f"period={fmt9(base.period)} multiplier={fmt9(base.multiplier)}")
-    print(f"lifted cycles: {len(records)} (expected {m * m})")
-    print(f"lifted multipliers: max rel error {fmt9(worst)} vs exp(-+4 pi rho^2)")
-    print(f"outputs in {out_dir}")
-    return EXIT_OK
+        # the seed cycle's multiplier is exp(-4 pi rho^2); a reversed lift has its reciprocal
+        mu = math.exp(-4.0 * math.pi * float(rho) ** 2)
+        worst = 0.0
+        for r in records:
+            target = 1.0 / mu if r.orientation_reversed else mu
+            worst = max(worst, abs(r.multiplier - target) / target)
+
+        print(f"deg_Y={int(pb.field.degree())}")
+        print(f"base: anchor=({fmt9(base.anchor[0])},{fmt9(base.anchor[1])}) "
+              f"period={fmt9(base.period)} multiplier={fmt9(base.multiplier)}")
+        print(f"lifted cycles: {len(records)} (expected {m * m})")
+        print(f"lifted multipliers: max rel error {fmt9(worst)} vs exp(-+4 pi rho^2)")
+        print(f"outputs in {out_dir}")
+        return EXIT_OK
+    except DynamicsError as err:
+        return _error(err, EXIT_DYNAMICS)
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
+
     path = os.environ.get("CYCLEREP_SEED_TABLE")  # a JSON file of seeds in place of the builtin ones
     seeds = (_load(path, bounds_mod.seed_table_from_json, "seed table") if path
              else bounds_mod.builtin_seed_table())
-    if args.bounds_cmd == "table1":
-        text = bounds_mod.table1_csv(bounds_mod.table_pub_vs_cheb(seeds))
-    elif args.bounds_cmd == "table2":
-        text = bounds_mod.table2_csv(bounds_mod.table_derivation(seeds))
-    elif args.bounds_cmd == "query":
-        entry = bounds_mod.best_cheb_bound(args.N, seeds)
-        n, m = entry.witness
-        print(f"N={entry.target_degree} L_Ch={entry.value} witness=({n},{m}) source={entry.source}")
-        print(bounds_mod.inequality_chain(entry))
-        return EXIT_OK
-    elif args.bounds_cmd == "ceiling":
-        print(bounds_mod.quadratic_ceiling(args.k0, args.n0, args.N))  # "9" or "50/9"
-        return EXIT_OK
-    else:  # pragma: no cover - argparse enforces choices
-        raise ValueError(f"unknown bounds subcommand {args.bounds_cmd}")
+    try:
+        if args.bounds_cmd == "table1":
+            text = bounds_mod.table1_csv(bounds_mod.table_pub_vs_cheb(seeds))
+        elif args.bounds_cmd == "table2":
+            text = bounds_mod.table2_csv(bounds_mod.table_derivation(seeds))
+        elif args.bounds_cmd == "query":
+            entry = bounds_mod.best_cheb_bound(args.N, seeds)
+            n, m = entry.witness
+            print(f"N={entry.target_degree} L_Ch={entry.value} witness=({n},{m}) source={entry.source}")
+            print(bounds_mod.inequality_chain(entry))
+            return EXIT_OK
+        elif args.bounds_cmd == "ceiling":
+            print(bounds_mod.quadratic_ceiling(args.k0, args.n0, args.N))  # "9" or "50/9"
+            return EXIT_OK
+        else:  # pragma: no cover - argparse enforces choices
+            raise ValueError(f"unknown bounds subcommand {args.bounds_cmd}")
+    except (bounds_mod.MissingSeedError, bounds_mod.NoWitnessError) as err:
+        return _error(err, EXIT_NO_WITNESS)
 
     if args.fmt == "json":
         rows = list(csv.reader(text.splitlines()))
@@ -219,6 +224,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_branches(args) -> int:
+    from .branches import branch_set_to_json, cheb_branches, full_branch_intervals
+    from .polynomials import fmt9, unipoly_from_json
+
     if (args.poly is None) == (args.cheb is None):
         raise ValueError("give exactly one of POLY.json or --cheb M")
     if args.cheb is not None:
@@ -236,6 +244,8 @@ def cmd_branches(args) -> int:
             out["lo"], out["hi"] = lo, hi
     sys.stdout.write(_dump_json(blob))
     if args.svg:
+        from .svgplot import poly_graph_svg
+
         span = 1.05
         n = 400
         pts = []
@@ -273,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex = sub.add_parser("example", help="one-cycle cubic seed: pullback, lift, plots")
     p_ex.add_argument("--m", type=int, default=3, help="cover degree (default 3)")
     p_ex.add_argument("--rho", default="1/2", help="cycle radius in (0,1), e.g. 1/2")
-    p_ex.add_argument("--tol", type=float, default=DEFAULT_CONFIG.tol, help="integration tolerance")
+    p_ex.add_argument("--tol", type=float, help="integration tolerance")
     p_ex.add_argument("--out-dir", default="example_out", help="output directory")
 
     p_b = sub.add_parser("bounds", help="lower-bound tables and queries")
@@ -310,17 +320,9 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except ParseFailure as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(err, EXIT_PARSE)
     except (ValueError, OverflowError, OSError) as err:  # a float overflow; an unwritable output path
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARAMS
-    except (bounds_mod.MissingSeedError, bounds_mod.NoWitnessError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NO_WITNESS
-    except DynamicsError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DYNAMICS
+        return _error(err, EXIT_PARAMS)
 
 
 def entrypoint() -> None:  # console_scripts target

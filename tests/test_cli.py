@@ -384,11 +384,14 @@ class TestExampleCommand:
     def test_m3_matches_golden(self, tmp_path):
         # tests/golden/example_m3_rho1_2 holds the two CSVs and the two SVGs
         # as first written, so this pins the bytes across changes, not only
-        # between two runs
-        out = tmp_path / "ex"
-        assert main(["example", "--m", "3", "--rho", "1/2", "--out-dir", str(out)]) == 0
-        for name in ("cycles.csv", "residuals.csv", "phase_portrait.svg", "branch_rectangles.svg"):
-            assert (out / name).read_bytes() == (GOLDEN / "example_m3_rho1_2" / name).read_bytes()
+        # between two runs; --tol given as its default writes them too
+        from cyclerep.dynamics import DynamicsConfig
+
+        for n, tol_args in enumerate(([], ["--tol", str(DynamicsConfig.tol)])):
+            out = tmp_path / f"ex{n}"
+            assert main(["example", "--m", "3", "--rho", "1/2", *tol_args, "--out-dir", str(out)]) == 0
+            for name in ("cycles.csv", "residuals.csv", "phase_portrait.svg", "branch_rectangles.svg"):
+                assert (out / name).read_bytes() == (GOLDEN / "example_m3_rho1_2" / name).read_bytes()
 
     def test_m8_cycles_match_golden(self, tmp_path):
         # tests/golden/example_m8_rho2_3/cycles.csv pins all 64 lifted
@@ -495,15 +498,32 @@ class TestExampleCommand:
 
     def test_lift_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         from cyclerep.dynamics import LiftError
-        import cyclerep.cli as cli_mod
 
         def boom(pb, base, m, cfg):
             raise LiftError([(1, 1, "synthetic failure")], {})
 
-        monkeypatch.setattr(cli_mod, "lift_cycles", boom)
+        # the handler looks the name up in cyclerep.dynamics when it runs
+        monkeypatch.setattr("cyclerep.dynamics.lift_cycles", boom)
         assert main(["example", "--m", "2", "--out-dir", str(tmp_path / "x")]) == 4
         assert "(1,1)" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_cycle_search_error_exits_4(self, tmp_path, monkeypatch, capsys):
+        # a DynamicsError out of the base search: one error line, exit 4 and
+        # no output directory; cyclerep.cli is patched too in case it holds
+        # its own binding of find_cycle
+        from cyclerep.dynamics import CycleSearchError
+
+        def boom(field, section, s0, cfg):
+            raise CycleSearchError("synthetic search failure")
+
+        monkeypatch.setattr("cyclerep.dynamics.find_cycle", boom)
+        monkeypatch.setattr("cyclerep.cli.find_cycle", boom, raising=False)
+        out = tmp_path / "x"
+        assert main(["example", "--m", "2", "--out-dir", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: synthetic search failure"]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["example", "bounds", "pullback", "branches"])
@@ -525,9 +545,18 @@ def test_unwritable_output_path_exits_3(tmp_path, radial_half, capsys, command):
     assert afile.read_text() == "" and not missing.exists()
 
 
+def run_fresh(probe: str, cwd) -> subprocess.CompletedProcess:
+    """Run probe in a fresh interpreter on this checkout's cyclerep: this
+    one has numpy, scipy and every cyclerep layer loaded by the tests."""
+    src = str(Path(cyclerep.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd, capture_output=True, text=True,
+                          timeout=60)
+
+
 class TestRuntimeImports:
-    def test_cli_runs_without_numpy_or_scipy(self):
-        # a fresh interpreter: this one has numpy and scipy loaded by the tests
+    def test_cli_runs_without_numpy_or_scipy(self, tmp_path):
         probe = (
             "import sys\n"
             "import cyclerep.cli\n"
@@ -536,10 +565,30 @@ class TestRuntimeImports:
             "print('loaded:', loaded, file=sys.stderr)\n"
             "sys.exit(code or bool(loaded))\n"
         )
-        src = str(Path(cyclerep.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        run = run_fresh(probe, tmp_path)
         assert run.stderr.strip() == "loaded: []"
         assert run.returncode == 0
         assert run.stdout == (GOLDEN / "table1.csv").read_text()
+
+    @pytest.mark.parametrize("argv, layers", [
+        (["bounds", "table1"], {"bounds", "polynomials"}),
+        (["branches", "--cheb", "3"], {"branches", "polynomials"}),
+        (["pullback", str(GOLDEN / "pullback_field.json"), "--m", "2"], {"pullback", "polynomials"}),
+        (["example", "--m", "2"], {"branches", "dynamics", "polynomials", "pullback", "svgplot"}),
+    ], ids=["bounds", "branches", "pullback", "example"])
+    def test_command_loads_only_its_layers(self, tmp_path, argv, layers):
+        # each subcommand imports the layers it runs and no other, and
+        # neither numpy nor scipy
+        probe = (
+            "import sys\n"
+            "from cyclerep.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(sorted(m for m in sys.modules if m.startswith('cyclerep.')), file=sys.stderr)\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        run = run_fresh(probe, tmp_path)
+        assert run.returncode == 0, run.stderr
+        modules, third_party = run.stderr.splitlines()[-2:]
+        assert modules == str(sorted(f"cyclerep.{name}" for name in layers | {"cli"}))
+        assert third_party == "[]"
