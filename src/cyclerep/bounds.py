@@ -6,8 +6,14 @@ lower bound L(n) on the cycle count at degree n yields m^2 L(n) at
 target degree N whenever N + 1 = (n + 1) m.  This module keeps the seed
 records as data, enumerates admissible factorizations to get the best
 one-step consequence per target degree, reproduces the two comparison
-tables, and evaluates the quadratic ceiling k0 ((N+1)/(n0+1))^2 that
-caps every replication-only schedule.
+tables, and evaluates the quadratic ceiling k0 ((N+1)/(n0+1))^2.
+
+Iterating adds nothing: pulling back by T_{m_1}, ..., then T_{m_r} is
+the one pullback by T_q, q = m_1 ... m_r, as T_a o T_b = T_ab (see
+`cyclerep.pullback`).  So the schedule (m_1, ..., m_r) from a degree-n0
+seed with k0 cycles reaches degree (n0 + 1) q - 1 with k0 q^2 cycles:
+`replication_bound(n0, q, seeds)`, exactly the ceiling.  Bounds growing
+faster than N^2, such as the n^2 log n family, need another mechanism.
 """
 
 from __future__ import annotations
@@ -259,40 +265,3 @@ def quadratic_ceiling(k0: int, n0: int, N: int) -> Fraction:
     ratio = Fraction(N + 1, n0 + 1)
     return k0 * ratio * ratio
 
-
-@dataclass(frozen=True)
-class Schedule:
-    """An iterated replication plan: seed (n0, k0) and cover degrees m_j."""
-
-    n0: int
-    k0: int
-    steps: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n0, k0, steps = as_integer(self.n0), as_integer(self.k0), tuple(map(as_integer, self.steps))
-        if n0 < 1:
-            raise ValueError("n0 must be >= 1")
-        if k0 < 0:
-            raise ValueError("k0 must be >= 0")
-        if any(m < 2 for m in steps):
-            raise ValueError("every replication step needs cover degree >= 2")
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "k0", k0)
-        object.__setattr__(self, "steps", steps)
-
-
-def schedule_bound(s: Schedule) -> tuple[int, int]:
-    """Final degree and cycle bound of an iterated replication schedule.
-
-    Each step multiplies degree-plus-one by m_j and the cycle count by
-    m_j^2, so the result saturates the quadratic ceiling exactly; that
-    identity is asserted here.
-    """
-    degree_plus_one = s.n0 + 1
-    cycle_bound = s.k0
-    for m in s.steps:
-        degree_plus_one *= m
-        cycle_bound *= m * m
-    N = degree_plus_one - 1
-    assert Fraction(cycle_bound) == quadratic_ceiling(s.k0, s.n0, N)
-    return N, cycle_bound

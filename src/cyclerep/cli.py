@@ -242,8 +242,7 @@ def cmd_branches(args) -> int:
         lo, hi = float(fmt9(out["lo"])), float(fmt9(out["hi"]))
         if lo < hi:  # equal at 9 digits: the full ends are kept, so lo < hi shows
             out["lo"], out["hi"] = lo, hi
-    sys.stdout.write(_dump_json(blob))
-    if args.svg:
+    if args.svg:  # before the JSON, so a plot or a path that fails leaves stdout empty
         from .svgplot import poly_graph_svg
 
         span = 1.05
@@ -255,6 +254,7 @@ def cmd_branches(args) -> int:
             y = float(bset.poly.evaluate(Fraction(x)))
             pts.append((x, max(-1.1, min(1.1, y))))
         Path(args.svg).write_text(poly_graph_svg(pts, bset.intervals), encoding="utf-8")
+    sys.stdout.write(_dump_json(blob))
     return EXIT_OK
 
 

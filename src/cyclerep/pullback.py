@@ -16,6 +16,12 @@ Y_1 = p'(v) P o Phi, and the second exactly when Y_2 = p'(u) Q o Phi.
 with lambda, m**2 terms times those of X o Phi.  The replication
 theorem concerns these separable pullbacks only, so no other covering
 map is built here.
+
+Pullbacks compose, for any covers p and q: pulling X back by p and the
+result by q is the one pullback of X by p o q, as the chain rule gives
+q'(v) p'(q(v)) = (p o q)'(v).  Its degree is (d + 1) deg(p) deg(q) - 1
+for a degree-d field X.  For Chebyshev covers T_a o T_b = T_ab, so
+iterated replication is one replication (see `cyclerep.bounds`).
 """
 
 from __future__ import annotations

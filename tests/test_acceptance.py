@@ -10,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from cyclerep.bounds import Schedule, best_cheb_bound, builtin_seed_table, quadratic_ceiling, schedule_bound
+from cyclerep.bounds import (
+    SeedBound,
+    SeedTable,
+    best_cheb_bound,
+    builtin_seed_table,
+    quadratic_ceiling,
+    replication_bound,
+)
 from cyclerep.branches import branch_inverse, cheb_branches, full_branch_intervals
 from cyclerep.cli import main
 from cyclerep.dynamics import lift_cycles, radial_cubic_field
@@ -164,35 +171,39 @@ def test_criterion_6_branch_suite():
 
 
 def _factorizations(q):
+    """Every ordered tuple of factors >= 2 with product q."""
     if q == 1:
         return [()]
-    out = []
-    for m in range(2, q + 1):
-        if q % m == 0:
-            out.extend((m,) + rest for rest in _factorizations(q // m) if not rest or rest[0] >= m)
-    return out
+    return [(m,) + rest for m in range(2, q + 1) if q % m == 0 for rest in _factorizations(q // m)]
 
 
-def test_criterion_7_quadratic_ceiling():
+def test_criterion_7_quadratic_ceiling(radial_half):
+    # a schedule (m_1, ..., m_r) is the one replication step by q = m_1 ... m_r,
+    # which saturates the ceiling
     rng = random.Random(41)
     ok = True
     for _ in range(100):
-        s = Schedule(
-            rng.randint(1, 9),
-            rng.randint(0, 40),
-            tuple(rng.randint(2, 6) for _ in range(rng.randint(1, 4))),
-        )
-        N, bound = schedule_bound(s)
-        ok = ok and Fraction(bound) == quadratic_ceiling(s.k0, s.n0, N)
+        n0, k0 = rng.randint(1, 9), rng.randint(0, 40)
+        q = math.prod(rng.randint(2, 6) for _ in range(rng.randint(1, 4)))
+        N = (n0 + 1) * q - 1
+        if k0:  # a seed table holds positive bounds only; k0 = 0 leaves the ceiling 0
+            entry = replication_bound(n0, q, SeedTable(((n0, SeedBound(k0, "s")),)))
+            ok = ok and entry.target_degree == N and entry.value == quadratic_ceiling(k0, n0, N)
+        else:
+            ok = ok and quadratic_ceiling(k0, n0, N) == 0
 
     # the worked example saturates the ceiling: 9 = 1 * (12/4)^2
     ok = ok and quadratic_ceiling(1, 3, 11) == 9
-    N_m3, bound_m3 = schedule_bound(Schedule(3, 1, (3,)))
-    ok = ok and (N_m3, bound_m3) == (11, 9)
 
-    for q in range(2, 65):
-        bounds_seen = {schedule_bound(Schedule(3, 1, f))[1] for f in _factorizations(q)}
-        ok = ok and bounds_seen == {q * q}
+    # the reason, as exact fields: pulling back by T_{m_1}, then T_{m_2}, ...,
+    # in every order, is pulling back once by T_q
+    for q in range(2, 17):
+        once = build_pullback(radial_half, chebyshev(q)).field
+        for steps in _factorizations(q):
+            field = radial_half
+            for m in steps:
+                field = build_pullback(field, chebyshev(m)).field
+            ok = ok and field == once
     report(7, "quadratic ceiling properties", ok)
 
 

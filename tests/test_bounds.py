@@ -15,7 +15,6 @@ from cyclerep.bounds import (
     PROHENS_TORREGROSA,
     MissingSeedError,
     NoWitnessError,
-    Schedule,
     SeedBound,
     SeedTable,
     admissible_factorizations,
@@ -24,7 +23,6 @@ from cyclerep.bounds import (
     inequality_chain,
     quadratic_ceiling,
     replication_bound,
-    schedule_bound,
     seed_table_from_json,
     table1_csv,
     table2_csv,
@@ -90,6 +88,17 @@ class TestReplicationBound:
         assert (e.target_degree, e.value, e.witness) == (31, 1380, (15, 2))
         e = replication_bound(4, 5, SEEDS)
         assert (e.target_degree, e.value, e.witness) == (24, 700, (4, 5))
+
+    @pytest.mark.parametrize("n0, k0, steps, expected", [
+        (3, 1, (3,), (11, 9)),
+        (3, 1, (2, 2), (15, 16)),
+        (3, 1, (4,), (15, 16)),
+        (9, 120, (3,), (29, 1080)),
+    ], ids=["3", "2x2", "4", "h29"])
+    def test_schedule_is_one_step_by_the_product(self, n0, k0, steps, expected):
+        # pulling back by T_a, then T_b, is pulling back once by T_ab
+        e = replication_bound(n0, math.prod(steps), SeedTable(((n0, SeedBound(k0, "s")),)))
+        assert (e.target_degree, e.value) == expected
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -223,6 +232,11 @@ class TestQuadraticCeiling:
         with pytest.raises(ValueError):
             quadratic_ceiling(1, 3, 2)
 
+    def test_shipped_tables_saturate(self):
+        for entry in table_derivation():
+            n, m = entry.witness
+            assert entry.value == quadratic_ceiling(entry.value // (m * m), n, entry.target_degree)
+
     @pytest.mark.parametrize("k0, n0, N", [(2.5, 3, 11), (1, 3.0, 11), (1, 3, 11.0), ("1", 3, 11), (1, 3, Fraction(11))])
     def test_non_integer_inputs_rejected(self, k0, n0, N):
         # 2.5 does not give the float 22.5, nor 11.0 a float ratio
@@ -230,63 +244,25 @@ class TestQuadraticCeiling:
             quadratic_ceiling(k0, n0, N)
 
 
-def factorizations(q):
-    """All multisets of factors >= 2 with the given product."""
-    if q == 1:
-        return [()]
-    out = []
-    for m in range(2, q + 1):
-        if q % m == 0:
-            out.extend((m,) + rest for rest in factorizations(q // m) if not rest or rest[0] >= m)
-    return out
-
-
 class TestScheduleBound:
-    def test_worked_example(self):
-        assert schedule_bound(Schedule(3, 1, (3,))) == (11, 9)
-
-    def test_factorization_independence_example(self):
-        assert schedule_bound(Schedule(3, 1, (2, 2))) == (15, 16)
-        assert schedule_bound(Schedule(3, 1, (4,))) == (15, 16)
-
-    def test_h29_derivation(self):
-        assert schedule_bound(Schedule(9, 120, (3,))) == (29, 1080)
-
-    def test_invalid_schedules(self):
-        with pytest.raises(ValueError):
-            Schedule(3, 1, (1,))
-        with pytest.raises(ValueError):
-            Schedule(0, 1, (2,))
-
-    @pytest.mark.parametrize("n0, k0, steps", [(3, 1, (2.7, 3.9)), (3, 1.5, (2,)), (2.5, 1, (2,)), (3, 1, ("2",))])
-    def test_non_integer_schedule_rejected(self, n0, k0, steps):
-        # 2.7 is not truncated to 2, nor "2" parsed, nor 1.5 carried into a float bound
-        with pytest.raises(ValueError, match="expected an integer"):
-            Schedule(n0, k0, steps)
-
-    def test_independence_all_products_up_to_64(self):
-        for q in range(2, 65):
-            results = {schedule_bound(Schedule(3, 2, f)) for f in factorizations(q)}
-            assert results == {((3 + 1) * q - 1, 2 * q * q)}
-
+    # the schedule (m_1, ..., m_r) from a seed (n0, k0) is one replication
+    # step by m_1 ... m_r; k0 >= 1, as a SeedTable holds only positive bounds
     def test_random_schedules_saturate_ceiling(self):
         rng = random.Random(314)
         for _ in range(100):
-            s = Schedule(
-                rng.randint(1, 9),
-                rng.randint(0, 50),
-                tuple(rng.randint(2, 5) for _ in range(rng.randint(1, 4))),
-            )
-            N, bound = schedule_bound(s)
-            assert Fraction(bound) == quadratic_ceiling(s.k0, s.n0, N)
+            n0, k0 = rng.randint(1, 9), rng.randint(1, 50)
+            steps = [rng.randint(2, 5) for _ in range(rng.randint(1, 4))]
+            e = replication_bound(n0, math.prod(steps), SeedTable(((n0, SeedBound(k0, "s")),)))
+            assert e.value == quadratic_ceiling(k0, n0, e.target_degree)
 
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(1, 9),
-        st.integers(0, 30),
+        st.integers(1, 30),
         st.lists(st.integers(2, 6), min_size=1, max_size=4),
     )
     def test_saturation_property(self, n0, k0, steps):
-        N, bound = schedule_bound(Schedule(n0, k0, tuple(steps)))
-        assert Fraction(bound) == quadratic_ceiling(k0, n0, N)
-        assert N + 1 == (n0 + 1) * math.prod(steps)
+        q = math.prod(steps)
+        e = replication_bound(n0, q, SeedTable(((n0, SeedBound(k0, "s")),)))
+        assert e.target_degree + 1 == (n0 + 1) * q
+        assert e.value == quadratic_ceiling(k0, n0, e.target_degree)

@@ -361,11 +361,17 @@ class TestBranchesCommand:
         assert iv.lo < 1e6 < iv.hi
         assert (iv.lo, iv.hi) == (math.nextafter(1e6, 0), math.nextafter(1e6, 2e6))
 
-    def test_svg_of_huge_coefficient_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cheb, svg", [(None, "g.svg"), ("2", "missing/x.svg")],
+                             ids=["huge_coefficient", "missing_directory"])
+    def test_svg_of_huge_coefficient_exits_3(self, tmp_path, capsys, cheb, svg):
+        # the SVG is written before the JSON, so a failed run prints nothing
         poly_file = tmp_path / "steep.json"
         poly_file.write_text(json.dumps({"coeffs": ["0", "1", "0", str(10**400)]}))
-        assert main(["branches", str(poly_file), "--svg", str(tmp_path / "g.svg")]) == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        source = ["--cheb", cheb] if cheb else [str(poly_file)]
+        assert main(["branches", *source, "--svg", str(tmp_path / svg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestExampleCommand:

@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclerep.polynomials import BiPoly, UniPoly, VectorField2, chebyshev, compose_separable
 from cyclerep.pullback import (
@@ -204,11 +206,25 @@ class TestCancelledCheck:
         assert not verify_conjugacy(doubled, radial_half)
 
 
+# integer covers of degree 2 or 3
+COVERS = st.builds(
+    lambda low, top: UniPoly((*low, top)),
+    st.lists(st.integers(-4, 4), min_size=2, max_size=3),
+    st.integers(-4, 4).filter(bool),
+)
+QUADRATIC_MONOMIALS = [(du, dv) for du in range(3) for dv in range(3 - du)]
+QUADRATIC_PARTS = st.lists(st.fractions(-3, 3, max_denominator=4), min_size=6, max_size=6).map(
+    lambda cs: BiPoly(dict(zip(QUADRATIC_MONOMIALS, cs)))
+)
+# seed fields of degree 1 or 2
+SEED_FIELDS = st.builds(VectorField2, QUADRATIC_PARTS, QUADRATIC_PARTS).filter(lambda X: X.degree() >= 1)
+
+
 class TestIteratedReplication:
-    """T_a o T_b = T_ab, so pulling back by T_a and then by T_b is pulling
-    back once by T_ab (chain rule: T_b'(v) T_a'(T_b(v)) = T_ab'(v)): the
-    (ab)^2 rectangles of the composite cover come from replicating twice.
-    Both are exact polynomial identities."""
+    """Pulling back by p and then by q is pulling back once by p o q
+    (chain rule: q'(v) p'(q(v)) = (p o q)'(v)), for any covers.  With
+    T_a o T_b = T_ab, the (ab)^2 rectangles of the composite cover come
+    from replicating twice.  All are exact polynomial identities."""
 
     @pytest.mark.parametrize("a", [2, 3, 4])
     @pytest.mark.parametrize("b", [2, 3, 4])
@@ -224,6 +240,20 @@ class TestIteratedReplication:
         once = build_pullback(radial_half, chebyshev(a * b))
         assert twice.field == once.field
         assert twice.field.degree() == 4 * a * b - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(SEED_FIELDS, COVERS, COVERS)
+    def test_two_pullbacks_are_one_for_any_covers(self, X, p, q):
+        # p o q by the substitution the pullback itself uses, read back densely
+        terms = dict(compose_separable(BiPoly.from_uni(p, 0), q).terms)
+        pq = UniPoly(tuple(terms.get((k, 0), 0) for k in range(p.degree() * q.degree() + 1)))
+        first = build_pullback(X, p)
+        twice = build_pullback(first.field, q)
+        once = build_pullback(X, pq)
+        assert twice.field == once.field
+        assert check_exact_degree(first, X) and check_exact_degree(twice, first.field)
+        assert check_exact_degree(once, X)
+        assert once.field.degree() == (X.degree() + 1) * p.degree() * q.degree() - 1
 
 
 class TestSerialization:
