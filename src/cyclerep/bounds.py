@@ -5,8 +5,8 @@ cycles into a degree-(nm + m - 1) field with m^2 k cycles, so any seed
 lower bound L(n) on the cycle count at degree n yields m^2 L(n) at
 target degree N whenever N + 1 = (n + 1) m.  This module keeps the seed
 records as data, enumerates admissible factorizations to get the best
-one-step consequence per target degree, reproduces the two comparison
-tables, and evaluates the quadratic ceiling k0 ((N+1)/(n0+1))^2.
+one-step consequence per target degree, gives the rows of the two
+comparison tables, and evaluates the quadratic ceiling k0 ((N+1)/(n0+1))^2.
 
 Iterating adds nothing: pulling back by T_{m_1}, ..., then T_{m_r} is
 the one pullback by T_q, q = m_1 ... m_r, as T_a o T_b = T_ab (see
@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
-from .polynomials import as_integer, csv_text
+from .polynomials import as_integer
 
 HAN_LI = "HanLi"
 PROHENS_TORREGROSA = "ProhensTorregrosa"
@@ -197,58 +197,29 @@ def inequality_chain(entry: BoundEntry) -> str:
     return f"H({entry.target_degree}) ≥ {msq}·H({n}) ≥ {msq}·{seed} = {entry.value}"
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One row of the published-vs-replication comparison table."""
-
-    N: int
-    l_pub: int
-    pub_source: str
-    l_cheb: int
-    witness: tuple[int, int]
-    delta: int
-
-
-def table_pub_vs_cheb(seeds: Optional[SeedTable] = None) -> list[ComparisonRow]:
-    seeds = seeds or builtin_seed_table()
-    rows = []
+def table1_rows(seeds: SeedTable) -> list[list[str]]:
+    """Published vs replication bound per comparison degree: the header,
+    then one row of string cells per degree."""
+    rows = [["N", "L_pub(N)", "L_Ch(N)", "seed (n,m)", "Delta"]]
     for N in COMPARISON_DEGREES:
-        l_pub, src = _PUB_ROWS[N]
+        l_pub = _PUB_ROWS[N][0]
         entry = best_cheb_bound(N, seeds)
-        rows.append(
-            ComparisonRow(
-                N=N,
-                l_pub=l_pub,
-                pub_source=src,
-                l_cheb=entry.value,
-                witness=entry.witness,
-                delta=entry.value - l_pub,
-            )
-        )
+        n, m = entry.witness
+        rows.append([str(N), str(l_pub), str(entry.value), f"({n},{m})", str(entry.value - l_pub)])
     return rows
 
 
-def table_derivation(seeds: Optional[SeedTable] = None) -> list[BoundEntry]:
-    seeds = seeds or builtin_seed_table()
-    return [best_cheb_bound(N, seeds) for N in COMPARISON_DEGREES]
-
-
-def table1_csv(rows: Optional[list[ComparisonRow]] = None) -> str:
-    rows = rows if rows is not None else table_pub_vs_cheb()
-    return csv_text([["N", "L_pub(N)", "L_Ch(N)", "seed (n,m)", "Delta"]] + [
-        [r.N, r.l_pub, r.l_cheb, f"({r.witness[0]},{r.witness[1]})", r.delta] for r in rows
-    ])
-
-
-def table2_csv(rows: Optional[list[BoundEntry]] = None) -> str:
-    rows = rows if rows is not None else table_derivation()
-    lines = [["N", "factorization of N+1", "seed bound used", "theorem output", "value of L_Ch(N)"]]
-    for r in rows:
-        N, (n, m) = r.target_degree, r.witness
-        seed = r.value // (m * m)  # exact: value = m^2 * seed(n)
-        lines.append([N, f"{N + 1}={n + 1}*{m}", f"H({n})>={seed}",
-                      f"H({N})>={m * m}*{seed}", r.value])
-    return csv_text(lines)
+def table2_rows(seeds: SeedTable) -> list[list[str]]:
+    """Derivation of each comparison degree's replication bound: the
+    header, then one row of string cells per degree."""
+    rows = [["N", "factorization of N+1", "seed bound used", "theorem output", "value of L_Ch(N)"]]
+    for N in COMPARISON_DEGREES:
+        entry = best_cheb_bound(N, seeds)
+        n, m = entry.witness
+        seed = entry.value // (m * m)  # exact: value = m^2 * seed(n)
+        rows.append([str(N), f"{N + 1}={n + 1}*{m}", f"H({n})>={seed}",
+                     f"H({N})>={m * m}*{seed}", str(entry.value)])
+    return rows
 
 
 def quadratic_ceiling(k0: int, n0: int, N: int) -> Fraction:

@@ -16,7 +16,6 @@ digits and no timestamps, so identical inputs reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -193,32 +192,27 @@ def cmd_example(args) -> int:
 
 def cmd_bounds(args) -> int:
     from . import bounds as bounds_mod
+    from .polynomials import csv_text
 
     path = os.environ.get("CYCLEREP_SEED_TABLE")  # a JSON file of seeds in place of the builtin ones
     seeds = (_load(path, bounds_mod.seed_table_from_json, "seed table") if path
              else bounds_mod.builtin_seed_table())
+    tables = {"table1": bounds_mod.table1_rows, "table2": bounds_mod.table2_rows}
     try:
-        if args.bounds_cmd == "table1":
-            text = bounds_mod.table1_csv(bounds_mod.table_pub_vs_cheb(seeds))
-        elif args.bounds_cmd == "table2":
-            text = bounds_mod.table2_csv(bounds_mod.table_derivation(seeds))
-        elif args.bounds_cmd == "query":
+        if args.bounds_cmd == "query":
             entry = bounds_mod.best_cheb_bound(args.N, seeds)
             n, m = entry.witness
             print(f"N={entry.target_degree} L_Ch={entry.value} witness=({n},{m}) source={entry.source}")
             print(bounds_mod.inequality_chain(entry))
             return EXIT_OK
-        elif args.bounds_cmd == "ceiling":
+        if args.bounds_cmd == "ceiling":
             print(bounds_mod.quadratic_ceiling(args.k0, args.n0, args.N))  # "9" or "50/9"
             return EXIT_OK
-        else:  # pragma: no cover - argparse enforces choices
-            raise ValueError(f"unknown bounds subcommand {args.bounds_cmd}")
+        rows = tables[args.bounds_cmd](seeds)
     except (bounds_mod.MissingSeedError, bounds_mod.NoWitnessError) as err:
         return _error(err, EXIT_NO_WITNESS)
 
-    if args.fmt == "json":
-        rows = list(csv.reader(text.splitlines()))
-        text = _dump_json({"header": rows[0], "rows": rows[1:]})
+    text = _dump_json({"header": rows[0], "rows": rows[1:]}) if args.fmt == "json" else csv_text(rows)
     _emit(text, args.out)
     return EXIT_OK
 

@@ -784,7 +784,8 @@ def lift_cycles(
                 seed = (us[i - 1], vs[j - 1])
                 clearance = rect.boundary_distance(seed)
                 half = min(0.45 * clearance, DynamicsConfig.section_cap)
-                if half <= DynamicsConfig.margin:
+                if half <= DynamicsConfig.margin * min(rect.u_interval.hi - rect.u_interval.lo,
+                                                       rect.v_interval.hi - rect.v_interval.lo):
                     raise CycleSearchError("seed too close to the rectangle boundary")
                 sec = _section_through(seed, rhs(*seed)[:2], half)
                 rec = find_cycle(pb, sec, half, cfg)

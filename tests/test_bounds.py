@@ -24,11 +24,10 @@ from cyclerep.bounds import (
     quadratic_ceiling,
     replication_bound,
     seed_table_from_json,
-    table1_csv,
-    table2_csv,
-    table_derivation,
-    table_pub_vs_cheb,
+    table1_rows,
+    table2_rows,
 )
+from cyclerep.polynomials import csv_text
 
 GOLDEN = Path(__file__).parent / "golden"
 SEEDS = builtin_seed_table()
@@ -187,27 +186,25 @@ class TestBestBound:
 
 class TestTables:
     def test_row_n29(self):
-        rows = {r.N: r for r in table_pub_vs_cheb()}
-        r = rows[29]
-        assert (r.l_pub, r.l_cheb, r.witness, r.delta) == (1060, 1080, (9, 3), 20)
+        rows = {r[0]: r for r in table1_rows(SEEDS)}
+        assert rows["29"] == ["29", "1060", "1080", "(9,3)", "20"]
 
     def test_row_n23(self):
-        r = {r.N: r for r in table_pub_vs_cheb()}[23]
-        assert (r.l_pub, r.l_cheb, r.witness, r.delta) == (833, 666, (7, 3), -167)
+        assert {r[0]: r for r in table1_rows(SEEDS)}["23"] == ["23", "833", "666", "(7,3)", "-167"]
 
     def test_row_n13(self):
-        r = {r.N: r for r in table_pub_vs_cheb()}[13]
-        assert (r.l_pub, r.l_cheb, r.witness, r.delta) == (212, 212, (6, 2), 0)
+        assert {r[0]: r for r in table1_rows(SEEDS)}["13"] == ["13", "212", "212", "(6,2)", "0"]
 
     def test_eighteen_rows_each(self):
-        assert len(table_pub_vs_cheb()) == 18
-        assert len(table_derivation()) == 18
+        # the header, then one row per comparison degree
+        assert len(table1_rows(SEEDS)) == 1 + 18
+        assert len(table2_rows(SEEDS)) == 1 + 18
 
     def test_table1_matches_golden(self):
-        assert table1_csv() == (GOLDEN / "table1.csv").read_text()
+        assert csv_text(table1_rows(SEEDS)) == (GOLDEN / "table1.csv").read_text()
 
     def test_table2_matches_golden(self):
-        assert table2_csv() == (GOLDEN / "table2.csv").read_text()
+        assert csv_text(table2_rows(SEEDS)) == (GOLDEN / "table2.csv").read_text()
 
 
 class TestQuadraticCeiling:
@@ -233,7 +230,7 @@ class TestQuadraticCeiling:
             quadratic_ceiling(1, 3, 2)
 
     def test_shipped_tables_saturate(self):
-        for entry in table_derivation():
+        for entry in (best_cheb_bound(N, SEEDS) for N in COMPARISON_DEGREES):
             n, m = entry.witness
             assert entry.value == quadratic_ceiling(entry.value // (m * m), n, entry.target_degree)
 

@@ -181,6 +181,21 @@ class TestBoundsCommand:
             assert blob["rows"] == golden[1:]
             assert len(blob["rows"]) == 18
 
+    def test_seed_table_override_tables_in_both_formats(self, tmp_path, capsys, monkeypatch):
+        # a lone seed at degree 0 is the witness (0, N+1) of every N
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps([{"n": 0, "value": 1, "source": "x"}]))
+        monkeypatch.setenv("CYCLEREP_SEED_TABLE", str(path))
+        row11 = {"table1": ["11", "153", "144", "(0,12)", "-9"],
+                 "table2": ["11", "12=1*12", "H(0)>=1", "H(11)>=144*1", "144"]}
+        for table, want in row11.items():
+            assert main(["bounds", table]) == 0
+            rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+            assert main(["bounds", table, "--format", "json"]) == 0
+            blob = json.loads(capsys.readouterr().out)
+            assert [blob["header"], *blob["rows"]] == rows
+            assert len(rows) == 19 and rows[1] == want
+
     @pytest.mark.parametrize("table", ["table1", "table2"])
     def test_json_matches_golden(self, table, tmp_path):
         # tests/golden/table{1,2}.json: the JSON tables as first written pin the bytes
@@ -417,6 +432,12 @@ class TestExampleCommand:
         got = (out / "cycles.csv").read_bytes()
         assert got == (GOLDEN / "example_m12_rho1_2" / "cycles.csv").read_bytes()
         assert got.count(b"\n") == 1 + 144
+
+    def test_m16_lifts_every_rectangle(self, tmp_path, capsys):
+        # edge branches at m = 16 are narrower than an absolute 1e-3 seed
+        # guard allowed: 32 rectangles once failed and the run exited 4
+        assert main(["example", "--m", "16", "--rho", "1/2", "--out-dir", str(tmp_path / "ex")]) == 0
+        assert "lifted cycles: 256 (expected 256)\n" in capsys.readouterr().out
 
     def test_m15_residuals_are_exact(self, tmp_path, radial_half, base_cycle):
         # each written residual is T_m(u)^2 + T_m(v)^2 - rho^2 at its anchor,

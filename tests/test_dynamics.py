@@ -1471,6 +1471,30 @@ class TestLiftLargeCover:
             assert abs(r.multiplier - target) <= 1e-5 * target
         assert elapsed < wall_s
 
+    # the seed guard is in rectangle units: edge branches are about 4.9/m^2
+    # wide, and an absolute 1e-3 turned away 32 of the 256 seeds at m = 16
+    # (rho in {1/2, 2/3, 3/4}).  Wall bounds are about 5x the measured 0.42,
+    # 0.35, 0.58 and 1.37 s on a 2-core x86 host; worst errors 4.2e-7,
+    # 8.7e-7, 8.1e-7 and 2.3e-6
+    @pytest.mark.parametrize("m, rho, wall_s", [
+        (16, "1/2", 3.0), (16, "2/3", 3.0), (16, "3/4", 3.0), (22, "1/2", 7.0),
+    ])
+    def test_narrow_edge_rectangles_certified(self, m, rho, wall_s):
+        rho = Fraction(rho)
+        X = radial_cubic_field(rho)
+        base = find_cycle(X, Section(base=(0.0, 0.0), direction=(1.0, 0.0), s_max=1.0), float(rho))
+        pb = build_pullback(X, chebyshev(m))
+        start = time.perf_counter()
+        records = lift_cycles(pb, base, m)
+        elapsed = time.perf_counter() - start
+        assert len(records) == m * m and all(r.certified for r in records)
+        assert all(r.rect.contains(r.anchor, DynamicsConfig.margin) for r in records)
+        mu = math.exp(-4 * math.pi * float(rho) ** 2)
+        for r in records:
+            target = 1 / mu if r.orientation_reversed else mu
+            assert abs(r.multiplier - target) <= 1e-5 * target
+        assert elapsed < wall_s
+
 
 class TestImplicitCurve:
     def test_m2_by_hand(self):
