@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -72,8 +71,6 @@ def cmd_pullback(args) -> int:
     from .pullback import build_pullback, check_exact_degree, pullback_result_to_json, verify_conjugacy
 
     field = _load(args.field, field_from_json, "vector field")
-    if args.m < 2:
-        raise ValueError(f"cover degree must be >= 2, got {args.m}")
     result = build_pullback(field, chebyshev(args.m))
     ok_conj = verify_conjugacy(result, field)
     ok_deg = check_exact_degree(result, field)
@@ -106,18 +103,10 @@ def cmd_example(args) -> int:
     from .svgplot import branch_grid_svg, phase_portrait_svg
 
     m = args.m
-    if m < 2:
-        raise ValueError(f"cover degree must be >= 2, got {m}")
     try:
         rho = fraction_from_str(args.rho)
     except ValueError as err:
         raise ParseFailure(f"bad rho {args.rho!r}: {err}") from err
-    if not 0 < rho < 1:
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    tol = DynamicsConfig.tol if args.tol is None else args.tol
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    cfg = DynamicsConfig(tol=tol)
     try:
         field = radial_cubic_field(rho)
         pb = build_pullback(field, chebyshev(m))
@@ -126,13 +115,13 @@ def cmd_example(args) -> int:
             return EXIT_DYNAMICS
 
         section = Section(base=(0.0, 0.0), direction=(1.0, 0.0), s_max=1.0)
-        base = find_cycle(field, section, float(rho), cfg)
+        base = find_cycle(field, section, float(rho))
         if not base.certified:
             print(f"error: base cycle not certified hyperbolic: multiplier {fmt9(base.multiplier)}"
                   f" within eps_hyp={DynamicsConfig.eps_hyp:g} of 1", file=sys.stderr)
             return EXIT_DYNAMICS
         try:
-            records = lift_cycles(pb, base, m, cfg)
+            records = lift_cycles(pb, base, m)
         except LiftError as err:
             for i, j, why in err.failures:
                 print(f"rectangle ({i},{j}) failed: {why}", file=sys.stderr)
@@ -252,21 +241,8 @@ def cmd_branches(args) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that takes "-1e-9" as a value, not an option.
-
-    Before Python 3.13, argparse treats only "-5" and "-.5"-style tokens as
-    negative numbers, so "--tol -1e-9" failed to parse (exit 2) instead of
-    reaching the parameter check (exit 3).  This is the 3.13 pattern.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="cyclerep", description=__doc__)
+    ap = argparse.ArgumentParser(prog="cyclerep", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_pb = sub.add_parser("pullback", help="separable Chebyshev pullback of a field file")
@@ -277,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex = sub.add_parser("example", help="one-cycle cubic seed: pullback, lift, plots")
     p_ex.add_argument("--m", type=int, default=3, help="cover degree (default 3)")
     p_ex.add_argument("--rho", default="1/2", help="cycle radius in (0,1), e.g. 1/2")
-    p_ex.add_argument("--tol", type=float, help="integration tolerance")
     p_ex.add_argument("--out-dir", default="example_out", help="output directory")
 
     p_b = sub.add_parser("bounds", help="lower-bound tables and queries")

@@ -85,10 +85,11 @@ class LiftError(DynamicsError):
 
 @dataclass(frozen=True)
 class DynamicsConfig:
-    """The integration tolerance `tol`, the one settable value, and the
-    fixed limits of the cycle search as class constants."""
+    """The fixed limits of the return map and the cycle search, as class
+    constants.  Only `integrate` and `poincare_return` take a tolerance,
+    defaulting to `tol`."""
 
-    tol: float = 1e-10                      # integrator local error control
+    tol: ClassVar[float] = 1e-10            # integrator local error control
     eps_fix: ClassVar[float] = 1e-9         # |return(s) - s| at an accepted fixed point
     eps_transverse: ClassVar[float] = 1e-8  # minimum |normal . field| at a crossing
     eps_hyp: ClassVar[float] = 1e-3         # |multiplier - 1| needed to certify
@@ -350,8 +351,8 @@ class DOP853:
     """
 
     def __init__(self, fun, t0: float, y0, t_bound: float, rtol: float, atol: float):
-        if not (rtol > 0 and atol > 0):
-            raise ValueError(f"tolerances must be positive, got rtol={rtol}, atol={atol}")
+        if not (0 < rtol < math.inf and 0 < atol < math.inf):
+            raise ValueError(f"tolerances must be positive and finite, got rtol={rtol}, atol={atol}")
         self.fun = fun
         self.t, self.y, self.t_bound = float(t0), (float(y0[0]), float(y0[1])), float(t_bound)
         self.w = 0.0
@@ -512,7 +513,7 @@ def integrate(
     start,
     t_span: float,
     n: int,
-    tol: float = DEFAULT_CONFIG.tol,
+    tol: float = DynamicsConfig.tol,
 ) -> list[tuple[float, float]]:
     """The n + 1 (u, v) states of `start`'s flow at the times k (t_span/n),
     k < n, then t_span, with local error control tol.
@@ -522,11 +523,11 @@ def integrate(
     as scipy's OdeSolution reads it; only a step that holds a sample time
     is interpolated.  The RHS is `field_rhs(field)`, whose divergence lane
     w never steers the steps.  Raises IntegrationError (carrying the last
-    valid state) on finite-time blowup, and ValueError for a nonpositive
-    tol or t_span or n < 1.
+    valid state) on finite-time blowup, and ValueError for a tol or t_span
+    that is not positive and finite, or n < 1.
     """
-    if not (t_span > 0 and n >= 1):
-        raise ValueError(f"need t_span > 0 and n >= 1, got t_span={t_span}, n={n}")
+    if not (0 < t_span < math.inf and n >= 1):
+        raise ValueError(f"need 0 < t_span < inf and n >= 1, got t_span={t_span}, n={n}")
     t_span = float(t_span)
     times = [k * (t_span / n) for k in range(n)] + [t_span]
     states: list[tuple[float, float]] = []
@@ -581,16 +582,17 @@ def poincare_return(
     field: VectorField2 | PullbackResult,
     section: Section,
     s: float,
-    cfg: DynamicsConfig = DEFAULT_CONFIG,
+    tol: float = DynamicsConfig.tol,
 ) -> tuple[float, float, float]:
     """First same-orientation return of the flow to the section.
 
-    Integrates at cfg.tol for at most DynamicsConfig.t_max, and watches
-    the signed section offset, its sign set by the field at the start
-    point; when an accepted step brackets a crossing in that direction,
-    the crossing time is refined on that step's dense interpolant.  The
-    integration stops at the crossing, so unstable cycles are not flowed
-    past their return.  Returns (new parameter, flight time, slope).
+    Integrates at tol, by default the cycle search's DynamicsConfig.tol,
+    for at most DynamicsConfig.t_max, and watches the signed section
+    offset, its sign set by the field at the start point; when an
+    accepted step brackets a crossing in that direction, the crossing
+    time is refined on that step's dense interpolant.  The integration
+    stops at the crossing, so unstable cycles are not flowed past their
+    return.  Returns (new parameter, flight time, slope).
     A crossing whose refinement does not converge raises DynamicsError.
 
     The slope is the derivative of the return map at s.  The flow scales
@@ -614,7 +616,7 @@ def poincare_return(
         return sgn * ((z[0] - section.base[0]) * n[0] + (z[1] - section.base[1]) * n[1])
 
     g_prev, t_prev = gval(z0), 0.0
-    for solver in _steps(rhs, z0, DynamicsConfig.t_max, cfg.tol):
+    for solver in _steps(rhs, z0, DynamicsConfig.t_max, tol):
         g_new = gval(solver.y)
         if g_prev < 0.0 <= g_new:
             dense = solver.dense_output()
@@ -678,7 +680,6 @@ def find_cycle(
     field: VectorField2 | PullbackResult,
     section: Section,
     s0: float,
-    cfg: DynamicsConfig = DEFAULT_CONFIG,
 ) -> LimitCycleRecord:
     """Locate a fixed point of the return map by Newton iteration on
     return(s) - s.
@@ -700,7 +701,7 @@ def find_cycle(
 
     s_cur = float(s0)
     for _ in range(DynamicsConfig.max_iters + 1):
-        r_cur, t_cur, mu = poincare_return(field, section, s_cur, cfg)
+        r_cur, t_cur, mu = poincare_return(field, section, s_cur)
         f_cur = r_cur - s_cur
         if abs(f_cur) <= DynamicsConfig.eps_fix:
             certified = abs(mu - 1.0) > DynamicsConfig.eps_hyp
@@ -749,7 +750,6 @@ def lift_cycles(
     pb: PullbackResult,
     base: LimitCycleRecord,
     m: int,
-    cfg: DynamicsConfig = DEFAULT_CONFIG,
 ) -> list[LimitCycleRecord]:
     """Carry a certified base cycle into every branch rectangle of the
     Chebyshev pullback: m^2 records, ordered by (i, j).
@@ -788,7 +788,7 @@ def lift_cycles(
                                                        rect.v_interval.hi - rect.v_interval.lo):
                     raise CycleSearchError("seed too close to the rectangle boundary")
                 sec = _section_through(seed, rhs(*seed)[:2], half)
-                rec = find_cycle(pb, sec, half, cfg)
+                rec = find_cycle(pb, sec, half)
                 if not rec.certified:
                     raise CycleSearchError(
                         f"lifted cycle not certified hyperbolic (multiplier {rec.multiplier:.6g})"

@@ -405,14 +405,11 @@ class TestExampleCommand:
     def test_m3_matches_golden(self, tmp_path):
         # tests/golden/example_m3_rho1_2 holds the two CSVs and the two SVGs
         # as first written, so this pins the bytes across changes, not only
-        # between two runs; --tol given as its default writes them too
-        from cyclerep.dynamics import DynamicsConfig
-
-        for n, tol_args in enumerate(([], ["--tol", str(DynamicsConfig.tol)])):
-            out = tmp_path / f"ex{n}"
-            assert main(["example", "--m", "3", "--rho", "1/2", *tol_args, "--out-dir", str(out)]) == 0
-            for name in ("cycles.csv", "residuals.csv", "phase_portrait.svg", "branch_rectangles.svg"):
-                assert (out / name).read_bytes() == (GOLDEN / "example_m3_rho1_2" / name).read_bytes()
+        # between two runs
+        out = tmp_path / "ex"
+        assert main(["example", "--m", "3", "--rho", "1/2", "--out-dir", str(out)]) == 0
+        for name in ("cycles.csv", "residuals.csv", "phase_portrait.svg", "branch_rectangles.svg"):
+            assert (out / name).read_bytes() == (GOLDEN / "example_m3_rho1_2" / name).read_bytes()
 
     def test_m8_cycles_match_golden(self, tmp_path):
         # tests/golden/example_m8_rho2_3/cycles.csv pins all 64 lifted
@@ -474,15 +471,25 @@ class TestExampleCommand:
         )
         assert abs(from_csv - worst) <= 1e-8
 
-    @pytest.mark.parametrize("tol", ["0", "-1e-9", "inf"])
-    def test_nonpositive_tol_exits_3(self, tmp_path, tol):
-        # both spellings: argparse before Python 3.13 read a bare -1e-9 as an
-        # option; an infinite tol would pass a bare positivity check, then
-        # fail in the integrator with exit 4
+    def test_tol_is_not_an_option(self, tmp_path, capsys):
+        # the search runs at the one fixed DynamicsConfig.tol
         out = tmp_path / "ex"
-        for tol_args in ([f"--tol={tol}"], ["--tol", tol]):
-            assert main(["example", "--m", "2", *tol_args, "--out-dir", str(out)]) == 3
-            assert not out.exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["example", "--m", "2", "--tol", "1e-9", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m, message", [
+        ("1", "cover polynomial must have degree >= 2, got degree 1"),
+        ("-1", "Chebyshev index must be >= 0, got -1"),
+    ], ids=["m1", "negative"])
+    def test_m_below_2_exits_3(self, tmp_path, capsys, m, message):
+        # the library's own checks: build_pullback and chebyshev
+        out = tmp_path / "ex"
+        assert main(["example", f"--m={m}", "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_lifted_curves_lie_on_the_preimage_in_their_rectangles(self, tmp_path):
         # each drawn lifted cycle is a closed polygon, in (i, j) order; its
@@ -508,8 +515,14 @@ class TestExampleCommand:
                 worst = max(worst, abs(t_m(u) ** 2 + t_m(v) ** 2 - rho**2))
         assert worst <= 1e-6
 
-    def test_bad_rho_exits_3(self, tmp_path):
-        assert main(["example", "--m", "2", "--rho", "2", "--out-dir", str(tmp_path)]) == 3
+    def test_bad_rho_exits_3(self, tmp_path, capsys):
+        # radial_cubic_field's check; a negative value needs the --rho= form,
+        # as argparse before Python 3.13 reads a bare -1/2 as an option
+        out = tmp_path / "ex"
+        for rho_args, shown in ((["--rho", "2"], "2"), (["--rho=-1/2"], "-1/2")):
+            assert main(["example", "--m", "2", *rho_args, "--out-dir", str(out)]) == 3
+            assert capsys.readouterr().err == f"error: rho must lie in (0, 1), got {shown}\n"
+            assert not out.exists()
 
     def test_unparsable_rho_exits_2(self, tmp_path):
         assert main(["example", "--m", "2", "--rho", "x/y", "--out-dir", str(tmp_path)]) == 2
@@ -526,7 +539,7 @@ class TestExampleCommand:
     def test_lift_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         from cyclerep.dynamics import LiftError
 
-        def boom(pb, base, m, cfg):
+        def boom(pb, base, m):
             raise LiftError([(1, 1, "synthetic failure")], {})
 
         # the handler looks the name up in cyclerep.dynamics when it runs
@@ -541,7 +554,7 @@ class TestExampleCommand:
         # its own binding of find_cycle
         from cyclerep.dynamics import CycleSearchError
 
-        def boom(field, section, s0, cfg):
+        def boom(field, section, s0):
             raise CycleSearchError("synthetic search failure")
 
         monkeypatch.setattr("cyclerep.dynamics.find_cycle", boom)

@@ -402,6 +402,33 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="n >= 1"):
             integrate(radial_half, (0.5, 0.0), 1.0, n)
 
+    def test_infinite_t_span_rejected(self, radial_half, monkeypatch):
+        # steps toward t = inf never end; the stepper below cuts off a run
+        # that gets past the check, so that it fails instead of hanging
+        class Bounded(dynamics.RK45):
+            steps = 0
+
+            def step(self):
+                Bounded.steps += 1
+                if Bounded.steps > 10_000:
+                    raise RuntimeError("integrate stepped toward an unreachable t_span")
+                return super().step()
+
+        monkeypatch.setattr(dynamics, "RK45", Bounded)
+        with pytest.raises(ValueError, match="t_span"):
+            integrate(radial_half, (0.9, 0.0), math.inf, 1)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+    @pytest.mark.parametrize("entry", ["integrate", "poincare_return"])
+    def test_tol_must_be_positive_and_finite(self, radial_half, x_axis_section, entry, tol):
+        # a ValueError from the stepper both entries build: an infinite tol
+        # once reached the integrator and failed there as a step size underflow
+        with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+            if entry == "integrate":
+                integrate(radial_half, (0.9, 0.0), 1.0, 1, tol=tol)
+            else:
+                poincare_return(radial_half, x_axis_section, 0.8, tol=tol)
+
 
 RTOL, ATOL = 1e-10, 1e-12
 
@@ -1042,20 +1069,20 @@ class TestStepperHook:
         assert all(a < b for a, b in zip(seen, seen[1:]))
         assert seen[-2] < flight <= seen[-1]
 
-    def test_poincare_return_integrates_at_cfg_tol(self, radial_half, x_axis_section, seen):
+    def test_poincare_return_integrates_at_given_tol(self, radial_half, x_axis_section, seen):
         poincare_return(radial_half, x_axis_section, 0.8)
         default_steps = len(seen)
         seen.clear()
-        poincare_return(radial_half, x_axis_section, 0.8, cfg=DynamicsConfig(tol=1e-6))
+        poincare_return(radial_half, x_axis_section, 0.8, tol=1e-6)
         assert 0 < len(seen) < default_steps
 
 
 class TestSettableSurface:
-    """The integration tolerance is the one value a caller sets; every
-    other limit is a constant."""
+    """Every limit is a constant; only `integrate` and `poincare_return`
+    take a tolerance."""
 
-    def test_config_has_only_tol(self):
-        assert [f.name for f in fields(DynamicsConfig)] == ["tol"]
+    def test_config_has_no_fields(self):
+        assert fields(DynamicsConfig) == ()
         assert DEFAULT_CONFIG.section_cap == 0.05 and DEFAULT_CONFIG.margin == DEFAULT_CONFIG.eps_hyp == 1e-3
 
     def test_fixed_limit_is_not_settable(self):
@@ -1125,9 +1152,8 @@ class TestPoincareReturn:
         s0 = frac * 0.02
         r0, _, slope = poincare_return(pullback_m3, sec, s0)
         assert abs(r0 - s0) > 1e-4
-        fine = DynamicsConfig(tol=1e-13)
-        r_plus, _, _ = poincare_return(pullback_m3, sec, s0 + h, fine)
-        r_minus, _, _ = poincare_return(pullback_m3, sec, s0 - h, fine)
+        r_plus, _, _ = poincare_return(pullback_m3, sec, s0 + h, tol=1e-13)
+        r_minus, _, _ = poincare_return(pullback_m3, sec, s0 - h, tol=1e-13)
         assert abs(slope - (r_plus - r_minus) / (2 * h)) <= 1e-8 * abs(slope)
 
     @pytest.mark.parametrize("frac", [0.3, 0.6, 1.4, 1.7])
@@ -1135,7 +1161,7 @@ class TestPoincareReturn:
         # measured 2.2e-12 to 3.8e-11 (relative) off the tol = 1e-13 slope
         sec, s0 = self.tilted_section(pullback_m3), frac * 0.02
         _, _, slope = poincare_return(pullback_m3, sec, s0)
-        _, _, fine = poincare_return(pullback_m3, sec, s0, DynamicsConfig(tol=1e-13))
+        _, _, fine = poincare_return(pullback_m3, sec, s0, tol=1e-13)
         assert abs(slope - fine) <= 1e-9 * abs(fine)
 
     def test_blowup_reports_last_state(self):
@@ -1194,7 +1220,7 @@ class TestFindCycle:
         # after its max_iters + 1 returns
         calls = []
 
-        def never_closes(field, section, s, cfg):
+        def never_closes(field, section, s):
             calls.append(s)
             return s + 1e-3, 1.0, 0.5
 
