@@ -134,19 +134,15 @@ def seed_table_from_json(items: Iterable[Mapping]) -> SeedTable:
 class BoundEntry:
     """A lower bound at target_degree with its replication witness."""
 
-    target_degree: int
     value: int
     witness: tuple[int, int]  # (seed degree n, cover degree m)
     source: str
 
-    def __post_init__(self) -> None:
+    @property
+    def target_degree(self) -> int:
+        """(n + 1) m - 1, the degree of the pullback of a degree-n seed by T_m."""
         n, m = self.witness
-        if m < 2:
-            raise ValueError("witness cover degree must be >= 2")
-        if self.target_degree + 1 != (n + 1) * m:
-            raise ValueError(
-                f"witness ({n},{m}) inconsistent with target degree {self.target_degree}"
-            )
+        return (n + 1) * m - 1
 
 
 def replication_bound(n: int, m: int, seeds: SeedTable) -> BoundEntry:
@@ -157,12 +153,7 @@ def replication_bound(n: int, m: int, seeds: SeedTable) -> BoundEntry:
     if m < 2:
         raise ValueError(f"cover degree must be >= 2, got {m}")
     sb = seeds.lookup(n)
-    return BoundEntry(
-        target_degree=(n + 1) * m - 1,
-        value=m * m * sb.value,
-        witness=(n, m),
-        source=sb.source,
-    )
+    return BoundEntry(value=m * m * sb.value, witness=(n, m), source=sb.source)
 
 
 def admissible_factorizations(N: int, seeds: SeedTable) -> list[tuple[int, int]]:

@@ -74,7 +74,8 @@ class CycleSearchError(DynamicsError):
 
 
 class LiftError(DynamicsError):
-    """Some branch rectangles failed to produce a certified cycle."""
+    """Some branch rectangles failed to produce a certified cycle: `failures`
+    holds (i, j, the DynamicsError) per failed rectangle, `records` the rest."""
 
     def __init__(self, failures, records):
         names = ", ".join(f"({i},{j})" for i, j, _ in failures)
@@ -355,6 +356,8 @@ class DOP853:
             raise ValueError(f"tolerances must be positive and finite, got rtol={rtol}, atol={atol}")
         self.fun = fun
         self.t, self.y, self.t_bound = float(t0), (float(y0[0]), float(y0[1])), float(t_bound)
+        if not (math.isfinite(self.y[0]) and math.isfinite(self.y[1])):
+            raise ValueError(f"start state must be finite, got {self.y}")
         self.w = 0.0
         self.rtol, self.atol = max(rtol, 100 * sys.float_info.epsilon), atol  # scipy's floor on rtol
         self.t_old = self.y_old = self.w_old = self.K = None
@@ -555,6 +558,8 @@ class Section:
 
     def __post_init__(self) -> None:
         dx, dy = float(self.direction[0]), float(self.direction[1])
+        if not all(map(math.isfinite, (*self.base, dx, dy, self.s_max))):
+            raise ValueError(f"section numbers must be finite, got {self.base}, {self.direction}, {self.s_max}")
         norm = math.hypot(dx, dy)
         if norm == 0.0:
             raise ValueError("section direction must be nonzero")
@@ -760,23 +765,28 @@ def lift_cycles(
     DynamicsConfig.margin.  A record's orientation_reversed follows from
     its rect: the sign of the time-change factor, the product of the
     directions of its two branches (negative lambda flips the return map
-    to its inverse, hence the multiplier to its reciprocal).
+    to its inverse, hence the multiplier to its reciprocal).  An uncertified
+    base cycle or a failed branch inverse raises CycleSearchError.
     """
     bset = cheb_branches(m)
     if pb.cover_poly != bset.poly:
         raise ValueError(f"lifting requires the Chebyshev cover polynomial T_{m}")
     if not base.certified:
-        raise ValueError("base cycle must be certified hyperbolic")
+        raise CycleSearchError(f"base cycle not certified hyperbolic: multiplier {fmt9(base.multiplier)}"
+                               f" within eps_hyp={DynamicsConfig.eps_hyp:g} of 1")
     xb, yb = base.anchor
     if not (abs(xb) < 1.0 and abs(yb) < 1.0):
         raise ValueError("base anchor must lie strictly inside (-1, 1)^2")
 
     # the m^2 seeds share 2m coordinates: branch i of xb, branch j of yb
-    us = [branch_inverse(m, k, xb) for k in range(1, m + 1)]
-    vs = [branch_inverse(m, k, yb) for k in range(1, m + 1)]
+    try:
+        us = [branch_inverse(m, k, xb) for k in range(1, m + 1)]
+        vs = [branch_inverse(m, k, yb) for k in range(1, m + 1)]
+    except ArithmeticError as err:
+        raise CycleSearchError(str(err)) from err
     rhs = field_rhs(pb)
     records: dict[tuple[int, int], LimitCycleRecord] = {}
-    failures: list[tuple[int, int, str]] = []
+    failures: list[tuple[int, int, DynamicsError]] = []
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             rect = BranchRectangle(i, j, bset.intervals[i - 1], bset.intervals[j - 1])
@@ -797,7 +807,7 @@ def lift_cycles(
                     raise CycleSearchError("lifted anchor left its branch rectangle")
                 records[(i, j)] = replace(rec, rect=rect)
             except DynamicsError as err:
-                failures.append((i, j, str(err)))
+                failures.append((i, j, err))
     if failures:
         raise LiftError(failures, records)
     return [records[key] for key in sorted(records)]

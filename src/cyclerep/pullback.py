@@ -12,10 +12,10 @@ statements (zero residual), never numerically.  As DPhi = diag(p'(u),
 p'(v)), the identity's first component is p'(u) Y_1 = p'(u) p'(v) P o Phi;
 Q[u, v] is an integral domain and p' is not zero, so it holds exactly when
 Y_1 = p'(v) P o Phi, and the second exactly when Y_2 = p'(u) Q o Phi.
-`verify_conjugacy` checks these cancelled forms, which skips the products
-with lambda, m**2 terms times those of X o Phi.  The replication
-theorem concerns these separable pullbacks only, so no other covering
-map is built here.
+`build_pullback` builds these cancelled forms, which skips the products
+with lambda, m**2 terms times those of X o Phi; `verify_conjugacy` reruns
+it from X and compares exactly, and lambda is derived from the cover.  The
+replication theorem concerns these separable pullbacks only.
 
 Pullbacks compose, for any covers p and q: pulling X back by p and the
 result by q is the one pullback of X by p o q, as the chain rule gives
@@ -27,6 +27,7 @@ iterated replication is one replication (see `cyclerep.bounds`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .polynomials import (
     BiPoly,
@@ -51,8 +52,12 @@ class PullbackResult:
 
     field: VectorField2
     cover_poly: UniPoly
-    lam: BiPoly  # p'(u) p'(v), the time-change factor
     source: VectorField2  # the seed field X
+
+    @cached_property
+    def lam(self) -> BiPoly:  # p'(u) p'(v), the time-change factor
+        dp = self.cover_poly.derivative()
+        return BiPoly.from_uni(dp, 0) * BiPoly.from_uni(dp, 1)
 
 
 def build_pullback(X: VectorField2, p: UniPoly) -> PullbackResult:
@@ -71,32 +76,18 @@ def build_pullback(X: VectorField2, p: UniPoly) -> PullbackResult:
     dpv = BiPoly.from_uni(p.derivative(), 1)
     P_phi = compose_separable(X.p_comp, p)
     Q_phi = compose_separable(X.q_comp, p)
-    return PullbackResult(
-        field=VectorField2(dpv * P_phi, dpu * Q_phi),
-        cover_poly=p,
-        lam=dpu * dpv,
-        source=X,
-    )
+    return PullbackResult(field=VectorField2(dpv * P_phi, dpu * Q_phi), cover_poly=p, source=X)
 
 
 def verify_conjugacy(r: PullbackResult, X: VectorField2) -> bool:
     """Exact check of DPhi . Y = lambda . X o Phi, component by component.
 
-    True iff r.lam == p'(u) p'(v), r.field.p_comp == p'(v) P o Phi and
-    r.field.q_comp == p'(u) Q o Phi, with X o Phi recomputed from X: the
-    identity's components p'(u) Y_1 = lambda P o Phi and p'(v) Y_2 =
-    lambda Q o Phi with the nonzero factor p'(u) or p'(v) cancelled, which
-    the integral domain Q[u, v] allows.  A False return means the pullback
-    was not built from X (or a construction bug).
+    Reruns `build_pullback` from X and r's cover and compares the fields
+    exactly, which checks the identity's components with the nonzero factor
+    p'(u) or p'(v) cancelled (see the module docstring).  A False return
+    means the pullback was not built from X.
     """
-    p = r.cover_poly
-    dpu = BiPoly.from_uni(p.derivative(), 0)
-    dpv = BiPoly.from_uni(p.derivative(), 1)
-    return (
-        r.lam == dpu * dpv
-        and r.field.p_comp == dpv * compose_separable(X.p_comp, p)
-        and r.field.q_comp == dpu * compose_separable(X.q_comp, p)
-    )
+    return r.field == build_pullback(X, r.cover_poly).field
 
 
 def check_exact_degree(r: PullbackResult, X: VectorField2) -> bool:

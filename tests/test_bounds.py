@@ -2,6 +2,7 @@ import json
 import math
 import random
 import time
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from cyclerep.bounds import (
     COMPARISON_DEGREES,
+    BoundEntry,
     HAN_LI,
     PROHENS_TORREGROSA,
     MissingSeedError,
@@ -98,6 +100,14 @@ class TestReplicationBound:
         # pulling back by T_a, then T_b, is pulling back once by T_ab
         e = replication_bound(n0, math.prod(steps), SeedTable(((n0, SeedBound(k0, "s")),)))
         assert (e.target_degree, e.value) == expected
+
+    def test_target_degree_is_derived_from_the_witness(self):
+        # an entry stores no degree of its own, so none can disagree with its witness
+        assert [f.name for f in fields(BoundEntry)] == ["value", "witness", "source"]
+        for N in COMPARISON_DEGREES:
+            e = best_cheb_bound(N, SEEDS)
+            n, m = e.witness
+            assert e.target_degree == (n + 1) * m - 1 == N
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):

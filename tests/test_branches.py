@@ -161,6 +161,25 @@ class TestBranchInverse:
             branch_inverse(3, 4, 0.0)
         with pytest.raises(ValueError):
             branch_inverse(1, 1, 0.0)
+        with pytest.raises(ValueError, match="^need m >= 2, got 1$"):
+            branch_inverse(1, 1, 0.5)
+
+    @pytest.mark.parametrize("m", [148, 200, 256])
+    def test_holds_at_large_m(self, m):
+        # an absolute residual |T_m(u) - y| grows with |T_m'(u)|: at m = 148,
+        # k = 1, y = 2/3 it is 1.0e-12 for a u within 3 eps of the preimage
+        for k in range(1, m + 1):
+            for y in (2 / 3, 0.5, 0.0, -0.999):
+                assert cheb_branches(m).intervals[k - 1].contains(branch_inverse(m, k, y))
+
+    @pytest.mark.parametrize("m", [2, 148])
+    def test_rejects_a_preimage_off_by_more_than_delta(self, m, monkeypatch):
+        # at m = 2 a u off by 1e-13 has a residual under 1e-12 that the
+        # residual check let through; the check in u rejects it at every m
+        exact = branches.cheb_preimage
+        monkeypatch.setattr(branches, "cheb_preimage", lambda m, k, y: exact(m, k, y) + 1e-13)
+        with pytest.raises(ArithmeticError, match="not within 2\\*\\*-49 of the preimage"):
+            branch_inverse(m, m // 2, 0.5)
 
 
 def oracle_branches(p: UniPoly) -> list[tuple[float, float, int]]:

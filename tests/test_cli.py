@@ -548,6 +548,19 @@ class TestExampleCommand:
         assert "(1,1)" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_failed_branch_inverse_exits_4(self, tmp_path, monkeypatch, capsys):
+        # a closed form off by 1e-6 fails the inverse's check in u: a
+        # dynamics failure with one error line, not a traceback
+        from cyclerep import branches
+
+        exact = branches.cheb_preimage
+        monkeypatch.setattr(branches, "cheb_preimage", lambda m, k, y: exact(m, k, y) + 1e-6)
+        out = tmp_path / "x"
+        assert main(["example", "--m", "2", "--out-dir", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: branch inverse postcondition failed")
+        assert not out.exists()
+
     def test_cycle_search_error_exits_4(self, tmp_path, monkeypatch, capsys):
         # a DynamicsError out of the base search: one error line, exit 4 and
         # no output directory; cyclerep.cli is patched too in case it holds

@@ -429,6 +429,20 @@ class TestIntegrate:
             else:
                 poincare_return(radial_half, x_axis_section, 0.8, tol=tol)
 
+    @pytest.mark.parametrize("make", [
+        lambda X: Section(base=(0, 0), direction=(math.nan, 0), s_max=1),
+        lambda X: Section(base=(math.inf, 0), direction=(1, 0), s_max=1),
+        lambda X: Section(base=(0, 0), direction=(1, 0), s_max=math.nan),
+        lambda X: integrate(X, (math.nan, 0), 1.0, 2),
+        lambda X: integrate(X, (math.inf, 0), 1.0, 2),
+    ], ids=["section-direction-nan", "section-base-inf", "section-s_max-nan",
+            "integrate-start-nan", "integrate-start-inf"])
+    def test_non_finite_input_is_a_bad_argument(self, radial_half, make):
+        # a bad argument, so a ValueError (exit 3), not a DynamicsError (exit
+        # 4): unchecked, a nan start fails in the stepper as a step size underflow
+        with pytest.raises(ValueError, match="must be finite"):
+            make(radial_half)
+
 
 RTOL, ATOL = 1e-10, 1e-12
 
@@ -899,7 +913,9 @@ class TestBrentq:
         with pytest.raises(LiftError) as exc:
             lift_cycles(pb, base_cycle, 2)
         assert [(i, j) for i, j, _ in exc.value.failures] == [(1, 1), (1, 2), (2, 1), (2, 2)]
-        assert all("did not converge" in why for _, _, why in exc.value.failures)
+        # each failure carries the error itself, typed, not its text
+        assert all(type(why) is DynamicsError and "did not converge" in str(why)
+                   for _, _, why in exc.value.failures)
 
 
 def scipy_piece(piece) -> Dop853DenseOutput:
@@ -1444,7 +1460,8 @@ class TestLiftCycles:
         with pytest.raises(ValueError):
             lift_cycles(pullback_m3, base_cycle, 2)  # m mismatch
         uncertified = replace(base_cycle, certified=False)
-        with pytest.raises(ValueError):
+        msg = "base cycle not certified hyperbolic: multiplier 0.0432139183 within eps_hyp=0.001 of 1"
+        with pytest.raises(CycleSearchError, match=f"^{re.escape(msg)}$"):
             lift_cycles(pullback_m3, uncertified, 3)
         outside = replace(base_cycle, anchor=(1.5, 0.0))
         with pytest.raises(ValueError):

@@ -133,22 +133,18 @@ class TestConjugacy:
         assert time.perf_counter() - start < 1.7
         assert r.field.degree() == 64 * 3 + 63
 
-    @pytest.mark.parametrize("part", ["p", "q", "lam"])
+    @pytest.mark.parametrize("part", ["p", "q"])
     def test_one_perturbed_coefficient_detected_at_m16(self, radial_half, part):
         # one coefficient c of the middle term moved by 1/(2 den(c)), which
         # changes its denominator and so every product it enters
         r = build_pullback(radial_half, chebyshev(16))
         assert verify_conjugacy(r, radial_half)
         p, q = r.field.p_comp, r.field.q_comp
-        target = {"p": p, "q": q, "lam": r.lam}[part]
-        terms = list(target.terms)
+        terms = list((p if part == "p" else q).terms)
         key, c = terms[len(terms) // 2]
         terms[len(terms) // 2] = (key, c + Fraction(1, 2 * c.denominator))
         bad = BiPoly(terms)
-        if part == "lam":
-            r_bad = replace(r, lam=bad)
-        else:
-            r_bad = replace(r, field=VectorField2(bad, q) if part == "p" else VectorField2(p, bad))
+        r_bad = replace(r, field=VectorField2(bad, q) if part == "p" else VectorField2(p, bad))
         assert not verify_conjugacy(r_bad, radial_half)
 
     def test_exact_degree_examples(self, radial_half, pullback_m3):
@@ -175,8 +171,9 @@ class TestConjugacy:
 
 
 class TestCancelledCheck:
-    """verify_conjugacy checks Y_1 = p'(v) P o Phi, Y_2 = p'(u) Q o Phi and
-    lambda = p'(u) p'(v): the product form with p'(u), p'(v) cancelled."""
+    """verify_conjugacy checks Y_1 = p'(v) P o Phi and Y_2 = p'(u) Q o Phi,
+    the product form with p'(u), p'(v) cancelled; lambda = p'(u) p'(v) is
+    derived from the cover."""
 
     def instances(self, radial_half):
         rng = random.Random(77)  # the instances of test_random_instances
@@ -195,14 +192,16 @@ class TestCancelledCheck:
             assert not verify_conjugacy(nudged(r, "q"), X)
 
     def test_lambda_must_be_the_cover_jacobian(self, radial_half):
-        # 2 lambda and 2 Y satisfy the product identity, but lam is
-        # documented as p'(u) p'(v), and the cancelled check holds it to that
+        # 2 lambda and 2 Y would satisfy the product identity, but lam is
+        # derived from the cover, so no result can carry 2 lambda
+        for r, _ in self.instances(radial_half):
+            dp = r.cover_poly.derivative()
+            assert r.lam == BiPoly.from_uni(dp, 0) * BiPoly.from_uni(dp, 1)
         r = build_pullback(radial_half, chebyshev(3))
         two = BiPoly({(0, 0): 2})
-        doubled = replace(
-            r, lam=two * r.lam, field=VectorField2(two * r.field.p_comp, two * r.field.q_comp)
-        )
-        assert product_form_conjugacy(doubled, radial_half)
+        with pytest.raises(TypeError):
+            replace(r, lam=two * r.lam)
+        doubled = replace(r, field=VectorField2(two * r.field.p_comp, two * r.field.q_comp))
         assert not verify_conjugacy(doubled, radial_half)
 
 
