@@ -62,7 +62,7 @@ class IntegrationError(DynamicsError):
 
 
 class NoReturnError(DynamicsError):
-    """Trajectory never re-crossed the section within the time budget."""
+    """Trajectory never re-crossed the section within the time or turn budget."""
 
 
 class DegenerateCrossingError(DynamicsError):
@@ -87,8 +87,10 @@ class LiftError(DynamicsError):
 @dataclass(frozen=True)
 class DynamicsConfig:
     """The fixed limits of the return map and the cycle search, as class
-    constants.  Only `integrate` and `poincare_return` take a tolerance,
-    defaulting to `tol`."""
+    constants.  A miss is bounded in turns as well as in time: the
+    pullback's time change keeps the turns and shortens the time.  Only
+    `integrate` and `poincare_return` take a tolerance, defaulting to
+    `tol`."""
 
     tol: ClassVar[float] = 1e-10            # integrator local error control
     eps_fix: ClassVar[float] = 1e-9         # |return(s) - s| at an accepted fixed point
@@ -97,6 +99,7 @@ class DynamicsConfig:
     margin: ClassVar[float] = 1e-3          # anchor clearance from rectangle boundary
     max_iters: ClassVar[int] = 40
     t_max: ClassVar[float] = 200.0          # return-map time budget
+    max_off_crossings: ClassVar[int] = 8    # return-map turn budget: crossings off the segment
     section_cap: ClassVar[float] = 0.05     # half-length cap for auto-built sections
 
 
@@ -460,7 +463,8 @@ def brentq(f, a: float, b: float) -> float:
     / 2, so it returns the same float.  A root at either end is returned as
     is.  Ends of one sign or a nan value of f raise ValueError; no
     convergence within 100 iterations, scipy's default, raises
-    DynamicsError.
+    DegenerateCrossingError: the one caller refines a section crossing,
+    and a bracket that will not close is a crossing too flat to locate.
     """
     maxiter, xtol, rtol = 100, BRENT_XTOL, BRENT_RTOL
 
@@ -508,7 +512,7 @@ def brentq(f, a: float, b: float) -> float:
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur)
-    raise DynamicsError(f"Brent's method did not converge in {maxiter} iterations (last x={xcur!r})")
+    raise DegenerateCrossingError(f"Brent's method did not converge in {maxiter} iterations (last x={xcur!r})")
 
 
 def integrate(
@@ -592,13 +596,17 @@ def poincare_return(
     """First same-orientation return of the flow to the section.
 
     Integrates at tol, by default the cycle search's DynamicsConfig.tol,
-    for at most DynamicsConfig.t_max, and watches the signed section
-    offset, its sign set by the field at the start point; when an
-    accepted step brackets a crossing in that direction, the crossing
-    time is refined on that step's dense interpolant.  The integration
-    stops at the crossing, so unstable cycles are not flowed past their
-    return.  Returns (new parameter, flight time, slope).
-    A crossing whose refinement does not converge raises DynamicsError.
+    and watches the signed section offset, its sign set by the field at
+    the start point; when an accepted step brackets a crossing in that
+    direction, the crossing time is refined on that step's dense
+    interpolant.  The first such crossing inside (0, s_max) is the
+    return: the integration stops there, so unstable cycles are not
+    flowed past their return.  Returns (new parameter, flight time,
+    slope).  A crossing whose refinement does not converge raises
+    DegenerateCrossingError.  NoReturnError is raised after
+    DynamicsConfig.max_off_crossings + 1 crossings of the section's line
+    off the segment (an orbit that turns but misses), or at
+    DynamicsConfig.t_max (one that never turns: drift, or a node).
 
     The slope is the derivative of the return map at s.  The flow scales
     areas by exp(w), w the integral of div f along the orbit (Liouville),
@@ -620,7 +628,7 @@ def poincare_return(
     def gval(z) -> float:
         return sgn * ((z[0] - section.base[0]) * n[0] + (z[1] - section.base[1]) * n[1])
 
-    g_prev, t_prev = gval(z0), 0.0
+    g_prev, t_prev, off = gval(z0), 0.0, 0
     for solver in _steps(rhs, z0, DynamicsConfig.t_max, tol):
         g_new = gval(solver.y)
         if g_prev < 0.0 <= g_new:
@@ -638,6 +646,11 @@ def poincare_return(
                     # w beyond exp's range: an expansion no float can hold
                     slope = (math.exp(w) if w < 709.0 else math.inf) * fn0 / fn_star
                     return float(s_new), float(t_star), slope
+                off += 1
+                if off > DynamicsConfig.max_off_crossings:
+                    raise NoReturnError(
+                        f"no return to the section: the orbit crossed its line off the segment {off} times"
+                    )
         g_prev, t_prev = g_new, solver.t
     raise NoReturnError(f"no return to the section within t_max={DynamicsConfig.t_max}")
 
@@ -691,8 +704,9 @@ def find_cycle(
 
     Each return brings its own slope (see `poincare_return`).  The Newton
     step is taken when both it and the residual f fit in a trust radius of
-    0.1 s_max; otherwise the iterate moves toward its return, by f clamped
-    to that radius.  Iterates stay in the section's inner 99.8%.  The
+    0.1 s_max and it lands in the section's inner 99.8%; otherwise the
+    iterate moves to its return, a point of the segment that the orbit
+    reaches, clipped to that inner part.  The
     multiplier is the slope of the accepted return, so a record costs no
     return beyond the search; one whose multiplier sits within eps_hyp of
     1 is returned flagged non-certified.  A hyperbolic fixed point within
@@ -702,7 +716,7 @@ def find_cycle(
     rhs = field_rhs(field)
     lo_lim = 1e-3 * section.s_max
     hi_lim = section.s_max * (1.0 - 1e-3)
-    max_step = 0.1 * section.s_max
+    radius = 0.1 * section.s_max
 
     s_cur = float(s0)
     for _ in range(DynamicsConfig.max_iters + 1):
@@ -730,13 +744,15 @@ def find_cycle(
         if mu == 1.0 or not math.isfinite(mu):
             raise CycleSearchError(f"Newton iteration stalled (return-map slope {mu:.3g})")
         step = -f_cur / (mu - 1.0)
-        if max(abs(f_cur), abs(step)) > max_step:
-            # beyond the trust radius, follow the flow toward the return,
-            # which the orbit visits anyway: a Newton step across a
-            # repelling cycle can land where the flow never returns
-            step = f_cur
-        step = max(-max_step, min(max_step, step))
-        s_cur = min(hi_lim, max(lo_lim, s_cur + step))
+        s_new = s_cur + step
+        if max(abs(f_cur), abs(step)) > radius or not lo_lim <= s_new <= hi_lim:
+            # beyond the trust radius, or off the segment, follow the flow
+            # to the return, a point of the segment the orbit visits: a
+            # Newton step across a repelling cycle can land where the flow
+            # never returns, and toward an attracting one the return lies
+            # within |mu| |s - s*| of it
+            s_new = r_cur
+        s_cur = min(hi_lim, max(lo_lim, s_new))
     raise CycleSearchError(
         f"no fixed point after {DynamicsConfig.max_iters} iterations (last residual {f_cur:.3g})"
     )

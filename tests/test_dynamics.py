@@ -901,12 +901,14 @@ class TestBrentq:
             scipy_brentq(f, 0.0, 4.0, **PROGRAM_TOLS)
         last, status = scipy_brentq(f, 0.0, 4.0, **PROGRAM_TOLS, full_output=True, disp=False)
         assert status.iterations == 100
-        with pytest.raises(DynamicsError, match=re.escape(f"did not converge in 100 iterations (last x={last!r})")):
+        # its one caller refines a section crossing, so the error is typed as one
+        with pytest.raises(DegenerateCrossingError,
+                           match=re.escape(f"did not converge in 100 iterations (last x={last!r})")):
             brentq(f, 0.0, 4.0)
 
     def test_lift_records_a_refinement_that_does_not_converge(self, monkeypatch, radial_half, base_cycle):
-        def stalled(f, a, b):
-            raise DynamicsError("Brent's method did not converge in 100 iterations")
+        def stalled(f, a, b):  # the real brentq, on the triple root it cannot close in on
+            return brentq(lambda x: (x - 0.7) * (x - 0.7) * (x - 0.7), 0.0, 4.0)
 
         monkeypatch.setattr(dynamics, "brentq", stalled)
         pb = build_pullback(radial_half, chebyshev(2))
@@ -914,7 +916,7 @@ class TestBrentq:
             lift_cycles(pb, base_cycle, 2)
         assert [(i, j) for i, j, _ in exc.value.failures] == [(1, 1), (1, 2), (2, 1), (2, 2)]
         # each failure carries the error itself, typed, not its text
-        assert all(type(why) is DynamicsError and "did not converge" in str(why)
+        assert all(type(why) is DegenerateCrossingError and "did not converge" in str(why)
                    for _, _, why in exc.value.failures)
 
 
@@ -1248,10 +1250,11 @@ class TestFindCycle:
 
     def test_return_outside_section_range(self):
         # cycle sits at r = 0.8 but the section stops at 0.5: the orbit
-        # re-crosses the supporting line beyond the segment, never on it
+        # re-crosses the supporting line beyond the segment, never on it,
+        # and the return gives up after max_off_crossings + 1 such turns
         field = radial_cubic_field(Fraction(4, 5))
         section = Section(base=(0.0, 0.0), direction=(1.0, 0.0), s_max=0.5)
-        with pytest.raises(NoReturnError):
+        with pytest.raises(NoReturnError, match="crossed its line off the segment 9 times"):
             find_cycle(field, section, 0.3)
 
 
@@ -1269,8 +1272,10 @@ class TestFindCycle:
         # 7% inward of the repelling cycle of rectangle (1, 2) of m = 3 at
         # rho = 1/2, one return carries the start 40% of the section
         # inward.  Newton's step from there crosses the cycle, outside of
-        # which the flow runs t_max = 200 without a return (about 11 s);
-        # following the flow misses within one return (about 0.3 s)
+        # which the flow never returns, so a time budget alone would run
+        # to t_max = 200; following the flow misses within one return,
+        # which gives up after 9 turns off the segment (0.01 s on a 2-core
+        # x86-64 host)
         rho = Fraction(1, 2)
         pb = build_pullback(radial_cubic_field(rho), chebyshev(3))
         sec, half = rectangle_section(pb, 3, 1, 2, (float(rho), 0.0))
@@ -1278,6 +1283,67 @@ class TestFindCycle:
         with pytest.raises(NoReturnError):
             find_cycle(pb.field, sec, half * (1 - 0.07))
         assert time.perf_counter() - start < 3.0
+
+    @pytest.mark.parametrize("rho, s0", [(Fraction(1, 3), 0.0125), (Fraction(2, 5), 0.03)])
+    def test_flat_start_near_the_focus(self, rho, s0):
+        # near the repelling focus at s = 0 the return map is flat (slope
+        # near 1), so Newton points at the focus, off the segment; the
+        # search follows the flow out instead of sitting at the inner edge
+        section = Section(base=(0.0, 0.0), direction=(1.0, 0.0), s_max=1.0)
+        rec = find_cycle(radial_cubic_field(rho), section, s0)
+        assert rec.certified
+        assert math.dist(rec.anchor, (float(rho), 0.0)) <= 1e-8
+
+    @staticmethod
+    def count_returns(monkeypatch) -> list:
+        calls = []
+
+        def counting(field, section, s):
+            calls.append(s)
+            return poincare_return(field, section, s)
+
+        monkeypatch.setattr(dynamics, "poincare_return", counting)
+        return calls
+
+    def test_far_start_jumps_to_the_return(self, monkeypatch):
+        # 0.9 of the way along, the start is beyond the trust radius of the
+        # cycle at 1/3: each return lands almost on the attracting cycle,
+        # so the search moves to it rather than 0.1 s_max toward it
+        calls = self.count_returns(monkeypatch)
+        section = Section(base=(0.0, 0.0), direction=(1.0, 0.0), s_max=1.0)
+        rec = find_cycle(radial_cubic_field(Fraction(1, 3)), section, 0.9)
+        assert rec.certified and abs(rec.anchor[0] - 1 / 3) <= 1e-8
+        assert len(calls) <= 6
+
+    def test_far_start_in_a_rectangle_jumps_to_the_return(self, monkeypatch):
+        rho = Fraction(2, 3)
+        pb = build_pullback(radial_cubic_field(rho), chebyshev(3))
+        sec, half = rectangle_section(pb, 3, 1, 1, (float(rho), 0.0))
+        calls = self.count_returns(monkeypatch)
+        rec = find_cycle(pb, sec, half * 1.87)
+        assert rec.certified
+        assert math.dist(rec.anchor, sec.point_at(half)) <= 1e-8
+        assert len(calls) <= 4
+
+    def test_miss_gives_up_after_a_few_turns(self, monkeypatch):
+        # 20% inward of the repelling cycle of rectangle (1, 2) of m = 3 at
+        # rho = 1/2 the orbit turns inside the cycle and crosses the
+        # section's line off the segment every turn; the turn budget ends
+        # the return long before t_max = 200 would
+        steps = []
+
+        class Counting(dynamics.RK45):
+            def step(self):
+                steps.append(self.t)
+                return super().step()
+
+        rho = Fraction(1, 2)
+        pb = build_pullback(radial_cubic_field(rho), chebyshev(3))
+        sec, half = rectangle_section(pb, 3, 1, 2, (float(rho), 0.0))
+        monkeypatch.setattr(dynamics, "RK45", Counting)
+        with pytest.raises(NoReturnError, match="off the segment 9 times"):
+            find_cycle(pb, sec, half * (1 - 0.2))
+        assert len(steps) <= 200
 
     def test_reversed_rectangle_from_near_start(self):
         # the lifted cycle of the orientation-reversed rectangle (1, 2) of
