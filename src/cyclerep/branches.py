@@ -6,9 +6,11 @@ in closed form from the nodes cos(k*pi/m).  For any rational p,
 `full_branch_intervals` decides them exactly, with no tolerance: a branch
 runs between two consecutive real roots of p**2 = 1 at opposite levels
 where p' keeps one sign, and those roots and the critical points of p are
-isolated on integer polynomials by Descartes' rule.  Each root's cell is
-then narrowed by a safeguarded secant on exact integer values to the same
-dyadic cell that bisection would reach.  Only the reported endpoints
+isolated on integer polynomials by Descartes' rule, whose Taylor shift
+stops at a cell's second sign variation: two or more only mean that the
+cell is halved.  Each root's cell is then narrowed by a safeguarded secant
+on exact integer values, with the coefficients scaled once per level, to
+the same dyadic cell that bisection would reach.  Only the reported endpoints
 become floats: the nearest ones, or one float further out each when a
 branch is narrower than the float spacing.
 `degenerate` means that p' and p'' share a root: p has a critical point
@@ -29,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .polynomials import UniPoly, chebyshev, integer_numerators
 
@@ -184,29 +187,53 @@ def _quotient(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def _shift1(f: list[int]) -> list[int]:
-    """Coefficients of f(x + 1) (Taylor shift)."""
-    f = list(f)
-    for i in range(len(f) - 1):
-        for j in range(len(f) - 2, i - 1, -1):
-            f[j] += f[j + 1]
-    return f
+def _taylor_shift(top_down: list[int]):
+    """The coefficients of f(x + 1), constant first, each yielded as soon as
+    it is final, for f given by its coefficients from the top down.  A
+    running sum over them ends in f(1), the constant; the sums before it
+    are the coefficients of (f(x + 1) - f(1)) / x, from the top down."""
+    g = top_down
+    while g:
+        g = list(accumulate(g))
+        yield g.pop()
 
 
-def _value_at(f: list[int], num: int, k: int) -> int:
-    """f at the dyadic rational num / 2**k times 2**(k * deg f) (times 1 for
-    k < 0), an integer: on one level k, f scaled by one positive factor."""
-    if k < 0:
-        num, k = num << -k, 0
-    acc, n = 0, len(f) - 1
-    for i in range(n, -1, -1):
-        acc = acc * num + (f[i] << k * (n - i))
-    return acc
+def _variations(h: list[int]) -> int:
+    """The sign variations of (1 + x)**n h(1 / (1 + x)), n = deg h, counted
+    up to 2: the shift stops at the second, as more only mean a halving.  That
+    polynomial is r(x + 1) for r = x**n h(1 / x), whose coefficients from
+    the top down are h's from the constant up."""
+    count, last = 0, 0
+    for c in _taylor_shift(h):
+        if c:
+            if last and (c > 0) != (last > 0):
+                count += 1
+                if count == 2:
+                    break
+            last = c
+    return count
+
+
+def _on_level(f: list[int], k: int):
+    """x -> f at the dyadic rational x / 2**k times 2**(k * deg f) (times 1
+    for k < 0), an integer: on one level k, f scaled by one positive
+    factor.  The coefficients are shifted once, here, for every x."""
+    n, up, k = len(f) - 1, max(-k, 0), max(k, 0)
+    top_down = [f[i] << k * (n - i) for i in range(n, -1, -1)]
+
+    def value(x: int) -> int:
+        x <<= up
+        acc = 0
+        for c in top_down:
+            acc = acc * x + c
+        return acc
+
+    return value
 
 
 def _sign_at(f: list[int], num: int, k: int) -> int:
     """Sign of f at the dyadic rational num / 2**k, exactly."""
-    acc = _value_at(f, num, k)
+    acc = _on_level(f, k)(num)
     return (acc > 0) - (acc < 0)
 
 
@@ -236,14 +263,13 @@ def _isolate(f: list[int]) -> list[tuple]:
             if h[0] == 0:  # a root at the left end of the cell
                 cells.append((f, side * c, k - bound, 0))
                 h = h[1:]
-            signs = [x > 0 for x in _shift1(h[::-1]) if x]
-            variations = sum(a != b for a, b in zip(signs, signs[1:]))
+            variations = _variations(h)
             if variations == 1:
                 s = 1 if h[0] > 0 else -1
                 cells.append((f, c, k - bound, s) if side == 1 else (f, -c - 1, k - bound, -s))
             elif variations > 1:
                 left = [x << len(h) - 1 - i for i, x in enumerate(h)]
-                todo += [(left, 2 * c, k + 1), (_shift1(left), 2 * c + 1, k + 1)]
+                todo += [(left, 2 * c, k + 1), (list(_taylor_shift(left[::-1])), 2 * c + 1, k + 1)]
     return cells
 
 
@@ -264,8 +290,9 @@ def _narrow(cell: tuple, level: int) -> tuple:
     g, num, k, s = cell
     if not s or k >= level:
         return cell
+    value = _on_level(g, level)
     lo, hi = num << (level - k), (num + 1) << (level - k)
-    a, ga, b, gb = lo, _value_at(g, lo, level), hi, _value_at(g, hi, level)
+    a, ga, b, gb = lo, value(lo), hi, value(hi)
     bisect = False
     while hi - lo > 1:
         width = hi - lo
@@ -273,7 +300,7 @@ def _narrow(cell: tuple, level: int) -> tuple:
             x = (lo + hi) // 2
         else:
             x = min(max(b - (b - a) * gb // (gb - ga), lo + 1), hi - 1)
-        gx = _value_at(g, x, level)
+        gx = value(x)
         if gx == 0:  # dyadic: x / 2**level, reduced to lowest terms
             zeros = (x & -x).bit_length() - 1
             return g, x >> zeros, level - zeros, 0

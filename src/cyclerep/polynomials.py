@@ -8,10 +8,20 @@ exact; floating point enters only through the ``*_float`` evaluators
 used at the symbolic/numeric boundary.  The exact operations are the
 ones a separable pullback needs: sums and products of bivariate
 polynomials, derivatives, the substitution `compose_separable` (the one
-composition) and evaluation.  Products, the substitution and univariate
-evaluation do not multiply Fractions: they accumulate the integer
-numerators of their operands over one common denominator and build one
-Fraction per output coefficient.
+composition), the pullback's components p'(v) P(p(u), p(v)) and
+p'(u) Q(p(u), p(v)) (`_separable_pullback`, one pass each, for
+`cyclerep.pullback`) and evaluation.  Products, the substitution, the
+pullback and univariate evaluation do not multiply Fractions: they
+accumulate the integer numerators of their operands over one common
+denominator and build one Fraction per output coefficient.
+
+`BiPoly(terms)` checks and normalises its terms.  The integer
+accumulation `_sum_products` (behind products, the substitution and the
+pullback) and the partial derivatives build through the unchecked
+`BiPoly._canonical` instead, which is safe as their terms are canonical
+by construction: the accumulation sums into one int per key, drops zero
+sums and sorts the keys, and a derivative lowers one exponent of sorted,
+nonzero terms.
 
 The degree of the zero polynomial is the sentinel ``NEG_INF`` (minus
 infinity), never -1, so degree laws cannot pass vacuously on zero
@@ -83,7 +93,10 @@ def _sum_products(pairs, width: int, den: int) -> "BiPoly":
         for i, ca in a:
             for j, cb in b:
                 sums[i + j] += ca * cb
-    return BiPoly({divmod(k, width): Fraction(n, den) for k, n in sums.items() if n})
+    # sorted flat keys are sorted (du, dv), as dv < width
+    return BiPoly._canonical(
+        tuple((divmod(k, width), Fraction(n, den)) for k, n in sorted(sums.items()) if n)
+    )
 
 
 def _powers(base, one, times=mul):
@@ -207,6 +220,16 @@ class BiPoly:
         )
 
     @classmethod
+    def _canonical(cls, terms: tuple[Term, ...]) -> "BiPoly":
+        """The BiPoly of terms already in canonical form, unchecked: keys
+        (du, dv) nonnegative ints in strictly increasing order, values
+        nonzero Fractions.  Only for terms the package has just built in
+        that form (integer accumulations, derivatives)."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "terms", terms)
+        return f
+
+    @classmethod
     def from_uni(cls, p: UniPoly, var: int) -> "BiPoly":
         """Embed a univariate polynomial as p(u) (var=0) or p(v) (var=1)."""
         if var not in (0, 1):
@@ -239,11 +262,13 @@ class BiPoly:
         N, den = integer_numerators(c for _, c in self.terms)
         return [(du * width + dv, c) for ((du, dv), _), c in zip(self.terms, N)], den
 
+    # lowering one exponent keeps the order of the terms it keeps, and a
+    # positive exponent times a nonzero coefficient is nonzero
     def partial_u(self) -> "BiPoly":
-        return BiPoly({(du - 1, dv): du * c for (du, dv), c in self.terms if du >= 1})
+        return BiPoly._canonical(tuple(((du - 1, dv), du * c) for (du, dv), c in self.terms if du))
 
     def partial_v(self) -> "BiPoly":
-        return BiPoly({(du, dv - 1): dv * c for (du, dv), c in self.terms if dv >= 1})
+        return BiPoly._canonical(tuple(((du, dv - 1), dv * c) for (du, dv), c in self.terms if dv))
 
     def evaluate(self, xu: Scalar, xv: Scalar) -> Fraction:
         upow = _powers(_as_fraction(xu), Fraction(1))
@@ -296,19 +321,50 @@ def compose_separable(P: BiPoly, p: UniPoly) -> BiPoly:
     """Exact substitution P(p(u), p(v)) for a separable coordinate change.
 
     Total degree is at most deg(p) * deg(P), with equality whenever the top
-    homogeneous part of P is nonzero.  With p = N / d and P = C / D on
-    integers, the term c * p(u)**a * p(v)**b is C_ab * d**(top - a - b) *
-    N(u)**a * N(v)**b over D * d**top, top the total degree of P.
+    homogeneous part of P is nonzero.
     """
-    (N, d), (C, D) = integer_numerators(p.coeffs), integer_numerators(c for _, c in P.terms)
-    top, npow = max(P.total_degree(), 0), _powers(N, [1], _convolve)
-    width = 1 + top * len(N)  # above every power of u or v in the result
-    pairs = []
+    N, d = integer_numerators(p.coeffs)
+    return _compose(P, N, d, _powers(N, [1], _convolve))
+
+
+def _separable_pullback(X: VectorField2, p: UniPoly) -> VectorField2:
+    """(p'(v) P(p(u), p(v)), p'(u) Q(p(u), p(v))) for X = (P, Q), each
+    component in one integer pass, the two sharing the powers of p."""
+    N, d = integer_numerators(p.coeffs)
+    npow = _powers(N, [1], _convolve)
+    return VectorField2(_compose(X.p_comp, N, d, npow, 1), _compose(X.q_comp, N, d, npow, 0))
+
+
+def _compose(P: BiPoly, N: list[int], d: int, npow, dp_var=None) -> BiPoly:
+    """P(p(u), p(v)) for p = N / d, N an integer list (constant first) and
+    npow(k) = N**k; times p'(u) if dp_var is 0, p'(v) if it is 1.
+
+    With P = C / D on integers, the term C_ab p(u)**a p(v)**b is
+    C_ab d**(top - a - b) N(u)**a N(v)**b over D d**top, top the total
+    degree of P, and p' = N' / d.  The terms are summed first on the side
+    of p' (v without it), into one integer polynomial per power on the
+    other side; N' multiplies each sum once, and each sum enters one outer
+    product.
+    """
+    f, f_den = ([k * c for k, c in enumerate(N)][1:], d) if dp_var is not None else ([1], 1)
+    C, D = integer_numerators(c for _, c in P.terms)
+    top = max(P.total_degree(), 0)
+    sums: dict[int, list[int]] = {}  # power on the other side -> integer sum on the side of p'
     for ((a, b), _), c in zip(P.terms, C):
+        other, k = (b, a) if dp_var == 0 else (a, b)
         c *= d ** (top - a - b)
-        pairs.append(([(i * width, c * ci) for i, ci in enumerate(npow(a)) if ci],
-                      [(j, cj) for j, cj in enumerate(npow(b)) if cj]))
-    return _sum_products(pairs, width, D * d**top)
+        acc, nk = sums.setdefault(other, []), npow(k)
+        acc += [0] * (len(nk) - len(acc))
+        for i, x in enumerate(nk):
+            acc[i] += c * x
+    width = top * len(N) + len(f)  # above every power of v in the result
+    pairs = []
+    for other, acc in sums.items():
+        folded = [(i, x) for i, x in enumerate(_convolve(f, acc)) if x]
+        plain = [(i, x) for i, x in enumerate(npow(other)) if x]
+        u_side, v_side = (folded, plain) if dp_var == 0 else (plain, folded)
+        pairs.append(([(i * width, x) for i, x in u_side], v_side))
+    return _sum_products(pairs, width, D * d**top * f_den)
 
 
 @dataclass(frozen=True)

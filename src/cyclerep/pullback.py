@@ -13,9 +13,13 @@ p'(v)), the identity's first component is p'(u) Y_1 = p'(u) p'(v) P o Phi;
 Q[u, v] is an integral domain and p' is not zero, so it holds exactly when
 Y_1 = p'(v) P o Phi, and the second exactly when Y_2 = p'(u) Q o Phi.
 `build_pullback` builds these cancelled forms, which skips the products
-with lambda, m**2 terms times those of X o Phi; `verify_conjugacy` reruns
-it from X and compares exactly, and lambda is derived from the cover.  The
-replication theorem concerns these separable pullbacks only.
+with lambda, m**2 terms times those of X o Phi.  It builds each component
+in one integer pass, with no intermediate P o Phi: p'(v) is folded into
+the sum over the powers of p(v) that meets each power of p(u) (p'(u)
+likewise for Q), and the two components share the powers of p.
+`verify_conjugacy` still reruns it from X and compares exactly, and
+lambda is derived from the cover.  The replication theorem concerns these
+separable pullbacks only.
 
 Pullbacks compose, for any covers p and q: pulling X back by p and the
 result by q is the one pullback of X by p o q, as the chain rule gives
@@ -34,8 +38,8 @@ from .polynomials import (
     NEG_INF,
     UniPoly,
     VectorField2,
+    _separable_pullback,
     bipoly_to_json,
-    compose_separable,
     field_to_json,
     unipoly_to_json,
 )
@@ -72,11 +76,7 @@ def build_pullback(X: VectorField2, p: UniPoly) -> PullbackResult:
         raise ValueError(f"cover polynomial must have degree >= 2, got degree {m}")
     if X.degree() == NEG_INF:
         raise ValueError("cannot pull back the zero field")
-    dpu = BiPoly.from_uni(p.derivative(), 0)
-    dpv = BiPoly.from_uni(p.derivative(), 1)
-    P_phi = compose_separable(X.p_comp, p)
-    Q_phi = compose_separable(X.q_comp, p)
-    return PullbackResult(field=VectorField2(dpv * P_phi, dpu * Q_phi), cover_poly=p, source=X)
+    return PullbackResult(field=_separable_pullback(X, p), cover_poly=p, source=X)
 
 
 def verify_conjugacy(r: PullbackResult, X: VectorField2) -> bool:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -236,6 +237,15 @@ class TestFullBranches:
                 assert (a.index, a.direction) == (b.index, b.direction)
                 assert abs(a.lo - b.lo) <= 1e-11 and abs(a.hi - b.hi) <= 1e-11
 
+    def test_chebyshev_64_within_wall_bound(self):
+        # T_64 took 0.032 s (median of 5) on a shared 2-core x86-64 host,
+        # its Descartes tests stopping at two variations; the bound is 5x that
+        p = chebyshev(64)
+        start = time.perf_counter()
+        bs = full_branch_intervals(p)
+        assert time.perf_counter() - start < 0.16
+        assert bs.count == 64
+
     def test_identity_map(self):
         bs = full_branch_intervals(U(0, 1))
         assert [(iv.lo, iv.hi, iv.direction) for iv in bs.intervals] == [(-1.0, 1.0, INCREASING)]
@@ -369,12 +379,16 @@ class TestNarrow:
         assert branches._narrow(cell, 40) == bisection_narrow(cell, 40) == (f, want, 40, 1)
 
     def test_negative_level_cell(self):
-        # the root 3001/3 of 3x - 3001 is isolated in (0, 2**12)
+        # the root 3001/3 of 3x - 3001 is isolated in (0, 2**12), a cell of
+        # level -12; it is narrowed as bisection does to every level above,
+        # the negative ones included
         f = [-3001, 3]
         (cell,) = branches._isolate(f)
-        assert cell[2] < 0
-        want = (f, (3001 << 40) // 3, 40, cell[3])
-        assert branches._narrow(cell, 40) == bisection_narrow(cell, 40) == want
+        assert cell[2] == -12
+        for level in range(-11, 41):
+            num = (3001 << level) // 3 if level >= 0 else 3001 // (3 << -level)
+            want = (f, num, level, cell[3])
+            assert branches._narrow(cell, level) == bisection_narrow(cell, level) == want
 
     def test_cell_at_target_level_unchanged(self):
         for cell, level in narrowed_cells(chebyshev(9)):
@@ -383,8 +397,55 @@ class TestNarrow:
             assert branches._narrow(done, done[2] - 1) == done
 
     def test_one_level(self):
-        # the narrowing of a clash in full_branch_intervals: one halving
-        for m in range(2, 17):
-            for cell, _ in narrowed_cells(chebyshev(m)):
+        # the narrowing of a clash in full_branch_intervals: one halving;
+        # the roots near 1000 of (x - 1000)(x^2 - 2) and of 3x - 3001 -+ 1
+        # lie in cells of levels -9 to -12, so their next level is negative
+        far = [U(2000, -2, -1000, 1), U(-3001, 3)]
+        for p in [*map(chebyshev, range(2, 17)), *far]:
+            for cell, _ in narrowed_cells(p):
                 one = cell[2] + 1
                 assert branches._narrow(cell, one) == bisection_narrow(cell, one), cell
+        assert min(cell[2] for p in far for cell, _ in narrowed_cells(p)) == -12
+
+
+def descartes_count(h: list[int]) -> int:
+    """The sign variations of (1 + x)**n h(1 / (1 + x)), in full: its
+    coefficient of x**j is the sum of h[i] * C(n - i, j)."""
+    n = len(h) - 1
+    coeffs = [sum(h[i] * math.comb(n - i, j) for i in range(n - j + 1)) for j in range(n + 1)]
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def squarefree(h: list[int]) -> bool:
+    return sympy.Poly(h[::-1], sympy.Symbol("x")).is_sqf
+
+
+def with_roots(roots, h) -> list[int]:
+    """h times the product of (b x - a) over the roots a / b, as an
+    integer list."""
+    for r in roots:
+        a, b = r.as_integer_ratio()
+        h = [x - y for x, y in zip([0] + [b * c for c in h], [a * c for c in h] + [0])]
+    return h
+
+
+# squarefree integer polynomials: random ones, which seldom have more than
+# two variations, and a random quadratic times up to 6 linear factors with
+# their roots in the unit cell (0, 1), which have more
+SQUAREFREE = st.one_of(
+    st.lists(st.integers(-40, 40), min_size=2, max_size=12),
+    st.builds(
+        with_roots,
+        st.lists(st.fractions(0, 1, max_denominator=30).filter(lambda r: 0 < r < 1),
+                 min_size=1, max_size=6, unique=True),
+        st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+    ),
+).filter(lambda h: h[-1] != 0 and squarefree(h))
+
+
+class TestDescartes:
+    @settings(max_examples=150, deadline=None)
+    @given(SQUAREFREE)
+    def test_capped_count_is_the_full_count_up_to_two(self, h):
+        assert branches._variations(h) == min(descartes_count(h), 2)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclerep.polynomials import (
@@ -25,6 +25,7 @@ from cyclerep.polynomials import (
     unipoly_from_json,
     unipoly_to_json,
 )
+from cyclerep.pullback import build_pullback
 
 
 def U(*coeffs):
@@ -340,6 +341,46 @@ class TestIntegerProducts:
             expected = expected * x + c
         got = p.evaluate(x)
         assert type(got) is Fraction and got == expected
+
+
+# every way the package builds a BiPoly from others, applied to (f, g, p)
+BUILDERS = {
+    "product": lambda f, g, p: f * g,
+    "cancelling_product": lambda f, g, p: (f + g) * (f + neg(g)),  # the f g terms cancel
+    "sum": lambda f, g, p: f + g,
+    "partial_u": lambda f, g, p: f.partial_u(),
+    "partial_v": lambda f, g, p: g.partial_v(),
+    "divergence": lambda f, g, p: VectorField2(f, g).divergence,
+    "compose_separable": lambda f, g, p: compose_separable(f, p),
+    "pullback_p": lambda f, g, p: build_pullback(VectorField2(f, g), p).field.p_comp,
+    "pullback_q": lambda f, g, p: build_pullback(VectorField2(f, g), p).field.q_comp,
+}
+
+
+class TestCanonicalForm:
+    """Results built without the public constructor's checks are in the
+    form it would give them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(sorted(BUILDERS)),
+        mixed_bipolys,
+        mixed_bipolys,
+        st.lists(mixed_fractions, min_size=2, max_size=3)
+        .map(lambda cs: UniPoly((*cs, Fraction(3, 2)))),
+    )
+    @example("cancelling_product", BiPoly({(1, 0): 1}), BiPoly({(0, 1): 1}), chebyshev(2))
+    def test_results_are_canonical(self, builder, f, g, p):
+        if builder.startswith("pullback") and not (f.terms or g.terms):
+            f = BiPoly({(1, 0): 1})  # the zero field has no pullback
+        got = BUILDERS[builder](f, g, p)
+        keys = [key for key, _ in got.terms]
+        assert all(type(key) is tuple and len(key) == 2 for key in keys)
+        assert all(type(e) is int and e >= 0 for key in keys for e in key)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert all(type(c) is Fraction and c != 0 for _, c in got.terms)
+        again = BiPoly(dict(got.terms))
+        assert got == again and hash(got) == hash(again)
 
 
 class TestComposeSeparable:
