@@ -20,8 +20,9 @@ p'(u) Q(p(u), p(v)), which keeps the accuracy of the seed field that
 the expanded pullback loses as m grows.  `field_rhs` writes those Horner
 steps out as one straight-line function of (u, v) per field, cached on
 the field object (which can then no longer be pickled): the floats of
-the polynomials' own evaluators, without their loops, and without the
-zero steps whose only effect a later constant absorbs.
+the polynomials' own evaluators, without their loops, a BiPoly by the
+sparse steps of its `horner_plan` over powers computed once per call,
+and each chain one expression, cut every _NEST steps.
 Cycles are fixed points of the return map, found by Newton iteration on
 return(s) - s.  The slope of a planar return map is given by Liouville's
 formula, exp(w) times a transversality ratio, so one return yields both
@@ -108,38 +109,73 @@ DEFAULT_CONFIG = DynamicsConfig()
 
 def compile_component(f: BiPoly):
     """Float evaluator of f on floats or numpy arrays: `f.evaluate_float`,
-    a nested Horner closure built once per f, for any degree."""
+    the sparse Horner plan of f run by one closure built once per f, for
+    any degree."""
     return f.evaluate_float
 
 
+# links per expression: each nests one more pair of parentheses, and the
+# tokenizer refuses more than 200
+_NEST = 32
+
+
+def _chain(out: str, first: str, links) -> tuple[list[str], str]:
+    """Horner's chain from first, then `acc * x + a` for each (x, a) in
+    links, as (lines, expr): expr, the chain's value, nests at most _NEST
+    links.  A longer chain is cut every _NEST links, where a line of lines
+    assigns the value so far to out and expr goes on from out.  first is
+    a name, a literal or in parentheses."""
+    lines, expr = [], first
+    for k, (x, a) in enumerate(links):
+        if k % _NEST:
+            expr = f"({expr})"
+        elif k:
+            lines.append(f"{out} = {expr}")
+            expr = out
+        expr = f"{expr} * {x} + {a}"
+    return lines, expr
+
+
 def _horner(out: str, x: str, coeffs) -> list[str]:
-    """Horner on x over coeffs, highest power first, as source lines: the
-    steps `out = out * x + c` of the `evaluate_float` loops, each c written
-    by its repr, which reads back as the same float.  A zero step before a
-    later nonzero c keeps its multiply and drops its `+ 0.0`, joining the
-    next line (`out = out * x * x + c`): the add only turns -0.0 into 0.0,
-    a multiply keeps a zero's magnitude (inf times either zero is nan), and
-    the later c absorbs the sign, as +-0 + c = c.  A trailing zero step
-    stays: it sets the sign of a zero result."""
+    """Horner on x over coeffs, highest power first, as source lines
+    assigning out: the steps `acc * x + c` of the `evaluate_float` loop
+    as one expression (`_chain`), each c written by its repr, which reads
+    back as the same float.  A zero step before a later nonzero c keeps
+    its multiply and drops its `+ 0.0`, joining the next step (`acc * x *
+    x + c`): the add only turns -0.0 into 0.0, a multiply keeps a zero's
+    magnitude (inf times either zero is nan), and the later c absorbs the
+    sign, as +-0 + c = c.  A trailing zero step stays: it sets the sign of
+    a zero result."""
     lead, *tail = coeffs
     last = max((k for k, c in enumerate(tail) if c != 0.0), default=-1)
-    lines, product = [f"{out} = {lead!r}"], out
+    links, product = [], []
     for k, c in enumerate(tail):
-        product += f" * {x}"
+        product.append(x)
         if c != 0.0 or k > last:
-            lines.append(f"{out} = {product} + {c!r}")
-            product = out
-    return lines
+            links.append((" * ".join(product), repr(c)))
+            product = []
+    lines, expr = _chain(out, repr(lead), links)
+    return lines + [f"{out} = {expr}"]
 
 
-def _bipoly_lines(out: str, f: BiPoly, x: str, y: str) -> list[str]:
-    """`f.evaluate_float(x, y)` as source lines assigning out: Horner in y
-    over each of `f.horner_rows()`, then in x over the rows."""
-    first, *rest = f.horner_rows()
-    lines = _horner(out, y, first)
-    for row in rest:
-        lines += _horner("r", y, row) + [f"{out} = {out} * {x} + r"]
-    return lines
+def _power(x: str, g: int) -> str:
+    """The name of x**g in the RHS source: x itself for g = 1."""
+    return x if g == 1 else f"{x}{g}"
+
+
+def _bipoly_lines(out: str, plan, x: str, y: str) -> list[str]:
+    """A BiPoly's `horner_plan` at (x, y) as source lines assigning out,
+    over the power names of `_power`: each row one expression in y, set
+    in the u-chain as its link, a row cut by `_chain` going on from a name
+    of its own, out_k for row k."""
+    lines, rows = [], []
+    for k, (gu, ((_, first), *steps)) in enumerate(plan):
+        cut, expr = _chain(f"{out}_{k}", repr(first), [(_power(y, g), repr(c)) for g, c in steps])
+        lines += cut
+        rows.append((_power(x, gu), f"({expr})" if steps else expr))
+    (_, first), *links = rows
+    cut, expr = _chain(out, first, links)
+    return lines + cut + [f"{out} = {expr}"]
 
 
 def field_rhs(field: VectorField2 | PullbackResult):
@@ -150,24 +186,26 @@ def field_rhs(field: VectorField2 | PullbackResult):
     PullbackResult is evaluated through its factors, as
     (p'(v) P(x, y), p'(u) Q(x, y)) with x = p(u), y = p(v), and divergence
     p'(u) p'(v) (div X)(x, y): Horner on the expanded field, of degree
-    m deg(X) + m - 1, loses digits as m grows (relative error 2.7e-7 at
-    m = 8 and 2.9e-5 at m = 10 on the cubic seed, against at most 3e-13
-    through the factors), and costs more.  A VectorField2 is evaluated at
-    x, y = u, v with no cover factors; its divergence is the exact
-    polynomial dP/du + dQ/dv.
+    m deg(X) + m - 1, loses digits as m grows (error 2.9e-8 at m = 8
+    and 1.5e-5 at m = 10 relative to the largest |Y| on the cubic seed,
+    against at most 5e-14 through the factors), and costs more.  A
+    VectorField2 is evaluated at x, y = u, v with no cover factors; its
+    divergence is the exact polynomial dP/du + dQ/dv.
 
     The RHS is one straight-line function, generated from the field's
-    coefficients: the Horner steps of p, p', P, Q and div X written out
-    in the order of their `evaluate_float` loops, so it gives the same
-    floats as those, with no loop or call between the steps.  A zero
-    coefficient's `+ 0.0` is left out where a later step of the same
-    univariate Horner chain adds a nonzero constant: that constant absorbs
-    the one difference the add makes, the sign of a zero (see `_horner`).
-    Half the coefficients of T_m are zero.  No line nests, so any degree
-    compiles.  States become floats where they enter (`DOP853`,
-    `Section`), not in each call.  The RHS is built once per field object
-    and kept in the instance __dict__, as `evaluate_float` is, so a field
-    whose RHS was built can no longer be pickled.
+    coefficients, with no loop or call between the steps, that gives the
+    floats of the polynomials' `evaluate_float` closures.  The powers of
+    x and y that the `horner_plan`s of P, Q and div X step across are
+    computed first, once, each as the power below times x (or y); then
+    each chain is one expression: each row of a plan, each plan's chain
+    in u over its rows, and the dense chains of p and p' (`_horner`,
+    which leaves out a zero coefficient's `+ 0.0` where a later nonzero
+    constant absorbs it).  An expression is cut into a new statement
+    every _NEST links (`_chain`), so any degree compiles.  States become
+    floats where they enter (`DOP853`, `Section`), not in each call.  The
+    RHS is built once per field object and kept in the instance
+    __dict__, as `evaluate_float` is, so a field whose RHS was built can
+    no longer be pickled.
     """
     rhs = vars(field).get("_rhs")
     if rhs is not None:
@@ -180,8 +218,13 @@ def field_rhs(field: VectorField2 | PullbackResult):
         x, y, result = "x", "y", "(dv * P, du * Q, du * dv * D)"
     else:
         X, x, y, result = field, "u", "v", "(P, Q, D)"
-    for out, comp in (("P", X.p_comp), ("Q", X.q_comp), ("D", X.divergence)):
-        lines += _bipoly_lines(out, comp, x, y)
+    plans = [(out, comp.horner_plan()) for out, comp in (("P", X.p_comp), ("Q", X.q_comp), ("D", X.divergence))]
+    top_x = max(gu for _, plan in plans for gu, _ in plan)
+    top_y = max(g for _, plan in plans for _, row in plan for g, _ in row)
+    for var, top in ((x, top_x), (y, top_y)):
+        lines += [f"{_power(var, g)} = {_power(var, g - 1)} * {var}" for g in range(2, top + 1)]
+    for out, plan in plans:
+        lines += _bipoly_lines(out, plan, x, y)
     source = "def rhs(u, v):\n" + "".join(f"    {line}\n" for line in lines + [f"return {result}"])
     namespace: dict = {}
     exec(compile(source, "<field_rhs>", "exec"), namespace)

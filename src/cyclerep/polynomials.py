@@ -23,6 +23,14 @@ by construction: the accumulation sums into one int per key, drops zero
 sums and sorts the keys, and a derivative lowers one exponent of sorted,
 nonzero terms.
 
+A BiPoly is evaluated in floats over its nonzero terms only: its
+`horner_plan` is a sparse Horner scheme, Horner in v within each power
+of u that occurs, then in u over those rows, where a step across a gap
+of g powers multiplies by x**g, computed as x**(g-1) * x once per call
+and shared by every row.  A chain whose lowest power is above 0 ends in
+a `+ 0.0` step, as the dense chain does, so a zero result has the same
+sign.  A UniPoly keeps the dense chain, a step per power.
+
 The degree of the zero polynomial is the sentinel ``NEG_INF`` (minus
 infinity), never -1, so degree laws cannot pass vacuously on zero
 inputs.
@@ -278,43 +286,62 @@ class BiPoly:
             acc += c * upow(du) * vpow(dv)
         return acc
 
-    def horner_rows(self) -> tuple[tuple[float, ...], ...]:
-        """The float coefficients as rows, one per power of u from the
-        highest down, each row its v-coefficients from the highest power
-        down: the Horner steps of `evaluate_float`.  A missing v-power is a
-        0.0 coefficient and a missing u-power the row (0.0,), so every
-        Horner step is taken."""
-        by_du: dict[int, dict[int, float]] = {}
-        for (du, dv), c in self.terms:
-            by_du.setdefault(du, {})[dv] = float(c)
-        rows = []
-        for du in range(max(by_du, default=0), -1, -1):
-            row = by_du.get(du, {0: 0.0})
-            rows.append(tuple(row.get(dv, 0.0) for dv in range(max(row), -1, -1)))
-        return tuple(rows)
+    def horner_plan(self) -> tuple[tuple[int, tuple[tuple[int, float], ...]], ...]:
+        """The sparse Horner steps of `evaluate_float` (Peña & Sauer 2000):
+        a chain in u whose links are rows, each row a chain in v whose
+        links are float coefficients.  A chain is a tuple of (gap, link),
+        the first gap 0; its value is the first link, then value * x**gap
+        + link for each later one, one step per nonzero term.  The rows
+        are the powers of u that occur, highest first, each its nonzero
+        v-terms, highest first.  A chain whose lowest power k is above 0
+        ends in the link (k, 0.0), the row ((0, 0.0),) for the u-chain:
+        the dense chain ends in a zero step there, and its + 0.0 sets the
+        sign of a zero result.  The zero polynomial's plan is the one
+        row ((0, 0.0),)."""
+        rows: dict[int, list[tuple[int, float]]] = {}
+        for (du, dv), c in reversed(self.terms):  # by falling du, then dv
+            rows.setdefault(du, []).append((dv, float(c)))
+        plan = _links([(du, _links(row, 0.0)) for du, row in rows.items()], ((0, 0.0),))
+        return plan or ((0, ((0, 0.0),)),)
 
     @cached_property
     def evaluate_float(self):
         """Float evaluator (u, v) -> self(u, v), u and v floats or numpy
-        arrays: Horner in v inside each of the `horner_rows`, then Horner
-        in u over the rows, built once per polynomial.  The closure lives
-        in the instance __dict__, so a polynomial evaluated in floats can
-        no longer be pickled."""
-        (lead0, *tail0), *rest = self.horner_rows()
-        tail0, rest = tuple(tail0), tuple((lead, tuple(tail)) for lead, *tail in rest)
+        arrays: the steps of `horner_plan`, with x**g computed as
+        x**(g-1) * x once per call and shared by every row, built once per
+        polynomial.  The closure lives in the instance __dict__, so a
+        polynomial evaluated in floats can no longer be pickled."""
+        rows = tuple((gu, row[0][1], row[1:]) for gu, row in self.horner_plan())
+        top_u = max(gu for gu, _, _ in rows)
+        top_v = max((g for _, _, steps in rows for g, _ in steps), default=0)
 
         def evaluate_float(u, v):
-            acc = lead0
-            for c in tail0:
-                acc = acc * v + c
-            for lead, tail in rest:
-                r = lead
-                for c in tail:
-                    r = r * v + c
-                acc = acc * u + r
+            up, vp = [1.0, u], [1.0, v]
+            for _ in range(top_u - 1):
+                up.append(up[-1] * u)
+            for _ in range(top_v - 1):
+                vp.append(vp[-1] * v)
+            acc = None
+            for gu, r, steps in rows:
+                for g, c in steps:
+                    r = r * vp[g] + c
+                acc = r if acc is None else acc * up[gu] + r
             return acc
 
         return evaluate_float
+
+
+def _links(items, zero) -> tuple:
+    """Horner links (gap, link) of the sum of link * x**k over (k, link) in
+    items, k falling: the first gap 0, each next the fall in k, and a last
+    link (k, zero) when the lowest k is above 0."""
+    links, prev = [], None
+    for k, link in items:
+        links.append((0 if prev is None else prev - k, link))
+        prev = k
+    if prev:
+        links.append((prev, zero))
+    return tuple(links)
 
 
 def compose_separable(P: BiPoly, p: UniPoly) -> BiPoly:

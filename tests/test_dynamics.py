@@ -145,9 +145,9 @@ class TestCompiledEvaluation:
                 bound = 1e-11 * abs_term_sum(comp, u, v)
                 assert abs(fast(u, v) - exact) <= bound
                 assert abs(grid[0, c] - exact) <= bound
-        # field_rhs writes one line per Horner step with no nesting: the
-        # expanded field and the m = 64 pullback build and evaluate within
-        # the bounds of TestFactoredRhs
+        # field_rhs cuts each Horner chain into expressions of at most 32
+        # nested steps: the expanded field and the m = 64 pullback build and
+        # evaluate within the bounds of TestFactoredRhs
         Y = pb.field
         rhs = field_rhs(Y)
         for u, v in points:
@@ -297,9 +297,50 @@ def same_float(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
+def dense_horner(coeffs, x):
+    """Horner's rule over coefficients from the highest power down: the
+    leading one, then ``acc * x + c`` per lower power, zeros included."""
+    acc, *tail = coeffs
+    for c in tail:
+        acc = acc * x + c
+    return acc
+
+
+def dense_bi(f: BiPoly, u, v):
+    """Dense Horner in v per row of v-coefficients, then in u: a missing
+    v-power is 0.0 and a missing u-power the row (0.0,)."""
+    rows: dict = {}
+    for (du, dv), c in f.terms:
+        rows.setdefault(du, {})[dv] = float(c)
+    values = []
+    for du in range(max(rows, default=0), -1, -1):
+        row = rows.get(du, {0: 0.0})
+        values.append(dense_horner([row.get(dv, 0.0) for dv in range(max(row), -1, -1)], v))
+    return dense_horner(values, u)
+
+
+def dense_rhs(field):
+    """The RHS of `closure_rhs` on the dense Horner chains, a step per
+    power, absent ones included."""
+    X = field.source if isinstance(field, PullbackResult) else field
+    comps = (X.p_comp, X.q_comp, X.divergence)
+    if isinstance(field, PullbackResult):
+        p, dp = field.cover_poly, field.cover_poly.derivative()
+
+        def rhs(u, v):
+            x, y = (dense_horner(p.horner_floats(), w) for w in (u, v))
+            du, dv = (dense_horner(dp.horner_floats(), w) for w in (u, v))
+            P, Q, D = (dense_bi(comp, x, y) for comp in comps)
+            return (dv * P, du * Q, du * dv * D)
+
+        return rhs
+    return lambda u, v: tuple(dense_bi(comp, u, v) for comp in comps)
+
+
 class TestStraightLineRhs:
     """`field_rhs` writes the Horner steps of the `evaluate_float` closures
-    out in their order, so every lane is the same float as theirs."""
+    out in their order, so every lane is the same float as theirs; on the
+    cubic seed and its pullbacks, those are the dense Horner's floats."""
 
     SPECIAL = [math.inf, -math.inf, math.nan, 1e200, -1e200, 0.0, -0.0]
 
@@ -342,17 +383,55 @@ class TestStraightLineRhs:
                 assert same_float(namespace["chain"](u), poly.evaluate_float(u)), (poly, u)
 
     def test_zero_steps_fold_into_the_next_constant(self):
-        # T_6 = 32u^6 - 48u^4 + 18u^2 - 1: each zero step keeps its multiply
-        # and joins the next line; T_6' = 192u^5 - 192u^3 + 36u ends in a
-        # zero step, which stays, since it sets the sign of a zero result
+        # T_6 = 32u^6 - 48u^4 + 18u^2 - 1 is one expression: each zero step
+        # keeps its multiply and joins the next step; T_6' = 192u^5 -
+        # 192u^3 + 36u ends in a zero step, which stays, since it sets the
+        # sign of a zero result
         assert dynamics._horner("x", "u", chebyshev(6).horner_floats()) == [
-            "x = 32.0", "x = x * u * u + -48.0", "x = x * u * u + 18.0", "x = x * u * u + -1.0"
+            "x = ((32.0 * u * u + -48.0) * u * u + 18.0) * u * u + -1.0"
         ]
         assert dynamics._horner("d", "u", chebyshev(6).derivative().horner_floats()) == [
-            "d = 192.0", "d = d * u * u + -192.0", "d = d * u * u + 36.0", "d = d * u + 0.0"
+            "d = ((192.0 * u * u + -192.0) * u * u + 36.0) * u + 0.0"
         ]
         # the zero polynomial and a constant are a lead alone
         assert dynamics._horner("r", "v", (0.0,)) == ["r = 0.0"]
+        # a BiPoly takes a step per nonzero term, across a gap of powers by
+        # the shared power (u2 = u * u), each row one expression inside the
+        # u-chain: P = v - u^3 - uv^2 + u/4 and its absent u^2 row and v^1
+        # term, and the + 0.0 of the u^0 row, whose lowest power is v^1
+        P = radial_cubic_field(Fraction(1, 2)).p_comp
+        assert dynamics._bipoly_lines("P", P.horner_plan(), "u", "v") == [
+            "P = (-1.0 * u2 + (-1.0 * v2 + 0.25)) * u + (1.0 * v + 0.0)"
+        ]
+
+    @pytest.mark.parametrize("rho", ["1/3", "2/5", "1/2", "3/5", "2/3"])
+    def test_seed_and_its_lifts_keep_the_dense_floats(self, rho):
+        # every seed coefficient that the sparse plan steps across a gap
+        # with is 1 or 4 in magnitude, so the sparse products are exact and
+        # the RHS of the seed at each bench rho, and of its pullbacks, is
+        # the dense Horner's to the bit, zero signs included: no lift float
+        # moves
+        X = radial_cubic_field(Fraction(rho))
+        for m in (1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 64):
+            field = X if m == 1 else build_pullback(X, chebyshev(m))
+            got, want = field_rhs(field), dense_rhs(field)
+            for z in self.points(m):
+                a, b = got(*z), want(*z)
+                assert all(same_float(x, y) for x, y in zip(a, b)), (m, z, a, b)
+
+    def test_deep_chains_compile(self, radial_half):
+        # a 300-term row in v, a u-chain over 300 rows and one over 300
+        # constants: cut every 32 links, where one expression would nest
+        # 300 parentheses deep, beyond what the tokenizer takes
+        c = [Fraction(k % 7 - 3 or 5, k % 5 + 1) for k in range(300)]
+        X = VectorField2(BiPoly({(0, k): c[k] for k in range(300)}),
+                         BiPoly({(k, 1): c[k] for k in range(300)}))
+        assert len(X.p_comp.terms) == len(X.q_comp.terms) == 300
+        self.assert_same(X, 11)
+        # the expanded cubic pullback at m = 64, of degree 255
+        Y = build_pullback(radial_half, chebyshev(64)).field
+        assert Y.degree() == 255
+        self.assert_same(Y, 12)
 
     def test_built_once_per_field_object(self, radial_half):
         pb = build_pullback(radial_half, chebyshev(4))

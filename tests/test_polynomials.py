@@ -195,11 +195,12 @@ class TestBiPoly:
                 assert values[r, c] == f.evaluate_float(float(us[r, c]), float(vs[r, c]))
 
     def test_float_eval_keeps_every_horner_step(self):
-        # 2u^2v + 3: the absent u^1 row and the v^0 slot of the u^2 row are
-        # explicit "+ 0.0" steps, so a non-finite input meets them
+        # 2u^2v + 3: the u^2 row ends in an explicit "+ 0.0" step for its
+        # absent v^0, and the u-gap of 2 is one multiply by u * u, so a
+        # non-finite input meets them
         f = BiPoly({(2, 1): 2, (0, 0): 3})
         for u, v in [(0.5, -0.25), (math.inf, 0.0), (math.inf, 1.0), (2.0, math.nan), (1e200, 1e200)]:
-            expected = ((2.0 * v + 0.0) * u + 0.0) * u + 3.0
+            expected = (2.0 * v + 0.0) * (u * u) + 3.0
             got = f.evaluate_float(u, v)
             assert got == expected or (math.isnan(got) and math.isnan(expected))
         assert math.isnan(f.evaluate_float(math.inf, 0.0))
@@ -226,16 +227,28 @@ def reference_uni(p, x):
 
 
 def reference_bi(f, u, v):
-    """Horner in v per row of v-coefficients, then in u, from _horner; a
-    missing v-power is 0.0 and a missing u-power the row (0.0,)."""
+    """The sparse Horner steps the evaluator must reproduce, from the
+    terms: for each power of u that occurs, highest first, Horner in v
+    over its nonzero terms, a gap of g powers one multiply by v**g (v
+    times itself g - 1 times), and a last `* v**k + 0.0` when the lowest
+    power k is above 0; then the same in u over those rows."""
+
+    def power(x, g):
+        p = x
+        for _ in range(g - 1):
+            p = p * x
+        return p
+
+    def chain(items, x):
+        (k, acc), *rest = items
+        for j, c in rest:
+            acc, k = acc * power(x, k - j) + c, j
+        return acc * power(x, k) + 0.0 if k else acc
+
     rows = {}
-    for (du, dv), c in f.terms:
-        rows.setdefault(du, {})[dv] = float(c)
-    values = []
-    for du in range(max(rows, default=0), -1, -1):
-        row = rows.get(du, {0: 0.0})
-        values.append(_horner([row.get(dv, 0.0) for dv in range(max(row), -1, -1)], v))
-    return _horner(values, u)
+    for (du, dv), c in sorted(f.terms, reverse=True):
+        rows.setdefault(du, []).append((dv, float(c)))
+    return chain([(du, chain(row, v)) for du, row in rows.items()], u) if rows else 0.0
 
 
 def same_bits(got, want):
@@ -256,6 +269,7 @@ sparse_bipolys = st.one_of(
     st.builds(lambda c: {(0, 0): c}, wide_fractions),  # constants, zero included
     st.just({}),
 ).map(BiPoly)
+grid_points = st.fractions(min_value=-2, max_value=2, max_denominator=1000)
 unipolys = st.lists(wide_fractions, max_size=41).map(lambda cs: UniPoly(tuple(cs)))
 
 
@@ -281,6 +295,22 @@ class TestFloatEvaluatorAgainstReference:
     def test_bipoly_at_arrays(self, f, points):
         us, vs = np.array([p[0] for p in points]), np.array([p[1] for p in points])
         same_bits(f.evaluate_float(us, vs), reference_bi(f, us, vs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_bipolys, grid_points, grid_points)
+    def test_error_within_the_horner_bound(self, f, u, v):
+        # Horner's forward error bound (Higham, Accuracy and Stability of
+        # Numerical Algorithms, ch. 5): a step per power, each power's own
+        # products included, stays within a few (deg_u + deg_v + 2) eps of
+        # the sum of |terms|.  The points lie on a grid of 1/1000, so no
+        # power of theirs reaches the subnormal range.
+        u, v = float(u), float(v)
+        deg_u = max((du for (du, _), _ in f.terms), default=0)
+        deg_v = max((dv for (_, dv), _ in f.terms), default=0)
+        xu, xv = Fraction(u), Fraction(v)
+        scale = sum(abs(c * xu**du * xv**dv) for (du, dv), c in f.terms)
+        err = abs(Fraction(f.evaluate_float(u, v)) - f.evaluate(xu, xv))
+        assert err <= 2 * (deg_u + deg_v + 2) * Fraction(2**-52) * scale
 
     def test_degree_40_rows(self):
         f = BiPoly({(40, 40): Fraction(1, 3), (40, 0): -2, (0, 40): Fraction(7, 5), (17, 3): 1})
