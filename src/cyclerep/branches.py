@@ -313,16 +313,15 @@ def _narrow(cell: tuple, level: int) -> tuple:
     return g, lo, level, s
 
 
-def _float_ends(lo: Fraction, hi: Fraction) -> tuple[float, float]:
-    """lo < hi rounded to floats, widened one float outward if they round to one."""
-    a, b = float(lo), float(hi)
-    return (math.nextafter(a, -math.inf), math.nextafter(b, math.inf)) if a == b else (a, b)
+def _float_ends(lo: float, hi: float) -> tuple[float, float]:
+    """Two ends' floats lo <= hi, widened one float outward if they are one."""
+    return (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)) if lo == hi else (lo, hi)
 
 
-def _ends(cell: tuple) -> tuple[Fraction, Fraction]:
+def _ends(cell: tuple, top: int) -> tuple[int, int]:
+    """The cell's ends times 2**top, integers for top >= its level."""
     _, num, k, s = cell
-    unit = Fraction(2) ** -k
-    return num * unit, (num + (s != 0)) * unit
+    return num << (top - k), (num + (s != 0)) << (top - k)
 
 
 def full_branch_intervals(p: UniPoly) -> BranchSet:
@@ -348,21 +347,23 @@ def full_branch_intervals(p: UniPoly) -> BranchSet:
         roots += [(level, _narrow(cell, 40)) for cell in _isolate(_quotient(shifted, tangent))]
     roots += [(0, _narrow(cell, 40)) for cell in _isolate(crit)]
     while True:  # halve cells until each gap between neighbours has a rational point
-        roots.sort(key=lambda r: _ends(r[1]))
-        ends = [_ends(cell) for _, cell in roots]
+        top = max([0] + [cell[2] for _, cell in roots])  # every end is an integer over 2**top
+        roots.sort(key=lambda r: _ends(r[1], top))
+        ends = [_ends(cell, top) for _, cell in roots]
         clash = {i + d for i in range(len(roots) - 1) if ends[i][1] >= ends[i + 1][0] for d in (0, 1)}
         if not clash:
             break
         roots = [(level, _narrow(cell, cell[2] + (i in clash)))
                  for i, (level, cell) in enumerate(roots)]
+    value, scale = _on_level(dP, top + 1), 1 << (top + 1)  # midpoints are over 2**(top + 1)
 
     def slope(i: int) -> int:  # the sign of p' between roots i and i + 1
-        t = (ends[i][1] + ends[i + 1][0]) / 2
-        return _sign_at(dP, t.numerator, t.denominator.bit_length() - 1)
+        acc = value(ends[i][1] + ends[i + 1][0])
+        return (acc > 0) - (acc < 0)
 
     marks = [i for i, (level, _) in enumerate(roots) if level]
-    found = [
-        (*_float_ends(sum(ends[i]) / 2, sum(ends[j]) / 2), roots[j][0])
+    found = [  # int / int rounds correctly, as float(Fraction) does
+        (*_float_ends(sum(ends[i]) / scale, sum(ends[j]) / scale), roots[j][0])
         for i, j in zip(marks, marks[1:])
         if roots[i][0] == -roots[j][0] and all(slope(g) == roots[j][0] for g in range(i, j))
     ]

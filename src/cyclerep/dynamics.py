@@ -20,9 +20,9 @@ p'(u) Q(p(u), p(v)), which keeps the accuracy of the seed field that
 the expanded pullback loses as m grows.  `field_rhs` writes those Horner
 steps out as one straight-line function of (u, v) per field, cached on
 the field object (which can then no longer be pickled): the floats of
-the polynomials' own evaluators, without their loops, a BiPoly by the
-sparse steps of its `horner_plan` over powers computed once per call,
-and each chain one expression, cut every _NEST steps.
+the polynomials' own evaluators, without their loops, each the sparse
+steps of its `horner_plan` (a BiPoly's over powers computed once per
+call) and each chain one expression, cut every _NEST steps.
 Cycles are fixed points of the return map, found by Newton iteration on
 return(s) - s.  The slope of a planar return map is given by Liouville's
 formula, exp(w) times a transversality ratio, so one return yields both
@@ -136,25 +136,12 @@ def _chain(out: str, first: str, links) -> tuple[list[str], str]:
     return lines, expr
 
 
-def _horner(out: str, x: str, coeffs) -> list[str]:
-    """Horner on x over coeffs, highest power first, as source lines
-    assigning out: the steps `acc * x + c` of the `evaluate_float` loop
-    as one expression (`_chain`), each c written by its repr, which reads
-    back as the same float.  A zero step before a later nonzero c keeps
-    its multiply and drops its `+ 0.0`, joining the next step (`acc * x *
-    x + c`): the add only turns -0.0 into 0.0, a multiply keeps a zero's
-    magnitude (inf times either zero is nan), and the later c absorbs the
-    sign, as +-0 + c = c.  A trailing zero step stays: it sets the sign of
-    a zero result."""
-    lead, *tail = coeffs
-    last = max((k for k, c in enumerate(tail) if c != 0.0), default=-1)
-    links, product = [], []
-    for k, c in enumerate(tail):
-        product.append(x)
-        if c != 0.0 or k > last:
-            links.append((" * ".join(product), repr(c)))
-            product = []
-    lines, expr = _chain(out, repr(lead), links)
+def _uni_lines(out: str, x: str, plan) -> list[str]:
+    """A UniPoly's `horner_plan` at x as source lines assigning out, a gap
+    of g written as g factors x, each constant by its repr, which reads
+    back as the same float."""
+    (_, first), *steps = plan
+    lines, expr = _chain(out, repr(first), [(" * ".join([x] * g), repr(c)) for g, c in steps])
     return lines + [f"{out} = {expr}"]
 
 
@@ -198,14 +185,12 @@ def field_rhs(field: VectorField2 | PullbackResult):
     x and y that the `horner_plan`s of P, Q and div X step across are
     computed first, once, each as the power below times x (or y); then
     each chain is one expression: each row of a plan, each plan's chain
-    in u over its rows, and the dense chains of p and p' (`_horner`,
-    which leaves out a zero coefficient's `+ 0.0` where a later nonzero
-    constant absorbs it).  An expression is cut into a new statement
-    every _NEST links (`_chain`), so any degree compiles.  States become
-    floats where they enter (`DOP853`, `Section`), not in each call.  The
-    RHS is built once per field object and kept in the instance
-    __dict__, as `evaluate_float` is, so a field whose RHS was built can
-    no longer be pickled.
+    in u over its rows, and the plans of p and p' (`_uni_lines`).  An
+    expression is cut into a new statement every _NEST links (`_chain`),
+    so any degree compiles.  States become floats where they enter
+    (`DOP853`, `Section`), not in each call.  The RHS is built once per
+    field object and kept in the instance __dict__, as `evaluate_float`
+    is, so a field whose RHS was built can no longer be pickled.
     """
     rhs = vars(field).get("_rhs")
     if rhs is not None:
@@ -214,7 +199,7 @@ def field_rhs(field: VectorField2 | PullbackResult):
     if isinstance(field, PullbackResult):
         X, p, dp = field.source, field.cover_poly, field.cover_poly.derivative()
         for out, var, poly in (("x", "u", p), ("y", "v", p), ("du", "u", dp), ("dv", "v", dp)):
-            lines += _horner(out, var, poly.horner_floats())
+            lines += _uni_lines(out, var, poly.horner_plan())
         x, y, result = "x", "y", "(dv * P, du * Q, du * dv * D)"
     else:
         X, x, y, result = field, "u", "v", "(P, Q, D)"
@@ -382,12 +367,14 @@ class DOP853:
     (safety 0.9, factor clamped to [0.2, 10], exponent -1/8, no growth
     right after a rejection) and error norm, which blends the 5th- and
     3rd-order estimates scaled by atol + max(|y|, |y_new|) rtol (II.10), so
-    it takes the same steps.  A trial is one function generated from the
+    it takes the same steps.  It runs from t = 0 to t_bound at the one
+    tolerance tol: rtol = tol (at least scipy's floor of 100 eps) and
+    atol = tol * 1e-2.  A trial is one function generated from the
     tableau on first use (`_kernels`): its stages and weighted sums written
     out, each sum from 0.0 over its nonzero weights in stage order, so a
     step costs its twelve RHS calls and little else.  `fun(u, v)` returns
     (u', v', div) at floats u, v; the start state is made floats here.  w,
-    the integral of div from t0, is summed from the same stages with the
+    the integral of div from t = 0, is summed from the same stages with the
     same weights and has its own rows in the interpolant, but stays out of
     the error norm and the step size, so the state `y` steps as it would
     alone.  A trial whose stages overflow has a nan or inf error norm and
@@ -397,15 +384,16 @@ class DOP853:
     finite-time blowup.
     """
 
-    def __init__(self, fun, t0: float, y0, t_bound: float, rtol: float, atol: float):
-        if not (0 < rtol < math.inf and 0 < atol < math.inf):
-            raise ValueError(f"tolerances must be positive and finite, got rtol={rtol}, atol={atol}")
+    def __init__(self, fun, y0, t_bound: float, tol: float):
+        atol = tol * 1e-2
+        if not (0 < tol < math.inf and 0 < atol):
+            raise ValueError(f"tolerances must be positive and finite, got tol={tol}, atol={atol}")
         self.fun = fun
-        self.t, self.y, self.t_bound = float(t0), (float(y0[0]), float(y0[1])), float(t_bound)
+        self.t, self.y, self.t_bound = 0.0, (float(y0[0]), float(y0[1])), float(t_bound)
         if not (math.isfinite(self.y[0]) and math.isfinite(self.y[1])):
             raise ValueError(f"start state must be finite, got {self.y}")
         self.w = 0.0
-        self.rtol, self.atol = max(rtol, 100 * sys.float_info.epsilon), atol  # scipy's floor on rtol
+        self.rtol, self.atol = max(tol, 100 * sys.float_info.epsilon), atol  # scipy's floor on rtol
         self.t_old = self.y_old = self.w_old = self.K = None
         self.f = fun(*self.y)
         self.h_abs = self._initial_step()
@@ -485,7 +473,7 @@ def _steps(rhs, z0, t_bound: float, tol: float):
     the integration starts and `step` runs once per accepted step, so a
     subclass set on this module (the benchmark tracer's) sees every step.
     """
-    solver = RK45(rhs, 0.0, z0, t_bound, rtol=tol, atol=tol * 1e-2)
+    solver = RK45(rhs, z0, t_bound, tol)
     while solver.t < t_bound:
         solver.step()
         yield solver

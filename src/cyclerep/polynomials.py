@@ -23,13 +23,12 @@ by construction: the accumulation sums into one int per key, drops zero
 sums and sorts the keys, and a derivative lowers one exponent of sorted,
 nonzero terms.
 
-A BiPoly is evaluated in floats over its nonzero terms only: its
-`horner_plan` is a sparse Horner scheme, Horner in v within each power
-of u that occurs, then in u over those rows, where a step across a gap
-of g powers multiplies by x**g, computed as x**(g-1) * x once per call
-and shared by every row.  A chain whose lowest power is above 0 ends in
-a `+ 0.0` step, as the dense chain does, so a zero result has the same
-sign.  A UniPoly keeps the dense chain, a step per power.
+A polynomial is evaluated in floats over its nonzero terms only: its
+`horner_plan` is a sparse Horner scheme (`_links`), a chain with one
+step per nonzero term across the gap of powers below it; a BiPoly's is
+Horner in v within each power of u that occurs, then in u over those
+rows.  A chain whose lowest power is above 0 ends in a `+ 0.0` step, as
+the dense chain does, so a zero result has the same sign.
 
 The degree of the zero polynomial is the sentinel ``NEG_INF`` (minus
 infinity), never -1, so degree laws cannot pass vacuously on zero
@@ -161,25 +160,31 @@ class UniPoly:
         N, den = integer_numerators(self.coeffs or (Fraction(0),))
         return tuple(N), den
 
-    def horner_floats(self) -> tuple[float, ...]:
-        """The float coefficients from the highest power down, (0.0,) for
-        zero: the Horner steps of `evaluate_float`, one per entry after
-        the first."""
-        return tuple(float(c) for c in reversed(self.coeffs)) or (0.0,)
+    def horner_plan(self) -> tuple[tuple[int, float], ...]:
+        """The sparse Horner steps of `evaluate_float`: `_links` of the
+        nonzero terms, highest power first; ((0, 0.0),) for zero.  Run as
+        g multiplies by x, then + c, per link (g, c), they give the dense
+        chain's floats, zero signs included: a dense + 0.0 only turns -0.0
+        into 0.0, a multiply keeps a zero a zero (inf times either zero is
+        nan), and the next + c absorbs the sign (+-0 + c = c).  A trailing
+        zero step stays, as the last link, (k, 0.0)."""
+        terms = [(k, float(c)) for k, c in reversed(list(enumerate(self.coeffs))) if c]
+        return _links(terms, 0.0) or ((0, 0.0),)
 
     @cached_property
     def evaluate_float(self):
-        """Float evaluator x -> self(x), x a float or a numpy array: Horner
-        over `horner_floats`, built once per polynomial.  The closure
+        """Float evaluator x -> self(x), x a float or a numpy array: the
+        steps of `horner_plan`, built once per polynomial.  The closure
         lives in the instance __dict__, so a polynomial evaluated in
         floats can no longer be pickled."""
-        lead, *tail = self.horner_floats()
-        tail = tuple(tail)
+        (_, lead), *steps = self.horner_plan()
 
         def evaluate_float(x):
             acc = lead
-            for c in tail:
-                acc = acc * x + c
+            for g, c in steps:
+                for _ in range(g):
+                    acc = acc * x
+                acc = acc + c
             return acc
 
         return evaluate_float

@@ -328,8 +328,8 @@ def dense_rhs(field):
         p, dp = field.cover_poly, field.cover_poly.derivative()
 
         def rhs(u, v):
-            x, y = (dense_horner(p.horner_floats(), w) for w in (u, v))
-            du, dv = (dense_horner(dp.horner_floats(), w) for w in (u, v))
+            x, y = (dense_horner([float(c) for c in reversed(p.coeffs)], w) for w in (u, v))
+            du, dv = (dense_horner([float(c) for c in reversed(dp.coeffs)], w) for w in (u, v))
             P, Q, D = (dense_bi(comp, x, y) for comp in comps)
             return (dv * P, du * Q, du * dv * D)
 
@@ -372,29 +372,30 @@ class TestStraightLineRhs:
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_folded_chains_match_the_loop(self, m):
-        # each univariate chain of T_m and T_m', folded, against the loop of
-        # `evaluate_float`, which takes every zero step
+        # each univariate chain of T_m and T_m', folded, against the dense
+        # Horner loop, which takes every zero step
         for poly in (chebyshev(m), chebyshev(m).derivative()):
-            lines = dynamics._horner("acc", "u", poly.horner_floats())
+            lines = dynamics._uni_lines("acc", "u", poly.horner_plan())
             namespace: dict = {}
             exec("def chain(u):\n" + "".join(f"    {line}\n" for line in lines) + "    return acc\n", namespace)
             rng = random.Random(m)
             for u in self.SPECIAL + [1.0, -1.0] + [rng.uniform(-1.5, 1.5) for _ in range(20)]:
-                assert same_float(namespace["chain"](u), poly.evaluate_float(u)), (poly, u)
+                want = dense_horner([float(c) for c in reversed(poly.coeffs)], u)
+                assert same_float(namespace["chain"](u), want), (poly, u)
 
     def test_zero_steps_fold_into_the_next_constant(self):
         # T_6 = 32u^6 - 48u^4 + 18u^2 - 1 is one expression: each zero step
         # keeps its multiply and joins the next step; T_6' = 192u^5 -
         # 192u^3 + 36u ends in a zero step, which stays, since it sets the
         # sign of a zero result
-        assert dynamics._horner("x", "u", chebyshev(6).horner_floats()) == [
+        assert dynamics._uni_lines("x", "u", chebyshev(6).horner_plan()) == [
             "x = ((32.0 * u * u + -48.0) * u * u + 18.0) * u * u + -1.0"
         ]
-        assert dynamics._horner("d", "u", chebyshev(6).derivative().horner_floats()) == [
+        assert dynamics._uni_lines("d", "u", chebyshev(6).derivative().horner_plan()) == [
             "d = ((192.0 * u * u + -192.0) * u * u + 36.0) * u + 0.0"
         ]
         # the zero polynomial and a constant are a lead alone
-        assert dynamics._horner("r", "v", (0.0,)) == ["r = 0.0"]
+        assert dynamics._uni_lines("r", "v", UniPoly().horner_plan()) == ["r = 0.0"]
         # a BiPoly takes a step per nonzero term, across a gap of powers by
         # the shared power (u2 = u * u), each row one expression inside the
         # u-chain: P = v - u^3 - uv^2 + u/4 and its absent u^2 row and v^1
@@ -523,7 +524,9 @@ class TestIntegrate:
             make(radial_half)
 
 
-RTOL, ATOL = 1e-10, 1e-12
+TOL = 1e-10
+# the rtol and atol that `DOP853` derives from TOL, for scipy's stepper
+SCIPY_TOLS = {"rtol": TOL, "atol": TOL * 1e-2}
 
 
 def stepper_field(radial_half, case):
@@ -648,15 +651,15 @@ class TestStepperAgainstScipy:
     @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
     def test_first_step_size(self, radial_half, case):
         rhs, z0 = stepper_case(radial_half, case)
-        ours = DOP853(rhs, 0.0, z0, 5.0, RTOL, ATOL)
-        theirs = ScipyDOP853(state_lanes(rhs), 0.0, np.array(z0), 5.0, rtol=RTOL, atol=ATOL)
+        ours = DOP853(rhs, z0, 5.0, TOL)
+        theirs = ScipyDOP853(state_lanes(rhs), 0.0, np.array(z0), 5.0, **SCIPY_TOLS)
         assert ours.h_abs == pytest.approx(theirs.h_abs, rel=1e-14)
 
     @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
     def test_one_step_from_shared_state(self, radial_half, case, trials):
         rhs, z0 = stepper_case(radial_half, case)
-        theirs = ScipyDOP853(state_lanes(rhs), 0.0, np.array(z0), 20.0, rtol=RTOL, atol=ATOL)
-        ours = DOP853(rhs, 0.0, z0, 20.0, RTOL, ATOL)
+        theirs = ScipyDOP853(state_lanes(rhs), 0.0, np.array(z0), 20.0, **SCIPY_TOLS)
+        ours = DOP853(rhs, z0, 20.0, TOL)
         retried = compared = 0
         while theirs.status == "running" and retried + compared < 150:
             copy_state(ours, theirs)
@@ -695,8 +698,8 @@ class TestStepperAgainstScipy:
     @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
     def test_step_after_rejected_trials(self, radial_half, case, trials):
         rhs, z0 = stepper_case(radial_half, case)
-        theirs = ScipyDOP853(state_lanes(rhs), 0.0, np.array(z0), 20.0, rtol=RTOL, atol=ATOL)
-        ours = DOP853(rhs, 0.0, z0, 20.0, RTOL, ATOL)
+        theirs = ScipyDOP853(state_lanes(rhs), 0.0, np.array(z0), 20.0, **SCIPY_TOLS)
+        ours = DOP853(rhs, z0, 20.0, TOL)
         for _ in range(20):
             theirs.step()
         theirs.h_abs *= 100.0  # far too long: rejected until it fits
@@ -717,8 +720,8 @@ class TestStepperAgainstScipy:
         # a trial of 1e3 is cut at t_bound = 20 and its stages overflow: the
         # retry is 0.2 of the 20 tried, as scipy's, not of 1e3
         rhs, z0 = stepper_case(radial_half, "seed")
-        theirs = ScipyDOP853(state_lanes(rhs), 0.0, np.array(z0), 20.0, rtol=RTOL, atol=ATOL)
-        ours = DOP853(rhs, 0.0, z0, 20.0, RTOL, ATOL)
+        theirs = ScipyDOP853(state_lanes(rhs), 0.0, np.array(z0), 20.0, **SCIPY_TOLS)
+        ours = DOP853(rhs, z0, 20.0, TOL)
         theirs.h_abs = ours.h_abs = 1e3
         with np.errstate(over="ignore", invalid="ignore"):
             theirs.step()
@@ -731,8 +734,8 @@ class TestStepperAgainstScipy:
     def test_whole_run_takes_the_same_steps(self, radial_half, case, t_bound):
         floor = {"seed": 30, "m3": 90, "m8": 180}[case]  # about half the 67, 179 and 361 steps
         rhs, z0 = stepper_case(radial_half, case)
-        ours = DOP853(rhs, 0.0, z0, t_bound, RTOL, ATOL)
-        theirs = ScipyDOP853(state_lanes(rhs), 0.0, np.array(z0), t_bound, rtol=RTOL, atol=ATOL)
+        ours = DOP853(rhs, z0, t_bound, TOL)
+        theirs = ScipyDOP853(state_lanes(rhs), 0.0, np.array(z0), t_bound, **SCIPY_TOLS)
         n_ours = n_theirs = 0
         while ours.t < t_bound:
             ours.step()
@@ -746,8 +749,8 @@ class TestStepperAgainstScipy:
     @pytest.mark.parametrize("case", ["seed", "m3", "m8"])
     def test_dense_output_at_step_midpoints(self, radial_half, case):
         rhs, z0 = stepper_case(radial_half, case)
-        theirs = ScipyDOP853(state_lanes(rhs), 0.0, np.array(z0), 5.0, rtol=RTOL, atol=ATOL)
-        ours = DOP853(rhs, 0.0, z0, 5.0, RTOL, ATOL)
+        theirs = ScipyDOP853(state_lanes(rhs), 0.0, np.array(z0), 5.0, **SCIPY_TOLS)
+        ours = DOP853(rhs, z0, 5.0, TOL)
         for _ in range(50):
             if theirs.status != "running":  # the seed is done in 18 steps
                 break
@@ -891,7 +894,7 @@ class TestGeneratedTrial:
         runs = []
         for kernels in (dynamics._kernels(), (loop_trial, loop_extra)):
             monkeypatch.setattr(dynamics, "_kernels", lambda: kernels)
-            solver, run = DOP853(field_rhs(radial_half), 0.0, (0.9, 0.0), 3.0, RTOL, ATOL), []
+            solver, run = DOP853(field_rhs(radial_half), (0.9, 0.0), 3.0, TOL), []
             while solver.t < 3.0:
                 solver.step()
                 piece = solver.dense_output()
@@ -1056,8 +1059,8 @@ class TestTrajectorySample:
         assert all(pieces[k - 1].at(t, 2) != pieces[k].at(t, 2) for k, t in enumerate(ts[1:-1], 1))
 
         class Replay:
-            def __init__(self, fun, t0, y0, t_bound, rtol, atol):
-                self.t, self.steps = t0, iter(pieces)
+            def __init__(self, fun, y0, t_bound, tol):
+                self.t, self.steps = 0.0, iter(pieces)
 
             def step(self):
                 self.piece = next(self.steps)
@@ -1085,7 +1088,7 @@ class TestStepperOverflow:
             overflows.append(not all(map(math.isfinite, value)))
             return value
 
-        solver = DOP853(watched, 0.0, (0.5, 0.0), 1e61, RTOL, ATOL)
+        solver = DOP853(watched, (0.5, 0.0), 1e61, TOL)
         solver.h_abs = 1e60
         solver.step()
         assert any(overflows)
@@ -1140,8 +1143,7 @@ class TestStepperHook:
 
     def test_integrate_steps_are_seen(self, radial_half, seen):
         integrate(radial_half, (0.9, 0.0), 3.0, 1)
-        tol = DEFAULT_CONFIG.tol
-        solver, ts = DOP853(field_rhs(radial_half), 0.0, (0.9, 0.0), 3.0, tol, tol * 1e-2), []
+        solver, ts = DOP853(field_rhs(radial_half), (0.9, 0.0), 3.0, DEFAULT_CONFIG.tol), []
         while solver.t < 3.0:
             solver.step()
             ts.append(solver.t)

@@ -270,7 +270,11 @@ sparse_bipolys = st.one_of(
     st.just({}),
 ).map(BiPoly)
 grid_points = st.fractions(min_value=-2, max_value=2, max_denominator=1000)
-unipolys = st.lists(wide_fractions, max_size=41).map(lambda cs: UniPoly(tuple(cs)))
+# sparse up to degree 40, so most powers are absent, with long zero runs
+# and trailing zeros in the dense coefficients
+unipolys = st.dictionaries(st.integers(0, 40), wide_fractions, max_size=8).map(
+    lambda d: UniPoly(tuple(d.get(k, 0) for k in range(max(d, default=-1) + 1)))
+)
 
 
 class TestFloatEvaluatorAgainstReference:
