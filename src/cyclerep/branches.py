@@ -231,12 +231,6 @@ def _on_level(f: list[int], k: int):
     return value
 
 
-def _sign_at(f: list[int], num: int, k: int) -> int:
-    """Sign of f at the dyadic rational num / 2**k, exactly."""
-    acc = _on_level(f, k)(num)
-    return (acc > 0) - (acc < 0)
-
-
 def _isolate(f: list[int]) -> list[tuple]:
     """The real roots of the squarefree integer polynomial f, one cell
     (g, num, k, s) per root: the root is num / 2**k if s == 0, else it lies

@@ -1,34 +1,30 @@
 """Exact polynomial arithmetic over the rationals.
 
-Univariate polynomials are dense (tuple of coefficients, index = power,
-no trailing zeros); bivariate polynomials are sparse (sorted tuple of
-((deg_u, deg_v), coefficient) pairs, zero coefficients never stored).
-Coefficients are `fractions.Fraction`, so everything in this module is
-exact; floating point enters only through the ``*_float`` evaluators
-used at the symbolic/numeric boundary.  The exact operations are the
-ones a separable pullback needs: sums and products of bivariate
-polynomials, derivatives, the substitution `compose_separable` (the one
-composition), the pullback's components p'(v) P(p(u), p(v)) and
-p'(u) Q(p(u), p(v)) (`_separable_pullback`, one pass each, for
-`cyclerep.pullback`) and evaluation.  Products, the substitution, the
-pullback and univariate evaluation do not multiply Fractions: they
-accumulate the integer numerators of their operands over one common
-denominator and build one Fraction per output coefficient.
-
-`BiPoly(terms)` checks and normalises its terms.  The integer
-accumulation `_sum_products` (behind products, the substitution and the
-pullback) and the partial derivatives build through the unchecked
-`BiPoly._canonical` instead, which is safe as their terms are canonical
-by construction: the accumulation sums into one int per key, drops zero
-sums and sorts the keys, and a derivative lowers one exponent of sorted,
-nonzero terms.
+Univariate polynomials are dense (tuple of `fractions.Fraction`
+coefficients, index = power, no trailing zeros).  A bivariate polynomial
+is stored in one form, integer numerators over one denominator: sorted
+keys (deg_u, deg_v), a nonzero int per key and a positive int den, with
+gcd(den, *nums) == 1, so equal polynomials store equal tuples and == and
+hash compare them in C.  Its `terms`, reduced Fractions, are a view built
+on first read.  Everything in this module is exact; floating point enters
+only through the ``*_float`` evaluators used at the symbolic/numeric
+boundary.  The exact operations are the ones a separable pullback needs:
+sums and products of bivariate polynomials, derivatives, the
+substitution `compose_separable` (the one composition), the pullback's
+components p'(v) P(p(u), p(v)) and p'(u) Q(p(u), p(v))
+(`_separable_pullback`, one pass each, for `cyclerep.pullback`) and
+evaluation.  They run on integers throughout and make no Fraction: a
+result is summed into one int per key over a common denominator and
+reduced by one gcd (`BiPoly._of`); an exact evaluation makes one Fraction
+at the end.
 
 A polynomial is evaluated in floats over its nonzero terms only: its
 `horner_plan` is a sparse Horner scheme (`_links`), a chain with one
 step per nonzero term across the gap of powers below it; a BiPoly's is
 Horner in v within each power of u that occurs, then in u over those
-rows.  A chain whose lowest power is above 0 ends in a `+ 0.0` step, as
-the dense chain does, so a zero result has the same sign.
+rows, each coefficient the correctly rounded float n / den.  A chain
+whose lowest power is above 0 ends in a `+ 0.0` step, as the dense chain
+does, so a zero result has the same sign.
 
 The degree of the zero polynomial is the sentinel ``NEG_INF`` (minus
 infinity), never -1, so degree laws cannot pass vacuously on zero
@@ -84,10 +80,10 @@ def integer_numerators(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
     """Coefficients, constant first, of the product of two integer polynomials."""
-    out = [0] * (len(a) + len(b) - 1)
+    out, nonzero = [0] * (len(a) + len(b) - 1), [(j, cb) for j, cb in enumerate(b) if cb]
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
+            for j, cb in nonzero:
                 out[i + j] += ca * cb
     return out
 
@@ -101,9 +97,8 @@ def _sum_products(pairs, width: int, den: int) -> "BiPoly":
             for j, cb in b:
                 sums[i + j] += ca * cb
     # sorted flat keys are sorted (du, dv), as dv < width
-    return BiPoly._canonical(
-        tuple((divmod(k, width), Fraction(n, den)) for k, n in sorted(sums.items()) if n)
-    )
+    flat = sorted(k for k, n in sums.items() if n)
+    return BiPoly._of([divmod(k, width) for k in flat], [sums[k] for k in flat], den)
 
 
 def _powers(base, one, times=mul):
@@ -211,14 +206,18 @@ def chebyshev(m: int) -> UniPoly:
 Term = tuple[tuple[int, int], Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BiPoly:
-    """Sparse bivariate polynomial in (u, v); zero coefficients never stored."""
+    """Sparse bivariate polynomial in (u, v): the sum of n / den times
+    u**du * v**dv over ((du, dv), n) in zip(keys, nums), in the one form."""
 
-    terms: tuple[Term, ...] = ()
+    keys: tuple[tuple[int, int], ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        raw = self.terms.items() if isinstance(self.terms, Mapping) else self.terms
+    def __init__(self, terms: Union[Mapping, Iterable[Term]] = ()) -> None:
+        """From terms ((du, dv), c), a mapping or pairs; repeated keys add up."""
+        raw = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[tuple[int, int], Fraction] = {}
         for (du, dv), c in raw:
             c = _as_fraction(c)
@@ -228,84 +227,86 @@ class BiPoly:
             if key[0] < 0 or key[1] < 0:
                 raise ValueError(f"negative exponent {key}")
             acc[key] = acc[key] + c if key in acc else c
-        object.__setattr__(
-            self, "terms", tuple(sorted((k, v) for k, v in acc.items() if v != 0))
-        )
+        keys = sorted(k for k, c in acc.items() if c)
+        # reduced Fractions over the lcm of their denominators: gcd(den, *N) == 1
+        N, den = integer_numerators(acc[k] for k in keys)
+        vars(self).update(keys=tuple(keys), nums=tuple(N), den=den)
 
     @classmethod
-    def _canonical(cls, terms: tuple[Term, ...]) -> "BiPoly":
-        """The BiPoly of terms already in canonical form, unchecked: keys
-        (du, dv) nonnegative ints in strictly increasing order, values
-        nonzero Fractions.  Only for terms the package has just built in
-        that form (integer accumulations, derivatives)."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "terms", terms)
+    def _of(cls, keys: list[tuple[int, int]], nums: list[int], den: int) -> "BiPoly":
+        """The BiPoly nums / den at keys, reduced by gcd(den, *nums), unchecked:
+        keys nonnegative int pairs strictly increasing, nums nonzero ints and
+        den > 0, as the package's integer sums and derivatives build them."""
+        f, g = object.__new__(cls), math.gcd(den, *nums)
+        vars(f).update(keys=tuple(keys), nums=tuple([n // g for n in nums] if g > 1 else nums), den=den // g)
         return f
+
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        """((du, dv), c) per key, c a reduced Fraction: a view built on first read."""
+        return tuple((k, Fraction(n, self.den)) for k, n in zip(self.keys, self.nums))
 
     @classmethod
     def from_uni(cls, p: UniPoly, var: int) -> "BiPoly":
         """Embed a univariate polynomial as p(u) (var=0) or p(v) (var=1)."""
         if var not in (0, 1):
             raise ValueError("var must be 0 (first coordinate) or 1 (second)")
-        if var == 0:
-            return cls({(k, 0): c for k, c in enumerate(p.coeffs)})
-        return cls({(0, k): c for k, c in enumerate(p.coeffs)})
+        N, den = p._numerators
+        powers = [k for k, n in enumerate(N) if n]
+        return cls._of([(0, k) if var else (k, 0) for k in powers], [N[k] for k in powers], den)
 
     def total_degree(self) -> Union[int, float]:
         """max(deg_u + deg_v) over stored terms; NEG_INF for zero."""
-        if not self.terms:
-            return NEG_INF
-        return max(du + dv for (du, dv), _ in self.terms)
+        return max(map(sum, self.keys), default=NEG_INF)
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        acc = dict(self.terms)
-        for key, c in other.terms:
-            acc[key] = acc.get(key, Fraction(0)) + c
-        return BiPoly(acc)
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        acc = dict(zip(self.keys, [n * s for n in self.nums]))
+        for key, n in zip(other.keys, other.nums):
+            acc[key] = acc.get(key, 0) + n * t
+        keys = sorted(key for key, n in acc.items() if n)
+        return BiPoly._of(keys, [acc[key] for key in keys], den)
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
-        # above every power of v in the product
-        width = 1 + 2 * max((dv for (_, dv), _ in self.terms + other.terms), default=0)
-        (a, da), (b, db) = self._flat(width), other._flat(width)
-        return _sum_products([(a, b)], width, da * db)
+        width = 1 + 2 * max((dv for _, dv in self.keys + other.keys), default=0)  # above each v power
+        a, b = ([(du * width + dv, n) for (du, dv), n in zip(f.keys, f.nums)] for f in (self, other))
+        return _sum_products([(a, b)], width, self.den * other.den)
 
-    def _flat(self, width: int) -> tuple[list[tuple[int, int]], int]:
-        """(terms, den): self is the sum of c * u**du * v**dv / den over
-        (du * width + dv, c) in terms, each c an integer."""
-        N, den = integer_numerators(c for _, c in self.terms)
-        return [(du * width + dv, c) for ((du, dv), _), c in zip(self.terms, N)], den
-
-    # lowering one exponent keeps the order of the terms it keeps, and a
-    # positive exponent times a nonzero coefficient is nonzero
+    # lowering one exponent keeps the key order, and keeps every kept n nonzero
     def partial_u(self) -> "BiPoly":
-        return BiPoly._canonical(tuple(((du - 1, dv), du * c) for (du, dv), c in self.terms if du))
+        return BiPoly._of([(du - 1, dv) for du, dv in self.keys if du],
+                          [du * n for (du, _), n in zip(self.keys, self.nums) if du], self.den)
 
     def partial_v(self) -> "BiPoly":
-        return BiPoly._canonical(tuple(((du, dv - 1), dv * c) for (du, dv), c in self.terms if dv))
+        return BiPoly._of([(du, dv - 1) for du, dv in self.keys if dv],
+                          [dv * n for (_, dv), n in zip(self.keys, self.nums) if dv], self.den)
 
     def evaluate(self, xu: Scalar, xv: Scalar) -> Fraction:
-        upow = _powers(_as_fraction(xu), Fraction(1))
-        vpow = _powers(_as_fraction(xv), Fraction(1))
-        acc = Fraction(0)
-        for (du, dv), c in self.terms:
-            acc += c * upow(du) * vpow(dv)
-        return acc
+        """self(xu, xv) exactly, for xu = a/b and xv = c/e: the integer sum of
+        n a**du b**(U-du) c**dv e**(V-dv) over den b**U e**V, one Fraction at
+        the end, U and V the top powers of u and v."""
+        (a, b), (c, e) = _as_fraction(xu).as_integer_ratio(), _as_fraction(xv).as_integer_ratio()
+        U, V = (max((k[i] for k in self.keys), default=0) for i in (0, 1))
+        pa, pb, pc, pe = (_powers(x, 1) for x in (a, b, c, e))
+        acc = sum(n * pa(du) * pb(U - du) * pc(dv) * pe(V - dv) for (du, dv), n in zip(self.keys, self.nums))
+        return Fraction(acc, self.den * pb(U) * pe(V))
 
     def horner_plan(self) -> tuple[tuple[int, tuple[tuple[int, float], ...]], ...]:
         """The sparse Horner steps of `evaluate_float` (Peña & Sauer 2000):
         a chain in u whose links are rows, each row a chain in v whose
-        links are float coefficients.  A chain is a tuple of (gap, link),
-        the first gap 0; its value is the first link, then value * x**gap
-        + link for each later one, one step per nonzero term.  The rows
-        are the powers of u that occur, highest first, each its nonzero
-        v-terms, highest first.  A chain whose lowest power k is above 0
-        ends in the link (k, 0.0), the row ((0, 0.0),) for the u-chain:
-        the dense chain ends in a zero step there, and its + 0.0 sets the
-        sign of a zero result.  The zero polynomial's plan is the one
-        row ((0, 0.0),)."""
-        rows: dict[int, list[tuple[int, float]]] = {}
-        for (du, dv), c in reversed(self.terms):  # by falling du, then dv
-            rows.setdefault(du, []).append((dv, float(c)))
+        links are the float coefficients n / den, correctly rounded as
+        float(Fraction) is.  A chain is a tuple of (gap, link), the first
+        gap 0; its value is the first link, then value * x**gap + link for
+        each later one, one step per nonzero term.  The rows are the powers
+        of u that occur, highest first, each its nonzero v-terms, highest
+        first.  A chain whose lowest power k is above 0 ends in the link
+        (k, 0.0), the row ((0, 0.0),) for the u-chain: the dense chain ends
+        in a zero step there, and its + 0.0 sets the sign of a zero result.
+        The zero polynomial's plan is the one row ((0, 0.0),)."""
+        rows, den = {}, self.den  # du -> [(dv, coefficient)]
+        for (du, dv), n in zip(reversed(self.keys), reversed(self.nums)):  # by falling du, then dv
+            rows.setdefault(du, []).append((dv, n / den))
         plan = _links([(du, _links(row, 0.0)) for du, row in rows.items()], ((0, 0.0),))
         return plan or ((0, ((0, 0.0),)),)
 
@@ -371,7 +372,7 @@ def _compose(P: BiPoly, N: list[int], d: int, npow, dp_var=None) -> BiPoly:
     """P(p(u), p(v)) for p = N / d, N an integer list (constant first) and
     npow(k) = N**k; times p'(u) if dp_var is 0, p'(v) if it is 1.
 
-    With P = C / D on integers, the term C_ab p(u)**a p(v)**b is
+    With P = C / D on integers (P.nums over P.den), the term C_ab p(u)**a p(v)**b is
     C_ab d**(top - a - b) N(u)**a N(v)**b over D d**top, top the total
     degree of P, and p' = N' / d.  The terms are summed first on the side
     of p' (v without it), into one integer polynomial per power on the
@@ -379,10 +380,9 @@ def _compose(P: BiPoly, N: list[int], d: int, npow, dp_var=None) -> BiPoly:
     product.
     """
     f, f_den = ([k * c for k, c in enumerate(N)][1:], d) if dp_var is not None else ([1], 1)
-    C, D = integer_numerators(c for _, c in P.terms)
     top = max(P.total_degree(), 0)
     sums: dict[int, list[int]] = {}  # power on the other side -> integer sum on the side of p'
-    for ((a, b), _), c in zip(P.terms, C):
+    for (a, b), c in zip(P.keys, P.nums):
         other, k = (b, a) if dp_var == 0 else (a, b)
         c *= d ** (top - a - b)
         acc, nk = sums.setdefault(other, []), npow(k)
@@ -396,7 +396,7 @@ def _compose(P: BiPoly, N: list[int], d: int, npow, dp_var=None) -> BiPoly:
         plain = [(i, x) for i, x in enumerate(npow(other)) if x]
         u_side, v_side = (folded, plain) if dp_var == 0 else (plain, folded)
         pairs.append(([(i * width, x) for i, x in u_side], v_side))
-    return _sum_products(pairs, width, D * d**top * f_den)
+    return _sum_products(pairs, width, P.den * d**top * f_den)
 
 
 @dataclass(frozen=True)

@@ -84,8 +84,10 @@ def verify_conjugacy(r: PullbackResult, X: VectorField2) -> bool:
 
     Reruns `build_pullback` from X and r's cover and compares the fields
     exactly, which checks the identity's components with the nonzero factor
-    p'(u) or p'(v) cancelled (see the module docstring).  A False return
-    means the pullback was not built from X.
+    p'(u) or p'(v) cancelled (see the module docstring).  Each BiPoly has
+    one stored form, integer numerators over a reduced denominator, so
+    the compare is of int tuples.  A False return means the pullback was
+    not built from X.
     """
     return r.field == build_pullback(X, r.cover_poly).field
 

@@ -321,7 +321,8 @@ def bisection_narrow(cell: tuple, level: int) -> tuple:
     until it is 2**-level wide or the root is a midpoint."""
     g, num, k, s = cell
     while s and k < level:
-        t = branches._sign_at(g, 2 * num + 1, k + 1)
+        at = branches._on_level(g, k + 1)(2 * num + 1)  # g at the midpoint, positively scaled
+        t = (at > 0) - (at < 0)
         num, k, s = 2 * num + (t in (0, s)), k + 1, s if t else 0
     return g, num, k, s
 
@@ -374,7 +375,7 @@ class TestNarrow:
         f = [-1, -3, 2, 4]
         assert (f, -1, 0, 0) in branches._isolate(f)  # the root -1, exact
         (cell,) = [c for c in branches._isolate(f) if c[1:] == (-1, 0, 1)]
-        assert branches._sign_at(f, -1, 0) == 0
+        assert branches._on_level(f, 0)(-1) == 0
         want = ((1 << 40) - math.isqrt(5 << 80) - 1) // 4  # floor((1 - sqrt 5) 2**40 / 4)
         assert branches._narrow(cell, 40) == bisection_narrow(cell, 40) == (f, want, 40, 1)
 

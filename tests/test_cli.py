@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -44,6 +45,14 @@ class TestPullbackCommand:
         assert main(["pullback", str(GOLDEN / "pullback_field.json"), "--m", str(m)]) == 0
         got = capsys.readouterr().out.encode("utf-8")
         assert got == (GOLDEN / f"pullback_field_m{m}.json").read_bytes()
+
+    def test_golden_field_m64_hash(self, tmp_path):
+        # the 2 MB pullback at m = 64 is pinned by its sha256, in the
+        # `sha256sum -c` format; the bytes as first written
+        out = tmp_path / "pb64.json"
+        assert main(["pullback", str(GOLDEN / "pullback_field.json"), "--m", "64", "--out", str(out)]) == 0
+        digest, name = (GOLDEN / "pullback_field_m64.sha256").read_text().split()
+        assert (hashlib.sha256(out.read_bytes()).hexdigest(), name) == (digest, out.name)
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

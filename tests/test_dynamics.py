@@ -216,9 +216,10 @@ class TestRhsBuildsAreCached:
         def rebuilt(*args, **kwargs):
             raise AssertionError("a polynomial was rebuilt")
 
-        # every exact polynomial is made by its constructor's __post_init__
-        for cls in (BiPoly, UniPoly):
-            monkeypatch.setattr(cls, "__post_init__", rebuilt)
+        # every exact BiPoly is made by its constructor or by the integer
+        # path BiPoly._of, every UniPoly by its constructor's __post_init__
+        for cls, name in ((BiPoly, "__init__"), (BiPoly, "_of"), (UniPoly, "__post_init__")):
+            monkeypatch.setattr(cls, name, rebuilt)
         for field, first in zip(cases, firsts):
             again = field_rhs(field)
             for z in [(0.31, -0.27), (-0.93, 0.88)]:

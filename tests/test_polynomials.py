@@ -377,44 +377,183 @@ class TestIntegerProducts:
         assert type(got) is Fraction and got == expected
 
 
-# every way the package builds a BiPoly from others, applied to (f, g, p)
-BUILDERS = {
-    "product": lambda f, g, p: f * g,
-    "cancelling_product": lambda f, g, p: (f + g) * (f + neg(g)),  # the f g terms cancel
-    "sum": lambda f, g, p: f + g,
-    "partial_u": lambda f, g, p: f.partial_u(),
-    "partial_v": lambda f, g, p: g.partial_v(),
-    "divergence": lambda f, g, p: VectorField2(f, g).divergence,
-    "compose_separable": lambda f, g, p: compose_separable(f, p),
-    "pullback_p": lambda f, g, p: build_pullback(VectorField2(f, g), p).field.p_comp,
-    "pullback_q": lambda f, g, p: build_pullback(VectorField2(f, g), p).field.q_comp,
+def ref_sum(*polys):
+    """The sum of polynomials written as dicts {(du, dv): Fraction}, zero
+    sums dropped: with ref_product, ref_uni and ref_compose, the Fraction
+    reference for the integer arithmetic."""
+    acc = {}
+    for f in polys:
+        for key, c in f.items():
+            acc[key] = acc.get(key, Fraction(0)) + c
+    return {key: c for key, c in acc.items() if c}
+
+
+def ref_product(f, g):
+    return ref_sum(*({(au + bu, av + bv): ca * cb} for (au, av), ca in f.items() for (bu, bv), cb in g.items()))
+
+
+def ref_uni(p, var):
+    return {((0, k) if var else (k, 0)): c for k, c in enumerate(p.coeffs) if c}
+
+
+def ref_compose(f, p):
+    """f(p(u), p(v)), each term a product of its factors p(u) and p(v)."""
+    terms = []
+    for (du, dv), c in f.items():
+        term = {(0, 0): c}
+        for factor in [ref_uni(p, 0)] * du + [ref_uni(p, 1)] * dv:
+            term = ref_product(term, factor)
+        terms.append(term)
+    return ref_sum(*terms)
+
+
+def ref_neg(f):
+    return {key: -c for key, c in f.items()}
+
+
+def ref_partial_u(f):
+    return {(du - 1, dv): du * c for (du, dv), c in f.items() if du}
+
+
+def ref_partial_v(f):
+    return {(du, dv - 1): dv * c for (du, dv), c in f.items() if dv}
+
+
+def term_sum(f, x, y):
+    """f at (x, y) as the sum of its terms over Fractions: the reference
+    for the integer evaluation."""
+    return sum((c * x**du * y**dv for (du, dv), c in f.terms), Fraction(0))
+
+
+class TestExactBiPolyEvaluation:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(mixed_bipolys, sparse_bipolys), mixed_fractions, mixed_fractions,
+           st.sampled_from([1, 2, 3, 2**53]))
+    def test_matches_term_sum(self, f, x, y, den):
+        x, y = x / den, y / den
+        got = f.evaluate(x, y)
+        assert type(got) is Fraction and got == term_sum(f, x, y)
+
+    def test_integer_and_string_points(self):
+        f = BiPoly({(3, 0): Fraction(1, 2), (1, 2): Fraction(-2, 3), (0, 0): 5})
+        assert f.evaluate(2, -3) == 4 - 12 + 5
+        assert f.evaluate("1/2", 0) == Fraction(1, 16) + 5
+        assert BiPoly().evaluate(Fraction(7, 3), 1) == 0
+
+
+# every way the package builds a BiPoly, applied to (f, g, p), with its
+# reference over dicts of Fractions, applied to (dict(f.terms), dict(g.terms), p)
+CONSTRUCTIONS = {
+    "product": (lambda f, g, p: f * g, lambda f, g, p: ref_product(f, g)),
+    "cancelling_product": (  # the f g terms cancel
+        lambda f, g, p: (f + g) * (f + neg(g)),
+        lambda f, g, p: ref_product(ref_sum(f, g), ref_sum(f, ref_neg(g))),
+    ),
+    "sum": (lambda f, g, p: f + g, lambda f, g, p: ref_sum(f, g)),
+    "partial_u": (lambda f, g, p: f.partial_u(), lambda f, g, p: ref_partial_u(f)),
+    "partial_v": (lambda f, g, p: g.partial_v(), lambda f, g, p: ref_partial_v(g)),
+    "divergence": (
+        lambda f, g, p: VectorField2(f, g).divergence,
+        lambda f, g, p: ref_sum(ref_partial_u(f), ref_partial_v(g)),
+    ),
+    "from_uni_u": (lambda f, g, p: BiPoly.from_uni(p, 0), lambda f, g, p: ref_uni(p, 0)),
+    "from_uni_v": (lambda f, g, p: BiPoly.from_uni(p, 1), lambda f, g, p: ref_uni(p, 1)),
+    "compose_separable": (lambda f, g, p: compose_separable(f, p), lambda f, g, p: ref_compose(f, p)),
+    "pullback_p": (
+        lambda f, g, p: build_pullback(VectorField2(f, g), p).field.p_comp,
+        lambda f, g, p: ref_product(ref_uni(p.derivative(), 1), ref_compose(f, p)),
+    ),
+    "pullback_q": (
+        lambda f, g, p: build_pullback(VectorField2(f, g), p).field.q_comp,
+        lambda f, g, p: ref_product(ref_uni(p.derivative(), 0), ref_compose(g, p)),
+    ),
 }
 
 
+def assert_stored_form(f):
+    """keys strictly increasing nonnegative int pairs, nums nonzero ints,
+    den a positive int sharing no factor with every numerator."""
+    assert type(f.keys) is tuple and type(f.nums) is tuple and len(f.keys) == len(f.nums)
+    assert all(type(key) is tuple and len(key) == 2 for key in f.keys)
+    assert all(type(e) is int and e >= 0 for key in f.keys for e in key)
+    assert all(a < b for a, b in zip(f.keys, f.keys[1:]))
+    assert all(type(n) is int and n != 0 for n in f.nums)
+    assert type(f.den) is int and f.den > 0 and math.gcd(f.den, *f.nums) == 1
+    assert f.keys or (f.nums, f.den) == ((), 1)
+
+
+def rewritten(f, k):
+    """BiPoly(...) pairs for the terms of f written otherwise: each c = n/d
+    as the string "kn/kd", then 1/k and -1/k at its key, and a term 1 and
+    a term -1 at (9, 9), so every key's sum passes through other values."""
+    pairs = [((9, 9), 1)]
+    for key, c in f.terms:
+        pairs += [(key, f"{k * c.numerator}/{k * c.denominator}"), (key, Fraction(1, k)), (key, Fraction(-1, k))]
+    return pairs + [((9, 9), -1)]
+
+
+def same_poly(a, b):
+    assert a == b and hash(a) == hash(b)
+    assert (a.keys, a.nums, a.den) == (b.keys, b.nums, b.den)
+
+
+cubic_covers = st.lists(mixed_fractions, min_size=2, max_size=3).map(lambda cs: UniPoly((*cs, Fraction(3, 2))))
+
+
 class TestCanonicalForm:
-    """Results built without the public constructor's checks are in the
-    form it would give them."""
+    """Every BiPoly, however built, is in the one stored form, so equal
+    rationals written differently give equal polynomials with equal hashes."""
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.sampled_from(sorted(BUILDERS)),
-        mixed_bipolys,
-        mixed_bipolys,
-        st.lists(mixed_fractions, min_size=2, max_size=3)
-        .map(lambda cs: UniPoly((*cs, Fraction(3, 2)))),
-    )
+    @given(st.sampled_from(sorted(CONSTRUCTIONS)), mixed_bipolys, mixed_bipolys, cubic_covers)
     @example("cancelling_product", BiPoly({(1, 0): 1}), BiPoly({(0, 1): 1}), chebyshev(2))
-    def test_results_are_canonical(self, builder, f, g, p):
-        if builder.startswith("pullback") and not (f.terms or g.terms):
+    def test_results_are_canonical(self, name, f, g, p):
+        if name.startswith("pullback") and not (f.keys or g.keys):
             f = BiPoly({(1, 0): 1})  # the zero field has no pullback
-        got = BUILDERS[builder](f, g, p)
-        keys = [key for key, _ in got.terms]
-        assert all(type(key) is tuple and len(key) == 2 for key in keys)
-        assert all(type(e) is int and e >= 0 for key in keys for e in key)
-        assert all(a < b for a, b in zip(keys, keys[1:]))
-        assert all(type(c) is Fraction and c != 0 for _, c in got.terms)
-        again = BiPoly(dict(got.terms))
-        assert got == again and hash(got) == hash(again)
+        build, reference = CONSTRUCTIONS[name]
+        got = build(f, g, p)
+        assert_stored_form(got)
+        want = reference(dict(f.terms), dict(g.terms), p)
+        assert dict(got.terms) == want  # the view: reduced Fractions, in key order
+        assert [key for key, _ in got.terms] == list(got.keys) == sorted(want)
+        assert all(type(c) is Fraction for _, c in got.terms)
+        same_poly(got, BiPoly(want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(CONSTRUCTIONS)), mixed_bipolys, mixed_bipolys, cubic_covers,
+           mixed_bipolys, st.integers(2, 12))
+    def test_equal_rationals_give_equal_polys(self, name, f, g, p, h, k):
+        if name.startswith("pullback") and not (f.keys or g.keys):
+            f = BiPoly({(1, 0): 1})
+        build, _ = CONSTRUCTIONS[name]
+        got = build(f, g, p)
+        # the constructor: 2/4 for 1/2, and terms that cancel
+        p2 = UniPoly(tuple(f"{k * c.numerator}/{k * c.denominator}" for c in p.coeffs))
+        same_poly(build(BiPoly(rewritten(f, k)), BiPoly(rewritten(g, k)), p2), got)
+        # the operations: numerators that share a factor k with the
+        # denominator (times k, then 1/k), and a sum that cancels h
+        scale, unscale = BiPoly({(0, 0): k}), BiPoly({(0, 0): Fraction(1, k)})
+        same_poly(build((f * scale) * unscale, (g + h) + neg(h), p), got)
+
+    def test_one_form_per_rational(self):
+        half = BiPoly({(1, 2): Fraction(1, 2)})
+        for other in (BiPoly({(1, 2): "2/4"}), BiPoly([((1, 2), 1), ((1, 2), Fraction(-1, 2))]),
+                      BiPoly({(1, 2): 1}) * BiPoly({(0, 0): Fraction(3, 6)}),
+                      BiPoly({(2, 2): Fraction(1, 4)}).partial_u(),
+                      BiPoly.from_uni(UniPoly((0, 0, "3/6")), 1).partial_v() * BiPoly({(1, 1): Fraction(1, 2)})):
+            same_poly(other, half)
+        assert (half.keys, half.nums, half.den) == (((1, 2),), (1,), 2)
+        zero = BiPoly({(1, 0): "1/2"}) + BiPoly({(1, 0): "-2/4"})
+        same_poly(zero, BiPoly())
+        assert (zero.keys, zero.nums, zero.den) == ((), (), 1)
+
+    def test_terms_is_read_only(self):
+        f = BiPoly({(1, 0): Fraction(2, 3)})
+        with pytest.raises(AttributeError):
+            f.terms = ()
+        with pytest.raises(AttributeError):
+            f.den = 1
+        assert f.terms == (((1, 0), Fraction(2, 3)),)
 
 
 class TestComposeSeparable:

@@ -295,3 +295,24 @@ class TestSerialization:
         blob = pullback_result_to_json(pullback_m3)
         assert blob["m"] == 3 and blob["d"] == 3 and blob["deg_Y"] == 11
         assert {"cover_poly", "field", "lambda"} <= set(blob)
+
+
+class TestTamperedField:
+    """verify_conjugacy compares the stored forms: a field one numerator
+    off, or with a component doubled, is not the pullback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(SEED_FIELDS, COVERS, st.sampled_from(["p", "q"]), st.integers(0, 10**6), st.sampled_from([1, -1]))
+    def test_one_numerator_off_or_a_component_doubled(self, X, p, part, pick, step):
+        r = build_pullback(X, p)
+        assert verify_conjugacy(r, X)
+        Y = r.field
+        if not (Y.p_comp if part == "p" else Y.q_comp).keys:  # a zero component stays zero
+            part = "q" if part == "p" else "p"
+        comp = Y.p_comp if part == "p" else Y.q_comp
+        nums = list(comp.nums)
+        nums[pick % len(nums)] += step
+        off = BiPoly({key: Fraction(n, comp.den) for key, n in zip(comp.keys, nums)})
+        for bad in (off, comp + comp):
+            field = VectorField2(bad, Y.q_comp) if part == "p" else VectorField2(Y.p_comp, bad)
+            assert not verify_conjugacy(replace(r, field=field), X)
