@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .polynomials import UniPoly, chebyshev, integer_numerators
+from .polynomials import UniPoly, chebyshev
 
 INCREASING = 1
 DECREASING = -1
@@ -329,13 +329,13 @@ def full_branch_intervals(p: UniPoly) -> BranchSet:
     """
     if p.degree() < 1:
         raise ValueError("need a nonconstant polynomial")
-    P, den = integer_numerators(p.coeffs)  # p = P / den
+    P, den = p.nums, p.den  # p = P / den
     dP = _derivative(P)
     repeated = _gcd(dP, _derivative(dP))
     crit = _quotient(dP, repeated)
     roots = []
     for level in (1, -1):
-        shifted = [P[0] - level * den] + P[1:]
+        shifted = [P[0] - level * den, *P[1:]]
         tangent = _gcd(shifted, dP)
         crit = _quotient(crit, _gcd(crit, tangent))
         roots += [(level, _narrow(cell, 40)) for cell in _isolate(_quotient(shifted, tangent))]

@@ -90,8 +90,8 @@ class DynamicsConfig:
     """The fixed limits of the return map and the cycle search, as class
     constants.  A miss is bounded in turns as well as in time: the
     pullback's time change keeps the turns and shortens the time.  Only
-    `integrate` and `poincare_return` take a tolerance, defaulting to
-    `tol`."""
+    `integrate` takes a tolerance, defaulting to `tol`; the return map
+    integrates at `tol`."""
 
     tol: ClassVar[float] = 1e-10            # integrator local error control
     eps_fix: ClassVar[float] = 1e-9         # |return(s) - s| at an accepted fixed point
@@ -622,18 +622,16 @@ def poincare_return(
     field: VectorField2 | PullbackResult,
     section: Section,
     s: float,
-    tol: float = DynamicsConfig.tol,
 ) -> tuple[float, float, float]:
     """First same-orientation return of the flow to the section.
 
-    Integrates at tol, by default the cycle search's DynamicsConfig.tol,
-    and watches the signed section offset, its sign set by the field at
-    the start point; when an accepted step brackets a crossing in that
-    direction, the crossing time is refined on that step's dense
-    interpolant.  The first such crossing inside (0, s_max) is the
-    return: the integration stops there, so unstable cycles are not
-    flowed past their return.  Returns (new parameter, flight time,
-    slope).  A crossing whose refinement does not converge raises
+    Integrates at DynamicsConfig.tol and watches the signed section
+    offset, its sign set by the field at the start point; when an accepted
+    step brackets a crossing in that direction, the crossing time is
+    refined on that step's dense interpolant.  The first such crossing
+    inside (0, s_max) is the return: the integration stops there, so
+    unstable cycles are not flowed past their return.  Returns (new
+    parameter, flight time, slope).  A crossing whose refinement does not converge raises
     DegenerateCrossingError.  NoReturnError is raised after
     DynamicsConfig.max_off_crossings + 1 crossings of the section's line
     off the segment (an orbit that turns but misses), or at
@@ -660,7 +658,7 @@ def poincare_return(
         return sgn * ((z[0] - section.base[0]) * n[0] + (z[1] - section.base[1]) * n[1])
 
     g_prev, t_prev, off = gval(z0), 0.0, 0
-    for solver in _steps(rhs, z0, DynamicsConfig.t_max, tol):
+    for solver in _steps(rhs, z0, DynamicsConfig.t_max, DynamicsConfig.tol):
         g_new = gval(solver.y)
         if g_prev < 0.0 <= g_new:
             dense = solver.dense_output()

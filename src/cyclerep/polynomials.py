@@ -1,22 +1,23 @@
 """Exact polynomial arithmetic over the rationals.
 
-Univariate polynomials are dense (tuple of `fractions.Fraction`
-coefficients, index = power, no trailing zeros).  A bivariate polynomial
-is stored in one form, integer numerators over one denominator: sorted
-keys (deg_u, deg_v), a nonzero int per key and a positive int den, with
-gcd(den, *nums) == 1, so equal polynomials store equal tuples and == and
-hash compare them in C.  Its `terms`, reduced Fractions, are a view built
-on first read.  Everything in this module is exact; floating point enters
-only through the ``*_float`` evaluators used at the symbolic/numeric
-boundary.  The exact operations are the ones a separable pullback needs:
-sums and products of bivariate polynomials, derivatives, the
-substitution `compose_separable` (the one composition), the pullback's
-components p'(v) P(p(u), p(v)) and p'(u) Q(p(u), p(v))
+Every polynomial is stored in one form, integer numerators over one
+denominator: a positive int den with gcd(den, *nums) == 1, so equal
+polynomials store equal tuples and == and hash compare them in C.  A
+univariate polynomial's nums are dense, the constant first, with no
+trailing zero; a bivariate one's are a nonzero int per key, the keys
+(deg_u, deg_v) sorted.  The zero polynomial has no nums and den 1.  The
+reduced Fractions, a UniPoly's `coeffs` and a BiPoly's `terms`, are a
+view built on first read.  Everything in this module is exact; floating
+point enters only through the ``*_float`` evaluators used at the
+symbolic/numeric boundary.  The exact operations are the ones a
+separable pullback needs: sums and products of bivariate polynomials,
+derivatives, the substitution `compose_separable` (the one composition),
+the pullback's components p'(v) P(p(u), p(v)) and p'(u) Q(p(u), p(v))
 (`_separable_pullback`, one pass each, for `cyclerep.pullback`) and
-evaluation.  They run on integers throughout and make no Fraction: a
-result is summed into one int per key over a common denominator and
-reduced by one gcd (`BiPoly._of`); an exact evaluation makes one Fraction
-at the end.
+evaluation.  Only the two constructors turn coefficients into integers;
+the operations run on integers throughout and make no Fraction: a result
+is summed into one int per key over a common denominator and reduced by
+one gcd (`_of`); an exact evaluation makes one Fraction at the end.
 
 A polynomial is evaluated in floats over its nonzero terms only: its
 `horner_plan` is a sparse Horner scheme (`_links`), a chain with one
@@ -71,13 +72,6 @@ def as_integer(k) -> int:
     raise ValueError(f"expected an integer, got {k!r}")
 
 
-def integer_numerators(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
-    """(N, den) with coeffs[i] == N[i] / den, den the lcm of the denominators."""
-    coeffs = tuple(coeffs)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 def _convolve(a: list[int], b: list[int]) -> list[int]:
     """Coefficients, constant first, of the product of two integer polynomials."""
     out, nonzero = [0] * (len(a) + len(b) - 1), [(j, cb) for j, cb in enumerate(b) if cb]
@@ -113,21 +107,38 @@ def _powers(base, one, times=mul):
     return power
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UniPoly:
-    """Dense univariate polynomial; ``coeffs[k]`` multiplies x**k."""
+    """Dense univariate polynomial: the sum of nums[k] / den times x**k."""
 
-    coeffs: tuple[Fraction, ...] = ()
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        cs = [_as_fraction(c) for c in self.coeffs]
+    def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
+        """From coefficients, the constant first; trailing zeros are dropped."""
+        cs = [_as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # reduced Fractions over the lcm of their denominators: gcd(den, *nums) == 1
+        den = math.lcm(*(c.denominator for c in cs))
+        vars(self).update(nums=tuple(c.numerator * (den // c.denominator) for c in cs), den=den)
+
+    @classmethod
+    def _of(cls, nums: list[int], den: int) -> "UniPoly":
+        """The UniPoly nums / den, reduced by gcd(den, *nums), unchecked: nums
+        ints, the constant first and the last nonzero, and den > 0."""
+        p, g = object.__new__(cls), math.gcd(den, *nums)
+        vars(p).update(nums=tuple([n // g for n in nums] if g > 1 else nums), den=den // g)
+        return p
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """``coeffs[k]`` multiplies x**k, a reduced Fraction: a view built on first read."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def degree(self) -> Union[int, float]:
         """Degree, or NEG_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.nums) - 1 if self.nums else NEG_INF
 
     def derivative(self) -> "UniPoly":
         """The derivative, computed once per polynomial."""
@@ -135,25 +146,16 @@ class UniPoly:
 
     @cached_property
     def _derivative(self) -> "UniPoly":
-        return UniPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
+        return UniPoly._of([k * n for k, n in enumerate(self.nums)][1:], self.den)
 
     def evaluate(self, x: Scalar) -> Fraction:
-        """self(x) exactly: with x = a/b and self = N/den, the integer sum
-        of N[i] * a**i * b**(n - i) (Horner), over den * b**n."""
+        """self(x) exactly: with x = a/b, the integer sum of nums[i] a**i
+        b**(n - i) (Horner) over den b**n, n the degree."""
         a, b = _as_fraction(x).as_integer_ratio()
-        N, den = self._numerators
         acc, scale = 0, 1
-        for c in reversed(N):
+        for c in reversed(self.nums):
             acc, scale = acc * a + c * scale, scale * b
-        return Fraction(acc, den * scale // b)
-
-    @cached_property
-    def _numerators(self) -> tuple[tuple[int, ...], int]:
-        """`integer_numerators` of the coefficients ((0,), 1 for zero),
-        computed once per polynomial: the lcm is most of an exact evaluation
-        at large degree."""
-        N, den = integer_numerators(self.coeffs or (Fraction(0),))
-        return tuple(N), den
+        return Fraction(acc * b, self.den * scale)
 
     def horner_plan(self) -> tuple[tuple[int, float], ...]:
         """The sparse Horner steps of `evaluate_float`: `_links` of the
@@ -162,8 +164,9 @@ class UniPoly:
         chain's floats, zero signs included: a dense + 0.0 only turns -0.0
         into 0.0, a multiply keeps a zero a zero (inf times either zero is
         nan), and the next + c absorbs the sign (+-0 + c = c).  A trailing
-        zero step stays, as the last link, (k, 0.0)."""
-        terms = [(k, float(c)) for k, c in reversed(list(enumerate(self.coeffs))) if c]
+        zero step stays, as the last link, (k, 0.0).  Each c is n / den,
+        correctly rounded as float(Fraction) is."""
+        terms = [(k, n / self.den) for k, n in reversed(list(enumerate(self.nums))) if n]
         return _links(terms, 0.0) or ((0, 0.0),)
 
     @cached_property
@@ -186,21 +189,21 @@ class UniPoly:
 
 
 def chebyshev(m: int) -> UniPoly:
-    """Chebyshev polynomial of the first kind, via the three-term recurrence.
-
-    T_0 = 1, T_1 = x, T_{k+1} = 2x T_k - T_{k-1}.  Degree is exactly m and
-    the leading coefficient is 2**(m-1) for m >= 1, so coefficients need
+    """Chebyshev polynomial of the first kind T_m, from its explicit
+    coefficients (Abramowitz & Stegun, 22.3.6): the leading one is 2**(m-1)
+    for m >= 1, and each next one down, two powers lower, is
+    c_{m-2k-2} = -c_{m-2k} (m-2k)(m-2k-1) / (4(k+1)(m-k-1)), an exact
+    integer division.  Degree is exactly m and the coefficients need
     arbitrary precision.
     """
     if m < 0:
         raise ValueError(f"Chebyshev index must be >= 0, got {m}")
-    prev, cur = [0, 1], [1]  # T_-1 = T_1 = x and T_0, as integer lists
-    for _ in range(m):
-        nxt = [0] + [2 * c for c in cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return UniPoly(tuple(cur))
+    nums = [0] * (m + 1)
+    nums[m] = c = 1 << max(m - 1, 0)
+    for k in range(m // 2):
+        c = -c * (m - 2 * k) * (m - 2 * k - 1) // (4 * (k + 1) * (m - k - 1))
+        nums[m - 2 * k - 2] = c
+    return UniPoly._of(nums, 1)
 
 
 Term = tuple[tuple[int, int], Fraction]
@@ -228,9 +231,10 @@ class BiPoly:
                 raise ValueError(f"negative exponent {key}")
             acc[key] = acc[key] + c if key in acc else c
         keys = sorted(k for k, c in acc.items() if c)
-        # reduced Fractions over the lcm of their denominators: gcd(den, *N) == 1
-        N, den = integer_numerators(acc[k] for k in keys)
-        vars(self).update(keys=tuple(keys), nums=tuple(N), den=den)
+        cs = [acc[k] for k in keys]
+        # reduced Fractions over the lcm of their denominators: gcd(den, *nums) == 1
+        den = math.lcm(*(c.denominator for c in cs))
+        vars(self).update(keys=tuple(keys), nums=tuple(c.numerator * (den // c.denominator) for c in cs), den=den)
 
     @classmethod
     def _of(cls, keys: list[tuple[int, int]], nums: list[int], den: int) -> "BiPoly":
@@ -251,9 +255,8 @@ class BiPoly:
         """Embed a univariate polynomial as p(u) (var=0) or p(v) (var=1)."""
         if var not in (0, 1):
             raise ValueError("var must be 0 (first coordinate) or 1 (second)")
-        N, den = p._numerators
-        powers = [k for k, n in enumerate(N) if n]
-        return cls._of([(0, k) if var else (k, 0) for k in powers], [N[k] for k in powers], den)
+        powers = [k for k, n in enumerate(p.nums) if n]
+        return cls._of([(0, k) if var else (k, 0) for k in powers], [p.nums[k] for k in powers], p.den)
 
     def total_degree(self) -> Union[int, float]:
         """max(deg_u + deg_v) over stored terms; NEG_INF for zero."""
@@ -356,20 +359,18 @@ def compose_separable(P: BiPoly, p: UniPoly) -> BiPoly:
     Total degree is at most deg(p) * deg(P), with equality whenever the top
     homogeneous part of P is nonzero.
     """
-    N, d = integer_numerators(p.coeffs)
-    return _compose(P, N, d, _powers(N, [1], _convolve))
+    return _compose(P, p, _powers(p.nums, [1], _convolve))
 
 
 def _separable_pullback(X: VectorField2, p: UniPoly) -> VectorField2:
     """(p'(v) P(p(u), p(v)), p'(u) Q(p(u), p(v))) for X = (P, Q), each
     component in one integer pass, the two sharing the powers of p."""
-    N, d = integer_numerators(p.coeffs)
-    npow = _powers(N, [1], _convolve)
-    return VectorField2(_compose(X.p_comp, N, d, npow, 1), _compose(X.q_comp, N, d, npow, 0))
+    npow = _powers(p.nums, [1], _convolve)
+    return VectorField2(_compose(X.p_comp, p, npow, 1), _compose(X.q_comp, p, npow, 0))
 
 
-def _compose(P: BiPoly, N: list[int], d: int, npow, dp_var=None) -> BiPoly:
-    """P(p(u), p(v)) for p = N / d, N an integer list (constant first) and
+def _compose(P: BiPoly, p: UniPoly, npow, dp_var=None) -> BiPoly:
+    """P(p(u), p(v)) for p = N / d (p.nums over p.den, N constant first) and
     npow(k) = N**k; times p'(u) if dp_var is 0, p'(v) if it is 1.
 
     With P = C / D on integers (P.nums over P.den), the term C_ab p(u)**a p(v)**b is
@@ -379,6 +380,7 @@ def _compose(P: BiPoly, N: list[int], d: int, npow, dp_var=None) -> BiPoly:
     other side; N' multiplies each sum once, and each sum enters one outer
     product.
     """
+    N, d = p.nums, p.den
     f, f_den = ([k * c for k, c in enumerate(N)][1:], d) if dp_var is not None else ([1], 1)
     top = max(P.total_degree(), 0)
     sums: dict[int, list[int]] = {}  # power on the other side -> integer sum on the side of p'

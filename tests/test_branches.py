@@ -94,6 +94,16 @@ class TestChebBranches:
             mid = 0.5 * (iv.lo + iv.hi)
             assert (dt.evaluate_float(mid) > 0) == (iv.direction == INCREASING)
 
+    def test_m10000_builds_in_seconds(self):
+        # T_m from its explicit coefficients, one exact step per
+        # coefficient; the lru_cache is bypassed so the build is timed
+        start = time.perf_counter()
+        bs = cheb_branches.__wrapped__(10_000)
+        elapsed = time.perf_counter() - start
+        assert bs.count == 10_000 and bs.poly.degree() == 10_000
+        assert bs.poly.nums[-1] == 2**9_999 and bs.poly.den == 1
+        assert elapsed < 5.0
+
     def test_json_shape(self):
         blob = branch_set_to_json(cheb_branches(2))
         assert blob["count"] == 2

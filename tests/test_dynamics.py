@@ -216,9 +216,9 @@ class TestRhsBuildsAreCached:
         def rebuilt(*args, **kwargs):
             raise AssertionError("a polynomial was rebuilt")
 
-        # every exact BiPoly is made by its constructor or by the integer
-        # path BiPoly._of, every UniPoly by its constructor's __post_init__
-        for cls, name in ((BiPoly, "__init__"), (BiPoly, "_of"), (UniPoly, "__post_init__")):
+        # every exact polynomial is made by its constructor or by the
+        # integer path _of of its class
+        for cls, name in ((BiPoly, "__init__"), (BiPoly, "_of"), (UniPoly, "__init__"), (UniPoly, "_of")):
             monkeypatch.setattr(cls, name, rebuilt)
         for field, first in zip(cases, firsts):
             again = field_rhs(field)
@@ -499,16 +499,13 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="t_span"):
             integrate(radial_half, (0.9, 0.0), math.inf, 1)
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
-    @pytest.mark.parametrize("entry", ["integrate", "poincare_return"])
-    def test_tol_must_be_positive_and_finite(self, radial_half, x_axis_section, entry, tol):
-        # a ValueError from the stepper both entries build: an infinite tol
-        # once reached the integrator and failed there as a step size underflow
+    # the ids name the one entry point that takes a tolerance
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9], ids=lambda tol: f"integrate-{tol}")
+    def test_tol_must_be_positive_and_finite(self, radial_half, tol):
+        # a ValueError from the stepper: an infinite tol once reached the
+        # integrator and failed there as a step size underflow
         with pytest.raises(ValueError, match="tolerances must be positive and finite"):
-            if entry == "integrate":
-                integrate(radial_half, (0.9, 0.0), 1.0, 1, tol=tol)
-            else:
-                poincare_return(radial_half, x_axis_section, 0.8, tol=tol)
+            integrate(radial_half, (0.9, 0.0), 1.0, 1, tol=tol)
 
     @pytest.mark.parametrize("make", [
         lambda X: Section(base=(0, 0), direction=(math.nan, 0), s_max=1),
@@ -1169,17 +1166,18 @@ class TestStepperHook:
         assert all(a < b for a, b in zip(seen, seen[1:]))
         assert seen[-2] < flight <= seen[-1]
 
-    def test_poincare_return_integrates_at_given_tol(self, radial_half, x_axis_section, seen):
+    def test_poincare_return_integrates_at_given_tol(self, radial_half, x_axis_section, seen, monkeypatch):
+        # the return map reads DynamicsConfig.tol at each call
         poincare_return(radial_half, x_axis_section, 0.8)
         default_steps = len(seen)
         seen.clear()
-        poincare_return(radial_half, x_axis_section, 0.8, tol=1e-6)
+        monkeypatch.setattr(DynamicsConfig, "tol", 1e-6)
+        poincare_return(radial_half, x_axis_section, 0.8)
         assert 0 < len(seen) < default_steps
 
 
 class TestSettableSurface:
-    """Every limit is a constant; only `integrate` and `poincare_return`
-    take a tolerance."""
+    """Every limit is a constant; only `integrate` takes a tolerance."""
 
     def test_config_has_no_fields(self):
         assert fields(DynamicsConfig) == ()
@@ -1195,6 +1193,10 @@ class TestSettableSurface:
     @pytest.mark.parametrize("entry", [integrate, poincare_return, find_cycle])
     def test_rhs_comes_from_the_field_alone(self, entry):
         assert "rhs" not in inspect.signature(entry).parameters
+
+    @pytest.mark.parametrize("entry", [integrate, poincare_return, find_cycle])
+    def test_only_integrate_takes_a_tolerance(self, entry):
+        assert ("tol" in inspect.signature(entry).parameters) == (entry is integrate)
 
 
 class TestPoincareReturn:
@@ -1243,7 +1245,7 @@ class TestPoincareReturn:
         return Section(base=base, direction=d, s_max=2 * half)
 
     @pytest.mark.parametrize("frac", [0.3, 0.6, 1.4, 1.7])
-    def test_slope_matches_central_difference_on_tilted_section(self, pullback_m3, frac):
+    def test_slope_matches_central_difference_on_tilted_section(self, pullback_m3, frac, monkeypatch):
         # points away from the fixed point.  The difference quotient divides
         # the returns' error by 2h, so they are taken at tol = 1e-13: at the
         # default tol it is noise (1.7e-8 off at frac = 0.6), at 1e-13 it
@@ -1252,16 +1254,18 @@ class TestPoincareReturn:
         s0 = frac * 0.02
         r0, _, slope = poincare_return(pullback_m3, sec, s0)
         assert abs(r0 - s0) > 1e-4
-        r_plus, _, _ = poincare_return(pullback_m3, sec, s0 + h, tol=1e-13)
-        r_minus, _, _ = poincare_return(pullback_m3, sec, s0 - h, tol=1e-13)
+        monkeypatch.setattr(DynamicsConfig, "tol", 1e-13)
+        r_plus, _, _ = poincare_return(pullback_m3, sec, s0 + h)
+        r_minus, _, _ = poincare_return(pullback_m3, sec, s0 - h)
         assert abs(slope - (r_plus - r_minus) / (2 * h)) <= 1e-8 * abs(slope)
 
     @pytest.mark.parametrize("frac", [0.3, 0.6, 1.4, 1.7])
-    def test_slope_at_default_tol_matches_fine_tol_slope(self, pullback_m3, frac):
+    def test_slope_at_default_tol_matches_fine_tol_slope(self, pullback_m3, frac, monkeypatch):
         # measured 2.2e-12 to 3.8e-11 (relative) off the tol = 1e-13 slope
         sec, s0 = self.tilted_section(pullback_m3), frac * 0.02
         _, _, slope = poincare_return(pullback_m3, sec, s0)
-        _, _, fine = poincare_return(pullback_m3, sec, s0, tol=1e-13)
+        monkeypatch.setattr(DynamicsConfig, "tol", 1e-13)
+        _, _, fine = poincare_return(pullback_m3, sec, s0)
         assert abs(slope - fine) <= 1e-9 * abs(fine)
 
     def test_blowup_reports_last_state(self):

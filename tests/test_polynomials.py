@@ -89,10 +89,10 @@ class TestChebyshev:
             chebyshev(-1)
 
     def test_matches_fraction_recurrence_to_64(self):
-        # T_0 = 1, T_1 = x, T_{k+1} = 2x T_k - T_{k-1}, over Fractions
+        # T_0 = 1, T_1 = x, T_{k+1} = 2x T_k - T_{k-1}, over Fractions, to m = 200
         prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
         assert chebyshev(0).coeffs == (Fraction(1),)
-        for m in range(1, 65):
+        for m in range(1, 201):
             got = chebyshev(m).coeffs
             assert got == tuple(cur)
             assert all(type(c) is Fraction for c in got)
@@ -330,7 +330,8 @@ mixed_fractions = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2,
 mixed_bipolys = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), mixed_fractions, max_size=8
 ).map(BiPoly)
-mixed_unipolys = st.lists(mixed_fractions, max_size=8).map(lambda cs: UniPoly(tuple(cs)))
+mixed_coeffs = st.lists(mixed_fractions, max_size=8)
+mixed_unipolys = mixed_coeffs.map(lambda cs: UniPoly(tuple(cs)))
 
 
 def fraction_product(f, g):
@@ -554,6 +555,91 @@ class TestCanonicalForm:
         with pytest.raises(AttributeError):
             f.den = 1
         assert f.terms == (((1, 0), Fraction(2, 3)),)
+
+
+def assert_uni_form(p):
+    """nums dense ints, the constant first and the last nonzero, den a
+    positive int sharing no factor with every numerator, zero ((), 1)."""
+    assert type(p.nums) is tuple and all(type(n) is int for n in p.nums)
+    assert not p.nums or p.nums[-1] != 0
+    assert type(p.den) is int and p.den > 0 and math.gcd(p.den, *p.nums) == 1
+    assert p.nums or p.den == 1
+
+
+def ref_coeffs(cs):
+    """cs as Fractions, trailing zeros dropped: the Fraction-list reference."""
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def same_uni(a, b):
+    assert a == b and hash(a) == hash(b)
+    assert (a.nums, a.den) == (b.nums, b.den)
+
+
+class TestUniPolyCanonicalForm:
+    """Every UniPoly, however built, is in the one stored form, as a BiPoly
+    is, and its `coeffs` view, derivative, exact value and float plan match
+    a reference over a list of Fractions."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_unipolys, st.integers(0, 40), st.integers(2, 12))
+    def test_results_are_canonical(self, p, m, k):
+        written = {"coeffs": [f"{k * c.numerator}/{k * c.denominator}" for c in p.coeffs]}
+        for got in (p, p.derivative(), p.derivative().derivative(), chebyshev(m),
+                    unipoly_from_json(unipoly_to_json(p)), unipoly_from_json(written)):
+            assert_uni_form(got)
+        same_uni(unipoly_from_json(written), p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_coeffs, st.integers(2, 12), st.integers(0, 3))
+    def test_equal_rationals_give_equal_polys(self, cs, k, zeros):
+        p = UniPoly(cs)
+        # "kn/kd" for n/d, ints as Fractions, and trailing zeros of either kind
+        same_uni(UniPoly([f"{k * c.numerator}/{k * c.denominator}" for c in cs] + ["0/5"] * zeros), p)
+        same_uni(UniPoly([Fraction(c) for c in cs] + [0] * zeros), p)
+        same_uni(UniPoly(p.coeffs), p)
+
+    def test_one_form_per_rational(self):
+        half = UniPoly((0, Fraction(1, 2)))
+        for other in (UniPoly((0, "2/4", 0, 0)), UniPoly(("0/3", Fraction(3, 6), Fraction(0))),
+                      UniPoly((5, 0, Fraction(1, 4))).derivative()):
+            same_uni(other, half)
+        assert (half.nums, half.den) == ((0, 1), 2)
+        for zero in (UniPoly((0, 0)), UniPoly((Fraction(1, 3),)).derivative(), chebyshev(1).derivative().derivative()):
+            same_uni(zero, UniPoly())
+        assert (UniPoly().nums, UniPoly().den) == ((), 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_coeffs, mixed_fractions, st.sampled_from([1, 2, 3, 2**53]))
+    def test_matches_fraction_reference(self, cs, num, den):
+        p, ref = UniPoly(cs), ref_coeffs(cs)
+        assert p.coeffs == tuple(ref) and all(type(c) is Fraction for c in p.coeffs)
+        assert p.derivative().coeffs == tuple(k * c for k, c in enumerate(ref))[1:]
+        assert p.degree() == (len(ref) - 1 if ref else NEG_INF)
+        x, expected = num / den, Fraction(0)
+        for c in reversed(ref):
+            expected = expected * x + c
+        got = p.evaluate(x)
+        assert type(got) is Fraction and got == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(mixed_coeffs, st.lists(wide_fractions, max_size=8)))
+    def test_horner_plan_floats_are_the_fraction_floats(self, cs):
+        ref = ref_coeffs(cs)
+        want = [float(c).hex() for c in reversed(ref) if c]
+        lowest = next((k for k, c in enumerate(ref) if c), 0)  # a zero step below it
+        got = [c.hex() for _, c in UniPoly(cs).horner_plan()]
+        assert got == (want + [(0.0).hex()] * (lowest > 0) if want else [(0.0).hex()])
+
+    def test_stored_form_is_read_only(self):
+        p = UniPoly((1, Fraction(2, 3)))
+        for name in ("coeffs", "nums", "den"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, ())
+        assert (p.nums, p.den, p.coeffs) == ((3, 2), 3, (Fraction(1), Fraction(2, 3)))
 
 
 class TestComposeSeparable:
