@@ -10,9 +10,11 @@ isolated on integer polynomials by Descartes' rule, whose Taylor shift
 stops at a cell's second sign variation: two or more only mean that the
 cell is halved.  Each root's cell is then narrowed by a safeguarded secant
 on exact integer values, with the coefficients scaled once per level, to
-the same dyadic cell that bisection would reach.  Only the reported endpoints
-become floats: the nearest ones, or one float further out each when a
-branch is narrower than the float spacing.
+the same dyadic cell that bisection would reach.  For an odd or even p, as
+every T_m is, only the roots in [0, inf) are isolated and narrowed: the
+others are their mirrors.  Only the reported endpoints become floats: the
+nearest ones, or one float further out each when a branch is narrower
+than the float spacing.
 `degenerate` means that p' and p'' share a root: p has a critical point
 where p' may keep its sign (x**3 at 0), so a branch can hold a critical
 point.
@@ -157,10 +159,6 @@ def _primitive(f: list[int]) -> list[int]:
     return [c // g for c in f]
 
 
-def _derivative(f: list[int]) -> list[int]:
-    return [k * c for k, c in enumerate(f)][1:]
-
-
 def _gcd(a: list[int], b: list[int]) -> list[int]:
     """Primitive gcd of integer polynomials, by primitive pseudo-remainders."""
     a, b = _primitive(a), _primitive(b)
@@ -231,11 +229,12 @@ def _on_level(f: list[int], k: int):
     return value
 
 
-def _isolate(f: list[int]) -> list[tuple]:
+def _isolate(f: list[int], sides=(1, -1)) -> list[tuple]:
     """The real roots of the squarefree integer polynomial f, one cell
     (g, num, k, s) per root: the root is num / 2**k if s == 0, else it lies
     in (num / 2**k, (num + 1) / 2**k) and g (f, or f / x if f(0) = 0) has
-    the sign s between num / 2**k and the root.
+    the sign s between num / 2**k and the root.  With sides (1,), only the
+    roots in [0, inf).
 
     Descartes' rule with bisection (Collins & Akritas 1976) on (0, 2**B)
     and (-2**B, 0), B from Fujiwara's root bound: with a cell mapped onto
@@ -250,7 +249,7 @@ def _isolate(f: list[int]) -> list[tuple]:
     n = len(f) - 1
     top = f[-1].bit_length() - 1
     bound = 1 + max([0] + [-((top - f[n - i].bit_length()) // i) for i in range(1, n + 1)])
-    for side in (1, -1):
+    for side in sides:
         todo = [([c * side**i << bound * i for i, c in enumerate(f)], 0, 0)]
         while todo:
             h, c, k = todo.pop()
@@ -318,28 +317,45 @@ def _ends(cell: tuple, top: int) -> tuple[int, int]:
     return num << (top - k), (num + (s != 0)) << (top - k)
 
 
+def _level_roots(P: tuple, den: int, dP: tuple, crit: list[int], mirror: int) -> list[tuple]:
+    """(level, cell) for each real root of P = level * den, level +-1, and
+    level 0 for each root of crit off those levels, narrowed to level 40.
+    For P even (mirror 1) or odd (mirror -1), P(-x) = mirror * P(x): only the
+    roots r in [0, inf) are isolated and narrowed, and the cell (g, num, k, s)
+    of each r > 0 at level l mirrors, with no evaluation, to the cell that
+    bisection reaches for -r at level mirror * l: (g(-x), -num - 1, k, -s),
+    or (g(-x), -num, k, 0) for r = num / 2**k.
+    """
+    sides, roots = (1,) if mirror else (1, -1), []
+    for level in (1, -1):
+        shifted = [P[0] - level * den, *P[1:]]
+        tangent = _gcd(shifted, dP)
+        crit = _quotient(crit, _gcd(crit, tangent))
+        roots += [(level, _narrow(cell, 40)) for cell in _isolate(_quotient(shifted, tangent), sides)]
+    roots += [(0, _narrow(cell, 40)) for cell in _isolate(crit, sides)]
+    return roots + [  # the root 0, a cell (g, 0, k, 0), is its own mirror
+        (mirror * level, ([-c if i % 2 else c for i, c in enumerate(g)], -num - (s != 0), k, -s))
+        for level, (g, num, k, s) in roots if mirror and (num or s)
+    ]
+
+
 def full_branch_intervals(p: UniPoly) -> BranchSet:
     """All full branches of p, decided exactly.
 
     With p = P / den, P integer: the roots of p = +-1 are those of the
     squarefree parts of P -+ den, the critical points off those levels those
     of the squarefree part of P' with the tangency points gcd(P -+ den, P')
-    divided out.  Cells are narrowed to width 2**-40 and until apart, and
-    p' is read at a rational point of each gap between neighbouring roots.
+    divided out, and for an odd or even p mirrored from those in [0, inf).
+    Cells are narrowed to width 2**-40 and until apart, and p' is read at a
+    rational point of each gap between neighbouring roots.
     """
     if p.degree() < 1:
         raise ValueError("need a nonconstant polynomial")
     P, den = p.nums, p.den  # p = P / den
-    dP = _derivative(P)
-    repeated = _gcd(dP, _derivative(dP))
-    crit = _quotient(dP, repeated)
-    roots = []
-    for level in (1, -1):
-        shifted = [P[0] - level * den, *P[1:]]
-        tangent = _gcd(shifted, dP)
-        crit = _quotient(crit, _gcd(crit, tangent))
-        roots += [(level, _narrow(cell, 40)) for cell in _isolate(_quotient(shifted, tangent))]
-    roots += [(0, _narrow(cell, 40)) for cell in _isolate(crit)]
+    dP = p.derivative().nums
+    repeated = _gcd(dP, p.derivative().derivative().nums)
+    mirror = 1 if not any(P[1::2]) else -1 if not any(P[::2]) else 0  # even, odd, neither
+    roots = _level_roots(P, den, dP, _quotient(dP, repeated), mirror)
     while True:  # halve cells until each gap between neighbours has a rational point
         top = max([0] + [cell[2] for _, cell in roots])  # every end is an integer over 2**top
         roots.sort(key=lambda r: _ends(r[1], top))

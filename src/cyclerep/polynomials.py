@@ -375,13 +375,13 @@ def _compose(P: BiPoly, p: UniPoly, npow, dp_var=None) -> BiPoly:
 
     With P = C / D on integers (P.nums over P.den), the term C_ab p(u)**a p(v)**b is
     C_ab d**(top - a - b) N(u)**a N(v)**b over D d**top, top the total
-    degree of P, and p' = N' / d.  The terms are summed first on the side
-    of p' (v without it), into one integer polynomial per power on the
-    other side; N' multiplies each sum once, and each sum enters one outer
-    product.
+    degree of P, and p' = N' / d' (p.derivative()'s nums over its den).  The
+    terms are summed first on the side of p' (v without it), into one integer
+    polynomial per power on the other side; N' multiplies each sum once, and
+    each sum enters one outer product.
     """
     N, d = p.nums, p.den
-    f, f_den = ([k * c for k, c in enumerate(N)][1:], d) if dp_var is not None else ([1], 1)
+    f, f_den = (p.derivative().nums, p.derivative().den) if dp_var is not None else ([1], 1)
     top = max(P.total_degree(), 0)
     sums: dict[int, list[int]] = {}  # power on the other side -> integer sum on the side of p'
     for (a, b), c in zip(P.keys, P.nums):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclerep import branches
@@ -248,8 +248,9 @@ class TestFullBranches:
                 assert abs(a.lo - b.lo) <= 1e-11 and abs(a.hi - b.hi) <= 1e-11
 
     def test_chebyshev_64_within_wall_bound(self):
-        # T_64 took 0.032 s (median of 5) on a shared 2-core x86-64 host,
-        # its Descartes tests stopping at two variations; the bound is 5x that
+        # T_64 takes 8-13 ms (median of 5) on a shared 2-core x86-64 host,
+        # its roots in [0, inf) isolated and mirrored; the bound is 5x the
+        # 0.032 s it took when both sides were isolated
         p = chebyshev(64)
         start = time.perf_counter()
         bs = full_branch_intervals(p)
@@ -325,6 +326,31 @@ class TestFullBranches:
         assert bs.count <= p.degree()
         assert_matches_oracle(bs, p)
 
+    @settings(max_examples=100, deadline=None)
+    @given(small_polys, st.sampled_from([0, 1]))
+    def test_odd_and_even_mirror_both_sides(self, p, parity):
+        # zeroing alternate coefficients makes p even (parity 0) or odd (1);
+        # its roots in [0, inf) and their mirrors are the cells, one for one,
+        # that isolating both sides gives
+        p = UniPoly([c if k % 2 == parity else 0 for k, c in enumerate(p.coeffs)])
+        assume(p.degree() >= 1)
+        assert_matches_oracle(full_branch_intervals(p), p)
+        dP = p.derivative().nums
+        crit = branches._quotient(dP, branches._gcd(dP, p.derivative().derivative().nums))
+
+        def cells(mirror):
+            return sorted(map(same_up_to_scale, branches._level_roots(p.nums, p.den, dP, crit, mirror)))
+
+        assert cells(1 - 2 * parity) == cells(0)
+
+
+def same_up_to_scale(root: tuple) -> tuple:
+    """A (level, cell) with the cell's g made primitive with a positive
+    leading coefficient, s following it: the cell of the same root."""
+    level, (g, num, k, s) = root
+    unit = math.gcd(*g) * (1 if g[-1] > 0 else -1)
+    return level, num, k, s * unit // abs(unit), tuple(c // unit for c in g)
+
 
 def bisection_narrow(cell: tuple, level: int) -> tuple:
     """The reference narrowing: halve the cell, keeping the root's half,
@@ -335,6 +361,13 @@ def bisection_narrow(cell: tuple, level: int) -> tuple:
         t = (at > 0) - (at < 0)
         num, k, s = 2 * num + (t in (0, s)), k + 1, s if t else 0
     return g, num, k, s
+
+
+def mirrored(cell: tuple) -> tuple:
+    """The cell of -r for the cell (g, num, k, s) of the root r: g(-x) and
+    the cell reflected, s flipping with it."""
+    g, num, k, s = cell
+    return [-c if i % 2 else c for i, c in enumerate(g)], -num - (s != 0), k, -s
 
 
 def narrowed_cells(p: UniPoly) -> list[tuple]:
@@ -355,12 +388,24 @@ class TestNarrow:
     """The secant `_narrow` against bisection, cell by cell: the same tuple."""
 
     def test_chebyshev_cells_match_bisection(self):
+        # T_m is odd or even, so only its roots in [0, inf) are narrowed; the
+        # mirror of each cell narrows, as bisection does, to the mirror of
+        # its narrowing, so the roots below 0 are checked too
         count = 0
         for m in range(2, 65):
             for cell, level in narrowed_cells(chebyshev(m)):
-                assert branches._narrow(cell, level) == bisection_narrow(cell, level), (m, cell)
-                count += 1
+                narrowed, mirror = branches._narrow(cell, level), mirrored(cell)
+                assert narrowed == bisection_narrow(cell, level), (m, cell)
+                want = bisection_narrow(mirror, level)
+                assert branches._narrow(mirror, level) == want == mirrored(narrowed), (m, cell)
+                count += 2
         assert count > 2000  # every root of T_m -+ 1 and T_m' for m = 2..64
+
+    def test_odd_or_even_narrows_one_side(self):
+        # T_64 has 65 roots at the levels -+1, 33 of them in [0, inf): only
+        # those are narrowed to level 40, the others being their mirrors
+        levels = [level for _, level in narrowed_cells(chebyshev(64))]
+        assert levels.count(40) <= 33
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -214,13 +214,19 @@ class TestBoundsCommand:
 
 
 class TestBranchesCommand:
-    @pytest.mark.parametrize("name", ["t64", "quartic"])
+    @pytest.mark.parametrize("name", ["t64", "t63", "t5_11_10", "quartic"])
     def test_golden_bytes(self, name, tmp_path, capsys):
-        # the exact classifier on T_64 and on 2 - 5x - 12x^2 + 7x^3 - 10x^4
+        # the exact classifier on the even cover T_64, the odd covers T_63 and
+        # (11/10) T_5, and 2 - 5x - 12x^2 + 7x^3 - 10x^4, neither odd nor even
         # (tests/golden/quartic.json); its outputs as first written pin the bytes
-        if name == "t64":
-            poly_file = tmp_path / "t64.json"
-            poly_file.write_text(json.dumps(unipoly_to_json(chebyshev(64))))
+        covers = {
+            "t64": chebyshev(64),
+            "t63": chebyshev(63),
+            "t5_11_10": UniPoly([Fraction(11, 10) * c for c in chebyshev(5).coeffs]),
+        }
+        if name in covers:
+            poly_file = tmp_path / f"{name}.json"
+            poly_file.write_text(json.dumps(unipoly_to_json(covers[name])))
         else:
             poly_file = GOLDEN / "quartic.json"
         assert main(["branches", str(poly_file)]) == 0
