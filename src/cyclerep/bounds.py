@@ -66,61 +66,46 @@ class SeedTable:
         raise MissingSeedError(f"no seed bound recorded at degree {n}")
 
 
-# Seed records (best published cycle-count lower bound per degree, with source).
-_SEED_ROWS: tuple[tuple[int, int, str], ...] = (
-    (4, 28, PROHENS_TORREGROSA),
-    (5, 37, PROHENS_TORREGROSA),
-    (6, 53, PROHENS_TORREGROSA),
-    (7, 74, PROHENS_TORREGROSA),
-    (8, 96, PROHENS_TORREGROSA),
-    (9, 120, PROHENS_TORREGROSA),
-    (10, 142, PROHENS_TORREGROSA),
-    (11, 153, HAN_LI),
-    (12, 157, HAN_LI),
-    (13, 212, PROHENS_TORREGROSA),
-    (14, 194, HAN_LI),
-    (15, 345, HAN_LI),
-    (16, 351, HAN_LI),
-    (17, 384, PROHENS_TORREGROSA),
-    (18, 372, HAN_LI),
-    (19, 503, HAN_LI),
-    (20, 509, HAN_LI),
-    (21, 568, PROHENS_TORREGROSA),
-    (31, 1184, PROHENS_TORREGROSA),
-    (35, 1536, PROHENS_TORREGROSA),
-    (39, 1920, PROHENS_TORREGROSA),
-    (43, 2272, PROHENS_TORREGROSA),
-)
-
-# Published direct bounds at the comparison degrees themselves (the L_pub
-# column of the comparison table); at composite degrees these can differ
-# from the seed values fed into the replication step.
-_PUB_ROWS: Mapping[int, tuple[int, str]] = {
-    11: (153, HAN_LI),
-    13: (212, PROHENS_TORREGROSA),
-    14: (194, HAN_LI),
-    15: (345, HAN_LI),
-    17: (384, PROHENS_TORREGROSA),
-    19: (503, HAN_LI),
-    20: (509, HAN_LI),
-    21: (568, PROHENS_TORREGROSA),
-    23: (833, HAN_LI),
-    24: (843, HAN_LI),
-    25: (870, HAN_LI),
-    26: (880, HAN_LI),
-    27: (1023, HAN_LI),
-    29: (1060, HAN_LI),
-    31: (1184, PROHENS_TORREGROSA),
-    35: (1536, PROHENS_TORREGROSA),
-    39: (1920, PROHENS_TORREGROSA),
-    43: (2272, PROHENS_TORREGROSA),
+# The best published cycle-count lower bound per degree, with its source.
+# The seeds fed into the replication step are those at SEED_DEGREES, and
+# table 1 compares the bound at each of COMPARISON_DEGREES with L_Ch.
+_PUBLISHED: Mapping[int, SeedBound] = {
+    4: SeedBound(28, PROHENS_TORREGROSA),
+    5: SeedBound(37, PROHENS_TORREGROSA),
+    6: SeedBound(53, PROHENS_TORREGROSA),
+    7: SeedBound(74, PROHENS_TORREGROSA),
+    8: SeedBound(96, PROHENS_TORREGROSA),
+    9: SeedBound(120, PROHENS_TORREGROSA),
+    10: SeedBound(142, PROHENS_TORREGROSA),
+    11: SeedBound(153, HAN_LI),
+    12: SeedBound(157, HAN_LI),
+    13: SeedBound(212, PROHENS_TORREGROSA),
+    14: SeedBound(194, HAN_LI),
+    15: SeedBound(345, HAN_LI),
+    16: SeedBound(351, HAN_LI),
+    17: SeedBound(384, PROHENS_TORREGROSA),
+    18: SeedBound(372, HAN_LI),
+    19: SeedBound(503, HAN_LI),
+    20: SeedBound(509, HAN_LI),
+    21: SeedBound(568, PROHENS_TORREGROSA),
+    23: SeedBound(833, HAN_LI),
+    24: SeedBound(843, HAN_LI),
+    25: SeedBound(870, HAN_LI),
+    26: SeedBound(880, HAN_LI),
+    27: SeedBound(1023, HAN_LI),
+    29: SeedBound(1060, HAN_LI),
+    31: SeedBound(1184, PROHENS_TORREGROSA),
+    35: SeedBound(1536, PROHENS_TORREGROSA),
+    39: SeedBound(1920, PROHENS_TORREGROSA),
+    43: SeedBound(2272, PROHENS_TORREGROSA),
 }
 
-COMPARISON_DEGREES: tuple[int, ...] = tuple(sorted(_PUB_ROWS))
+SEED_DEGREES: tuple[int, ...] = (*range(4, 22), 31, 35, 39, 43)
+COMPARISON_DEGREES: tuple[int, ...] = (11, 13, 14, 15, 17, 19, 20, 21, 23, 24, 25, 26, 27, 29, 31, 35, 39, 43)
 
 
 def builtin_seed_table() -> SeedTable:
-    return SeedTable(tuple((n, SeedBound(v, src)) for n, v, src in _SEED_ROWS))
+    return SeedTable(tuple((n, _PUBLISHED[n]) for n in SEED_DEGREES))
 
 
 def seed_table_from_json(items: Iterable[Mapping]) -> SeedTable:
@@ -193,7 +178,7 @@ def table1_rows(seeds: SeedTable) -> list[list[str]]:
     then one row of string cells per degree."""
     rows = [["N", "L_pub(N)", "L_Ch(N)", "seed (n,m)", "Delta"]]
     for N in COMPARISON_DEGREES:
-        l_pub = _PUB_ROWS[N][0]
+        l_pub = _PUBLISHED[N].value
         entry = best_cheb_bound(N, seeds)
         n, m = entry.witness
         rows.append([str(N), str(l_pub), str(entry.value), f"({n},{m})", str(entry.value - l_pub)])

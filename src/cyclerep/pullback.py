@@ -67,9 +67,9 @@ class PullbackResult:
 def build_pullback(X: VectorField2, p: UniPoly) -> PullbackResult:
     """Separable pullback of X through (u, v) -> (p(u), p(v)).
 
-    Requires deg(p) >= 2.  The resulting degree satisfies
-    deg(Y) <= m deg(X) + (m - 1), with equality for genuinely
-    degree-d fields (see check_exact_degree).
+    Requires deg(p) >= 2 and X nonzero.  The resulting degree is
+    deg(Y) = m deg(X) + (m - 1), a constant X included (see
+    check_exact_degree).
     """
     m = p.degree()
     if m == NEG_INF or m < 2:
@@ -93,15 +93,14 @@ def verify_conjugacy(r: PullbackResult, X: VectorField2) -> bool:
 
 
 def check_exact_degree(r: PullbackResult, X: VectorField2) -> bool:
-    """True iff deg(Y) == m * deg(X) + (m - 1) exactly.
-
-    Holds whenever X is genuinely of its degree, i.e. the top homogeneous
-    part of its max-degree component is nonzero, which the degree
-    definition guarantees for nonzero fields.
+    """True iff deg(Y) == m * deg(X) + (m - 1) exactly, as holds for every
+    nonzero X, a constant one included: the top homogeneous part of X's
+    degree-d component is nonzero, of degree m d in (p(u), p(v)), and p'
+    has degree m - 1.  ValueError for the zero field, which has no degree.
     """
     d = X.degree()
-    if d == NEG_INF or d < 1:
-        raise ValueError("need deg(X) >= 1")
+    if d == NEG_INF:
+        raise ValueError("cannot check the degree law of the zero field")
     m = r.cover_poly.degree()
     return r.field.degree() == m * d + (m - 1)
 

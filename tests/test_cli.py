@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +29,15 @@ def write_field_file(tmp_path, field, name="field.json"):
     return str(path)
 
 
+def main_within_10s(argv):
+    """main(argv), asserted to return within 10 s of wall time: a step that
+    grows too fast with its input fails here instead of running on."""
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 10, argv
+    return code
+
+
 class TestPullbackCommand:
     def test_worked_cubic(self, tmp_path, radial_half):
         field_file = write_field_file(tmp_path, radial_half)
@@ -46,13 +56,42 @@ class TestPullbackCommand:
         got = capsys.readouterr().out.encode("utf-8")
         assert got == (GOLDEN / f"pullback_field_m{m}.json").read_bytes()
 
-    def test_golden_field_m64_hash(self, tmp_path):
+    def test_golden_field_m64_hash(self, tmp_path, capsys):
         # the 2 MB pullback at m = 64 is pinned by its sha256, in the
-        # `sha256sum -c` format; the bytes as first written
+        # `sha256sum -c` format; the bytes as first written.  The exact
+        # layer at the largest cover: each component built in one integer
+        # pass, and verified by a rebuild
         out = tmp_path / "pb64.json"
-        assert main(["pullback", str(GOLDEN / "pullback_field.json"), "--m", "64", "--out", str(out)]) == 0
+        assert main_within_10s(["pullback", str(GOLDEN / "pullback_field.json"), "--m", "64", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "deg_Y=255 conjugacy=ok exact_degree=ok\n"
         digest, name = (GOLDEN / "pullback_field_m64.sha256").read_text().split()
         assert (hashlib.sha256(out.read_bytes()).hexdigest(), name) == (digest, out.name)
+
+    def test_iterated_pullback_is_one_pullback(self, tmp_path):
+        # pulling back by T_2 and the result by T_3 gives the field of the
+        # one pullback by T_6, as T_2 o T_3 = T_6
+        field = GOLDEN / "pullback_field.json"
+        pb2, pb23, pb6 = (tmp_path / f"{name}.json" for name in ("pb2", "pb23", "pb6"))
+        assert main(["pullback", str(field), "--m", "2", "--out", str(pb2)]) == 0
+        field2 = tmp_path / "field2.json"
+        field2.write_text(json.dumps(json.loads(pb2.read_text())["field"]))
+        assert main(["pullback", str(field2), "--m", "3", "--out", str(pb23)]) == 0
+        assert main(["pullback", str(field), "--m", "6", "--out", str(pb6)]) == 0
+        twice, once = json.loads(pb23.read_text()), json.loads(pb6.read_text())
+        assert twice["field"] == once["field"]
+        assert twice["deg_Y"] == once["deg_Y"] == 23
+
+    def test_constant_field_follows_the_degree_law(self, tmp_path, capsys):
+        # deg Y = n m + m - 1 holds at n = 0: the field (1, 0) pulled back
+        # by T_3 is (T_3'(v), 0) = (12 v^2 - 3, 0), of degree 2
+        field = tmp_path / "one.json"
+        field.write_text(json.dumps({"p": [{"du": 0, "dv": 0, "c": "1"}], "q": []}))
+        out = tmp_path / "out.json"
+        assert main(["pullback", str(field), "--m", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "deg_Y=2 conjugacy=ok exact_degree=ok\n"
+        blob = json.loads(out.read_text())
+        assert (blob["d"], blob["deg_Y"], blob["exact_degree"]) == (0, 2, True)
+        assert blob["field"] == {"p": [{"du": 0, "dv": 0, "c": "-3/1"}, {"du": 0, "dv": 2, "c": "12/1"}], "q": []}
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -127,8 +166,15 @@ class TestBoundsCommand:
         assert "2012" in out and "(19,2)" in out
         assert "H(39) ≥ 4·H(19) ≥ 4·503 = 2012" in out
 
+    def test_query_of_a_huge_degree(self, capsys):
+        # one divisibility test per seed degree, so N = 10^9 answers at once
+        assert main_within_10s(["bounds", "query", "1000000000"]) == 0
+        assert "witness=(10,90909091)" in capsys.readouterr().out
+
     def test_query_without_witness_exits_5(self, capsys):
-        assert main(["bounds", "query", "12"]) == 5
+        # at N = 10^12 no seed degree n has n + 1 dividing N + 1
+        for N in ("12", "1000000000000"):
+            assert main_within_10s(["bounds", "query", N]) == 5
 
     @pytest.mark.parametrize("error", ["MissingSeedError", "NoWitnessError"])
     def test_lookup_errors_exit_5(self, monkeypatch, capsys, error):
@@ -234,10 +280,13 @@ class TestBranchesCommand:
         assert got == (GOLDEN / f"branches_{name}.json").read_bytes()
 
     def test_cheb_6(self, capsys):
-        assert main(["branches", "--cheb", "6"]) == 0
-        blob = json.loads(capsys.readouterr().out)
-        assert blob["count"] == 6
-        assert len(blob["intervals"]) == 6
+        # T_m is built from its explicit coefficients, one exact step per
+        # coefficient, so the branches of T_10000 come in well within 10 s
+        for m in (6, 10000):
+            assert main_within_10s(["branches", "--cheb", str(m)]) == 0
+            blob = json.loads(capsys.readouterr().out)
+            assert blob["count"] == m
+            assert len(blob["intervals"]) == m
 
     def test_square_polynomial_has_no_branches(self, tmp_path, capsys):
         poly_file = tmp_path / "sq.json"
@@ -547,8 +596,8 @@ class TestExampleCommand:
         # seed multiplier exp(-4 pi rho^2) = 0.99969 lies within eps_hyp of 1
         out = tmp_path / "ex"
         assert main(["example", "--m", "2", "--rho", "1/200", "--out-dir", str(out)]) == 4
-        err = capsys.readouterr().err
-        assert "base cycle not certified hyperbolic" in err and "0.99968589" in err
+        assert capsys.readouterr().err == (
+            "error: base cycle not certified hyperbolic: multiplier 0.99968589 within eps_hyp=0.001 of 1\n")
         assert not out.exists()
 
     def test_lift_failure_exits_4(self, tmp_path, monkeypatch, capsys):
@@ -614,8 +663,9 @@ def test_unwritable_output_path_exits_3(tmp_path, radial_half, capsys, command):
 
 
 def run_fresh(probe: str, cwd) -> subprocess.CompletedProcess:
-    """Run probe in a fresh interpreter on this checkout's cyclerep: this
-    one has numpy, scipy and every cyclerep layer loaded by the tests."""
+    """Run probe in a fresh interpreter on the cyclerep the tests import: this
+    one may have numpy and scipy loaded, and has every cyclerep layer the
+    tests loaded."""
     src = str(Path(cyclerep.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
