@@ -111,7 +111,9 @@ def builtin_seed_table() -> SeedTable:
 def seed_table_from_json(items: Iterable[Mapping]) -> SeedTable:
     entries = []
     for it in items:
-        entries.append((as_integer(it["n"]), SeedBound(as_integer(it["value"]), str(it["source"]))))
+        if not isinstance(source := it["source"], str):
+            raise ValueError(f"seed source must be a JSON string, got {source!r}")
+        entries.append((as_integer(it["n"]), SeedBound(as_integer(it["value"]), source)))
     return SeedTable(tuple(entries))
 
 

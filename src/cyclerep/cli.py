@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = p_b.add_subparsers(dest="bounds_cmd", required=True)
     for name in ("table1", "table2"):
         p_t = bsub.add_parser(name)
-        p_t.add_argument("--out", help="output CSV path (default: stdout)")
+        p_t.add_argument("--out", help="output path (default: stdout)")
         p_t.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     p_q = bsub.add_parser("query")
     p_q.add_argument("N", type=int)

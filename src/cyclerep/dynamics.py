@@ -19,10 +19,10 @@ stands, a PullbackResult through its factors p'(v) P(p(u), p(v)) and
 p'(u) Q(p(u), p(v)), which keeps the accuracy of the seed field that
 the expanded pullback loses as m grows.  `field_rhs` writes those Horner
 steps out as one straight-line function of (u, v) per field, cached on
-the field object (which can then no longer be pickled): the floats of
-the polynomials' own evaluators, without their loops, each the sparse
-steps of its `horner_plan` (a BiPoly's over powers computed once per
-call) and each chain one expression, cut every _NEST steps.
+the field object (which can then no longer be pickled): each chain the
+sparse steps of a `horner_plan`, with no loop (a BiPoly's over powers
+computed once per call, the floats of `BiPoly.evaluate_float`), each
+one expression, cut every _NEST steps.
 Cycles are fixed points of the return map, found by Newton iteration on
 return(s) - s.  The slope of a planar return map is given by Liouville's
 formula, exp(w) times a transversality ratio, so one return yields both
@@ -180,8 +180,9 @@ def field_rhs(field: VectorField2 | PullbackResult):
     divergence is the exact polynomial dP/du + dQ/dv.
 
     The RHS is one straight-line function, generated from the field's
-    coefficients, with no loop or call between the steps, that gives the
-    floats of the polynomials' `evaluate_float` closures.  The powers of
+    coefficients, with no loop or call between the steps: the floats of
+    `BiPoly.evaluate_float` for P, Q and div X, and those of the dense
+    Horner scheme for p and p' (`UniPoly.horner_plan`).  The powers of
     x and y that the `horner_plan`s of P, Q and div X step across are
     computed first, once, each as the power below times x (or y); then
     each chain is one expression: each row of a plan, each plan's chain
@@ -189,8 +190,8 @@ def field_rhs(field: VectorField2 | PullbackResult):
     expression is cut into a new statement every _NEST links (`_chain`),
     so any degree compiles.  States become floats where they enter
     (`DOP853`, `Section`), not in each call.  The RHS is built once per
-    field object and kept in the instance __dict__, as `evaluate_float`
-    is, so a field whose RHS was built can no longer be pickled.
+    field object and kept in its __dict__, as `BiPoly.evaluate_float` is,
+    so a field whose RHS was built can no longer be pickled.
     """
     rhs = vars(field).get("_rhs")
     if rhs is not None:

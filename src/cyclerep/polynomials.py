@@ -8,16 +8,17 @@ trailing zero; a bivariate one's are a nonzero int per key, the keys
 (deg_u, deg_v) sorted.  The zero polynomial has no nums and den 1.  The
 reduced Fractions, a UniPoly's `coeffs` and a BiPoly's `terms`, are a
 view built on first read.  Everything in this module is exact; floating
-point enters only through the ``*_float`` evaluators used at the
-symbolic/numeric boundary.  The exact operations are the ones a
-separable pullback needs: sums and products of bivariate polynomials,
-derivatives, the substitution `compose_separable` (the one composition),
-the pullback's components p'(v) P(p(u), p(v)) and p'(u) Q(p(u), p(v))
-(`_separable_pullback`, one pass each, for `cyclerep.pullback`) and
-evaluation.  Only the two constructors turn coefficients into integers;
-the operations run on integers throughout and make no Fraction: a result
-is summed into one int per key over a common denominator and reduced by
-one gcd (`_of`); an exact evaluation makes one Fraction at the end.
+point enters only through the float steps of a `horner_plan`, which
+`dynamics.field_rhs` and `BiPoly.evaluate_float` run.  The exact
+operations are the ones a separable pullback needs: sums and products
+of bivariate polynomials, derivatives, the substitution
+`compose_separable` (the one composition), the pullback's components
+p'(v) P(p(u), p(v)) and p'(u) Q(p(u), p(v)) (`_separable_pullback`, one
+pass each, for `cyclerep.pullback`) and evaluation.  Only the two
+constructors turn coefficients into integers; the operations run on
+integers throughout and make no Fraction: a result is summed into one
+int per key over a common denominator and reduced by one gcd (`_of`);
+an exact evaluation makes one Fraction at the end.
 
 A polynomial is evaluated in floats over its nonzero terms only: its
 `horner_plan` is a sparse Horner scheme (`_links`), a chain with one
@@ -158,34 +159,16 @@ class UniPoly:
         return Fraction(acc * b, self.den * scale)
 
     def horner_plan(self) -> tuple[tuple[int, float], ...]:
-        """The sparse Horner steps of `evaluate_float`: `_links` of the
-        nonzero terms, highest power first; ((0, 0.0),) for zero.  Run as
-        g multiplies by x, then + c, per link (g, c), they give the dense
-        chain's floats, zero signs included: a dense + 0.0 only turns -0.0
-        into 0.0, a multiply keeps a zero a zero (inf times either zero is
-        nan), and the next + c absorbs the sign (+-0 + c = c).  A trailing
-        zero step stays, as the last link, (k, 0.0).  Each c is n / den,
-        correctly rounded as float(Fraction) is."""
+        """The sparse Horner steps that `dynamics.field_rhs` writes out for
+        self: `_links` of the nonzero terms, highest power first; ((0, 0.0),)
+        for zero.  Run as g multiplies by x, then + c, per link (g, c), they
+        give the dense chain's floats, zero signs included: a dense + 0.0
+        only turns -0.0 into 0.0, a multiply keeps a zero a zero (inf times
+        either zero is nan), and the next + c absorbs the sign (+-0 + c = c).
+        A trailing zero step stays, as the last link, (k, 0.0).  Each c is
+        n / den, correctly rounded as float(Fraction) is."""
         terms = [(k, n / self.den) for k, n in reversed(list(enumerate(self.nums))) if n]
         return _links(terms, 0.0) or ((0, 0.0),)
-
-    @cached_property
-    def evaluate_float(self):
-        """Float evaluator x -> self(x), x a float or a numpy array: the
-        steps of `horner_plan`, built once per polynomial.  The closure
-        lives in the instance __dict__, so a polynomial evaluated in
-        floats can no longer be pickled."""
-        (_, lead), *steps = self.horner_plan()
-
-        def evaluate_float(x):
-            acc = lead
-            for g, c in steps:
-                for _ in range(g):
-                    acc = acc * x
-                acc = acc + c
-            return acc
-
-        return evaluate_float
 
 
 def chebyshev(m: int) -> UniPoly:

@@ -212,9 +212,11 @@ class TestBoundsCommand:
             [{"n": 5, "value": 40.9, "source": "custom"}],
             [{"n": -1, "value": 5, "source": "custom"}],  # once read as (n + 1) = 0
             [{"n": 9, "value": True, "source": "custom"}],  # once read as 1: L_Ch=9 at N = 29
+            [{"n": 9, "value": 120, "source": None}],  # once printed as source=None
+            [{"n": 9, "value": 120, "source": ["x"]}],  # once printed as source=['x']
         ],
         ids=["missing_file", "missing_value", "repeated_degree", "fractional_value",
-             "negative_degree", "bool_value"],
+             "negative_degree", "bool_value", "null_source", "list_source"],
     )
     def test_bad_seed_table_file_exits_2(self, tmp_path, capsys, monkeypatch, entries):
         path = tmp_path / "seeds.json"
@@ -566,7 +568,11 @@ class TestExampleCommand:
         curves = re.findall(r'<polygon points="([^"]*)" fill="none" stroke="#2255cc"', svg)
         assert len(curves) == m * m
         scale = svgplot.SIZE / (2.0 * svgplot.WORLD)
-        t_m = chebyshev(m).evaluate_float
+        t = chebyshev(m)
+
+        def t_m(x):
+            return float(t.evaluate(Fraction(x)))
+
         nodes = cheb_nodes(m)
         worst = 0.0
         for n, coords in enumerate(curves):

@@ -68,11 +68,19 @@ def uni_abs_term_sum(p: UniPoly, x: float) -> float:
     return sum(abs(float(c)) * abs(x) ** k for k, c in enumerate(p.coeffs))
 
 
+def exact_float(p: UniPoly, x: float) -> float:
+    """p(x) computed exactly, then rounded once to a float."""
+    return float(p.evaluate(Fraction(x)))
+
+
 def composed_magnitude(pb, src: BiPoly, u: float, v: float) -> float:
     """Rounding-error scale of S(p(u), p(v)): S's sum |term|, plus the
-    cover's carried through dS/dx and dS/dy (first order)."""
+    cover's carried through dS/dx and dS/dy (first order).  x = p(u) and
+    y = p(v) are the floats the RHS computes, the dense Horner's: at
+    m = 64 they stray far from the exact values (T_64(-0.93) comes out
+    near 5.8e5), so the scale must be taken at them."""
     p = pb.cover_poly
-    x, y = p.evaluate_float(u), p.evaluate_float(v)
+    x, y = dense_uni(p, u), dense_uni(p, v)
     return (
         abs_term_sum(src, x, y)
         + abs_term_sum(src.partial_u(), x, y) * uni_abs_term_sum(p, u)
@@ -87,9 +95,9 @@ def factored_magnitude(pb, k: int, u: float, v: float) -> float:
     p, dp = pb.cover_poly, pb.cover_poly.derivative()
     src = (pb.source.p_comp, pb.source.q_comp)[k]
     w = (v, u)[k]
-    x, y = p.evaluate_float(u), p.evaluate_float(v)
+    x, y = dense_uni(p, u), dense_uni(p, v)
     return (
-        abs(dp.evaluate_float(w)) * composed_magnitude(pb, src, u, v)
+        abs(dense_uni(dp, w)) * composed_magnitude(pb, src, u, v)
         + uni_abs_term_sum(dp, w) * abs(src.evaluate_float(x, y))
     )
 
@@ -103,8 +111,8 @@ def divergence_magnitude(pb, u: float, v: float) -> float:
     p'(u) p'(v) (div X)(x, y): each factor's sum |term|."""
     p, dp = pb.cover_poly, pb.cover_poly.derivative()
     div_x = divergence(pb.source)
-    du, dv = dp.evaluate_float(u), dp.evaluate_float(v)
-    x, y = p.evaluate_float(u), p.evaluate_float(v)
+    du, dv = dense_uni(dp, u), dense_uni(dp, v)
+    x, y = dense_uni(p, u), dense_uni(p, v)
     return abs(du * dv) * composed_magnitude(pb, div_x, u, v) + (
         uni_abs_term_sum(dp, u) * abs(dv) + abs(du) * uni_abs_term_sum(dp, v)
     ) * abs(div_x.evaluate_float(x, y))
@@ -271,16 +279,17 @@ class TestFactoredRhs:
 
 
 def closure_rhs(field):
-    """The RHS as a composition of the `evaluate_float` closures, the
-    reference the straight-line `field_rhs` must match bit for bit."""
+    """The RHS as a composition of the BiPoly `evaluate_float` closures and
+    the dense Horner of the cover and its derivative, the reference the
+    straight-line `field_rhs` must match bit for bit."""
     X = field.source if isinstance(field, PullbackResult) else field
     fp, fq, fdiv = X.p_comp.evaluate_float, X.q_comp.evaluate_float, X.divergence.evaluate_float
     if isinstance(field, PullbackResult):
-        p, dp = field.cover_poly.evaluate_float, field.cover_poly.derivative().evaluate_float
+        p, dp = field.cover_poly, field.cover_poly.derivative()
 
         def rhs(u, v):
-            x, y = p(u), p(v)
-            du, dv = dp(u), dp(v)
+            x, y = dense_uni(p, u), dense_uni(p, v)
+            du, dv = dense_uni(dp, u), dense_uni(dp, v)
             return (dv * fp(x, y), du * fq(x, y), du * dv * fdiv(x, y))
 
         return rhs
@@ -307,6 +316,11 @@ def dense_horner(coeffs, x):
     return acc
 
 
+def dense_uni(p: UniPoly, x):
+    """Dense Horner over p's coefficients as floats, zeros included."""
+    return dense_horner([float(c) for c in reversed(p.coeffs)], x)
+
+
 def dense_bi(f: BiPoly, u, v):
     """Dense Horner in v per row of v-coefficients, then in u: a missing
     v-power is 0.0 and a missing u-power the row (0.0,)."""
@@ -329,8 +343,8 @@ def dense_rhs(field):
         p, dp = field.cover_poly, field.cover_poly.derivative()
 
         def rhs(u, v):
-            x, y = (dense_horner([float(c) for c in reversed(p.coeffs)], w) for w in (u, v))
-            du, dv = (dense_horner([float(c) for c in reversed(dp.coeffs)], w) for w in (u, v))
+            x, y = dense_uni(p, u), dense_uni(p, v)
+            du, dv = dense_uni(dp, u), dense_uni(dp, v)
             P, Q, D = (dense_bi(comp, x, y) for comp in comps)
             return (dv * P, du * Q, du * dv * D)
 
@@ -339,9 +353,11 @@ def dense_rhs(field):
 
 
 class TestStraightLineRhs:
-    """`field_rhs` writes the Horner steps of the `evaluate_float` closures
-    out in their order, so every lane is the same float as theirs; on the
-    cubic seed and its pullbacks, those are the dense Horner's floats."""
+    """`field_rhs` writes the Horner steps of the BiPoly `evaluate_float`
+    closures out in their order, and the cover's sparse chains, which give
+    the dense Horner's floats, so every lane is the same float as
+    `closure_rhs`'s; on the cubic seed and its pullbacks, the field's
+    lanes are the dense Horner's floats too."""
 
     SPECIAL = [math.inf, -math.inf, math.nan, 1e200, -1e200, 0.0, -0.0]
 
@@ -381,7 +397,7 @@ class TestStraightLineRhs:
             exec("def chain(u):\n" + "".join(f"    {line}\n" for line in lines) + "    return acc\n", namespace)
             rng = random.Random(m)
             for u in self.SPECIAL + [1.0, -1.0] + [rng.uniform(-1.5, 1.5) for _ in range(20)]:
-                want = dense_horner([float(c) for c in reversed(poly.coeffs)], u)
+                want = dense_uni(poly, u)
                 assert same_float(namespace["chain"](u), want), (poly, u)
 
     def test_zero_steps_fold_into_the_next_constant(self):
@@ -1538,8 +1554,8 @@ class TestLiftCycles:
     def test_anchor_projects_to_base_anchor(self, lifted_m3, base_cycle):
         t3 = chebyshev(3)
         for r in lifted_m3:
-            x = t3.evaluate_float(r.anchor[0])
-            y = t3.evaluate_float(r.anchor[1])
+            x = exact_float(t3, r.anchor[0])
+            y = exact_float(t3, r.anchor[1])
             assert abs(x - base_cycle.anchor[0]) <= 1e-6
             assert abs(y - base_cycle.anchor[1]) <= 1e-6
 
@@ -1548,7 +1564,7 @@ class TestLiftCycles:
         t3 = chebyshev(3)
         for r in lifted_m3[::4]:
             for u, v in integrate(pullback_m3.field, r.anchor, r.period, 200, tol=1e-10):
-                radius = math.hypot(t3.evaluate_float(u), t3.evaluate_float(v))
+                radius = math.hypot(exact_float(t3, u), exact_float(t3, v))
                 assert abs(radius - 0.5) <= 1e-5
 
     def test_time_change_invariance_off_cycle(self, pullback_m3, lifted_m3):
@@ -1557,9 +1573,9 @@ class TestLiftCycles:
         t3 = chebyshev(3)
         center = next(r for r in lifted_m3 if (r.rect.i, r.rect.j) == (2, 2))
         start = (center.anchor[0] + 0.02, center.anchor[1])
-        r0 = math.hypot(t3.evaluate_float(start[0]), t3.evaluate_float(start[1]))
+        r0 = math.hypot(exact_float(t3, start[0]), exact_float(t3, start[1]))
         radii = [
-            math.hypot(t3.evaluate_float(u), t3.evaluate_float(v))
+            math.hypot(exact_float(t3, u), exact_float(t3, v))
             for u, v in integrate(pullback_m3.field, start, 3.0, 300, tol=1e-10)
         ]
         lo, hi = min(0.5, r0) - 1e-5, max(0.5, r0) + 1e-5
