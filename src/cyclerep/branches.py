@@ -41,6 +41,10 @@ INCREASING = 1
 DECREASING = -1
 
 
+class RootClashError(ArithmeticError):
+    """Two roots isolated at one exact point, which no narrowing parts."""
+
+
 @dataclass(frozen=True)
 class BranchInterval:
     """Open interval (lo, hi) carrying a 1-based index and monotonicity sign."""
@@ -347,7 +351,8 @@ def full_branch_intervals(p: UniPoly) -> BranchSet:
     of the squarefree part of P' with the tangency points gcd(P -+ den, P')
     divided out, and for an odd or even p mirrored from those in [0, inf).
     Cells are narrowed to width 2**-40 and until apart, and p' is read at a
-    rational point of each gap between neighbouring roots.
+    rational point of each gap between neighbouring roots.  Two roots at
+    one exact point, which no narrowing parts, raise RootClashError.
     """
     if p.degree() < 1:
         raise ValueError("need a nonconstant polynomial")
@@ -360,9 +365,12 @@ def full_branch_intervals(p: UniPoly) -> BranchSet:
         top = max([0] + [cell[2] for _, cell in roots])  # every end is an integer over 2**top
         roots.sort(key=lambda r: _ends(r[1], top))
         ends = [_ends(cell, top) for _, cell in roots]
-        clash = {i + d for i in range(len(roots) - 1) if ends[i][1] >= ends[i + 1][0] for d in (0, 1)}
-        if not clash:
+        pairs = [i for i in range(len(roots) - 1) if ends[i][1] >= ends[i + 1][0]]
+        if not pairs:
             break
+        if any(not roots[i][1][3] and not roots[i + 1][1][3] for i in pairs):  # two exact cells: one point
+            raise RootClashError("two roots isolated at one exact point, which no narrowing parts")
+        clash = {i + d for i in pairs for d in (0, 1)}
         roots = [(level, _narrow(cell, cell[2] + (i in clash)))
                  for i, (level, cell) in enumerate(roots)]
     value, scale = _on_level(dP, top + 1), 1 << (top + 1)  # midpoints are over 2**(top + 1)

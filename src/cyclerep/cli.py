@@ -201,7 +201,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_branches(args) -> int:
-    from .branches import branch_set_to_json, cheb_branches, full_branch_intervals
+    from .branches import RootClashError, branch_set_to_json, cheb_branches, full_branch_intervals
     from .polynomials import fmt9, unipoly_from_json
 
     if (args.poly is None) == (args.cheb is None):
@@ -210,7 +210,10 @@ def cmd_branches(args) -> int:
         bset = cheb_branches(args.cheb)
     else:
         poly = _load(args.poly, unipoly_from_json, "polynomial")
-        bset = full_branch_intervals(poly)
+        try:
+            bset = full_branch_intervals(poly)
+        except RootClashError as err:
+            return _error(err, EXIT_DYNAMICS)
     if bset.degenerate:
         print("warning: degenerate: p' and p'' share a root, so a critical point may lie"
               " inside a branch", file=sys.stderr)

@@ -14,15 +14,10 @@ would take alone.  One loop steps it for both `integrate` and
 accepted steps for sign changes of the signed section coordinate, and
 refined on the crossing step's interpolant by the in-module Brent
 method, `brentq`, so the package needs no numpy or scipy at runtime.
-A field is evaluated by Horner on Python floats: a VectorField2 as it
-stands, a PullbackResult through its factors p'(v) P(p(u), p(v)) and
-p'(u) Q(p(u), p(v)), which keeps the accuracy of the seed field that
-the expanded pullback loses as m grows.  `field_rhs` writes those Horner
-steps out as one straight-line function of (u, v) per field, cached on
-the field object (which can then no longer be pickled): each chain the
-sparse steps of a `horner_plan`, with no loop (a BiPoly's over powers
-computed once per call, the floats of `BiPoly.evaluate_float`), each
-one expression, cut every _NEST steps.
+A field is evaluated by `field_rhs`: one straight-line function of
+(u, v) per field, written from the sparse Horner steps of BiPolys, a
+PullbackResult through its factors p'(v) P(p(u), p(v)) and
+p'(u) Q(p(u), p(v)), with a Chebyshev cover as its prime-factor chain.
 Cycles are fixed points of the return map, found by Newton iteration on
 return(s) - s.  The slope of a planar return map is given by Liouville's
 formula, exp(w) times a transversality ratio, so one return yields both
@@ -63,7 +58,7 @@ class IntegrationError(DynamicsError):
 
 
 class NoReturnError(DynamicsError):
-    """Trajectory never re-crossed the section within the time or turn budget."""
+    """Trajectory never re-crossed the section within the time, turn or step budget."""
 
 
 class DegenerateCrossingError(DynamicsError):
@@ -101,6 +96,7 @@ class DynamicsConfig:
     max_iters: ClassVar[int] = 40
     t_max: ClassVar[float] = 200.0          # return-map time budget
     max_off_crossings: ClassVar[int] = 8    # return-map turn budget: crossings off the segment
+    max_steps: ClassVar[int] = 300          # return-map step budget: accepted RK steps
     section_cap: ClassVar[float] = 0.05     # half-length cap for auto-built sections
 
 
@@ -136,15 +132,6 @@ def _chain(out: str, first: str, links) -> tuple[list[str], str]:
     return lines, expr
 
 
-def _uni_lines(out: str, x: str, plan) -> list[str]:
-    """A UniPoly's `horner_plan` at x as source lines assigning out, a gap
-    of g written as g factors x, each constant by its repr, which reads
-    back as the same float."""
-    (_, first), *steps = plan
-    lines, expr = _chain(out, repr(first), [(" * ".join([x] * g), repr(c)) for g, c in steps])
-    return lines + [f"{out} = {expr}"]
-
-
 def _power(x: str, g: int) -> str:
     """The name of x**g in the RHS source: x itself for g = 1."""
     return x if g == 1 else f"{x}{g}"
@@ -165,6 +152,17 @@ def _bipoly_lines(out: str, plan, x: str, y: str) -> list[str]:
     return lines + cut + [f"{out} = {expr}"]
 
 
+def _horner_lines(x: str, y: str, polys) -> list[str]:
+    """BiPolys [(out, f)] at (x, y) as source lines: the powers of x and y
+    that their plans step across, each the one below times x (or y), then
+    each plan (`_bipoly_lines`)."""
+    plans = [(out, f.horner_plan()) for out, f in polys]
+    top_x = max(gu for _, plan in plans for gu, _ in plan)
+    top_y = max(g for _, plan in plans for _, row in plan for g, _ in row)
+    return [f"{_power(z, g)} = {_power(z, g - 1)} * {z}" for z, top in ((x, top_x), (y, top_y))
+            for g in range(2, top + 1)] + [line for out, plan in plans for line in _bipoly_lines(out, plan, x, y)]
+
+
 def field_rhs(field: VectorField2 | PullbackResult):
     """Right-hand side for the ODE solver: rhs(u, v) = (u', v', div), with
     u and v Python floats (the field is autonomous, so it takes no t).
@@ -172,45 +170,47 @@ def field_rhs(field: VectorField2 | PullbackResult):
     The divergence rides along for the integrator's w lane.  A
     PullbackResult is evaluated through its factors, as
     (p'(v) P(x, y), p'(u) Q(x, y)) with x = p(u), y = p(v), and divergence
-    p'(u) p'(v) (div X)(x, y): Horner on the expanded field, of degree
-    m deg(X) + m - 1, loses digits as m grows (error 2.9e-8 at m = 8
-    and 1.5e-5 at m = 10 relative to the largest |Y| on the cubic seed,
-    against at most 5e-14 through the factors), and costs more.  A
-    VectorField2 is evaluated at x, y = u, v with no cover factors; its
-    divergence is the exact polynomial dP/du + dQ/dv.
+    p'(u) p'(v) (div X)(x, y): Horner on the expanded field loses digits
+    as m grows (1.5e-5 at m = 10 relative to the largest |Y| on the cubic
+    seed).  A cover equal to T_m is the chain of the T_q of the prime
+    factors q of m, ascending (T_a o T_b = T_ab), and p' the product of
+    the T_q' (chain rule); any other cover is one factor.  x and p'(u) are
+    within 5e-13 and 1e-11 of exact, relative to max(1, |.|), for each
+    m <= 128 whose prime factors are at most 7 (3.5e7 by Horner on the
+    monomials of T_64); a prime factor q keeps that Horner's error, about
+    (1 + sqrt 2)**q eps: 2e6 at m = 61.  A VectorField2 is evaluated at
+    x, y = u, v; its divergence is the exact polynomial dP/du + dQ/dv.
 
-    The RHS is one straight-line function, generated from the field's
-    coefficients, with no loop or call between the steps: the floats of
-    `BiPoly.evaluate_float` for P, Q and div X, and those of the dense
-    Horner scheme for p and p' (`UniPoly.horner_plan`).  The powers of
-    x and y that the `horner_plan`s of P, Q and div X step across are
-    computed first, once, each as the power below times x (or y); then
-    each chain is one expression: each row of a plan, each plan's chain
-    in u over its rows, and the plans of p and p' (`_uni_lines`).  An
-    expression is cut into a new statement every _NEST links (`_chain`),
-    so any degree compiles.  States become floats where they enter
-    (`DOP853`, `Section`), not in each call.  The RHS is built once per
-    field object and kept in its __dict__, as `BiPoly.evaluate_float` is,
-    so a field whose RHS was built can no longer be pickled.
+    The RHS has no loop or call between the steps: P, Q, div X and each
+    cover factor and its derivative are the floats of their
+    `BiPoly.evaluate_float`, over powers computed once
+    (`_horner_lines`), each chain an expression cut every _NEST links
+    (`_chain`), so any degree compiles.  States become floats where they
+    enter (`DOP853`, `Section`).  The RHS is built once per field object
+    and kept in its __dict__, so the field can no longer be pickled.
     """
     rhs = vars(field).get("_rhs")
     if rhs is not None:
         return rhs
     lines = []
     if isinstance(field, PullbackResult):
-        X, p, dp = field.source, field.cover_poly, field.cover_poly.derivative()
-        for out, var, poly in (("x", "u", p), ("y", "v", p), ("du", "u", dp), ("dv", "v", dp)):
-            lines += _uni_lines(out, var, poly.horner_plan())
+        X, p, factors, n = field.source, field.cover_poly, [], field.cover_poly.degree()
+        if n < 2 or p != chebyshev(n):  # any other cover is one factor
+            factors, n = [p], 1
+        while n > 1:  # T_m = ... o T_q2 o T_q1, q1 <= q2 <= ... the prime factors of m (T_a o T_b = T_ab)
+            q = next(q for q in range(2, n + 1) if n % q == 0)  # the least prime factor of n
+            factors, n = factors + [chebyshev(q)], n // q
+        for x, dx, at in (("x", "du", "u"), ("y", "dv", "v")):  # factor k of several as x + "k_", dx + "k_"
+            names = [(f"{x}{k}_", f"{dx}{k}_") for k in range(1, len(factors))] + [(x, dx)]
+            for f, (out, slope) in zip(factors, names):  # so a power, x1_2 = x1_ * x1_, is no `_power` name
+                lines += _horner_lines(at, at, [(slope, BiPoly.from_uni(f.derivative(), 0)),
+                                                (out, BiPoly.from_uni(f, 0))])
+                at = out
+            lines += [f"{dx} = {' * '.join(slope for _, slope in names)}"] * (len(factors) > 1)
         x, y, result = "x", "y", "(dv * P, du * Q, du * dv * D)"
     else:
         X, x, y, result = field, "u", "v", "(P, Q, D)"
-    plans = [(out, comp.horner_plan()) for out, comp in (("P", X.p_comp), ("Q", X.q_comp), ("D", X.divergence))]
-    top_x = max(gu for _, plan in plans for gu, _ in plan)
-    top_y = max(g for _, plan in plans for _, row in plan for g, _ in row)
-    for var, top in ((x, top_x), (y, top_y)):
-        lines += [f"{_power(var, g)} = {_power(var, g - 1)} * {var}" for g in range(2, top + 1)]
-    for out, plan in plans:
-        lines += _bipoly_lines(out, plan, x, y)
+    lines += _horner_lines(x, y, [("P", X.p_comp), ("Q", X.q_comp), ("D", X.divergence)])
     source = "def rhs(u, v):\n" + "".join(f"    {line}\n" for line in lines + [f"return {result}"])
     namespace: dict = {}
     exec(compile(source, "<field_rhs>", "exec"), namespace)
@@ -632,11 +632,12 @@ def poincare_return(
     refined on that step's dense interpolant.  The first such crossing
     inside (0, s_max) is the return: the integration stops there, so
     unstable cycles are not flowed past their return.  Returns (new
-    parameter, flight time, slope).  A crossing whose refinement does not converge raises
-    DegenerateCrossingError.  NoReturnError is raised after
-    DynamicsConfig.max_off_crossings + 1 crossings of the section's line
-    off the segment (an orbit that turns but misses), or at
-    DynamicsConfig.t_max (one that never turns: drift, or a node).
+    parameter, flight time, slope).  A crossing whose refinement does not
+    converge raises DegenerateCrossingError.  NoReturnError is raised
+    after max_off_crossings + 1 crossings of the section's line off the
+    segment (an orbit that turns but misses), at t_max (one that never
+    turns: drift, or a node) or after max_steps accepted steps (a step
+    size that collapses), each a DynamicsConfig constant.
 
     The slope is the derivative of the return map at s.  The flow scales
     areas by exp(w), w the integral of div f along the orbit (Liouville),
@@ -659,7 +660,7 @@ def poincare_return(
         return sgn * ((z[0] - section.base[0]) * n[0] + (z[1] - section.base[1]) * n[1])
 
     g_prev, t_prev, off = gval(z0), 0.0, 0
-    for solver in _steps(rhs, z0, DynamicsConfig.t_max, DynamicsConfig.tol):
+    for steps, solver in enumerate(_steps(rhs, z0, DynamicsConfig.t_max, DynamicsConfig.tol), 1):
         g_new = gval(solver.y)
         if g_prev < 0.0 <= g_new:
             dense = solver.dense_output()
@@ -681,6 +682,8 @@ def poincare_return(
                     raise NoReturnError(
                         f"no return to the section: the orbit crossed its line off the segment {off} times"
                     )
+        if steps >= DynamicsConfig.max_steps:
+            raise NoReturnError(f"no return to the section within {steps} RK steps")
         g_prev, t_prev = g_new, solver.t
     raise NoReturnError(f"no return to the section within t_max={DynamicsConfig.t_max}")
 

@@ -8,23 +8,22 @@ trailing zero; a bivariate one's are a nonzero int per key, the keys
 (deg_u, deg_v) sorted.  The zero polynomial has no nums and den 1.  The
 reduced Fractions, a UniPoly's `coeffs` and a BiPoly's `terms`, are a
 view built on first read.  Everything in this module is exact; floating
-point enters only through the float steps of a `horner_plan`, which
-`dynamics.field_rhs` and `BiPoly.evaluate_float` run.  The exact
-operations are the ones a separable pullback needs: sums and products
-of bivariate polynomials, derivatives, the substitution
-`compose_separable` (the one composition), the pullback's components
-p'(v) P(p(u), p(v)) and p'(u) Q(p(u), p(v)) (`_separable_pullback`, one
-pass each, for `cyclerep.pullback`) and evaluation.  Only the two
-constructors turn coefficients into integers; the operations run on
-integers throughout and make no Fraction: a result is summed into one
-int per key over a common denominator and reduced by one gcd (`_of`);
-an exact evaluation makes one Fraction at the end.
+point enters only through the float steps of a BiPoly's `horner_plan`
+(a UniPoly's through `BiPoly.from_uni`), which `dynamics.field_rhs` and
+`BiPoly.evaluate_float` run.  The exact operations are the ones a
+separable pullback needs: sums and products of bivariate polynomials,
+derivatives, the substitution `compose_separable` (the one composition),
+the pullback's components p'(v) P(p(u), p(v)) and p'(u) Q(p(u), p(v))
+(`_separable_pullback`, one pass each, for `cyclerep.pullback`) and
+evaluation.  Only the two constructors turn coefficients into integers;
+the operations run on integers throughout and make no Fraction: a result
+is summed into one int per key over a common denominator and reduced by
+one gcd (`_of`); an exact evaluation makes one Fraction at the end.
 
-A polynomial is evaluated in floats over its nonzero terms only: its
-`horner_plan` is a sparse Horner scheme (`_links`), a chain with one
-step per nonzero term across the gap of powers below it; a BiPoly's is
-Horner in v within each power of u that occurs, then in u over those
-rows, each coefficient the correctly rounded float n / den.  A chain
+A `horner_plan` is a sparse Horner scheme (`_links`) over the nonzero
+terms only: Horner in v within each power of u that occurs, then in u
+over those rows, one step per nonzero term across the gap of powers
+below it, each coefficient the correctly rounded float n / den.  A chain
 whose lowest power is above 0 ends in a `+ 0.0` step, as the dense chain
 does, so a zero result has the same sign.
 
@@ -158,18 +157,6 @@ class UniPoly:
             acc, scale = acc * a + c * scale, scale * b
         return Fraction(acc * b, self.den * scale)
 
-    def horner_plan(self) -> tuple[tuple[int, float], ...]:
-        """The sparse Horner steps that `dynamics.field_rhs` writes out for
-        self: `_links` of the nonzero terms, highest power first; ((0, 0.0),)
-        for zero.  Run as g multiplies by x, then + c, per link (g, c), they
-        give the dense chain's floats, zero signs included: a dense + 0.0
-        only turns -0.0 into 0.0, a multiply keeps a zero a zero (inf times
-        either zero is nan), and the next + c absorbs the sign (+-0 + c = c).
-        A trailing zero step stays, as the last link, (k, 0.0).  Each c is
-        n / den, correctly rounded as float(Fraction) is."""
-        terms = [(k, n / self.den) for k, n in reversed(list(enumerate(self.nums))) if n]
-        return _links(terms, 0.0) or ((0, 0.0),)
-
 
 def chebyshev(m: int) -> UniPoly:
     """Chebyshev polynomial of the first kind T_m, from its explicit
@@ -280,16 +267,15 @@ class BiPoly:
 
     def horner_plan(self) -> tuple[tuple[int, tuple[tuple[int, float], ...]], ...]:
         """The sparse Horner steps of `evaluate_float` (Peña & Sauer 2000):
-        a chain in u whose links are rows, each row a chain in v whose
-        links are the float coefficients n / den, correctly rounded as
-        float(Fraction) is.  A chain is a tuple of (gap, link), the first
-        gap 0; its value is the first link, then value * x**gap + link for
-        each later one, one step per nonzero term.  The rows are the powers
-        of u that occur, highest first, each its nonzero v-terms, highest
-        first.  A chain whose lowest power k is above 0 ends in the link
-        (k, 0.0), the row ((0, 0.0),) for the u-chain: the dense chain ends
-        in a zero step there, and its + 0.0 sets the sign of a zero result.
-        The zero polynomial's plan is the one row ((0, 0.0),)."""
+        a chain in u whose links are rows, each row a chain in v whose links
+        are the floats n / den, rounded as float(Fraction) is.  A chain is a
+        tuple of (gap, link), the first gap 0; its value is the first link,
+        then value * x**gap + link for each later one.  The rows are the
+        powers of u that occur, highest first, each its nonzero v-terms,
+        highest first.  A chain whose lowest power k is above 0 ends in the
+        link (k, 0.0), the row ((0, 0.0),) for the u-chain, whose + 0.0 sets
+        the sign of a zero result, as the dense chain's does.  The zero
+        polynomial's plan is the one row ((0, 0.0),)."""
         rows, den = {}, self.den  # du -> [(dv, coefficient)]
         for (du, dv), n in zip(reversed(self.keys), reversed(self.nums)):  # by falling du, then dv
             rows.setdefault(du, []).append((dv, n / den))

@@ -14,6 +14,7 @@ from cyclerep import branches
 from cyclerep.branches import (
     DECREASING,
     INCREASING,
+    RootClashError,
     branch_inverse,
     branch_set_to_json,
     cheb_branches,
@@ -256,6 +257,15 @@ class TestFullBranches:
         bs = full_branch_intervals(p)
         assert time.perf_counter() - start < 0.16
         assert bs.count == 64
+
+    def test_two_roots_at_one_exact_point_raise(self, monkeypatch, wall_bound):
+        # the clash loop halves cells until neighbours part, but an exact
+        # cell does not narrow: two at one point, here the root 0 of x given
+        # twice, clash for good, so they raise instead of looping
+        cell = ([0, 1], 0, 0, 0)
+        monkeypatch.setattr(branches, "_level_roots", lambda *args: [(1, cell), (-1, cell)])
+        with wall_bound(5.0), pytest.raises(RootClashError, match="one exact point"):
+            full_branch_intervals(chebyshev(3))
 
     def test_identity_map(self):
         bs = full_branch_intervals(U(0, 1))

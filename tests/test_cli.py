@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cyclerep
-from cyclerep import svgplot
+from cyclerep import branches, svgplot
 from cyclerep.branches import cheb_nodes, full_branch_intervals
 from cyclerep.cli import main
 from cyclerep.polynomials import UniPoly, chebyshev, field_to_json, fmt9, unipoly_to_json
@@ -425,6 +425,18 @@ class TestBranchesCommand:
         assert main(["branches", str(poly_file)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_root_clash_exits_4(self, tmp_path, capsys, monkeypatch, wall_bound):
+        # two roots isolated at one exact point, which no narrowing parts,
+        # are a failure of the exact classifier: exit 4 with one error line
+        poly_file = tmp_path / "t3.json"
+        poly_file.write_text(json.dumps(unipoly_to_json(chebyshev(3))))
+        cell = ([0, 1], 0, 0, 0)
+        monkeypatch.setattr(branches, "_level_roots", lambda *args: [(1, cell), (-1, cell)])
+        with wall_bound(5.0):
+            assert main(["branches", str(poly_file)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: two roots isolated at one exact point, which no narrowing parts\n"
+
     def test_branch_narrower_than_float_spacing(self, tmp_path, capsys):
         # 10^20 x - 10^26 maps (10^6 - 10^-20, 10^6 + 10^-20) onto (-1, 1); both
         # ends round to the float 10^6, so each is pushed one float outward
@@ -495,6 +507,20 @@ class TestExampleCommand:
         got = (out / "cycles.csv").read_bytes()
         assert got == (GOLDEN / "example_m12_rho1_2" / "cycles.csv").read_bytes()
         assert got.count(b"\n") == 1 + 144
+
+    def test_prime_m29_fails_fast_one_line_per_rectangle(self, tmp_path):
+        # T_29 is one prime factor, run by Horner on its monomials (1.5e-6
+        # off); returns whose steps collapse end at the step budget, so the
+        # run exits 4 in 7.5 s on a 2-core x86 host, where it ran past 90 s
+        # with no budget
+        argv = ["example", "--m", "29", "--rho", "1/2", "--out-dir", "ex"]
+        run = run_fresh(f"import sys\nfrom cyclerep.cli import main\nsys.exit(main({argv!r}))\n", tmp_path, 90)
+        assert run.returncode == 4 and run.stdout == ""
+        lines = run.stderr.splitlines()
+        rects = [re.fullmatch(r"rectangle \((\d+),(\d+)\) failed: .+", line) for line in lines]
+        assert lines and all(rects)
+        assert len({r.groups() for r in rects}) == len(lines)
+        assert not (tmp_path / "ex").exists()
 
     def test_m16_lifts_every_rectangle(self, tmp_path, capsys):
         # edge branches at m = 16 are narrower than an absolute 1e-3 seed
@@ -668,15 +694,15 @@ def test_unwritable_output_path_exits_3(tmp_path, radial_half, capsys, command):
     assert afile.read_text() == "" and not missing.exists()
 
 
-def run_fresh(probe: str, cwd) -> subprocess.CompletedProcess:
+def run_fresh(probe: str, cwd, timeout: float = 60) -> subprocess.CompletedProcess:
     """Run probe in a fresh interpreter on the cyclerep the tests import: this
     one may have numpy and scipy loaded, and has every cyclerep layer the
-    tests loaded."""
+    tests loaded.  A run past timeout seconds is killed and fails the test."""
     src = str(Path(cyclerep.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd, capture_output=True, text=True,
-                          timeout=60)
+                          timeout=timeout)
 
 
 class TestRuntimeImports:

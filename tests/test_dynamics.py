@@ -75,12 +75,11 @@ def exact_float(p: UniPoly, x: float) -> float:
 
 def composed_magnitude(pb, src: BiPoly, u: float, v: float) -> float:
     """Rounding-error scale of S(p(u), p(v)): S's sum |term|, plus the
-    cover's carried through dS/dx and dS/dy (first order).  x = p(u) and
-    y = p(v) are the floats the RHS computes, the dense Horner's: at
-    m = 64 they stray far from the exact values (T_64(-0.93) comes out
-    near 5.8e5), so the scale must be taken at them."""
+    cover's carried through dS/dx and dS/dy (first order), taken at the
+    exact x = p(u) and y = p(v), rounded once: a scale taken at the
+    RHS's own cover floats would grow with their error and hide it."""
     p = pb.cover_poly
-    x, y = dense_uni(p, u), dense_uni(p, v)
+    x, y = exact_float(p, u), exact_float(p, v)
     return (
         abs_term_sum(src, x, y)
         + abs_term_sum(src.partial_u(), x, y) * uni_abs_term_sum(p, u)
@@ -95,9 +94,9 @@ def factored_magnitude(pb, k: int, u: float, v: float) -> float:
     p, dp = pb.cover_poly, pb.cover_poly.derivative()
     src = (pb.source.p_comp, pb.source.q_comp)[k]
     w = (v, u)[k]
-    x, y = dense_uni(p, u), dense_uni(p, v)
+    x, y = exact_float(p, u), exact_float(p, v)
     return (
-        abs(dense_uni(dp, w)) * composed_magnitude(pb, src, u, v)
+        abs(exact_float(dp, w)) * composed_magnitude(pb, src, u, v)
         + uni_abs_term_sum(dp, w) * abs(src.evaluate_float(x, y))
     )
 
@@ -111,8 +110,8 @@ def divergence_magnitude(pb, u: float, v: float) -> float:
     p'(u) p'(v) (div X)(x, y): each factor's sum |term|."""
     p, dp = pb.cover_poly, pb.cover_poly.derivative()
     div_x = divergence(pb.source)
-    du, dv = dense_uni(dp, u), dense_uni(dp, v)
-    x, y = dense_uni(p, u), dense_uni(p, v)
+    du, dv = exact_float(dp, u), exact_float(dp, v)
+    x, y = exact_float(p, u), exact_float(p, v)
     return abs(du * dv) * composed_magnitude(pb, div_x, u, v) + (
         uni_abs_term_sum(dp, u) * abs(dv) + abs(du) * uni_abs_term_sum(dp, v)
     ) * abs(div_x.evaluate_float(x, y))
@@ -155,7 +154,9 @@ class TestCompiledEvaluation:
                 assert abs(grid[0, c] - exact) <= bound
         # field_rhs cuts each Horner chain into expressions of at most 32
         # nested steps: the expanded field and the m = 64 pullback build and
-        # evaluate within the bounds of TestFactoredRhs
+        # evaluate within the bounds of TestFactoredRhs, whose scale is taken
+        # at the exact cover values (the worst error is 2.7e-11 of the
+        # bound; Horner on the monomials of T_64 was 4.6e10 times over it)
         Y = pb.field
         rhs = field_rhs(Y)
         for u, v in points:
@@ -278,18 +279,43 @@ class TestFactoredRhs:
             assert abs(Fraction(got) - exact) <= 1e-14 * abs_term_sum(exact_div, u, v)
 
 
+def cover_chain(p: UniPoly):
+    """x -> (p(x), p'(x)) by the loop over p's factors that `field_rhs`
+    writes out: for p = T_m the T_q of the prime factors q of m, ascending,
+    each T_q and T_q' by the `evaluate_float` of its `BiPoly.from_uni` at
+    the value before, p' their product from the first; any other p alone."""
+    m, factors = p.degree(), [p]
+    if m >= 2 and p == chebyshev(m):
+        factors, k = [], m
+        for q in range(2, m + 1):
+            while k % q == 0:
+                factors.append(chebyshev(q))
+                k //= q
+    evals = [(BiPoly.from_uni(f, 0).evaluate_float, BiPoly.from_uni(f.derivative(), 0).evaluate_float)
+             for f in factors]
+
+    def at(x):
+        slope = None
+        for f, df in evals:
+            d = df(x, 0.0)
+            slope = d if slope is None else slope * d
+            x = f(x, 0.0)
+        return x, slope
+
+    return at
+
+
 def closure_rhs(field):
-    """The RHS as a composition of the BiPoly `evaluate_float` closures and
-    the dense Horner of the cover and its derivative, the reference the
+    """The RHS as a composition of the BiPoly `evaluate_float` closures:
+    P, Q and div X at the cover values of `cover_chain`, the reference the
     straight-line `field_rhs` must match bit for bit."""
     X = field.source if isinstance(field, PullbackResult) else field
     fp, fq, fdiv = X.p_comp.evaluate_float, X.q_comp.evaluate_float, X.divergence.evaluate_float
     if isinstance(field, PullbackResult):
-        p, dp = field.cover_poly, field.cover_poly.derivative()
+        cover = cover_chain(field.cover_poly)
 
         def rhs(u, v):
-            x, y = dense_uni(p, u), dense_uni(p, v)
-            du, dv = dense_uni(dp, u), dense_uni(dp, v)
+            (x, du), (y, dv) = cover(u), cover(v)
             return (dv * fp(x, y), du * fq(x, y), du * dv * fdiv(x, y))
 
         return rhs
@@ -335,16 +361,15 @@ def dense_bi(f: BiPoly, u, v):
 
 
 def dense_rhs(field):
-    """The RHS of `closure_rhs` on the dense Horner chains, a step per
-    power, absent ones included."""
+    """The RHS of `closure_rhs` with P, Q and div X on the dense Horner
+    chains, a step per power, absent ones included."""
     X = field.source if isinstance(field, PullbackResult) else field
     comps = (X.p_comp, X.q_comp, X.divergence)
     if isinstance(field, PullbackResult):
-        p, dp = field.cover_poly, field.cover_poly.derivative()
+        cover = cover_chain(field.cover_poly)
 
         def rhs(u, v):
-            x, y = dense_uni(p, u), dense_uni(p, v)
-            du, dv = dense_uni(dp, u), dense_uni(dp, v)
+            (x, du), (y, dv) = cover(u), cover(v)
             P, Q, D = (dense_bi(comp, x, y) for comp in comps)
             return (dv * P, du * Q, du * dv * D)
 
@@ -352,12 +377,27 @@ def dense_rhs(field):
     return lambda u, v: tuple(dense_bi(comp, u, v) for comp in comps)
 
 
+# a source whose pullback lanes are (p'(v) x, p'(u), p'(u) p'(v)): the
+# cover's values through the RHS (`field_rhs` reads only the source and
+# the cover of a PullbackResult, so it needs no expanded field)
+PROBE = VectorField2(BiPoly({(1, 0): 1}), BiPoly({(0, 0): 1}))
+# the cover lanes' error, relative to max(1, |.|): the factor chain of T_m
+# erred by at most 4.9e-12 on TestCoverLanes' points and 9.2e-12 on 3000
+# random points (T_49', every m <= 128 whose prime factors are at most 7
+# tried), where Horner on the monomials of T_64 erred by 3.5e7
+COVER_BOUND = 1.5e-11
+
+
+def probe_pullback(m: int) -> PullbackResult:
+    return PullbackResult(field=None, cover_poly=chebyshev(m), source=PROBE)
+
+
 class TestStraightLineRhs:
     """`field_rhs` writes the Horner steps of the BiPoly `evaluate_float`
-    closures out in their order, and the cover's sparse chains, which give
-    the dense Horner's floats, so every lane is the same float as
-    `closure_rhs`'s; on the cubic seed and its pullbacks, the field's
-    lanes are the dense Horner's floats too."""
+    closures out in their order, those of the cover's factors included, so
+    every lane is the same float as `closure_rhs`'s; the cover values are
+    within COVER_BOUND of exact, and on the cubic seed and its pullbacks
+    the P, Q and div X lanes at them are the dense Horner's floats too."""
 
     SPECIAL = [math.inf, -math.inf, math.nan, 1e200, -1e200, 0.0, -0.0]
 
@@ -375,13 +415,30 @@ class TestStraightLineRhs:
             a, b = got(*z), want(*z)
             assert len(a) == 3 and all(same_float(x, y) for x, y in zip(a, b)), (z, a, b)
 
-    # T_m of odd m and T_m' of even m end in a zero step, which stays;
-    # every other zero step of theirs is folded
+    def assert_cover_exact(self, p: UniPoly, seed: int) -> None:
+        """The cover values of `cover_chain` within COVER_BOUND of exact p
+        and p', relative to max(1, |.|), at the finite points in [-1, 1]."""
+        cover, dp = cover_chain(p), p.derivative()
+        for u in {w for z in self.points(seed) for w in z if abs(w) <= 1.0}:
+            (x, dx), xu = cover(u), Fraction(u)
+            for got, want in ((x, p.evaluate(xu)), (dx, dp.evaluate(xu))):
+                assert abs(Fraction(got) - want) <= COVER_BOUND * max(1, abs(want)), (u, got, want)
+
+    # the cover lanes are the factor chain's, within COVER_BOUND of exact
+    # T_m and T_m'; given them, P, Q and div X are the BiPoly evaluator's
+    # to the bit.  T_2 is one factor, whose floats are the dense Horner's
+    # of T_2 and T_2', as before the chain: `example --m 2` keeps its bytes
     @pytest.mark.parametrize("seed", ["cubic", "dense"])
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 12, 16, 64])
     def test_pullback_matches_closures(self, radial_half, seed, m):
         X = radial_half if seed == "cubic" else DENSE_CUBIC
         self.assert_same(build_pullback(X, chebyshev(m)), m)
+        self.assert_cover_exact(chebyshev(m), m)
+        if m == 2:
+            cover = cover_chain(chebyshev(2))
+            for u in {w for z in self.points(m) for w in z}:
+                assert same_float(cover(u)[0], dense_uni(chebyshev(2), u))
+                assert same_float(cover(u)[1], dense_uni(chebyshev(2).derivative(), u))
 
     @pytest.mark.parametrize("field", ["seed", "dense", "m3"])
     def test_vector_field_matches_closures(self, radial_half, pullback_m3, field):
@@ -389,30 +446,19 @@ class TestStraightLineRhs:
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_folded_chains_match_the_loop(self, m):
-        # each univariate chain of T_m and T_m', folded, against the dense
-        # Horner loop, which takes every zero step
-        for poly in (chebyshev(m), chebyshev(m).derivative()):
-            lines = dynamics._uni_lines("acc", "u", poly.horner_plan())
-            namespace: dict = {}
-            exec("def chain(u):\n" + "".join(f"    {line}\n" for line in lines) + "    return acc\n", namespace)
-            rng = random.Random(m)
-            for u in self.SPECIAL + [1.0, -1.0] + [rng.uniform(-1.5, 1.5) for _ in range(20)]:
-                want = dense_uni(poly, u)
-                assert same_float(namespace["chain"](u), want), (poly, u)
+        # the cover's chain as `field_rhs` writes it out, straight lines over
+        # the factors of T_m (2, 2, 3 at m = 12; 11 alone; T_1 = u one
+        # factor, as any cover that is not T_m), against the loop over their
+        # evaluators in `cover_chain`, read through the PROBE source
+        self.assert_same(probe_pullback(m), m)
+
+    def test_cover_other_than_t_m_is_one_factor(self):
+        # T_4 + 1/1000 is no Chebyshev polynomial, though of composite
+        # degree: it is written as one factor, not as T_2 o T_2
+        p = UniPoly([c + Fraction(1, 1000) * (k == 0) for k, c in enumerate(chebyshev(4).coeffs)])
+        self.assert_same(PullbackResult(field=None, cover_poly=p, source=PROBE), 4)
 
     def test_zero_steps_fold_into_the_next_constant(self):
-        # T_6 = 32u^6 - 48u^4 + 18u^2 - 1 is one expression: each zero step
-        # keeps its multiply and joins the next step; T_6' = 192u^5 -
-        # 192u^3 + 36u ends in a zero step, which stays, since it sets the
-        # sign of a zero result
-        assert dynamics._uni_lines("x", "u", chebyshev(6).horner_plan()) == [
-            "x = ((32.0 * u * u + -48.0) * u * u + 18.0) * u * u + -1.0"
-        ]
-        assert dynamics._uni_lines("d", "u", chebyshev(6).derivative().horner_plan()) == [
-            "d = ((192.0 * u * u + -192.0) * u * u + 36.0) * u + 0.0"
-        ]
-        # the zero polynomial and a constant are a lead alone
-        assert dynamics._uni_lines("r", "v", UniPoly().horner_plan()) == ["r = 0.0"]
         # a BiPoly takes a step per nonzero term, across a gap of powers by
         # the shared power (u2 = u * u), each row one expression inside the
         # u-chain: P = v - u^3 - uv^2 + u/4 and its absent u^2 row and v^1
@@ -426,9 +472,9 @@ class TestStraightLineRhs:
     def test_seed_and_its_lifts_keep_the_dense_floats(self, rho):
         # every seed coefficient that the sparse plan steps across a gap
         # with is 1 or 4 in magnitude, so the sparse products are exact and
-        # the RHS of the seed at each bench rho, and of its pullbacks, is
-        # the dense Horner's to the bit, zero signs included: no lift float
-        # moves
+        # the P, Q and div X lanes of the seed at each bench rho, and of its
+        # pullbacks at the factor chain's cover values, are the dense
+        # Horner's to the bit, zero signs included
         X = radial_cubic_field(Fraction(rho))
         for m in (1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 64):
             field = X if m == 1 else build_pullback(X, chebyshev(m))
@@ -436,6 +482,8 @@ class TestStraightLineRhs:
             for z in self.points(m):
                 a, b = got(*z), want(*z)
                 assert all(same_float(x, y) for x, y in zip(a, b)), (m, z, a, b)
+            if m > 1:
+                self.assert_cover_exact(chebyshev(m), m)
 
     def test_deep_chains_compile(self, radial_half):
         # a 300-term row in v, a u-chain over 300 rows and one over 300
@@ -460,6 +508,37 @@ class TestStraightLineRhs:
         twin = build_pullback(radial_half, chebyshev(4))
         assert twin == pb and field_rhs(twin) is not rhs
         assert field_rhs(pb.field) is not rhs
+
+
+class TestCoverLanes:
+    """The RHS's cover lanes against exact T_m and T_m', read through the
+    PROBE source at v = 1, where p'(v) is m^2 exactly: lane 0 is m^2 x
+    rounded once, lane 1 is p'(u)."""
+
+    def test_factor_chain_within_bound_to_m_128(self):
+        # every m <= 128 whose prime factors are at most 7, at 120 random
+        # points of [-1.02, 1.02] and 40 within 1e-12 of +-1: the worst
+        # error, relative to max(1, |.|), is 4.9e-12 (T_98'); Horner on the
+        # monomials of T_m, about (1 + sqrt 2)**m eps / 2, erred here by
+        # 3.2e-11 at m = 16 and 5.2e7 at m = 64
+        rng = random.Random(46)
+        points = [rng.uniform(-1.02, 1.02) for _ in range(120)]
+        points += [s * (1.0 + k * 1e-13) for s in (1.0, -1.0) for k in range(-10, 11) if k]
+        for m in range(2, 129):
+            k = m
+            for q in (2, 3, 5, 7):
+                while k % q == 0:
+                    k //= q
+            if k > 1:
+                continue
+            T, dT = chebyshev(m), chebyshev(m).derivative()
+            rhs = field_rhs(probe_pullback(m))
+            assert rhs(1.0, 1.0)[1] == m * m
+            for u in points:
+                mx, du, _ = rhs(u, 1.0)
+                x, dx = T.evaluate(Fraction(u)), dT.evaluate(Fraction(u))
+                assert abs(Fraction(mx) - m * m * x) <= COVER_BOUND * m * m * max(1, abs(x)), (m, u)
+                assert abs(Fraction(du) - dx) <= COVER_BOUND * max(1, abs(dx)), (m, u)
 
 
 class TestIntegrate:
@@ -1311,6 +1390,21 @@ class TestPoincareReturn:
         with pytest.raises(DegenerateCrossingError):
             poincare_return(drift, section, 0.5)
 
+    def test_collapsing_step_runs_out_of_budget(self, radial_half, x_axis_section, monkeypatch, wall_bound):
+        # a return whose step size collapses (2.1e5 steps of 1.5e-10 in one
+        # return at m = 32, with Horner on the monomials of T_32) ends at the
+        # step budget, not at t_max = 200, which steps of 1e-12 never reach
+        class Collapsing(DOP853):
+            def step(self):
+                self.t_old, self.y_old, self.w_old = self.t, self.y, self.w
+                self.t += 1e-12
+
+        monkeypatch.setattr(dynamics, "RK45", Collapsing)
+        start = time.perf_counter()
+        with wall_bound(1.0), pytest.raises(NoReturnError, match=f"within {DynamicsConfig.max_steps} RK steps$"):
+            poincare_return(radial_half, x_axis_section, 0.3)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestFindCycle:
     def test_seed_cycle(self, base_cycle):
@@ -1705,6 +1799,23 @@ class TestLiftLargeCover:
             target = 1 / mu if r.orientation_reversed else mu
             assert abs(r.multiplier - target) <= 1e-5 * target
         assert elapsed < wall_s
+
+    # the cover as its prime-factor chain (Horner on the monomials of T_m
+    # took 5.6 s at m = 24, 30 rectangles finding no fixed point, and hung
+    # at m = 32): 0.30 and 0.56 s measured on a 2-core x86 host.  The
+    # rectangles that fail are all turned away by the absolute anchor
+    # margin, 1e-3 where a corner rectangle is 4.8e-3 wide at m = 32
+    @pytest.mark.parametrize("m, failed", [(24, 48), (32, 64)])
+    def test_factor_chain_reaches_m_32(self, radial_half, base_cycle, wall_bound, m, failed):
+        pb = build_pullback(radial_half, chebyshev(m))
+        with wall_bound(5.0), pytest.raises(LiftError) as exc:
+            lift_cycles(pb, base_cycle, m)
+        records = exc.value.records
+        assert len(exc.value.failures) == failed and len(records) == m * m - failed
+        assert all(str(err) == "lifted anchor left its branch rectangle" for _, _, err in exc.value.failures)
+        for r in records.values():
+            target = EXP_PLUS_PI if r.orientation_reversed else EXP_MINUS_PI
+            assert r.certified and abs(r.multiplier - target) <= 1e-5 * target
 
 
 class TestImplicitCurve:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclerep import dynamics
 from cyclerep.polynomials import (
     NEG_INF,
     BiPoly,
@@ -36,16 +35,6 @@ def U(*coeffs):
 def neg(f):
     """-f, coefficient by coefficient."""
     return BiPoly(tuple((k, -c) for k, c in f.terms))
-
-
-def _horner(coeffs, x):
-    """Horner's rule over coefficients from the highest power down: the
-    leading one, then ``acc * x + c`` per lower power, zeros included."""
-    it = iter(coeffs)
-    acc = next(it)
-    for c in it:
-        acc = acc * x + c
-    return acc
 
 
 class TestChebyshev:
@@ -213,20 +202,6 @@ class TestBiPoly:
             assert abs(exact - approx) <= 1e-12 * max(1.0, abs(exact))
 
 
-def reference_uni(p, x):
-    """The dense float Horner, from _horner, that a UniPoly's chain in
-    `field_rhs` must reproduce."""
-    return _horner([float(c) for c in reversed(p.coeffs)] or [0.0], x)
-
-
-def uni_chain(p):
-    """The chain `dynamics._uni_lines` writes for p, as `field_rhs` runs it."""
-    namespace: dict = {}
-    lines = dynamics._uni_lines("acc", "x", p.horner_plan())
-    exec("def chain(x):\n" + "".join(f"    {line}\n" for line in lines) + "    return acc\n", namespace)
-    return namespace["chain"]
-
-
 def reference_bi(f, u, v):
     """The sparse Horner steps the evaluator must reproduce, from the
     terms: for each power of u that occurs, highest first, Horner in v
@@ -282,7 +257,10 @@ class TestFloatEvaluatorAgainstReference:
     @settings(max_examples=200, deadline=None)
     @given(unipolys, scalar_points)
     def test_unipoly_at_floats(self, p, x):
-        same_bits(uni_chain(p)(x), reference_uni(p, x))
+        # a UniPoly runs in floats as `field_rhs` runs each cover factor: as
+        # the BiPoly p(u) of `from_uni`, whose terms are p's nonzero ones
+        terms = {(k, 0): c for k, c in enumerate(p.coeffs) if c}
+        same_bits(BiPoly.from_uni(p, 0).evaluate_float(x, 0.0), reference_bi(BiPoly(terms), x, 0.0))
 
     @settings(max_examples=200, deadline=None)
     @given(sparse_bipolys, scalar_points, scalar_points)
@@ -626,7 +604,9 @@ class TestUniPolyCanonicalForm:
         ref = ref_coeffs(cs)
         want = [float(c).hex() for c in reversed(ref) if c]
         lowest = next((k for k, c in enumerate(ref) if c), 0)  # a zero step below it
-        got = [c.hex() for _, c in UniPoly(cs).horner_plan()]
+        # as `field_rhs` writes a cover factor: the plan of `BiPoly.from_uni`,
+        # one constant row per nonzero term
+        got = [row[0][1].hex() for _, row in BiPoly.from_uni(UniPoly(cs), 0).horner_plan()]
         assert got == (want + [(0.0).hex()] * (lowest > 0) if want else [(0.0).hex()])
 
     def test_stored_form_is_read_only(self):
