@@ -27,7 +27,9 @@ Lifting: a certified cycle of X inside (-1,1)^2 is carried to each of
 the m^2 branch rectangles of the Chebyshev pullback by inverting the
 cover branch-wise at the anchor point and re-running the cycle search on
 the pullback field.  Searches in distinct rectangles are independent of
-each other (results are merged in (i, j) order); everything here is
+each other (results are merged in (i, j) order).  For even m the pullback
+is odd to the bit, so the search in rectangle (m+1-i, m+1-j) is the one in
+(i, j) negated, and only rows 1..m/2 are searched.  Everything here is
 deterministic, with no randomness or wall-clock dependence.
 """
 
@@ -800,6 +802,26 @@ def _section_through(point, field_dir, half_length: float) -> Section:
     return Section(base=base, direction=d, s_max=2.0 * half_length)
 
 
+def _lift_rect(pb: PullbackResult, rect: BranchRectangle, seed) -> LimitCycleRecord:
+    """The search of `lift_cycles` in one branch rectangle, from its seed:
+    a section through the seed, across the field, of half-length 0.45 of
+    the seed's clearance (at most section_cap); the record, with its rect,
+    must come back certified and inside rect by DynamicsConfig.margin,
+    else CycleSearchError."""
+    clearance = rect.boundary_distance(seed)
+    half = min(0.45 * clearance, DynamicsConfig.section_cap)
+    if half <= DynamicsConfig.margin * min(rect.u_interval.hi - rect.u_interval.lo,
+                                           rect.v_interval.hi - rect.v_interval.lo):
+        raise CycleSearchError("seed too close to the rectangle boundary")
+    sec = _section_through(seed, field_rhs(pb)(*seed)[:2], half)
+    rec = find_cycle(pb, sec, half)
+    if not rec.certified:
+        raise CycleSearchError(f"lifted cycle not certified hyperbolic (multiplier {rec.multiplier:.6g})")
+    if not rect.contains(rec.anchor, DynamicsConfig.margin):
+        raise CycleSearchError("lifted anchor left its branch rectangle")
+    return replace(rec, rect=rect)
+
+
 def lift_cycles(
     pb: PullbackResult,
     base: LimitCycleRecord,
@@ -809,13 +831,23 @@ def lift_cycles(
     Chebyshev pullback: m^2 records, ordered by (i, j).
 
     Each rectangle is seeded by the branch-wise inverse of the anchor,
-    searched independently with a local section, and required to come
+    searched with a local section (`_lift_rect`), and required to come
     back certified hyperbolic, strictly inside its rectangle by
     DynamicsConfig.margin.  A record's orientation_reversed follows from
     its rect: the sign of the time-change factor, the product of the
     directions of its two branches (negative lambda flips the return map
     to its inverse, hence the multiplier to its reciprocal).  An uncertified
     base cycle or a failed branch inverse raises CycleSearchError.
+
+    For even m the pullback of any seed is odd, Y(-u, -v) = -Y(u, v), and
+    so in floats: the factored RHS writes T_m from T_2, even to the bit,
+    and T_m' as T_2' = 4u times factors at T_2's value.  Branch m + 1 - k
+    mirrors branch k (the nodes are exact negations), its seed the exact
+    negation of branch k's, and section, stepper, crossing refinement and
+    Newton step are sign-symmetric.  So rows i > m/2 run no search: each
+    takes the record of its mirror (m + 1 - i, m + 1 - j), the anchor
+    negated, or the mirror's error object (an IntegrationError keeps the
+    mirror's last_state).  Odd m searches every rectangle.
     """
     bset = cheb_branches(m)
     if pb.cover_poly != bset.poly:
@@ -827,38 +859,36 @@ def lift_cycles(
     if not (abs(xb) < 1.0 and abs(yb) < 1.0):
         raise ValueError("base anchor must lie strictly inside (-1, 1)^2")
 
-    # the m^2 seeds share 2m coordinates: branch i of xb, branch j of yb
+    # the m^2 seeds share 2m coordinates: branch i of xb, branch j of yb;
+    # for even m branches m/2 + 1..m are the mirrors of m/2..1
+    mirrored = m % 2 == 0
+    inverted = range(1, (m // 2 if mirrored else m) + 1)
     try:
-        us = [branch_inverse(m, k, xb) for k in range(1, m + 1)]
-        vs = [branch_inverse(m, k, yb) for k in range(1, m + 1)]
+        us = [branch_inverse(m, k, xb) for k in inverted]
+        vs = [branch_inverse(m, k, yb) for k in inverted]
     except ArithmeticError as err:
         raise CycleSearchError(str(err)) from err
-    rhs = field_rhs(pb)
+    if mirrored:
+        us += [-u for u in reversed(us)]
+        vs += [-v for v in reversed(vs)]
     records: dict[tuple[int, int], LimitCycleRecord] = {}
-    failures: list[tuple[int, int, DynamicsError]] = []
+    failures: dict[tuple[int, int], DynamicsError] = {}
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             rect = BranchRectangle(i, j, bset.intervals[i - 1], bset.intervals[j - 1])
-            try:
-                seed = (us[i - 1], vs[j - 1])
-                clearance = rect.boundary_distance(seed)
-                half = min(0.45 * clearance, DynamicsConfig.section_cap)
-                if half <= DynamicsConfig.margin * min(rect.u_interval.hi - rect.u_interval.lo,
-                                                       rect.v_interval.hi - rect.v_interval.lo):
-                    raise CycleSearchError("seed too close to the rectangle boundary")
-                sec = _section_through(seed, rhs(*seed)[:2], half)
-                rec = find_cycle(pb, sec, half)
-                if not rec.certified:
-                    raise CycleSearchError(
-                        f"lifted cycle not certified hyperbolic (multiplier {rec.multiplier:.6g})"
-                    )
-                if not rect.contains(rec.anchor, DynamicsConfig.margin):
-                    raise CycleSearchError("lifted anchor left its branch rectangle")
-                records[(i, j)] = replace(rec, rect=rect)
-            except DynamicsError as err:
-                failures.append((i, j, err))
+            mirror = (m + 1 - i, m + 1 - j)
+            if mirrored and mirror in records:
+                rec = records[mirror]
+                records[(i, j)] = replace(rec, anchor=(-rec.anchor[0], -rec.anchor[1]), rect=rect)
+            elif mirrored and mirror in failures:
+                failures[(i, j)] = failures[mirror]
+            else:
+                try:
+                    records[(i, j)] = _lift_rect(pb, rect, (us[i - 1], vs[j - 1]))
+                except DynamicsError as err:
+                    failures[(i, j)] = err
     if failures:
-        raise LiftError(failures, records)
+        raise LiftError([(i, j, err) for (i, j), err in failures.items()], records)
     return [records[key] for key in sorted(records)]
 
 

@@ -176,14 +176,6 @@ class TestBranchInverse:
         with pytest.raises(ValueError, match="^need m >= 2, got 1$"):
             branch_inverse(1, 1, 0.5)
 
-    @pytest.mark.parametrize("m", [148, 200, 256])
-    def test_holds_at_large_m(self, m):
-        # an absolute residual |T_m(u) - y| grows with |T_m'(u)|: at m = 148,
-        # k = 1, y = 2/3 it is 1.0e-12 for a u within 3 eps of the preimage
-        for k in range(1, m + 1):
-            for y in (2 / 3, 0.5, 0.0, -0.999):
-                assert cheb_branches(m).intervals[k - 1].contains(branch_inverse(m, k, y))
-
     @pytest.mark.parametrize("m", [2, 148])
     def test_rejects_a_preimage_off_by_more_than_delta(self, m, monkeypatch):
         # at m = 2 a u off by 1e-13 has a residual under 1e-12 that the
@@ -192,6 +184,23 @@ class TestBranchInverse:
         monkeypatch.setattr(branches, "cheb_preimage", lambda m, k, y: exact(m, k, y) + 1e-13)
         with pytest.raises(ArithmeticError, match="not within 2\\*\\*-49 of the preimage"):
             branch_inverse(m, m // 2, 0.5)
+
+    def test_negated_preimage_is_the_mirror_branch_preimage(self):
+        # T_m is even for even m and its nodes are exact negations, so
+        # -branch_inverse(m, k, y) lies in branch m + 1 - k and passes the
+        # check branch_inverse makes there: T_m - y, in Fractions, keeps no
+        # one strict sign at u -+ 2**-49, clipped to the branch.  So the
+        # lift seeds branches m/2 + 1..m of even m by negation
+        rng = random.Random(48)
+        for m in range(2, 65, 2):
+            T, intervals = chebyshev(m), cheb_branches(m).intervals
+            for y in [rng.uniform(-1.0, 1.0) for _ in range(3)]:
+                for k in range(1, m // 2 + 1):
+                    u, iv = -branch_inverse(m, k, y), intervals[m - k]
+                    assert iv.contains(u), (m, k, y)
+                    f_lo, f_hi = (T.evaluate(Fraction(x)) - Fraction(y)
+                                  for x in (max(u - 2.0**-49, iv.lo), min(u + 2.0**-49, iv.hi)))
+                    assert f_lo * f_hi <= 0, (m, k, y)
 
 
 def oracle_branches(p: UniPoly) -> list[tuple[float, float, int]]:

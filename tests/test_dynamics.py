@@ -44,6 +44,7 @@ from cyclerep.dynamics import (
 )
 from cyclerep.polynomials import BiPoly, UniPoly, VectorField2, chebyshev
 from cyclerep.pullback import PullbackResult, build_pullback
+from test_bare_library import assert_same_rhs, cover_chain, rectangle_section, rhs_points, same_float
 
 ROTATION = VectorField2(BiPoly({(0, 1): 1}), BiPoly({(1, 0): -1}))
 EXP_MINUS_PI = math.exp(-math.pi)
@@ -73,31 +74,47 @@ def exact_float(p: UniPoly, x: float) -> float:
     return float(p.evaluate(Fraction(x)))
 
 
+# the relative error that the magnitudes below are scales for: every bound
+# on the RHS is RHS_REL times one of them
+RHS_REL = 1e-12
+
+
+def cover_error_scale(p: UniPoly, f: UniPoly, x: float) -> float:
+    """The error scale of the RHS's lane for f, the cover p or p', at x.
+    The factor chain of p = T_m is within COVER_BOUND of exact relative to
+    max(1, |f(x)|), so its share is that bound in RHS_REL units; any other
+    cover is Horner on its monomials, sum |c_k x^k|."""
+    if p == chebyshev(p.degree()):
+        return COVER_BOUND / RHS_REL * max(1.0, abs(exact_float(f, x)))
+    return uni_abs_term_sum(f, x)
+
+
 def composed_magnitude(pb, src: BiPoly, u: float, v: float) -> float:
     """Rounding-error scale of S(p(u), p(v)): S's sum |term|, plus the
-    cover's carried through dS/dx and dS/dy (first order), taken at the
-    exact x = p(u) and y = p(v), rounded once: a scale taken at the
-    RHS's own cover floats would grow with their error and hide it."""
+    cover's error (`cover_error_scale`) carried through dS/dx and dS/dy
+    (first order), taken at the exact x = p(u) and y = p(v), rounded once:
+    a scale taken at the RHS's own cover floats would grow with their
+    error and hide it."""
     p = pb.cover_poly
     x, y = exact_float(p, u), exact_float(p, v)
     return (
         abs_term_sum(src, x, y)
-        + abs_term_sum(src.partial_u(), x, y) * uni_abs_term_sum(p, u)
-        + abs_term_sum(src.partial_v(), x, y) * uni_abs_term_sum(p, v)
+        + abs_term_sum(src.partial_u(), x, y) * cover_error_scale(p, p, u)
+        + abs_term_sum(src.partial_v(), x, y) * cover_error_scale(p, p, v)
     )
 
 
 def factored_magnitude(pb, k: int, u: float, v: float) -> float:
     """Rounding-error scale of RHS component k evaluated through its
     factors, d * S(x, y) with x = p(u), y = p(v), (d, S) = (p'(v), P) or
-    (p'(u), Q): each factor's sum |term|."""
+    (p'(u), Q): each factor's error scale."""
     p, dp = pb.cover_poly, pb.cover_poly.derivative()
     src = (pb.source.p_comp, pb.source.q_comp)[k]
     w = (v, u)[k]
     x, y = exact_float(p, u), exact_float(p, v)
     return (
         abs(exact_float(dp, w)) * composed_magnitude(pb, src, u, v)
-        + uni_abs_term_sum(dp, w) * abs(src.evaluate_float(x, y))
+        + cover_error_scale(p, dp, w) * abs(src.evaluate_float(x, y))
     )
 
 
@@ -107,13 +124,13 @@ def divergence(field: VectorField2) -> BiPoly:
 
 def divergence_magnitude(pb, u: float, v: float) -> float:
     """Rounding-error scale of the factored divergence
-    p'(u) p'(v) (div X)(x, y): each factor's sum |term|."""
+    p'(u) p'(v) (div X)(x, y): each factor's error scale."""
     p, dp = pb.cover_poly, pb.cover_poly.derivative()
     div_x = divergence(pb.source)
     du, dv = exact_float(dp, u), exact_float(dp, v)
     x, y = exact_float(p, u), exact_float(p, v)
     return abs(du * dv) * composed_magnitude(pb, div_x, u, v) + (
-        uni_abs_term_sum(dp, u) * abs(dv) + abs(du) * uni_abs_term_sum(dp, v)
+        cover_error_scale(p, dp, u) * abs(dv) + abs(du) * cover_error_scale(p, dp, v)
     ) * abs(div_x.evaluate_float(x, y))
 
 
@@ -155,8 +172,10 @@ class TestCompiledEvaluation:
         # field_rhs cuts each Horner chain into expressions of at most 32
         # nested steps: the expanded field and the m = 64 pullback build and
         # evaluate within the bounds of TestFactoredRhs, whose scale is taken
-        # at the exact cover values (the worst error is 2.7e-11 of the
-        # bound; Horner on the monomials of T_64 was 4.6e10 times over it)
+        # at the exact cover values, with the cover's share its COVER_BOUND
+        # (the worst error is 1.8e-3 of the bound; it was 2.7e-11 with the
+        # share Horner's sum |term|, and a cover lane off by 1e-9 passed;
+        # Horner on the monomials of T_64 was 4.6e10 times over it)
         Y = pb.field
         rhs = field_rhs(Y)
         for u, v in points:
@@ -174,8 +193,8 @@ class TestCompiledEvaluation:
             exact = (dv * X.p_comp.evaluate(x, y), du * X.q_comp.evaluate(x, y),
                      du * dv * X.divergence.evaluate(x, y))
             for k in range(2):
-                assert abs(Fraction(got[k]) - exact[k]) <= 1e-12 * factored_magnitude(pb, k, u, v)
-            assert abs(Fraction(got[2]) - exact[2]) <= 1e-12 * divergence_magnitude(pb, u, v)
+                assert abs(Fraction(got[k]) - exact[k]) <= RHS_REL * factored_magnitude(pb, k, u, v)
+            assert abs(Fraction(got[2]) - exact[2]) <= RHS_REL * divergence_magnitude(pb, u, v)
 
     def test_numpy_inputs_give_the_floats_of_float_inputs(self, radial_half, pullback_m3):
         # the RHS takes floats; numpy scalars give equal values (expanded
@@ -248,7 +267,7 @@ class TestFactoredRhs:
             got = rhs(u, v)
             for k, comp in enumerate((pb.field.p_comp, pb.field.q_comp)):
                 exact = comp.evaluate(Fraction(u), Fraction(v))
-                assert abs(Fraction(got[k]) - exact) <= 1e-12 * factored_magnitude(pb, k, u, v)
+                assert abs(Fraction(got[k]) - exact) <= RHS_REL * factored_magnitude(pb, k, u, v)
 
     @pytest.mark.parametrize("seed", ["cubic", "dense"])
     @pytest.mark.parametrize("m", [2, 3, 6, 8, 10, 30])
@@ -264,7 +283,7 @@ class TestFactoredRhs:
             u, v = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
             exact = exact_div.evaluate(Fraction(u), Fraction(v))
             got = rhs(u, v)[2]
-            assert abs(Fraction(got) - exact) <= 1e-12 * divergence_magnitude(pb, u, v)
+            assert abs(Fraction(got) - exact) <= RHS_REL * divergence_magnitude(pb, u, v)
 
     @pytest.mark.parametrize("field", ["seed", "dense", "m3"])
     def test_expanded_field_divergence(self, radial_half, pullback_m3, field):
@@ -277,60 +296,6 @@ class TestFactoredRhs:
             exact = exact_div.evaluate(Fraction(u), Fraction(v))
             got = rhs(u, v)[2]
             assert abs(Fraction(got) - exact) <= 1e-14 * abs_term_sum(exact_div, u, v)
-
-
-def cover_chain(p: UniPoly):
-    """x -> (p(x), p'(x)) by the loop over p's factors that `field_rhs`
-    writes out: for p = T_m the T_q of the prime factors q of m, ascending,
-    each T_q and T_q' by the `evaluate_float` of its `BiPoly.from_uni` at
-    the value before, p' their product from the first; any other p alone."""
-    m, factors = p.degree(), [p]
-    if m >= 2 and p == chebyshev(m):
-        factors, k = [], m
-        for q in range(2, m + 1):
-            while k % q == 0:
-                factors.append(chebyshev(q))
-                k //= q
-    evals = [(BiPoly.from_uni(f, 0).evaluate_float, BiPoly.from_uni(f.derivative(), 0).evaluate_float)
-             for f in factors]
-
-    def at(x):
-        slope = None
-        for f, df in evals:
-            d = df(x, 0.0)
-            slope = d if slope is None else slope * d
-            x = f(x, 0.0)
-        return x, slope
-
-    return at
-
-
-def closure_rhs(field):
-    """The RHS as a composition of the BiPoly `evaluate_float` closures:
-    P, Q and div X at the cover values of `cover_chain`, the reference the
-    straight-line `field_rhs` must match bit for bit."""
-    X = field.source if isinstance(field, PullbackResult) else field
-    fp, fq, fdiv = X.p_comp.evaluate_float, X.q_comp.evaluate_float, X.divergence.evaluate_float
-    if isinstance(field, PullbackResult):
-        cover = cover_chain(field.cover_poly)
-
-        def rhs(u, v):
-            (x, du), (y, dv) = cover(u), cover(v)
-            return (dv * fp(x, y), du * fq(x, y), du * dv * fdiv(x, y))
-
-        return rhs
-
-    def rhs(u, v):
-        return (fp(u, v), fq(u, v), fdiv(u, v))
-
-    return rhs
-
-
-def same_float(a: float, b: float) -> bool:
-    """a and b equal with the same sign, zeros included, or both nan."""
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 def dense_horner(coeffs, x):
@@ -399,21 +364,8 @@ class TestStraightLineRhs:
     within COVER_BOUND of exact, and on the cubic seed and its pullbacks
     the P, Q and div X lanes at them are the dense Horner's floats too."""
 
-    SPECIAL = [math.inf, -math.inf, math.nan, 1e200, -1e200, 0.0, -0.0]
-
-    def points(self, seed: int) -> list[tuple[float, float]]:
-        rng = random.Random(seed)
-        pts = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(40)]
-        pts += [(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(20)]
-        pts += [(a, rng.uniform(-1.0, 1.0)) for a in self.SPECIAL]
-        pts += [(rng.uniform(-1.0, 1.0), b) for b in self.SPECIAL]
-        return pts + [(a, b) for a in self.SPECIAL for b in self.SPECIAL]
-
-    def assert_same(self, field, seed: int) -> None:
-        got, want = field_rhs(field), closure_rhs(field)
-        for z in self.points(seed):
-            a, b = got(*z), want(*z)
-            assert len(a) == 3 and all(same_float(x, y) for x, y in zip(a, b)), (z, a, b)
+    points = staticmethod(rhs_points)
+    assert_same = staticmethod(assert_same_rhs)
 
     def assert_cover_exact(self, p: UniPoly, seed: int) -> None:
         """The cover values of `cover_chain` within COVER_BOUND of exact p
@@ -484,20 +436,6 @@ class TestStraightLineRhs:
                 assert all(same_float(x, y) for x, y in zip(a, b)), (m, z, a, b)
             if m > 1:
                 self.assert_cover_exact(chebyshev(m), m)
-
-    def test_deep_chains_compile(self, radial_half):
-        # a 300-term row in v, a u-chain over 300 rows and one over 300
-        # constants: cut every 32 links, where one expression would nest
-        # 300 parentheses deep, beyond what the tokenizer takes
-        c = [Fraction(k % 7 - 3 or 5, k % 5 + 1) for k in range(300)]
-        X = VectorField2(BiPoly({(0, k): c[k] for k in range(300)}),
-                         BiPoly({(k, 1): c[k] for k in range(300)}))
-        assert len(X.p_comp.terms) == len(X.q_comp.terms) == 300
-        self.assert_same(X, 11)
-        # the expanded cubic pullback at m = 64, of degree 255
-        Y = build_pullback(radial_half, chebyshev(64)).field
-        assert Y.degree() == 255
-        self.assert_same(Y, 12)
 
     def test_built_once_per_field_object(self, radial_half):
         pb = build_pullback(radial_half, chebyshev(4))
@@ -1480,16 +1418,6 @@ class TestFindCycle:
             find_cycle(pb.field, sec, half * (1 - 0.07))
         assert time.perf_counter() - start < 3.0
 
-    @pytest.mark.parametrize("rho, s0", [(Fraction(1, 3), 0.0125), (Fraction(2, 5), 0.03)])
-    def test_flat_start_near_the_focus(self, rho, s0):
-        # near the repelling focus at s = 0 the return map is flat (slope
-        # near 1), so Newton points at the focus, off the segment; the
-        # search follows the flow out instead of sitting at the inner edge
-        section = Section(base=(0.0, 0.0), direction=(1.0, 0.0), s_max=1.0)
-        rec = find_cycle(radial_cubic_field(rho), section, s0)
-        assert rec.certified
-        assert math.dist(rec.anchor, (float(rho), 0.0)) <= 1e-8
-
     @staticmethod
     def count_returns(monkeypatch) -> list:
         calls = []
@@ -1521,26 +1449,6 @@ class TestFindCycle:
         assert math.dist(rec.anchor, sec.point_at(half)) <= 1e-8
         assert len(calls) <= 4
 
-    def test_miss_gives_up_after_a_few_turns(self, monkeypatch):
-        # 20% inward of the repelling cycle of rectangle (1, 2) of m = 3 at
-        # rho = 1/2 the orbit turns inside the cycle and crosses the
-        # section's line off the segment every turn; the turn budget ends
-        # the return long before t_max = 200 would
-        steps = []
-
-        class Counting(dynamics.RK45):
-            def step(self):
-                steps.append(self.t)
-                return super().step()
-
-        rho = Fraction(1, 2)
-        pb = build_pullback(radial_cubic_field(rho), chebyshev(3))
-        sec, half = rectangle_section(pb, 3, 1, 2, (float(rho), 0.0))
-        monkeypatch.setattr(dynamics, "RK45", Counting)
-        with pytest.raises(NoReturnError, match="off the segment 9 times"):
-            find_cycle(pb, sec, half * (1 - 0.2))
-        assert len(steps) <= 200
-
     def test_reversed_rectangle_from_near_start(self):
         # the lifted cycle of the orientation-reversed rectangle (1, 2) of
         # m = 3 at rho = 2/3 repels by exp(4 pi rho^2) = 266.4 per turn;
@@ -1569,18 +1477,6 @@ class TestFindCycle:
         sec, half = rectangle_section(pb, 5, 5, 3, (float(rho), 0.0))
         with pytest.raises(DegenerateCrossingError):
             find_cycle(pb if factored else pb.field, sec, half * (1 - inward))
-
-
-def rectangle_section(pb, m: int, i: int, j: int, anchor):
-    """Section through the branch-wise inverse of `anchor` in rectangle
-    (i, j), normal to the field, built as `lift_cycles` builds it; returns
-    it with its half-length (the start of a lift's search)."""
-    bset = cheb_branches(m)
-    iu, iv = bset.intervals[i - 1], bset.intervals[j - 1]
-    seed = (branch_inverse(m, i, anchor[0]), branch_inverse(m, j, anchor[1]))
-    clearance = min(seed[0] - iu.lo, iu.hi - seed[0], seed[1] - iv.lo, iv.hi - seed[1])
-    half = min(0.45 * clearance, DEFAULT_CONFIG.section_cap)
-    return dynamics._section_through(seed, field_rhs(pb)(*seed)[:2], half), half
 
 
 class TestSection:
@@ -1816,6 +1712,94 @@ class TestLiftLargeCover:
         for r in records.values():
             target = EXP_PLUS_PI if r.orientation_reversed else EXP_MINUS_PI
             assert r.certified and abs(r.multiplier - target) <= 1e-5 * target
+
+
+def radial_half_tilted() -> VectorField2:
+    """The radial seed at rho = 1/2 plus 1/50 + x^2/20 in P and xy/30 in Q:
+    no symmetry, its cycle certified through (0.5112, 0)."""
+    X = radial_cubic_field(Fraction(1, 2))
+    return VectorField2(X.p_comp + BiPoly({(0, 0): Fraction(1, 50), (2, 0): Fraction(1, 20)}),
+                        X.q_comp + BiPoly({(1, 1): Fraction(1, 30)}))
+
+
+class TestMirroredLift:
+    """For even m the pullback is odd and branch m + 1 - k mirrors branch
+    k, so `lift_cycles` searches rows 1..m/2 and gives each rectangle
+    (i, j) of the others its mirror's record negated, or its error."""
+
+    def test_pullback_of_an_even_cover_is_odd_to_the_bit(self):
+        # T_2 is even and T_2' = 4u odd to the bit, and every later factor
+        # of the chain reads T_2's value, so for any seed Y(-z) = -Y(z) as
+        # floats: lanes 0 and 1 negated, the divergence the same.  At the
+        # four signed zeros the lanes are zeros whose sign the writer's
+        # `+ 0.0` steps do not carry, so they compare equal as numbers
+        rng = random.Random(48)
+        for m in range(2, 129, 2):
+            rhs = field_rhs(PullbackResult(field=None, cover_poly=chebyshev(m), source=DENSE_CUBIC))
+            for u, v in [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(50)]:
+                a, b, c = rhs(u, v)
+                assert hexes(rhs(-u, -v)) == hexes((-a, -b, c)), (m, u, v)
+            for u, v in [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)]:
+                a, b, c = rhs(u, v)
+                assert rhs(-u, -v) == (-a, -b, c), (m, u, v)
+
+    @pytest.mark.parametrize("m, searches", [(2, 2), (3, 9), (4, 8), (5, 25), (6, 18), (8, 32), (16, 128)])
+    def test_even_m_searches_half_the_rectangles(self, monkeypatch, radial_half, base_cycle, m, searches):
+        calls = []
+
+        def counted(field, section, s0):
+            calls.append(s0)
+            return find_cycle(field, section, s0)
+
+        monkeypatch.setattr(dynamics, "find_cycle", counted)
+        records = lift_cycles(build_pullback(radial_half, chebyshev(m)), base_cycle, m)
+        assert len(records) == m * m and all(r.certified for r in records)
+        assert len(calls) == searches
+
+    @staticmethod
+    def outcomes(pb, base, m) -> dict:
+        """(i, j) -> the lift's record, or its error, in each rectangle."""
+        try:
+            return {(r.rect.i, r.rect.j): r for r in lift_cycles(pb, base, m)}
+        except LiftError as err:
+            return {**err.records, **{(i, j): e for i, j, e in err.failures}}
+
+    @pytest.mark.parametrize("seed, m, failed", [
+        *[(rho, m, 0) for rho in ("1/3", "1/2", "2/3") for m in (2, 4, 6, 8, 12, 16)],
+        ("1/2", 24, 48),
+        *[("tilted", m, 0) for m in (2, 4, 6, 8)],
+    ])
+    def test_mirrored_rectangle_is_the_search_from_the_negated_seed(self, seed, m, failed):
+        # each rectangle of rows m/2 + 1..m, searched from the negation of
+        # its mirror's seed (the lift's own seed there), gives the lift's
+        # record by float.hex, or its error's message; at m = 24 the 48
+        # failures are the anchor margin's
+        X = radial_half_tilted() if seed == "tilted" else radial_cubic_field(Fraction(seed))
+        start = 0.5 if seed == "tilted" else float(Fraction(seed))
+        base = find_cycle(X, Section(base=(0.0, 0.0), direction=(1.0, 0.0), s_max=1.0), start)
+        assert base.certified
+        pb = build_pullback(X, chebyshev(m))
+        lifted = self.outcomes(pb, base, m)
+        assert sum(isinstance(r, DynamicsError) for r in lifted.values()) == failed
+        intervals = cheb_branches(m).intervals
+
+        def seed_of(k: int, c: float) -> float:  # the lift's seed on branch k
+            return branch_inverse(m, k, c) if 2 * k <= m else -branch_inverse(m, m + 1 - k, c)
+
+        for i in range(m // 2 + 1, m + 1):
+            for j in range(1, m + 1):
+                rect = BranchRectangle(i, j, intervals[i - 1], intervals[j - 1])
+                mirror_seed = (seed_of(m + 1 - i, base.anchor[0]), seed_of(m + 1 - j, base.anchor[1]))
+                want = lifted[(i, j)]
+                try:
+                    got = dynamics._lift_rect(pb, rect, (-mirror_seed[0], -mirror_seed[1]))
+                except DynamicsError as err:
+                    assert isinstance(want, DynamicsError) and str(err) == str(want), (i, j)
+                    continue
+                assert not isinstance(want, DynamicsError), (i, j, want)
+                assert got.rect == want.rect and got.certified == want.certified
+                assert hexes([*got.anchor, got.period, got.multiplier]) == hexes(
+                    [*want.anchor, want.period, want.multiplier]), (i, j)
 
 
 class TestImplicitCurve:
