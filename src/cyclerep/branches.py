@@ -8,13 +8,22 @@ runs between two consecutive real roots of p**2 = 1 at opposite levels
 where p' keeps one sign, and those roots and the critical points of p are
 isolated on integer polynomials by Descartes' rule, whose Taylor shift
 stops at a cell's second sign variation: two or more only mean that the
-cell is halved.  Each root's cell is then narrowed by a safeguarded secant
-on exact integer values, with the coefficients scaled once per level, to
-the same dyadic cell that bisection would reach.  For an odd or even p, as
-every T_m is, only the roots in [0, inf) are isolated and narrowed: the
-others are their mirrors.  Only the reported endpoints become floats: the
-nearest ones, or one float further out each when a branch is narrower
-than the float spacing.
+cell is halved.  Each root's cell is then narrowed on exact integer
+values, with the coefficients scaled once per level, to the same dyadic
+cell that bisection would reach: by regula falsi with the Illinois
+weighting (Dowell & Jarratt 1971), which halves the value kept at one end
+when the other end moved twice running, and by the midpoint whenever the
+evaluations have outrun two per bit the bracket has lost.
+For an odd or even p, as every T_m is, the roots below 0 are the mirrors
+of those above it.  An even p is Q(x**2), and so are p -+ 1 and p'/x: the
+gcds, squarefree parts, isolation and narrowing run in y = x**2, at half
+the degree, on [0, inf), a root y > 0 narrowed to width 4**-40 giving the
+cell of width 2**-40 of x = sqrt(y) by an integer square root, and a
+root x = 0 being read from the valuation in y.  For an odd p,
+p + 1 = -(p - 1)(-x): one level is isolated on both sides and gives the
+other by negation, and the critical points, p' being even, are found in y.
+Only the reported endpoints become floats: the nearest ones, or one float
+further out each when a branch is narrower than the float spacing.
 `degenerate` means that p' and p'' share a root: p has a critical point
 where p' may keep its sign (x**3 at 0), so a branch can hold a critical
 point.
@@ -35,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .polynomials import UniPoly, chebyshev
+from .polynomials import UniPoly, _convolve, chebyshev
 
 INCREASING = 1
 DECREASING = -1
@@ -274,39 +283,53 @@ def _narrow(cell: tuple, level: int) -> tuple:
     """The cell bisection reaches: (floor(r * 2**level), level, s) for the
     root r, or (a, j, 0) when r = a / 2**j in lowest terms with j <= level.
 
-    A safeguarded secant finds it on the integer grid of that level.  Each
-    step evaluates g exactly at a grid point x strictly inside the bracket,
-    which keeps the root strictly inside: x is left of the root iff g(x) has
-    the sign s (not the sign of g at the left end, which can itself be a
-    root), and g(x) = 0 only at the root.  x is the secant point of the last
-    two evaluations, or the midpoint after a step that failed to halve the
-    bracket, so a cell costs at most about two evaluations per bit.  A
-    bracket one grid step wide holds no grid point, so its root is not
+    It is found on the integer grid of that level.  Each step evaluates g
+    exactly at a grid point x strictly inside the bracket, which keeps the
+    root strictly inside: x is left of the root iff g(x) has the sign s (not
+    the sign of g at the left end, which can itself be a root), and
+    g(x) = 0 only at the root.  x is the regula falsi point of the bracket,
+    rounded down and clamped one grid step inside it, with the value at an
+    end that a step kept twice running halved (Illinois), so the bracket
+    closes from both sides; or the midpoint, while an end of the bracket is
+    another root (g is 0 there and gives no slope), and whenever the
+    evaluations so far, the ends' included, are at least twice the bits the
+    bracket has lost, so a cell costs at most about two evaluations per bit.
+    The first step is such a midpoint, and only then are the ends read, the
+    one it replaced never.
+    A bracket one grid step wide holds no grid point, so its root is not
     dyadic at this level or below.
     """
     g, num, k, s = cell
     if not s or k >= level:
         return cell
-    value = _on_level(g, level)
+    value = _on_level(g if s > 0 else [-c for c in g], level)  # s g: > 0 left of the root, < 0 right
     lo, hi = num << (level - k), (num + 1) << (level - k)
-    a, ga, b, gb = lo, value(lo), hi, value(hi)
-    bisect = False
+    budget = 2 * (hi - lo).bit_length()  # two evaluations per bit, less those spent
+    flo = fhi = None  # s g at the ends
+    kept = 0  # 1 (-1) if the last regula falsi step kept hi (lo)
     while hi - lo > 1:
-        width = hi - lo
-        if bisect or ga == gb:
-            x = (lo + hi) // 2
-        else:
-            x = min(max(b - (b - a) * gb // (gb - ga), lo + 1), hi - 1)
-        gx = value(x)
-        if gx == 0:  # dyadic: x / 2**level, reduced to lowest terms
+        x, falsi = (lo + hi) >> 1, False
+        if budget > 2 * (hi - lo).bit_length():  # the ends are read when a step first needs them
+            if flo is None:
+                flo, budget = value(lo), budget - 1
+            if fhi is None:
+                fhi, budget = value(hi), budget - 1
+            if flo and fhi:
+                x = min(max(lo + (hi - lo) * flo // (flo - fhi), lo + 1), hi - 1)
+                falsi = True
+        fx, budget = value(x), budget - 1
+        if not fx:  # dyadic: x / 2**level, reduced to lowest terms
             zeros = (x & -x).bit_length() - 1
             return g, x >> zeros, level - zeros, 0
-        if (gx > 0) == (s > 0):
-            lo = x
+        if fx > 0:
+            lo, flo = x, fx
+            if falsi and kept > 0:  # hi kept twice running: halve its value (Illinois)
+                fhi >>= 1
         else:
-            hi = x
-        a, ga, b, gb = b, gb, x, gx
-        bisect = 2 * (hi - lo) > width + 1  # an odd width halves to (width + 1) / 2
+            hi, fhi = x, fx
+            if falsi and kept < 0:
+                flo = (flo + 1) >> 1
+        kept = (1 if fx > 0 else -1) if falsi else 0
     return g, lo, level, s
 
 
@@ -321,25 +344,128 @@ def _ends(cell: tuple, top: int) -> tuple[int, int]:
     return num << (top - k), (num + (s != 0)) << (top - k)
 
 
+def _reflect(g: list[int]) -> list[int]:
+    """g(-x)."""
+    return [-c if i % 2 else c for i, c in enumerate(g)]
+
+
+def _halve(f: list[int]) -> tuple[int, list[int]]:
+    """(t, F) with f = x**t F(x**2) and F(0) != 0, for an even or odd f."""
+    t = next(i for i, c in enumerate(f) if c)
+    return t, f[t::2]
+
+
+def _spread(F: list[int]) -> list[int]:
+    """F(x**2)."""
+    f = [0] * (2 * len(F) - 1)
+    f[::2] = F
+    return f
+
+
+def _squarefree(f: list[int], mirror: int) -> tuple[list[int], bool]:
+    """(the squarefree part of f, whether f has a repeated root).  For an
+    even or odd f (mirror != 0), f = x**t F(x**2): its part is x F'(x**2),
+    or F'(x**2) for t = 0, with F' the part of F, and a root is repeated iff
+    t > 1 or F has one."""
+    t, F = _halve(f) if mirror else (0, f)
+    repeated = _gcd(F, [i * c for i, c in enumerate(F)][1:])
+    part = _quotient(F, repeated)
+    if mirror:
+        part = [0, *_spread(part)] if t else _spread(part)
+    return part, t > 1 or len(repeated) > 1
+
+
+def _square_roots(G: list[int], level: int) -> list[tuple]:
+    """The cells (g, num, k, s) at `level` of the roots x > 0 of the
+    squarefree g = G(x**2), G(0) != 0: those of bisection, as _narrow gives.
+
+    They come from the roots y > 0 of G, isolated and narrowed at half the
+    degree to `2 * level`: a y-cell (n, 2 * level, s) holds y in
+    (n, n + 1) / 4**level, so x = sqrt(y) lies in (isqrt(n), isqrt(n) + 1)
+    / 2**level, no square lying strictly between n and n + 1, and g keeps
+    the sign s left of x as long as no other root shares that x-cell.  An
+    exact y = n / 4**level is an exact x if n is a square, and otherwise
+    takes the sign of G at the cell's left end.  Should two roots share an
+    x-cell, or a y-cell stay finer than `2 * level`, the roots are isolated
+    and narrowed in x instead.  Isolating in x can itself end finer than
+    `level`, when complex roots of g lie within about 2**-level of a real
+    one: that root then gets a finer cell in x than here, both within
+    2**-level of it.
+    """
+    g, cells, value = _spread(G), [], _on_level(G, 2 * level)
+    for cell in _isolate(G, (1,)):
+        _, num, k, s = _narrow(cell, 2 * level)
+        if k > 2 * level:
+            break
+        n = num << (2 * level - k)
+        x = math.isqrt(n)
+        if not s and x * x != n:  # an exact y that is not a square
+            at = value(x * x)
+            s = (at > 0) - (at < 0)
+            if not s:
+                break
+        if s:
+            cells.append((g, x, level, s))
+        else:  # dyadic: x / 2**level, reduced to lowest terms
+            zeros = (x & -x).bit_length() - 1
+            cells.append((g, x >> zeros, level - zeros, 0))
+    else:
+        shared = [num for _, num, k, s in cells if s]
+        if len(set(shared)) == len(shared):
+            return cells
+    return [_narrow(cell, level) for cell in _isolate(g, (1,))]
+
+
 def _level_roots(P: tuple, den: int, dP: tuple, crit: list[int], mirror: int) -> list[tuple]:
     """(level, cell) for each real root of P = level * den, level +-1, and
-    level 0 for each root of crit off those levels, narrowed to level 40.
-    For P even (mirror 1) or odd (mirror -1), P(-x) = mirror * P(x): only the
-    roots r in [0, inf) are isolated and narrowed, and the cell (g, num, k, s)
-    of each r > 0 at level l mirrors, with no evaluation, to the cell that
-    bisection reaches for -r at level mirror * l: (g(-x), -num - 1, k, -s),
-    or (g(-x), -num, k, 0) for r = num / 2**k.
+    level 0 for each root of the squarefree crit off those levels, narrowed
+    to level 40.  With mirror 0 each polynomial is isolated on both sides of
+    0 in x.  For P even (mirror 1) or odd (mirror -1), P(-x) = mirror * P(x).
+
+    An even P is Q(x**2): the squarefree parts of Q -+ den and of the
+    critical polynomial in y = x**2 give the roots x > 0 (`_square_roots`),
+    and a root y = 0, read from the valuation, the root x = 0.  For an odd
+    P, P + den = -(P - den)(-x): the roots of P - den, isolated on both
+    sides, mirror to those of P + den, and the tangency points of both
+    levels are the roots of tangent(x) tangent(-x), even, so crit loses them
+    in y.  Every cell (g, num, k, s) of a root r != 0 at level l found so
+    mirrors, with no evaluation, to the cell that bisection reaches for -r
+    at level mirror * l: (g(-x), -num - 1, k, -s), or (g(-x), -num, k, 0)
+    for r = num / 2**k.
     """
-    sides, roots = (1,) if mirror else (1, -1), []
-    for level in (1, -1):
-        shifted = [P[0] - level * den, *P[1:]]
+    if not mirror:
+        roots = []
+        for level in (1, -1):
+            shifted = [P[0] - level * den, *P[1:]]
+            tangent = _gcd(shifted, dP)
+            crit = _quotient(crit, _gcd(crit, tangent))
+            roots += [(level, _narrow(cell, 40)) for cell in _isolate(_quotient(shifted, tangent))]
+        return roots + [(0, _narrow(cell, 40)) for cell in _isolate(crit)]
+    t, C = _halve(crit)
+    if mirror == 1:
+        _, R = _halve(dP)  # dP = x**(2v + 1) R(x**2)
+        roots = []
+        for level in (1, -1):
+            e, B = _halve([P[0] - level * den, *P[1:]])  # P - level * den = x**e B(x**2)
+            tangent = _gcd(B, R)
+            C = _quotient(C, _gcd(C, tangent))
+            G = _quotient(B, tangent)
+            if e:  # x = 0 is a root of P - level * den, and a critical point on the level
+                roots.append((level, ([0, *_spread(G)], 0, 0, 0)))
+                t = 0
+            roots += [(level, cell) for cell in _square_roots(G, 40)]
+    else:
+        shifted = [P[0] - den, *P[1:]]
         tangent = _gcd(shifted, dP)
-        crit = _quotient(crit, _gcd(crit, tangent))
-        roots += [(level, _narrow(cell, 40)) for cell in _isolate(_quotient(shifted, tangent), sides)]
-    roots += [(0, _narrow(cell, 40)) for cell in _isolate(crit, sides)]
+        roots = [(1, _narrow(cell, 40)) for cell in _isolate(_quotient(shifted, tangent))]
+        if len(tangent) > 1:
+            C = _quotient(C, _gcd(C, _halve(_convolve(tangent, _reflect(tangent)))[1]))
+    if t:  # x = 0 is a critical point off the levels
+        roots.append((0, ([0, *_spread(C)], 0, 0, 0)))
+    roots += [(0, cell) for cell in _square_roots(C, 40)]
     return roots + [  # the root 0, a cell (g, 0, k, 0), is its own mirror
-        (mirror * level, ([-c if i % 2 else c for i, c in enumerate(g)], -num - (s != 0), k, -s))
-        for level, (g, num, k, s) in roots if mirror and (num or s)
+        (mirror * level, (_reflect(g), -num - (s != 0), k, -s))
+        for level, (g, num, k, s) in roots if num or s
     ]
 
 
@@ -358,9 +484,9 @@ def full_branch_intervals(p: UniPoly) -> BranchSet:
         raise ValueError("need a nonconstant polynomial")
     P, den = p.nums, p.den  # p = P / den
     dP = p.derivative().nums
-    repeated = _gcd(dP, p.derivative().derivative().nums)
     mirror = 1 if not any(P[1::2]) else -1 if not any(P[::2]) else 0  # even, odd, neither
-    roots = _level_roots(P, den, dP, _quotient(dP, repeated), mirror)
+    crit, degenerate = _squarefree(dP, mirror)
+    roots = _level_roots(P, den, dP, crit, mirror)
     while True:  # halve cells until each gap between neighbours has a rational point
         top = max([0] + [cell[2] for _, cell in roots])  # every end is an integer over 2**top
         roots.sort(key=lambda r: _ends(r[1], top))
@@ -379,14 +505,16 @@ def full_branch_intervals(p: UniPoly) -> BranchSet:
         acc = value(ends[i][1] + ends[i + 1][0])
         return (acc > 0) - (acc < 0)
 
+    # p' has no root between neighbours, so from one level to the other next
+    # to it p is monotone: only a gap that holds a critical point is read
     marks = [i for i, (level, _) in enumerate(roots) if level]
     found = [  # int / int rounds correctly, as float(Fraction) does
         (*_float_ends(sum(ends[i]) / scale, sum(ends[j]) / scale), roots[j][0])
         for i, j in zip(marks, marks[1:])
-        if roots[i][0] == -roots[j][0] and all(slope(g) == roots[j][0] for g in range(i, j))
+        if roots[i][0] == -roots[j][0] and (j == i + 1 or all(slope(g) == roots[j][0] for g in range(i, j)))
     ]
     intervals = tuple(BranchInterval(k, *iv) for k, iv in enumerate(reversed(found), start=1))
-    return BranchSet(poly=p, intervals=intervals, degenerate=len(repeated) > 1)
+    return BranchSet(poly=p, intervals=intervals, degenerate=degenerate)
 
 
 def branch_set_to_json(bs: BranchSet) -> dict:

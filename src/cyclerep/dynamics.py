@@ -99,6 +99,7 @@ class DynamicsConfig:
     t_max: ClassVar[float] = 200.0          # return-map time budget
     max_off_crossings: ClassVar[int] = 8    # return-map turn budget: crossings off the segment
     max_steps: ClassVar[int] = 300          # return-map step budget: accepted RK steps
+    integrate_steps: ClassVar[int] = 10_000  # `integrate` step budget: accepted RK steps
     section_cap: ClassVar[float] = 0.05     # half-length cap for auto-built sections
 
 
@@ -564,19 +565,27 @@ def integrate(
     as scipy's OdeSolution reads it; only a step that holds a sample time
     is interpolated.  The RHS is `field_rhs(field)`, whose divergence lane
     w never steers the steps.  Raises IntegrationError (carrying the last
-    valid state) on finite-time blowup, and ValueError for a tol or t_span
-    that is not positive and finite, or n < 1.
+    valid state) on finite-time blowup or when t_span takes more than
+    DynamicsConfig.integrate_steps accepted steps (a stiff field, whose
+    steps stability bounds), and ValueError for a tol or t_span that is not
+    positive and finite, or n < 1.
     """
     if not (0 < t_span < math.inf and n >= 1):
         raise ValueError(f"need 0 < t_span < inf and n >= 1, got t_span={t_span}, n={n}")
     t_span = float(t_span)
     times = [k * (t_span / n) for k in range(n)] + [t_span]
     states: list[tuple[float, float]] = []
-    for solver in _steps(field_rhs(field), (float(start[0]), float(start[1])), t_span, tol):
+    budget = DynamicsConfig.integrate_steps
+    for steps, solver in enumerate(_steps(field_rhs(field), (float(start[0]), float(start[1])), t_span, tol), 1):
         if times[len(states)] <= solver.t:
             piece = solver.dense_output()
             while len(states) <= n and times[len(states)] <= solver.t:
                 states.append(piece.at(times[len(states)], 2))
+        if steps >= budget and solver.t < t_span:
+            raise IntegrationError(
+                f"t_span={t_span} not reached within {budget} RK steps (t={solver.t})",
+                last_state=solver.y, last_time=solver.t,
+            )
     return states
 
 

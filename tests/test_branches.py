@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cyclerep import branches
@@ -258,9 +258,9 @@ class TestFullBranches:
                 assert abs(a.lo - b.lo) <= 1e-11 and abs(a.hi - b.hi) <= 1e-11
 
     def test_chebyshev_64_within_wall_bound(self):
-        # T_64 takes 8-13 ms (median of 5) on a shared 2-core x86-64 host,
-        # its roots in [0, inf) isolated and mirrored; the bound is 5x the
-        # 0.032 s it took when both sides were isolated
+        # T_64 takes 4-7 ms (median of 9) on a shared 2-core x86-64 host,
+        # decided in y = x**2 and mirrored; the bound is 5x the 0.032 s it
+        # took when both sides were isolated in x
         p = chebyshev(64)
         start = time.perf_counter()
         bs = full_branch_intervals(p)
@@ -347,10 +347,21 @@ class TestFullBranches:
 
     @settings(max_examples=100, deadline=None)
     @given(small_polys, st.sampled_from([0, 1]))
+    # x = 0 a double root of T_m - T_m(0) (T_4 at +1, T_6 at -1) and a
+    # quadruple one of 2x**4 - 1 + 1; x**4 (degenerate, no branch); an even
+    # cover that is not T_m; the odd x**3 (degenerate) and 1.1 T_3
+    @example(chebyshev(4), 0)
+    @example(chebyshev(6), 0)
+    @example(U(-1, 0, 0, 0, 2), 0)
+    @example(U(0, 0, 0, 0, 1), 0)
+    @example(UniPoly([c + (Fraction(1, 1000) if k == 0 else 0) for k, c in enumerate(chebyshev(4).coeffs)]), 0)
+    @example(U(0, 0, 0, 1), 1)
+    @example(UniPoly([Fraction(11, 10) * c for c in chebyshev(3).coeffs]), 1)
     def test_odd_and_even_mirror_both_sides(self, p, parity):
         # zeroing alternate coefficients makes p even (parity 0) or odd (1);
-        # its roots in [0, inf) and their mirrors are the cells, one for one,
-        # that isolating both sides gives
+        # the cells its parity path finds, in y = x**2 or by negating one
+        # level, are the cells, one for one, that isolating both sides of
+        # each polynomial in x gives
         p = UniPoly([c if k % 2 == parity else 0 for k, c in enumerate(p.coeffs)])
         assume(p.degree() >= 1)
         assert_matches_oracle(full_branch_intervals(p), p)
@@ -404,12 +415,14 @@ def narrowed_cells(p: UniPoly) -> list[tuple]:
 
 
 class TestNarrow:
-    """The secant `_narrow` against bisection, cell by cell: the same tuple."""
+    """The regula falsi `_narrow` against bisection, cell by cell: the same
+    tuple."""
 
     def test_chebyshev_cells_match_bisection(self):
-        # T_m is odd or even, so only its roots in [0, inf) are narrowed; the
-        # mirror of each cell narrows, as bisection does, to the mirror of
-        # its narrowing, so the roots below 0 are checked too
+        # T_m is odd or even, so only its roots in [0, inf) are narrowed, in
+        # y = x**2 for an even m; the mirror of each cell narrows, as
+        # bisection does, to the mirror of its narrowing, so the roots below
+        # 0 are checked too
         count = 0
         for m in range(2, 65):
             for cell, level in narrowed_cells(chebyshev(m)):
@@ -420,21 +433,40 @@ class TestNarrow:
                 count += 2
         assert count > 2000  # every root of T_m -+ 1 and T_m' for m = 2..64
 
-    def test_odd_or_even_narrows_one_side(self):
-        # T_64 has 65 roots at the levels -+1, 33 of them in [0, inf): only
-        # those are narrowed to level 40, the others being their mirrors
-        levels = [level for _, level in narrowed_cells(chebyshev(64))]
-        assert levels.count(40) <= 33
+    def test_even_narrows_in_y(self):
+        # T_64 is even and has 65 roots at the levels -+1, 32 of them in
+        # (0, inf) and the double root 0: those 32 are narrowed as roots of
+        # polynomials in y = x**2, of degree 16, to level 80; the others are
+        # their mirrors and 0, read from the y-valuation
+        calls = narrowed_cells(chebyshev(64))
+        assert len(calls) == 32
+        assert all(level == 80 and len(cell[0]) == 17 for cell, level in calls)
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.lists(st.integers(-60, 60), min_size=2, max_size=10)
-        .map(UniPoly)
-        .filter(lambda p: p.degree() >= 1)
+        st.lists(st.integers(-60, 60), min_size=2, max_size=10),
+        st.sampled_from([None, 0, 1]),
     )
-    def test_integer_polynomial_cells_match_bisection(self, p):
+    def test_integer_polynomial_cells_match_bisection(self, coeffs, parity):
+        # general, even (parity 0) and odd (1): an even p narrows in y
+        p = UniPoly([c if parity is None or k % 2 == parity else 0 for k, c in enumerate(coeffs)])
+        assume(p.degree() >= 1)
         for cell, level in narrowed_cells(p):
             assert branches._narrow(cell, level) == bisection_narrow(cell, level), cell
+
+    @pytest.mark.parametrize("root", [Fraction(1, 3 << 41), 1 - Fraction(1, 3 << 41)])
+    @pytest.mark.parametrize("other", [None, -2, 1])
+    def test_root_one_grid_step_from_an_end(self, root, other):
+        # a root inside the first or the last grid step of (0, 1) at level
+        # 40, where the regula falsi point is clamped to lo + 1 or hi - 1;
+        # alone, beside a second root at -2, or beside one at the end 1,
+        # where g is 0 and gives no slope, so the midpoint steps instead
+        f = [-root.numerator, root.denominator]
+        if other is not None:
+            f = with_roots([Fraction(other)], f)
+        cell = (f, 0, 0, 1 if f[0] > 0 else -1)
+        want = (f, int(root * 2**40), 40, cell[3])
+        assert branches._narrow(cell, 40) == bisection_narrow(cell, 40) == want
 
     def test_dyadic_root(self):
         # (8x - 3)(x^2 - 2): the root 3/8 inside the cell (0, 1) is found
@@ -464,6 +496,28 @@ class TestNarrow:
             num = (3001 << level) // 3 if level >= 0 else 3001 // (3 << -level)
             want = (f, num, level, cell[3])
             assert branches._narrow(cell, level) == bisection_narrow(cell, level) == want
+
+    @pytest.mark.parametrize("level", [20, 40])
+    def test_square_roots_that_share_a_cell(self, level):
+        # y = 1 + 2**-50 and 1 + 2**-50 + 2**-70: their square roots share a
+        # cell of level 40, and the y-cells that part them are finer than
+        # level 40 = 2 * 20; either way the roots are isolated and narrowed
+        # in x, as bisection on G(x**2) does
+        G = with_roots([1 + Fraction(1, 2**50), 1 + Fraction(1, 2**50) + Fraction(1, 2**70)], [1])
+        g = branches._spread(G)
+        want = [bisection_narrow(cell, level) for cell in branches._isolate(g, (1,))]
+        assert len(want) == 2 and want[0][2] > 40
+        assert branches._square_roots(G, level) == want
+
+    def test_square_root_of_a_root_at_a_cell_end(self):
+        # y = 2, exact, has sqrt 2 in the cell (c, c + 1) / 2**40, and the
+        # other root c**2 / 2**80 of G sits at that cell's left end, where
+        # G has no sign: both roots are found in x instead
+        c = math.isqrt(2 << 80)
+        G = with_roots([Fraction(2), Fraction(c * c, 2**80)], [1])
+        want = [bisection_narrow(cell, 40) for cell in branches._isolate(branches._spread(G), (1,))]
+        assert [cell[1:] for cell in want] == [(c, 40, 0), (c, 40, -1)]
+        assert branches._square_roots(G, 40) == want
 
     def test_cell_at_target_level_unchanged(self):
         for cell, level in narrowed_cells(chebyshev(9)):

@@ -507,6 +507,16 @@ class TestIntegrate:
         assert 0.9 <= exc.value.last_time <= 1.1
         assert exc.value.last_state[0] > 100.0
 
+    def test_stiff_field_stops_at_the_step_budget(self, wall_bound):
+        # (-10**8 u, -v) is stiff: stability holds its steps near 1e-8, so
+        # t_span = 200 would take billions of them; integrate raises after
+        # DynamicsConfig.integrate_steps, with the state it reached
+        field = VectorField2(BiPoly({(1, 0): -10**8}), BiPoly({(0, 1): -1}))
+        with wall_bound(1.0), pytest.raises(IntegrationError, match="RK steps") as exc:
+            integrate(field, (0.5, 0.5), 200.0, 1)
+        assert 0.0 < exc.value.last_time < 1e-3
+        assert abs(exc.value.last_state[0]) < 1e-9 and 0.49 < exc.value.last_state[1] < 0.5
+
     def test_bad_tol_rejected(self, radial_half):
         with pytest.raises(ValueError):
             integrate(radial_half, (0.5, 0.0), 1.0, 1, tol=0.0)
